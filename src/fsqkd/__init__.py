@@ -4,21 +4,12 @@ from .analytics import LinkBudget, ber_model, detection_probability, optimize_nb
 from .channel import (
     Cause,
     DetectionBatch,
-    DetectionEvent,
     Outcome,
-    PulseRecord,
     draw_eta_system,
     draw_photon_count,
     simulate_channel,
-    transmit_pulse,
 )
-from .core import (
-    KeyBuffer,
-    Polarization,
-    Stage,
-    compare_keys,
-    overlap_probability,
-)
+from .core import KeyBuffer, Stage, compare_keys
 from .messages import Kind, Message, decode, encode, leak_meter
 from .params import ProtocolParams
 from .privacy import (
@@ -28,11 +19,10 @@ from .privacy import (
     plan_output_length,
     secret_yield_per_sifted_bit,
 )
-from .protocol import AliceSession, BobSession, alice_generate, bob_receive, sift
+from .protocol import alice_generate, bob_receive, sift
 from .reconciliation import (
     ReconConfig,
     ReconOutcome,
-    estimate_ber,
     reconcile,
     shannon_leak_per_bit,
 )

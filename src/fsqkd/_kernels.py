@@ -1,17 +1,9 @@
-"""Hot Monte Carlo kernels with a numba fast path and a pure-numpy fallback.
+"""The per-gate Monte Carlo kernel of the channel, vectorized with numpy.
 
 The per-gate outcome computation dominates the runtime of million-pulse
-sessions, so it is implemented twice over identical pre-drawn uniforms:
-
-* ``channel_outcomes_numba`` - an ``@njit`` pulse loop;
-* ``channel_outcomes_numpy`` - a fully vectorized equivalent.
-
-Both consume the same arrays and produce bit-identical outputs; randomness
-never lives inside the kernels, so the backend choice cannot change any
-simulated result.  Selection order: the ``FSQKD_BACKEND`` environment
-variable (``numba``, ``numpy`` or ``auto``), defaulting to numba when it
-imports and numpy otherwise.  ``benchmarks/bench_channel.py`` times the two
-paths against each other.
+sessions.  Randomness never lives inside the kernel: it consumes arrays of
+pre-drawn uniforms, so the tests check it gate for gate against a per-pulse
+loop over the same uniforms.
 
 Outcome codes: 0 none, 1 bit0, 2 bit1, 3 dual fire.
 Cause codes: 0 signal, 1 background, 2 dark, 3 mixed, 255 n/a (no firing).
@@ -19,9 +11,10 @@ Cause codes: 0 signal, 1 background, 2 dark, 3 mixed, 255 n/a (no firing).
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
+
+# recorded by the benchmark so results from different kernels are never compared
+ACTIVE_BACKEND = "numpy"
 
 OUTCOME_NONE = 0
 OUTCOME_BIT0 = 1
@@ -35,73 +28,11 @@ CAUSE_MIXED = 3
 CAUSE_NA = 255
 
 
-def _channel_outcomes_py(bits, counts, offsets,
-                         u_surv, u_route, u_proj, u_err,
-                         u_noise0, u_noise1,
-                         eta, p_bg_half, p_dark, p_opt_err,
-                         outcomes, causes):
-    n = bits.shape[0]
-    for i in range(n):
-        sig0 = False
-        sig1 = False
-        abit = bits[i]
-        start = offsets[i]
-        for j in range(start, start + counts[i]):
-            if u_surv[j] >= eta:
-                continue
-            route1 = u_route[j] < 0.5
-            # only the analyzer matching Alice's bit is non-orthogonal
-            if route1 == (abit == 1) and u_proj[j] < 0.5:
-                if route1 != (u_err[j] < p_opt_err):
-                    sig1 = True
-                else:
-                    sig0 = True
-        bg0 = u_noise0[i] < p_bg_half
-        dk0 = (not bg0) and (u_noise0[i] < p_bg_half + p_dark)
-        bg1 = u_noise1[i] < p_bg_half
-        dk1 = (not bg1) and (u_noise1[i] < p_bg_half + p_dark)
-        fired0 = sig0 or bg0 or dk0
-        fired1 = sig1 or bg1 or dk1
-        if fired0 and fired1:
-            outcomes[i] = OUTCOME_DUAL
-        elif fired1:
-            outcomes[i] = OUTCOME_BIT1
-        elif fired0:
-            outcomes[i] = OUTCOME_BIT0
-        else:
-            outcomes[i] = OUTCOME_NONE
-            causes[i] = CAUSE_NA
-            continue
-        mask = 0
-        if fired0:
-            if sig0:
-                mask |= 1
-            if bg0:
-                mask |= 2
-            if dk0:
-                mask |= 4
-        if fired1:
-            if sig1:
-                mask |= 1
-            if bg1:
-                mask |= 2
-            if dk1:
-                mask |= 4
-        if mask == 1:
-            causes[i] = CAUSE_SIGNAL
-        elif mask == 2:
-            causes[i] = CAUSE_BACKGROUND
-        elif mask == 4:
-            causes[i] = CAUSE_DARK
-        else:
-            causes[i] = CAUSE_MIXED
-
-
-def channel_outcomes_numpy(bits, counts, offsets,
-                           u_surv, u_route, u_proj, u_err,
-                           u_noise0, u_noise1,
-                           eta, p_bg_half, p_dark, p_opt_err):
-    """Vectorized per-gate outcomes; byte-identical to the numba path."""
+def channel_outcomes(bits, counts, offsets,
+                     u_surv, u_route, u_proj, u_err,
+                     u_noise0, u_noise1,
+                     eta, p_bg_half, p_dark, p_opt_err):
+    """Per-gate outcome and cause codes over pre-drawn uniforms."""
     n = bits.shape[0]
     pulse_idx = np.repeat(np.arange(n, dtype=np.int64), counts)
     surv = u_surv < eta
@@ -133,46 +64,3 @@ def channel_outcomes_numpy(bits, counts, offsets,
     causes[mask == 4] = CAUSE_DARK
     causes[outcomes == OUTCOME_NONE] = CAUSE_NA
     return outcomes, causes
-
-
-_BACKEND_ENV = os.environ.get("FSQKD_BACKEND", "auto").strip().lower()
-if _BACKEND_ENV not in ("auto", "numba", "numpy"):
-    raise RuntimeError(f"FSQKD_BACKEND must be auto, numba or numpy, got {_BACKEND_ENV!r}")
-
-_channel_outcomes_jit = None
-if _BACKEND_ENV in ("auto", "numba"):
-    try:
-        from numba import njit
-
-        _channel_outcomes_jit = njit(cache=True, nogil=True)(_channel_outcomes_py)
-        ACTIVE_BACKEND = "numba"
-    except ImportError:
-        if _BACKEND_ENV == "numba":
-            raise
-        ACTIVE_BACKEND = "numpy"
-else:
-    ACTIVE_BACKEND = "numpy"
-
-
-def channel_outcomes_numba(bits, counts, offsets,
-                           u_surv, u_route, u_proj, u_err,
-                           u_noise0, u_noise1,
-                           eta, p_bg_half, p_dark, p_opt_err):
-    if _channel_outcomes_jit is None:
-        raise RuntimeError("numba backend is not available")
-    n = bits.shape[0]
-    outcomes = np.zeros(n, dtype=np.uint8)
-    causes = np.zeros(n, dtype=np.uint8)
-    _channel_outcomes_jit(bits, counts, offsets,
-                          u_surv, u_route, u_proj, u_err,
-                          u_noise0, u_noise1,
-                          float(eta), float(p_bg_half), float(p_dark), float(p_opt_err),
-                          outcomes, causes)
-    return outcomes, causes
-
-
-def channel_outcomes(*args, **kwargs):
-    """Dispatch to the active backend (see module docstring)."""
-    if ACTIVE_BACKEND == "numba":
-        return channel_outcomes_numba(*args, **kwargs)
-    return channel_outcomes_numpy(*args, **kwargs)

@@ -79,6 +79,9 @@ def encode_index_list(indices: np.ndarray) -> bytes:
 
 def decode_index_list(data: bytes, offset: int) -> tuple[np.ndarray, int]:
     count, offset = decode_varint(data, offset)
+    # every index takes at least one byte: bound the untrusted count first
+    if count > len(data) - offset:
+        raise ValueError(f"index count {count} exceeds the {len(data) - offset} bytes left")
     values = np.empty(count, dtype=np.int64)
     prev = 0
     for i in range(count):

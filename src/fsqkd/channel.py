@@ -23,7 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .core import BIT_TO_STATE, Polarization
 from .params import ProtocolParams
 from .rng import stream
 
@@ -41,36 +40,6 @@ class Cause(enum.IntEnum):
     DARK = _kernels.CAUSE_DARK
     MIXED = _kernels.CAUSE_MIXED
     NA = _kernels.CAUSE_NA
-
-
-@dataclass(frozen=True)
-class PulseRecord:
-    """Truth about one transmitted dim pulse on Alice's side."""
-
-    tick: int
-    alice_bit: int
-    sent_state: Polarization
-    photon_count: int
-
-    def __post_init__(self) -> None:
-        if self.alice_bit not in (0, 1):
-            raise ValueError("alice_bit must be 0 or 1")
-        if self.sent_state is not BIT_TO_STATE[self.alice_bit]:
-            raise ValueError("sent_state inconsistent with alice_bit")
-        if self.photon_count < 0:
-            raise ValueError("photon_count must be non-negative")
-
-
-@dataclass(frozen=True)
-class DetectionEvent:
-    """Measurement outcome of one coincidence gate on Bob's side.
-
-    ``cause`` is simulation truth and is never shown to the protocol layer.
-    """
-
-    tick: int
-    outcome: Outcome
-    cause: Cause
 
 
 @dataclass
@@ -96,10 +65,6 @@ class DetectionBatch:
 
     def dual_fire_count(self) -> int:
         return int(np.count_nonzero(self.outcomes == Outcome.DUAL_FIRE))
-
-    def events(self):
-        for tick, out, cause in zip(self.ticks, self.outcomes, self.causes):
-            yield DetectionEvent(int(tick), Outcome(int(out)), Cause(int(cause)))
 
     @staticmethod
     def concatenate(batches: list["DetectionBatch"]) -> "DetectionBatch":
@@ -130,36 +95,6 @@ def draw_eta_system(params: ProtocolParams, rng: np.random.Generator) -> float:
     return float(min(1.0, max(0.0, value)))
 
 
-def transmit_pulse(pulse: PulseRecord, params: ProtocolParams,
-                   eta_system_now: float, rng: np.random.Generator) -> DetectionEvent:
-    """Reference single-pulse path; the batch kernel must agree with it.
-
-    Draw order per photon: survival, routing, projection, misalignment.
-    Then one noise uniform per detector (detector 0 first).
-    """
-    if not 0.0 <= eta_system_now <= 1.0:
-        raise ValueError("eta_system_now must lie in [0, 1]")
-    counts = np.array([pulse.photon_count], dtype=np.int64)
-    offsets = np.array([0], dtype=np.int64)
-    total = pulse.photon_count
-    u = rng.random(4 * total)
-    u_surv = np.ascontiguousarray(u[0::4])
-    u_route = np.ascontiguousarray(u[1::4])
-    u_proj = np.ascontiguousarray(u[2::4])
-    u_err = np.ascontiguousarray(u[3::4])
-    noise = rng.random(2)
-    outcomes, causes = _kernels.channel_outcomes(
-        np.array([pulse.alice_bit], dtype=np.uint8), counts, offsets,
-        u_surv, u_route, u_proj, u_err,
-        noise[:1], noise[1:],
-        eta_system_now,
-        params.background_prob_per_gate / 2.0,
-        params.dark_prob_per_gate,
-        params.optical_error_prob,
-    )
-    return DetectionEvent(pulse.tick, Outcome(int(outcomes[0])), Cause(int(causes[0])))
-
-
 def simulate_block(alice_bits: np.ndarray, first_tick: int, params: ProtocolParams,
                    eta_system_now: float, photon_rng: np.random.Generator,
                    transport_rng: np.random.Generator, noise_rng: np.random.Generator,
@@ -168,7 +103,7 @@ def simulate_block(alice_bits: np.ndarray, first_tick: int, params: ProtocolPara
 
     Draw order is fixed: photon counts, then the 4 x total_photons
     transport uniforms, then the 2 x n noise uniforms, so a block is fully
-    determined by its three streams regardless of kernel backend.
+    determined by its three streams.
     """
     n = len(alice_bits)
     bits = np.ascontiguousarray(alice_bits, dtype=np.uint8)
@@ -203,10 +138,6 @@ class ChannelRun:
     etas: np.ndarray
     block_size: int
 
-    def dual_fires_per_gate(self) -> float:
-        n = len(self.detections)
-        return self.detections.dual_fire_count() / n if n else 0.0
-
 
 def simulate_channel(alice_bits: np.ndarray, params: ProtocolParams, seed: int,
                      block_size: int, photon_count_override: int | None = None,
@@ -215,6 +146,8 @@ def simulate_channel(alice_bits: np.ndarray, params: ProtocolParams, seed: int,
     n = len(alice_bits)
     if block_size <= 0:
         raise ValueError("block_size must be positive")
+    if eta_system_override is not None and not 0.0 <= eta_system_override <= 1.0:
+        raise ValueError("eta_system_override must lie in [0, 1]")
     batches = []
     etas = []
     for b, start in enumerate(range(0, n, block_size)):

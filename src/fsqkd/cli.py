@@ -9,12 +9,10 @@ file, and command-line flags, in increasing precedence.  Exit codes:
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
 from .analytics import CSV_HEADER, default_grid, optimize_nbar, rate_curve_rows
-from .messages import PROTOCOL_VERSION
 from .params import ProtocolParams
 from .privacy import write_secret_key
 from .reconciliation import ReconConfig
@@ -157,13 +155,11 @@ def _build_session_config(args) -> SessionConfig:
         passes=_merged(args, "passes", 4),
         hash_bits=_merged(args, "hash-bits", 128),
     )
-    version = int(os.environ.get("FSQKD_PROTOCOL_VERSION", PROTOCOL_VERSION))
     return SessionConfig(
         pulses=_merged(args, "pulses", 1_000_000),
         block_size=_merged(args, "blocks", 50_000),
         recon=recon,
         timeout_s=_merged(args, "timeout", 30.0),
-        protocol_version=version,
     )
 
 

@@ -1,52 +1,11 @@
-"""Shared domain types: polarization states, key buffers, key comparison.
-
-The protocol uses two non-orthogonal preparation states (+45deg for 0,
-vertical for 1) and two analyzers (horizontal reveals 0, -45deg reveals 1).
-A conclusive firing of an analyzer excludes the orthogonal preparation, so
-the assigned bit is certain absent noise.
-"""
+"""Shared domain types: key buffers with their leak ledger, key comparison."""
 
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 
 import numpy as np
-
-
-class Polarization(enum.Enum):
-    """The four linear polarization states used by the two-state protocol.
-
-    Values are angles in degrees measured from horizontal.
-    """
-
-    V = 90.0
-    P45 = 45.0
-    H = 0.0
-    M45 = -45.0
-
-    @property
-    def angle_deg(self) -> float:
-        return self.value
-
-
-def overlap_probability(sent: Polarization, analyzer: Polarization) -> float:
-    """Probability that ``sent`` passes a polarizer aligned with ``analyzer``.
-
-    Equals cos^2 of the angle between the two states.  Multiples of 45 deg
-    are resolved exactly so orthogonal pairs give 0.0, not a rounding dust.
-    """
-    diff = abs(sent.angle_deg - analyzer.angle_deg) % 180.0
-    exact = {0.0: 1.0, 45.0: 0.5, 90.0: 0.0, 135.0: 0.5}
-    if diff in exact:
-        return exact[diff]
-    return math.cos(math.radians(diff)) ** 2
-
-
-# B92 mapping: Alice's bit -> prepared state; Bob's analyzer -> revealed bit.
-BIT_TO_STATE = {0: Polarization.P45, 1: Polarization.V}
-ANALYZER_FOR_BIT = {0: Polarization.H, 1: Polarization.M45}
 
 
 class Stage(enum.Enum):
@@ -96,16 +55,6 @@ class KeyBuffer:
 
     def __len__(self) -> int:
         return len(self.bits)
-
-    def with_stage(self, stage: Stage, bits: np.ndarray | None = None,
-                   indices: np.ndarray | None = None,
-                   leaked_bits: int | None = None) -> "KeyBuffer":
-        return KeyBuffer(
-            stage=stage,
-            bits=self.bits if bits is None else bits,
-            indices=indices,
-            leaked_bits=self.leaked_bits if leaked_bits is None else leaked_bits,
-        )
 
 
 def compare_keys(a: KeyBuffer, b: KeyBuffer) -> tuple[int, float]:

@@ -1,87 +1,44 @@
-"""Alice and Bob protocol engines: bit generation, detection, sifting.
+"""Alice and Bob protocol steps: bit generation, detection, sifting.
 
-Alice maps each random bit to one of the two non-orthogonal states; Bob
-records conclusive detections indexed by clock tick and later reveals the
-locations, but never the values, of those detections.  Alice keeps exactly
-the raw bits at the revealed locations - the sifted key.
+Alice maps each random bit to one of the two non-orthogonal states (+45deg
+for 0, vertical for 1); Bob records conclusive detections indexed by clock
+tick and later reveals the locations, but never the values, of those
+detections.  Alice keeps exactly the raw bits at the revealed locations -
+the sifted key.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .channel import DetectionBatch
-from .core import BIT_TO_STATE, KeyBuffer, Stage
-from .params import ProtocolParams
+from .core import KeyBuffer, Stage
 from .rng import random_bits
 
 
-@dataclass
-class AliceSession:
-    """Transmitter-side state: the raw key and per-tick state choices."""
-
-    params: ProtocolParams
-    raw: KeyBuffer
-    session_id: int = 0
-
-    @property
-    def n_pulses(self) -> int:
-        return len(self.raw)
-
-    def sent_states(self) -> list:
-        return [BIT_TO_STATE[int(b)] for b in self.raw.bits]
-
-
-@dataclass
-class BobSession:
-    """Receiver-side state: the detection log and the inferred sifted key."""
-
-    params: ProtocolParams
-    events: DetectionBatch
-    sifted: KeyBuffer
-    session_id: int = 0
-
-
-def alice_generate(params: ProtocolParams, n_pulses: int,
-                   rng: np.random.Generator, session_id: int = 0) -> AliceSession:
-    """Generate Alice's raw random key for ``n_pulses`` clock ticks."""
+def alice_generate(n_pulses: int, rng: np.random.Generator) -> np.ndarray:
+    """Alice's raw random bits for ``n_pulses`` clock ticks."""
     if n_pulses < 1:
         raise ValueError("n_pulses must be at least 1")
-    bits = random_bits(rng, n_pulses)
-    raw = KeyBuffer(stage=Stage.RAW, bits=bits)
-    return AliceSession(params=params, raw=raw, session_id=session_id)
+    return random_bits(rng, n_pulses)
 
 
-def bob_receive(events, params: ProtocolParams | None = None,
-                session_id: int = 0) -> BobSession:
-    """Build Bob's session from an ordered detection log.
+def bob_receive(batch: DetectionBatch) -> KeyBuffer:
+    """Bob's sifted key from an ordered detection log.
 
     Conclusive events contribute one sifted bit each; empty gates and dual
     fires contribute nothing.  Out-of-order input is rejected.
     """
-    if isinstance(events, DetectionBatch):
-        batch = events
-    else:
-        listed = list(events)
-        batch = DetectionBatch(
-            ticks=np.array([e.tick for e in listed], dtype=np.int64),
-            outcomes=np.array([int(e.outcome) for e in listed], dtype=np.uint8),
-            causes=np.array([int(e.cause) for e in listed], dtype=np.uint8),
-        )
     if len(batch) > 1 and np.any(np.diff(batch.ticks) <= 0):
         raise ValueError("detection events must be ordered by strictly increasing tick")
-    sifted = KeyBuffer(
+    return KeyBuffer(
         stage=Stage.SIFTED,
         bits=batch.conclusive_bits(),
         indices=batch.conclusive_ticks(),
     )
-    return BobSession(params=params or ProtocolParams(), events=batch,
-                      sifted=sifted, session_id=session_id)
 
 
-def sift(alice: AliceSession, detection_indices: np.ndarray) -> KeyBuffer:
+def sift(raw_bits: np.ndarray, detection_indices: np.ndarray) -> KeyBuffer:
     """Alice's sifted key: her raw bits at Bob's detection ticks.
 
     The index list is public but value-free, so the leak ledger does not
@@ -89,13 +46,8 @@ def sift(alice: AliceSession, detection_indices: np.ndarray) -> KeyBuffer:
     """
     indices = np.asarray(detection_indices, dtype=np.int64)
     if len(indices):
-        if indices[0] < 0 or indices[-1] >= alice.n_pulses:
+        if indices[0] < 0 or indices[-1] >= len(raw_bits):
             raise ValueError("detection index out of range")
         if np.any(np.diff(indices) <= 0):
             raise ValueError("detection indices must be strictly increasing")
-    return KeyBuffer(
-        stage=Stage.SIFTED,
-        bits=alice.raw.bits[indices],
-        indices=indices,
-        leaked_bits=alice.raw.leaked_bits,
-    )
+    return KeyBuffer(stage=Stage.SIFTED, bits=raw_bits[indices], indices=indices)

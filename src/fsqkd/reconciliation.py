@@ -261,12 +261,28 @@ class _AliceCorrector:
             raise SessionAborted("syndrome reply has trailing bits", local=True)
 
 
+def _outcome(key: KeyBuffer, bits: np.ndarray, transcript, est_num: int, est_den: int,
+             verified: bool, passes_run: int, flips: int, hash_rounds: int) -> ReconOutcome:
+    """Meter one side's correction transcript and package the corrected key."""
+    est = est_num / est_den if est_den else 0.0
+    disclosed = leak_meter(transcript)
+    f_est = shannon_leak_per_bit(est)
+    efficiency = (disclosed / (f_est * len(bits))) if f_est > 0 else (
+        0.0 if disclosed == 0 else math.inf)
+    corrected = KeyBuffer(stage=Stage.CORRECTED, bits=bits,
+                          leaked_bits=key.leaked_bits + disclosed)
+    return ReconOutcome(corrected_key=corrected, estimated_ber=est,
+                        disclosed_bits=disclosed, efficiency=efficiency,
+                        verified=verified, passes_run=passes_run,
+                        flips=flips, hash_rounds=hash_rounds,
+                        est_num=est_num, est_den=est_den)
+
+
 def _reconcile_alice(key: KeyBuffer, endpoint: Endpoint, config: ReconConfig,
                      first_message=None) -> ReconOutcome:
     bits = key.bits.copy()
     corr = _AliceCorrector(bits, endpoint)
     transcript_start = len(endpoint.messages)
-    est = 0.0
     est_num, est_den = 0, 1
     passes_run = 0
     hash_rounds = 0
@@ -280,7 +296,6 @@ def _reconcile_alice(key: KeyBuffer, endpoint: Endpoint, config: ReconConfig,
             announce = message.payload
             if announce.pass_no == 1 and announce.est_den:
                 est_num, est_den = announce.est_num, announce.est_den
-                est = est_num / est_den
             parity_msg = endpoint.expect(Kind.BLOCK_PARITY).payload
             if parity_msg.pass_no != announce.pass_no:
                 raise SessionAborted("parity pass number mismatch", local=True)
@@ -298,17 +313,8 @@ def _reconcile_alice(key: KeyBuffer, endpoint: Endpoint, config: ReconConfig,
             # Bob decides: one extra pass arrives next, or an abort.
         else:
             raise SessionAborted("unexpected BlockParity", local=True)
-    disclosed = leak_meter(endpoint.messages[transcript_start:])
-    f_est = shannon_leak_per_bit(est)
-    efficiency = (disclosed / (f_est * len(bits))) if f_est > 0 else (
-        0.0 if disclosed == 0 else math.inf)
-    corrected = KeyBuffer(stage=Stage.CORRECTED, bits=bits,
-                          leaked_bits=key.leaked_bits + disclosed)
-    return ReconOutcome(corrected_key=corrected, estimated_ber=est,
-                        disclosed_bits=disclosed, efficiency=efficiency,
-                        verified=verified, passes_run=passes_run,
-                        flips=corr.flips, hash_rounds=hash_rounds,
-                        est_num=est_num, est_den=est_den)
+    return _outcome(key, bits, endpoint.messages[transcript_start:], est_num, est_den,
+                    verified, passes_run, corr.flips, hash_rounds)
 
 
 def _serve_pass(endpoint: Endpoint, structures: dict[int, _PassStructure],
@@ -370,17 +376,8 @@ def _reconcile_bob(key: KeyBuffer, endpoint: Endpoint, config: ReconConfig,
         _serve_pass(endpoint, structures, bits, pass_no, draw_seed(rng),
                     extra_k, est_num, est_den)
         passes_run += 1
-    disclosed = leak_meter(endpoint.messages[transcript_start:])
-    f_est = shannon_leak_per_bit(est)
-    efficiency = (disclosed / (f_est * len(bits))) if f_est > 0 else (
-        0.0 if disclosed == 0 else math.inf)
-    corrected = KeyBuffer(stage=Stage.CORRECTED, bits=bits,
-                          leaked_bits=key.leaked_bits + disclosed)
-    return ReconOutcome(corrected_key=corrected, estimated_ber=est,
-                        disclosed_bits=disclosed, efficiency=efficiency,
-                        verified=verified, passes_run=passes_run,
-                        flips=0, hash_rounds=hash_rounds,
-                        est_num=est_num, est_den=est_den)
+    return _outcome(key, bits, endpoint.messages[transcript_start:], est_num, est_den,
+                    verified, passes_run, 0, hash_rounds)
 
 
 def reconcile(key: KeyBuffer, endpoint: Endpoint, config: ReconConfig, role: str,
@@ -448,21 +445,3 @@ def _trim(key: KeyBuffer, positions: np.ndarray) -> KeyBuffer:
         leaked_bits=key.leaked_bits + len(positions),
     )
 
-
-def estimate_ber(a_key: KeyBuffer, b_key: KeyBuffer, config: ReconConfig,
-                 endpoints: tuple[Endpoint, Endpoint],
-                 rng: np.random.Generator) -> tuple[float, KeyBuffer, KeyBuffer]:
-    """Single-process convenience: run both estimation halves over a pair."""
-    a_end, b_end = endpoints
-    if len(a_key) != len(b_key):
-        raise ValueError("keys must be aligned")
-    n = len(b_key)
-    if n == 0:
-        raise ValueError("cannot sample an empty key")
-    sample_size = max(1, int(round(config.sample_fraction * n)))
-    positions = np.sort(rng.choice(n, size=sample_size, replace=False)).astype(np.int64)
-    b_end.send(SampleRequest(positions=positions))
-    a_trimmed = estimate_ber_alice(a_key, a_end)
-    reveal = b_end.expect(Kind.SAMPLE_REVEAL).payload
-    disagreements = int(np.count_nonzero(reveal.bits != b_key.bits[positions]))
-    return disagreements / sample_size, a_trimmed, _trim(b_key, positions)

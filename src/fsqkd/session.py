@@ -26,12 +26,12 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .channel import Cause, simulate_channel
+from .channel import Cause, DetectionBatch, simulate_channel
 from .core import KeyBuffer, Stage
 from .messages import Done, Hello, Kind, PaSeed, SiftIndices, PROTOCOL_VERSION
 from .params import ProtocolParams
 from .privacy import PaPlan, compress, plan_output_length
-from .protocol import AliceSession, alice_generate, bob_receive, sift
+from .protocol import alice_generate, bob_receive, sift
 from .reconciliation import (
     ReconConfig,
     ReconOutcome,
@@ -51,10 +51,7 @@ class SessionConfig:
     pulses: int = 1_000_000
     block_size: int = 50_000
     recon: ReconConfig = field(default_factory=ReconConfig)
-    photon_count_override: int | None = None
-    eta_system_override: float | None = None
     timeout_s: float = 30.0
-    protocol_version: int = PROTOCOL_VERSION
 
     def __post_init__(self) -> None:
         if self.pulses < 1:
@@ -64,12 +61,13 @@ class SessionConfig:
 
 
 def session_digest(params: ProtocolParams, cfg: SessionConfig) -> bytes:
+    # the pco/eso tail names channel overrides sessions no longer offer; it
+    # stays so digests, session ids and keys match earlier releases
     canon = (
         params.digest().hex()
         + f";pulses={cfg.pulses};block={cfg.block_size}"
         + f";sample={cfg.recon.sample_fraction!r};passes={cfg.recon.passes}"
-        + f";hash={cfg.recon.hash_bits};pco={cfg.photon_count_override}"
-        + f";eso={cfg.eta_system_override!r}"
+        + f";hash={cfg.recon.hash_bits};pco=None;eso=None"
     )
     return hashlib.blake2s(canon.encode(), digest_size=16).digest()
 
@@ -86,8 +84,7 @@ def _derive_alice_bits(params: ProtocolParams, cfg: SessionConfig, seed: int) ->
     chunks = []
     for b, start in enumerate(range(0, cfg.pulses, cfg.block_size)):
         n = min(cfg.block_size, cfg.pulses - start)
-        session = alice_generate(params, n, stream(seed, f"alice-bits/{b}"))
-        chunks.append(session.raw.bits)
+        chunks.append(alice_generate(n, stream(seed, f"alice-bits/{b}")))
     return np.concatenate(chunks)
 
 
@@ -231,7 +228,6 @@ def _base_report(params: ProtocolParams, cfg: SessionConfig, seed: int, role: st
     return SessionReport(
         session=session_hex(params, cfg, seed),
         role=role,
-        protocol_version=cfg.protocol_version,
         seed=seed,
         pulses=cfg.pulses,
         block_size=cfg.block_size,
@@ -248,17 +244,30 @@ def _base_report(params: ProtocolParams, cfg: SessionConfig, seed: int, role: st
     )
 
 
-def _pa_inputs(outcome: ReconOutcome, sampled_bits: int, hash_disclosed: int):
-    """Efficiency/extra-leak pair fed to the output-length formula.
+def _pa_output_length(outcome: ReconOutcome, nbar: float, cfg: SessionConfig,
+                      sampled_bits: int) -> int:
+    """Secret length after correction; both parties compute it independently.
 
     With the measured efficiency, c*f(eps)*n equals the correction
     disclosure exactly; when the estimate is zero (f = 0) the correction
     bits move into the flat term instead.
     """
-    f_est = shannon_leak_per_bit(outcome.estimated_ber)
-    if f_est > 0:
-        return outcome.efficiency, sampled_bits + hash_disclosed
-    return 1.0, outcome.disclosed_bits + sampled_bits + hash_disclosed
+    extra = sampled_bits + cfg.recon.hash_bits * outcome.hash_rounds
+    if shannon_leak_per_bit(outcome.estimated_ber) > 0:
+        c_eff = outcome.efficiency
+    else:
+        c_eff, extra = 1.0, extra + outcome.disclosed_bits
+    return plan_output_length(len(outcome.corrected_key), nbar,
+                              outcome.estimated_ber, c_eff, extra)
+
+
+def _expect_hello(endpoint: Endpoint) -> Hello:
+    hello = endpoint.expect(Kind.HELLO).payload
+    if hello.version != PROTOCOL_VERSION:
+        reason = f"protocol version mismatch: peer {hello.version}, local {PROTOCOL_VERSION}"
+        endpoint.abort(reason)
+        raise SessionAborted(reason, local=True)
+    return hello
 
 
 def _yield_possible(corrected_len: int, nbar: float, est_num: int, est_den: int,
@@ -311,34 +320,28 @@ def run_bob(endpoint: Endpoint, params: ProtocolParams, cfg: SessionConfig) -> S
     """Receiver engine: channel host, reference key, plan chooser."""
     t0 = time.monotonic()
     seed = params.rng_seed
-    hello = endpoint.expect(Kind.HELLO).payload
-    if hello.version != cfg.protocol_version:
-        reason = f"protocol version mismatch: peer {hello.version}, local {cfg.protocol_version}"
-        endpoint.abort(reason)
-        raise SessionAborted(reason, local=True)
+    hello = _expect_hello(endpoint)
     if hello.params_digest != session_digest(params, cfg):
         reason = "session configuration mismatch"
         endpoint.abort(reason)
         raise SessionAborted(reason, local=True)
-    endpoint.send(Hello(version=cfg.protocol_version,
+    endpoint.send(Hello(version=PROTOCOL_VERSION,
                         params_digest=session_digest(params, cfg), seed=seed))
 
     alice_bits = _derive_alice_bits(params, cfg, seed)
-    run = simulate_channel(alice_bits, params, seed, cfg.block_size,
-                           photon_count_override=cfg.photon_count_override,
-                           eta_system_override=cfg.eta_system_override)
-    bob_sess = bob_receive(run.detections, params)
-    endpoint.send(SiftIndices(indices=bob_sess.sifted.indices))
+    run = simulate_channel(alice_bits, params, seed, cfg.block_size)
+    sifted = bob_receive(run.detections)
+    endpoint.send(SiftIndices(indices=sifted.indices))
 
     pa_rng = stream(seed, "bob-pa")
-    if len(bob_sess.sifted) == 0:
-        est_errors, est_sample, trimmed = 0, 0, bob_sess.sifted
+    if len(sifted) == 0:
+        est_errors, est_sample, trimmed = 0, 0, sifted
         outcome = _skipped_outcome(trimmed, 0, 0)
         secret_bits = _announce_plan_and_compress(
             endpoint, outcome, 0, pa_rng)
     else:
         est_errors, est_sample, trimmed = estimate_ber_bob(
-            bob_sess.sifted, endpoint, cfg.recon, stream(seed, "bob-sample"))
+            sifted, endpoint, cfg.recon, stream(seed, "bob-sample"))
         if not _yield_possible(len(trimmed), params.mean_photon_number,
                                est_errors, est_sample, est_sample):
             outcome = _skipped_outcome(trimmed, est_errors, est_sample)
@@ -346,11 +349,8 @@ def run_bob(endpoint: Endpoint, params: ProtocolParams, cfg: SessionConfig) -> S
         else:
             outcome = reconcile(trimmed, endpoint, cfg.recon, "bob",
                                 est_errors, est_sample, rng=stream(seed, "bob-recon"))
-            hash_disclosed = cfg.recon.hash_bits * outcome.hash_rounds
-            c_eff, extra = _pa_inputs(outcome, est_sample, hash_disclosed)
-            output_len = plan_output_length(
-                len(outcome.corrected_key), params.mean_photon_number,
-                outcome.estimated_ber, c_eff, extra)
+            output_len = _pa_output_length(outcome, params.mean_photon_number,
+                                           cfg, est_sample)
             secret_bits = _announce_plan_and_compress(endpoint, outcome,
                                                       output_len, pa_rng)
     endpoint.expect(Kind.DONE)
@@ -358,8 +358,8 @@ def run_bob(endpoint: Endpoint, params: ProtocolParams, cfg: SessionConfig) -> S
 
     report = _base_report(params, cfg, seed, "bob")
     _finish_report(report, params, outcome, est_sample,
-                   len(bob_sess.sifted), len(secret_bits), cfg)
-    _attach_truth(report, alice_bits, bob_sess, run)
+                   len(sifted), len(secret_bits), cfg)
+    _attach_truth(report, alice_bits, sifted, run.detections)
     return SessionResult(role="bob", report=report, secret_bits=secret_bits,
                          session_hex=session_hex(params, cfg, seed),
                          frames=list(endpoint.frames), recon=outcome,
@@ -376,11 +376,10 @@ def _announce_plan_and_compress(endpoint, outcome: ReconOutcome,
     return compress(outcome.corrected_key, plan).bits
 
 
-def _attach_truth(report: SessionReport, alice_bits: np.ndarray, bob_sess, run) -> None:
+def _attach_truth(report: SessionReport, alice_bits: np.ndarray, sifted: KeyBuffer,
+                  detections: DetectionBatch) -> None:
     """Simulation-truth error decomposition, available on the channel host."""
-    sifted = bob_sess.sifted
-    mask = bob_sess.events.conclusive_mask()
-    causes = bob_sess.events.causes[mask]
+    causes = detections.causes[detections.conclusive_mask()]
     truth = alice_bits[sifted.indices]
     errors = sifted.bits != truth
     report.true_errors = int(np.count_nonzero(errors))
@@ -396,31 +395,23 @@ def _attach_truth(report: SessionReport, alice_bits: np.ndarray, bob_sess, run) 
         err = int(np.count_nonzero(errors & sel))
         setattr(report, err_name, err)
         setattr(report, comp_name, err / len(sifted) if len(sifted) else 0.0)
-    duals = bob_sess.events.dual_fire_count()
+    duals = detections.dual_fire_count()
     report.dual_fires = duals
     report.dual_per_gate = duals / report.pulses if report.pulses else 0.0
-    detections = len(sifted) + duals
-    report.dual_per_detection = duals / detections if detections else 0.0
+    detected = len(sifted) + duals
+    report.dual_per_detection = duals / detected if detected else 0.0
 
 
 def run_alice(endpoint: Endpoint, params: ProtocolParams, cfg: SessionConfig) -> SessionResult:
     """Transmitter engine: generates, sifts, gets corrected, compresses."""
     t0 = time.monotonic()
-    endpoint.send(Hello(version=cfg.protocol_version,
+    endpoint.send(Hello(version=PROTOCOL_VERSION,
                         params_digest=session_digest(params, cfg), seed=0))
-    hello = endpoint.expect(Kind.HELLO).payload
-    if hello.version != cfg.protocol_version:
-        reason = f"protocol version mismatch: peer {hello.version}, local {cfg.protocol_version}"
-        endpoint.abort(reason)
-        raise SessionAborted(reason, local=True)
-    seed = hello.seed
+    seed = _expect_hello(endpoint).seed
 
     alice_bits = _derive_alice_bits(params, cfg, seed)
-    alice_sess = AliceSession(params=params,
-                              raw=KeyBuffer(stage=Stage.RAW, bits=alice_bits))
-
     indices = endpoint.expect(Kind.SIFT_INDICES).payload.indices
-    sifted = sift(alice_sess, indices)
+    sifted = sift(alice_bits, indices)
 
     # the receiver either samples, opens correction, or declares the run
     # hopeless by planning a zero-length key straight away
@@ -436,11 +427,8 @@ def run_alice(endpoint: Endpoint, params: ProtocolParams, cfg: SessionConfig) ->
         outcome = reconcile(trimmed, endpoint, cfg.recon, "alice", 0, 1,
                             first_message=message)
         pa_msg = endpoint.expect(Kind.PA_SEED).payload
-        hash_disclosed = cfg.recon.hash_bits * outcome.hash_rounds
-        c_eff, extra = _pa_inputs(outcome, sampled_bits, hash_disclosed)
-        expected_len = plan_output_length(
-            len(outcome.corrected_key), params.mean_photon_number,
-            outcome.estimated_ber, c_eff, extra)
+        expected_len = _pa_output_length(outcome, params.mean_photon_number,
+                                         cfg, sampled_bits)
     else:
         pa_msg = message.payload
         outcome = _skipped_outcome(trimmed, pa_msg.est_num, pa_msg.est_den)

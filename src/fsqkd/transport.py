@@ -70,7 +70,13 @@ class Endpoint:
 
     def recv(self, timeout_s: float | None = None) -> Message:
         frame = self._recv_frame(self.timeout_s if timeout_s is None else timeout_s)
-        message = decode(frame)
+        try:
+            message = decode(frame)
+        except ValueError as exc:
+            # MessageFormatError, or a ValueError from the bitpack decoders
+            reason = f"malformed frame: {exc}"
+            self.abort(reason)
+            raise ProtocolError(reason) from exc
         if message.seq <= self._last_peer_seq:
             reason = f"sequence regression: {message.seq} after {self._last_peer_seq}"
             self.abort(reason)

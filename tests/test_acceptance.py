@@ -95,13 +95,13 @@ def test_criterion_4_ber_decomposition():
         bits = stream(1999, f"bits-{nbar}").integers(0, 2, n).astype(np.uint8)
         run = simulate_channel(bits, params, seed=1999, block_size=400_000,
                                eta_system_override=0.13)
-        bob = bob_receive(run.detections, params)
-        truth = bits[bob.sifted.indices]
-        errors = bob.sifted.bits != truth
-        causes = bob.events.causes[bob.events.conclusive_mask()]
+        sifted = bob_receive(run.detections)
+        truth = bits[sifted.indices]
+        errors = sifted.bits != truth
+        causes = run.detections.causes[run.detections.conclusive_mask()]
         total = errors.mean()
-        background = np.count_nonzero(errors & (causes == Cause.BACKGROUND)) / len(bob.sifted)
-        dark = np.count_nonzero(errors & (causes == Cause.DARK)) / len(bob.sifted)
+        background = np.count_nonzero(errors & (causes == Cause.BACKGROUND)) / len(sifted)
+        dark = np.count_nonzero(errors & (causes == Cause.DARK)) / len(sifted)
         ok = (abs(total - total_target) < 0.015
               and abs(background - background_target) < 0.015
               and dark < 0.001)

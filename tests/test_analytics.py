@@ -86,13 +86,13 @@ class TestBerModel:
             bits = stream(int(nbar * 100), "bits").integers(0, 2, n).astype(np.uint8)
             run = simulate_channel(bits, params, seed=int(nbar * 100),
                                    block_size=100_000, eta_system_override=0.13)
-            bob = bob_receive(run.detections, params)
-            frac = len(bob.sifted) / n
+            sifted = bob_receive(run.detections)
+            frac = len(sifted) / n
             sigma_rate = math.sqrt(budget.p_total * (1 - budget.p_total) / n)
             assert abs(frac - budget.p_total) < 3 * sigma_rate + 0.015 * budget.p_total
-            truth = bits[bob.sifted.indices]
-            ber = np.count_nonzero(truth != bob.sifted.bits) / len(bob.sifted)
-            sigma_ber = math.sqrt(budget.ber_total * (1 - budget.ber_total) / len(bob.sifted))
+            truth = bits[sifted.indices]
+            ber = np.count_nonzero(truth != sifted.bits) / len(sifted)
+            sigma_ber = math.sqrt(budget.ber_total * (1 - budget.ber_total) / len(sifted))
             assert abs(ber - budget.ber_total) < 3 * sigma_ber + 0.015
 
 

@@ -4,16 +4,24 @@ import numpy as np
 import pytest
 
 from fsqkd import _kernels
+from fsqkd._kernels import (
+    CAUSE_BACKGROUND,
+    CAUSE_DARK,
+    CAUSE_MIXED,
+    CAUSE_NA,
+    CAUSE_SIGNAL,
+    OUTCOME_BIT0,
+    OUTCOME_BIT1,
+    OUTCOME_DUAL,
+    OUTCOME_NONE,
+)
 from fsqkd.channel import (
     Cause,
     Outcome,
-    PulseRecord,
     draw_eta_system,
     draw_photon_count,
     simulate_channel,
-    transmit_pulse,
 )
-from fsqkd.core import BIT_TO_STATE
 from fsqkd.params import ProtocolParams
 from fsqkd.rng import stream
 
@@ -59,56 +67,122 @@ class TestEtaSystem:
         assert draws.min() >= 0.0 and draws.max() <= 1.0
 
 
-class _ReplayRng:
-    """Replays a fixed uniform sequence; stands in for a Generator."""
+def _one_gate(bit, photons, noise):
+    """One ideal gate (eta 1, no noise, no misalignment) through the kernel.
 
-    def __init__(self, values):
-        self.values = list(values)
-
-    def random(self, size=None):
-        if size is None:
-            return self.values.pop(0)
-        if isinstance(size, tuple):
-            total = int(np.prod(size))
-            out = np.array([self.values.pop(0) for _ in range(total)])
-            return out.reshape(size)
-        return np.array([self.values.pop(0) for _ in range(size)])
+    ``photons`` holds one (survival, route, projection, misalignment)
+    uniform quadruple per photon, ``noise`` the two detector uniforms.
+    """
+    u = np.array(photons, dtype=np.float64).reshape(-1, 4).T
+    outcomes, causes = _kernels.channel_outcomes(
+        np.array([bit], dtype=np.uint8), np.array([len(photons)], dtype=np.int64),
+        np.zeros(1, dtype=np.int64),
+        *(np.ascontiguousarray(row) for row in u),
+        np.array([noise[0]]), np.array([noise[1]]),
+        1.0, 0.0, 0.0, 0.0)
+    return Outcome(int(outcomes[0])), Cause(int(causes[0]))
 
 
 class TestTransmitPulse:
     def test_empty_pulse_quiet_gate_is_none(self):
-        params = ProtocolParams(**QUIET)
-        pulse = PulseRecord(tick=0, alice_bit=0, sent_state=BIT_TO_STATE[0], photon_count=0)
-        event = transmit_pulse(pulse, params, 1.0, stream(1, "t"))
-        assert event.outcome is Outcome.NONE
-        assert event.cause is Cause.NA
+        outcome, cause = _one_gate(0, [], (0.0, 0.0))
+        assert outcome is Outcome.NONE
+        assert cause is Cause.NA
 
     def test_vertical_photon_blocked_by_h_analyzer(self):
         # route draw 0.9 sends the photon down the horizontal-analysis path,
         # orthogonal to |V>; with no misalignment nothing can fire
-        params = ProtocolParams(optical_error_prob=0.0, **QUIET)
-        pulse = PulseRecord(tick=5, alice_bit=1, sent_state=BIT_TO_STATE[1], photon_count=1)
-        rng = _ReplayRng([0.0, 0.9, 0.0, 0.0, 0.99, 0.99])
-        event = transmit_pulse(pulse, params, 1.0, rng)
-        assert event.outcome is Outcome.NONE
+        outcome, _cause = _one_gate(1, [(0.0, 0.9, 0.0, 0.0)], (0.99, 0.99))
+        assert outcome is Outcome.NONE
 
     def test_matching_analyzer_fires_and_assigns_bit(self):
-        params = ProtocolParams(optical_error_prob=0.0, **QUIET)
-        pulse = PulseRecord(tick=5, alice_bit=1, sent_state=BIT_TO_STATE[1], photon_count=1)
         # survive, route to the -45 path (u < 0.5), pass projection
-        rng = _ReplayRng([0.0, 0.1, 0.2, 0.9, 0.99, 0.99])
-        event = transmit_pulse(pulse, params, 1.0, rng)
-        assert event.outcome is Outcome.BIT1
-        assert event.cause is Cause.SIGNAL
+        outcome, cause = _one_gate(1, [(0.0, 0.1, 0.2, 0.9)], (0.99, 0.99))
+        assert outcome is Outcome.BIT1
+        assert cause is Cause.SIGNAL
 
     def test_eta_out_of_range_rejected(self):
-        params = ProtocolParams()
-        pulse = PulseRecord(tick=0, alice_bit=0, sent_state=BIT_TO_STATE[0], photon_count=1)
+        bits = np.zeros(10, dtype=np.uint8)
         with pytest.raises(ValueError):
-            transmit_pulse(pulse, params, 1.5, stream(1, "t"))
+            simulate_channel(bits, ProtocolParams(), seed=1, block_size=10,
+                             eta_system_override=1.5)
 
 
-def _random_kernel_inputs(seed, n=50_000, nbar=0.5):
+# Per-pulse reference loop: the kernel must reproduce it gate for gate.
+def _channel_outcomes_py(bits, counts, offsets,
+                         u_surv, u_route, u_proj, u_err,
+                         u_noise0, u_noise1,
+                         eta, p_bg_half, p_dark, p_opt_err,
+                         outcomes, causes):
+    n = bits.shape[0]
+    for i in range(n):
+        sig0 = False
+        sig1 = False
+        abit = bits[i]
+        start = offsets[i]
+        for j in range(start, start + counts[i]):
+            if u_surv[j] >= eta:
+                continue
+            route1 = u_route[j] < 0.5
+            # only the analyzer matching Alice's bit is non-orthogonal
+            if route1 == (abit == 1) and u_proj[j] < 0.5:
+                if route1 != (u_err[j] < p_opt_err):
+                    sig1 = True
+                else:
+                    sig0 = True
+        bg0 = u_noise0[i] < p_bg_half
+        dk0 = (not bg0) and (u_noise0[i] < p_bg_half + p_dark)
+        bg1 = u_noise1[i] < p_bg_half
+        dk1 = (not bg1) and (u_noise1[i] < p_bg_half + p_dark)
+        fired0 = sig0 or bg0 or dk0
+        fired1 = sig1 or bg1 or dk1
+        if fired0 and fired1:
+            outcomes[i] = OUTCOME_DUAL
+        elif fired1:
+            outcomes[i] = OUTCOME_BIT1
+        elif fired0:
+            outcomes[i] = OUTCOME_BIT0
+        else:
+            outcomes[i] = OUTCOME_NONE
+            causes[i] = CAUSE_NA
+            continue
+        mask = 0
+        if fired0:
+            if sig0:
+                mask |= 1
+            if bg0:
+                mask |= 2
+            if dk0:
+                mask |= 4
+        if fired1:
+            if sig1:
+                mask |= 1
+            if bg1:
+                mask |= 2
+            if dk1:
+                mask |= 4
+        if mask == 1:
+            causes[i] = CAUSE_SIGNAL
+        elif mask == 2:
+            causes[i] = CAUSE_BACKGROUND
+        elif mask == 4:
+            causes[i] = CAUSE_DARK
+        else:
+            causes[i] = CAUSE_MIXED
+
+
+def _oracle(bits, counts, offsets, u_surv, u_route, u_proj, u_err,
+            u_noise0, u_noise1, eta, p_bg_half, p_dark, p_opt_err):
+    outcomes = np.zeros(len(bits), dtype=np.uint8)
+    causes = np.zeros(len(bits), dtype=np.uint8)
+    _channel_outcomes_py(bits, counts, offsets, u_surv, u_route, u_proj, u_err,
+                         u_noise0, u_noise1, eta, p_bg_half, p_dark, p_opt_err,
+                         outcomes, causes)
+    return outcomes, causes
+
+
+def _random_kernel_inputs(seed, n=50_000, nbar=0.5,
+                          p_bg_half=3.35e-4, p_dark=7e-6, p_opt_err=0.019):
     rng = np.random.default_rng(seed)
     bits = rng.integers(0, 2, n).astype(np.uint8)
     counts = rng.poisson(nbar, n).astype(np.int64)
@@ -121,50 +195,28 @@ def _random_kernel_inputs(seed, n=50_000, nbar=0.5):
             np.ascontiguousarray(u[0]), np.ascontiguousarray(u[1]),
             np.ascontiguousarray(u[2]), np.ascontiguousarray(u[3]),
             np.ascontiguousarray(noise[0]), np.ascontiguousarray(noise[1]),
-            0.13, 3.35e-4, 7e-6, 0.019)
+            0.13, p_bg_half, p_dark, p_opt_err)
 
 
-class TestKernelBackends:
-    def test_numpy_and_numba_agree(self):
-        if _kernels._channel_outcomes_jit is None:
-            pytest.skip("numba backend unavailable")
+class TestKernelOracle:
+    def test_matches_per_pulse_oracle(self):
         for seed in (0, 1, 2):
             args = _random_kernel_inputs(seed)
-            o_nb, c_nb = _kernels.channel_outcomes_numba(*args)
-            o_np, c_np = _kernels.channel_outcomes_numpy(*args)
-            assert np.array_equal(o_nb, o_np)
-            assert np.array_equal(c_nb, c_np)
+            outcomes, causes = _kernels.channel_outcomes(*args)
+            o_ref, c_ref = _oracle(*args)
+            assert np.array_equal(outcomes, o_ref)
+            assert np.array_equal(causes, c_ref)
 
-    def test_batch_matches_per_pulse_reference(self):
-        # feed the identical uniforms through the one-pulse reference path
-        params = ProtocolParams()
-        n = 2_000
-        rng = np.random.default_rng(11)
-        bits = rng.integers(0, 2, n).astype(np.uint8)
-        counts = rng.poisson(0.6, n).astype(np.int64)
-        offsets = np.zeros(n, dtype=np.int64)
-        np.cumsum(counts[:-1], out=offsets[1:])
-        total = int(counts.sum())
-        u = rng.random((4, total))
-        noise = rng.random((2, n))
-        outcomes, causes = _kernels.channel_outcomes(
-            bits, counts, offsets,
-            np.ascontiguousarray(u[0]), np.ascontiguousarray(u[1]),
-            np.ascontiguousarray(u[2]), np.ascontiguousarray(u[3]),
-            np.ascontiguousarray(noise[0]), np.ascontiguousarray(noise[1]),
-            0.13, params.background_prob_per_gate / 2,
-            params.dark_prob_per_gate, params.optical_error_prob)
-        for i in range(n):
-            seq = []
-            for j in range(offsets[i], offsets[i] + counts[i]):
-                seq += [u[0][j], u[1][j], u[2][j], u[3][j]]
-            seq += [noise[0][i], noise[1][i]]
-            pulse = PulseRecord(tick=i, alice_bit=int(bits[i]),
-                                sent_state=BIT_TO_STATE[int(bits[i])],
-                                photon_count=int(counts[i]))
-            event = transmit_pulse(pulse, params, 0.13, _ReplayRng(seq))
-            assert int(event.outcome) == outcomes[i]
-            assert int(event.cause) == causes[i]
+    def test_every_cause_branch_matches_oracle(self):
+        # heavy noise and misalignment so every outcome and cause occurs
+        args = _random_kernel_inputs(3, nbar=2.0, p_bg_half=0.3, p_dark=0.2,
+                                     p_opt_err=0.5)
+        outcomes, causes = _kernels.channel_outcomes(*args)
+        o_ref, c_ref = _oracle(*args)
+        assert np.array_equal(outcomes, o_ref)
+        assert np.array_equal(causes, c_ref)
+        assert set(np.unique(outcomes)) == set(Outcome)
+        assert set(np.unique(causes)) == set(Cause)
 
 
 class TestChannelStatistics:

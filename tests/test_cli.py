@@ -1,4 +1,3 @@
-import os
 import socket
 import subprocess
 import sys
@@ -7,17 +6,15 @@ import time
 import pytest
 
 from fsqkd.cli import ConfigError, load_config_file
+from fsqkd.messages import Hello, encode, message_for
 from fsqkd.session import SessionReport
 
 BASE = [sys.executable, "-m", "fsqkd.cli"]
 
 
-def run_cli(*args, env_extra=None, timeout=180):
-    env = dict(os.environ)
-    if env_extra:
-        env.update(env_extra)
+def run_cli(*args, timeout=180):
     return subprocess.run(BASE + list(args), capture_output=True, text=True,
-                          env=env, timeout=timeout)
+                          timeout=timeout)
 
 
 def free_port():
@@ -90,7 +87,7 @@ class TestAnalyze:
 
 
 class TestTwoProcess:
-    def _run_pair(self, tmp_path, port, extra_env=None, seed="11"):
+    def _run_pair(self, tmp_path, port, seed="11"):
         args = ["--pulses", "200000", "--blocks", "50000", "--nbar", "0.5",
                 "--sample-fraction", "0.05", "--seed", seed,
                 "--addr", f"127.0.0.1:{port}"]
@@ -99,8 +96,7 @@ class TestTwoProcess:
             BASE + ["serve", *args, "--out-dir", str(serve_dir)],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
         time.sleep(0.8)
-        client = run_cli("connect", *args, "--out-dir", str(conn_dir),
-                         env_extra=extra_env)
+        client = run_cli("connect", *args, "--out-dir", str(conn_dir))
         server_out, server_err = server.communicate(timeout=60)
         return server.returncode, client.returncode, serve_dir, conn_dir, server_err, client
 
@@ -133,11 +129,42 @@ class TestTwoProcess:
                          "--timeout", "2", "--out-dir", str(tmp_path))
         assert result.returncode == 3
 
+    def _serve_fake_peer(self, tmp_path, frame):
+        """Run ``serve`` against a raw socket that sends one frame."""
+        port = free_port()
+        server = subprocess.Popen(
+            BASE + ["serve", "--addr", f"127.0.0.1:{port}", "--timeout", "20",
+                    "--out-dir", str(tmp_path)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        try:
+            deadline = time.monotonic() + 20.0
+            while True:
+                try:
+                    peer = socket.create_connection(("127.0.0.1", port), timeout=1.0)
+                    break
+                except ConnectionRefusedError:
+                    if time.monotonic() > deadline:
+                        raise
+                    time.sleep(0.1)
+            with peer:
+                peer.sendall(frame)
+                _out, err = server.communicate(timeout=60)
+        finally:
+            if server.poll() is None:
+                server.kill()
+                server.communicate()
+        return server.returncode, err
+
     def test_version_mismatch_aborts(self, tmp_path):
-        code_s, code_c, *_rest, client = self._run_pair(
-            tmp_path, free_port(), extra_env={"FSQKD_PROTOCOL_VERSION": "99"})
-        assert code_c == 2
-        assert "version" in client.stderr
+        hello = Hello(version=99, params_digest=bytes(16), seed=0)
+        code, err = self._serve_fake_peer(tmp_path, encode(message_for(0, 0, hello)))
+        assert code == 2
+        assert "version" in err
+
+    def test_malformed_first_frame_aborts(self, tmp_path):
+        body = b"this is not a protocol message"
+        code, err = self._serve_fake_peer(tmp_path, len(body).to_bytes(4, "big") + body)
+        assert code == 2, err
 
 
 class TestConfigFile:

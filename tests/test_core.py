@@ -1,15 +1,7 @@
 import numpy as np
 import pytest
 
-from fsqkd.core import (
-    ANALYZER_FOR_BIT,
-    BIT_TO_STATE,
-    KeyBuffer,
-    Polarization,
-    Stage,
-    compare_keys,
-    overlap_probability,
-)
+from fsqkd.core import KeyBuffer, Stage, compare_keys
 from fsqkd.rng import stream
 
 from fixtures import ALICE_250, BOB_250, bits_from_string
@@ -30,36 +22,6 @@ class TestSeededStreams:
         a = stream(42, "alice-bits").integers(0, 2, 64)
         b = stream(43, "alice-bits").integers(0, 2, 64)
         assert not np.array_equal(a, b)
-
-
-class TestOverlap:
-    def test_orthogonal_pairs_exact_zero(self):
-        assert overlap_probability(Polarization.V, Polarization.H) == 0.0
-        assert overlap_probability(Polarization.P45, Polarization.M45) == 0.0
-
-    def test_fifty_percent_pairs(self):
-        assert overlap_probability(Polarization.P45, Polarization.H) == 0.5
-        assert overlap_probability(Polarization.V, Polarization.M45) == 0.5
-
-    def test_symmetric_and_bounded(self):
-        states = list(Polarization)
-        for a in states:
-            for b in states:
-                p = overlap_probability(a, b)
-                assert p == overlap_probability(b, a)
-                assert 0.0 <= p <= 1.0
-
-    def test_b92_pair_structure(self):
-        # exactly the two conflicting-bit pairs are blocked, the two
-        # non-orthogonal pairs pass half the time
-        for bit in (0, 1):
-            sent = BIT_TO_STATE[bit]
-            assert overlap_probability(sent, ANALYZER_FOR_BIT[bit]) == 0.5
-            assert overlap_probability(sent, ANALYZER_FOR_BIT[1 - bit]) == 0.0
-
-    def test_identity_is_one(self):
-        for s in Polarization:
-            assert overlap_probability(s, s) == 1.0
 
 
 class TestCompareKeys:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -110,6 +112,17 @@ class TestRoundTrip:
                           (PaSeed, bytes(5))]:
             with pytest.raises(MessageFormatError):
                 cls.unpack(data)
+
+    def test_index_count_beyond_payload_rejected_before_allocation(self):
+        # the varint declares 2**33 indices in a 5-byte payload
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError):
+                SiftIndices.unpack(bytes([0x80, 0x80, 0x80, 0x80, 0x20]))
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 class TestDeltaCoding:

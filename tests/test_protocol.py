@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from fsqkd.channel import DetectionEvent, Outcome, Cause, simulate_channel
-from fsqkd.core import BIT_TO_STATE, Stage
+from fsqkd.channel import Cause, DetectionBatch, Outcome, simulate_channel
+from fsqkd.core import Stage
 from fsqkd.params import ProtocolParams
 from fsqkd.protocol import alice_generate, bob_receive, sift
 from fsqkd.rng import stream
@@ -12,51 +12,49 @@ from fsqkd.rng import stream
 QUIET = dict(background_prob_per_gate=0.0, dark_count_rate_hz=0.0)
 
 
+def _batch(events):
+    """Detection log from (tick, outcome, cause) triples."""
+    ticks, outcomes, causes = zip(*events) if events else ((), (), ())
+    return DetectionBatch(ticks=np.array(ticks, dtype=np.int64),
+                          outcomes=np.array(outcomes, dtype=np.uint8),
+                          causes=np.array(causes, dtype=np.uint8))
+
+
 class TestAliceGenerate:
     def test_unbiased_source(self):
-        session = alice_generate(ProtocolParams(), 1_000_000, stream(1, "alice"))
-        ones = session.raw.bits.mean()
-        assert abs(ones - 0.5) < 0.002
-
-    def test_single_pulse_state_mapping(self):
-        session = alice_generate(ProtocolParams(), 1, stream(2, "alice"))
-        assert session.n_pulses == 1
-        bit = int(session.raw.bits[0])
-        assert session.sent_states()[0] is BIT_TO_STATE[bit]
+        bits = alice_generate(1_000_000, stream(1, "alice"))
+        assert abs(bits.mean() - 0.5) < 0.002
 
     def test_deterministic(self):
-        a = alice_generate(ProtocolParams(), 10_000, stream(3, "alice"))
-        b = alice_generate(ProtocolParams(), 10_000, stream(3, "alice"))
-        assert np.array_equal(a.raw.bits, b.raw.bits)
+        a = alice_generate(10_000, stream(3, "alice"))
+        b = alice_generate(10_000, stream(3, "alice"))
+        assert np.array_equal(a, b)
 
     def test_rejects_zero_pulses(self):
         with pytest.raises(ValueError):
-            alice_generate(ProtocolParams(), 0, stream(4, "alice"))
+            alice_generate(0, stream(4, "alice"))
 
 
 class TestBobReceive:
     def test_all_empty_gates_give_empty_key(self):
-        events = [DetectionEvent(t, Outcome.NONE, Cause.NA) for t in range(10)]
-        session = bob_receive(events)
-        assert len(session.sifted) == 0
+        sifted = bob_receive(_batch([(t, Outcome.NONE, Cause.NA) for t in range(10)]))
+        assert len(sifted) == 0
 
     def test_direct_mapping_skips_dual_fires(self):
-        events = [
-            DetectionEvent(3, Outcome.BIT1, Cause.SIGNAL),
-            DetectionEvent(7, Outcome.BIT0, Cause.SIGNAL),
-            DetectionEvent(9, Outcome.DUAL_FIRE, Cause.MIXED),
-        ]
-        session = bob_receive(events)
-        assert session.sifted.bits.tolist() == [1, 0]
-        assert session.sifted.indices.tolist() == [3, 7]
+        sifted = bob_receive(_batch([
+            (3, Outcome.BIT1, Cause.SIGNAL),
+            (7, Outcome.BIT0, Cause.SIGNAL),
+            (9, Outcome.DUAL_FIRE, Cause.MIXED),
+        ]))
+        assert sifted.bits.tolist() == [1, 0]
+        assert sifted.indices.tolist() == [3, 7]
 
     def test_unordered_events_rejected(self):
-        events = [
-            DetectionEvent(7, Outcome.BIT0, Cause.SIGNAL),
-            DetectionEvent(3, Outcome.BIT1, Cause.SIGNAL),
-        ]
         with pytest.raises(ValueError):
-            bob_receive(events)
+            bob_receive(_batch([
+                (7, Outcome.BIT0, Cause.SIGNAL),
+                (3, Outcome.BIT1, Cause.SIGNAL),
+            ]))
 
     def test_sifted_length_tracks_detection_probability(self):
         params = ProtocolParams(mean_photon_number=0.35)
@@ -64,55 +62,43 @@ class TestBobReceive:
         bits = stream(5, "bits").integers(0, 2, n).astype(np.uint8)
         run = simulate_channel(bits, params, seed=5, block_size=100_000,
                                eta_system_override=0.13)
-        session = bob_receive(run.detections, params)
+        sifted = bob_receive(run.detections)
         expected = (1.0 - math.exp(-0.25 * 0.13 * 0.35)) * n
-        assert abs(len(session.sifted) - 11_300) / 11_300 < 0.10
-        assert len(session.sifted) > expected * 0.97
+        assert abs(len(sifted) - 11_300) / 11_300 < 0.10
+        assert len(sifted) > expected * 0.97
 
 
 class TestSift:
-    def _alice(self, bits):
-        from fsqkd.core import KeyBuffer
-        from fsqkd.protocol import AliceSession
-        return AliceSession(params=ProtocolParams(),
-                            raw=KeyBuffer(stage=Stage.RAW,
-                                          bits=np.asarray(bits, dtype=np.uint8)))
+    def _raw(self, bits):
+        return np.asarray(bits, dtype=np.uint8)
 
     def test_selects_raw_bits_at_indices(self):
-        alice = self._alice([0, 1, 1, 0, 1])
-        key = sift(alice, np.array([0, 4], dtype=np.int64))
+        key = sift(self._raw([0, 1, 1, 0, 1]), np.array([0, 4], dtype=np.int64))
         assert key.stage is Stage.SIFTED
         assert key.bits.tolist() == [0, 1]
         assert key.leaked_bits == 0
 
     def test_empty_index_list(self):
-        alice = self._alice([0, 1, 1])
-        key = sift(alice, np.array([], dtype=np.int64))
+        key = sift(self._raw([0, 1, 1]), np.array([], dtype=np.int64))
         assert len(key) == 0
 
     def test_out_of_range_rejected(self):
-        alice = self._alice([0, 1, 1])
         with pytest.raises(ValueError):
-            sift(alice, np.array([0, 3], dtype=np.int64))
+            sift(self._raw([0, 1, 1]), np.array([0, 3], dtype=np.int64))
 
     def test_non_monotonic_rejected(self):
-        alice = self._alice([0, 1, 1, 0])
         with pytest.raises(ValueError):
-            sift(alice, np.array([2, 1], dtype=np.int64))
+            sift(self._raw([0, 1, 1, 0]), np.array([2, 1], dtype=np.int64))
 
     def test_noiseless_channel_keys_agree_exactly(self):
         params = ProtocolParams(mean_photon_number=0.5, optical_error_prob=0.0, **QUIET)
         n = 100_000
-        from fsqkd.core import KeyBuffer
-        from fsqkd.protocol import AliceSession
         bits = stream(6, "bits").integers(0, 2, n).astype(np.uint8)
         run = simulate_channel(bits, params, seed=6, block_size=50_000)
-        bob = bob_receive(run.detections, params)
-        alice = AliceSession(params=params,
-                             raw=KeyBuffer(stage=Stage.RAW, bits=bits))
-        alice_key = sift(alice, bob.sifted.indices)
+        bob_key = bob_receive(run.detections)
+        alice_key = sift(bits, bob_key.indices)
         assert len(alice_key) > 0
-        assert np.array_equal(alice_key.bits, bob.sifted.bits)
+        assert np.array_equal(alice_key.bits, bob_key.bits)
 
 
 class TestSiftingEfficiency:
@@ -124,5 +110,4 @@ class TestSiftingEfficiency:
         bits = stream(7, "bits").integers(0, 2, n).astype(np.uint8)
         run = simulate_channel(bits, params, seed=7, block_size=100_000,
                                photon_count_override=1, eta_system_override=1.0)
-        bob = bob_receive(run.detections, params)
-        assert abs(len(bob.sifted) / n - 0.25) < 0.005
+        assert abs(len(bob_receive(run.detections)) / n - 0.25) < 0.005

@@ -10,8 +10,8 @@ from fsqkd.params import ProtocolParams
 from fsqkd.reconciliation import (
     ReconConfig,
     block_schedule,
-    estimate_ber,
     estimate_ber_alice,
+    estimate_ber_bob,
     reconcile,
     shannon_leak_per_bit,
 )
@@ -23,25 +23,37 @@ def raw_key(bits):
     return KeyBuffer(stage=Stage.RAW, bits=np.asarray(bits, dtype=np.uint8))
 
 
-def reconcile_pair(a_bits, b_bits, est_num, est_den, cfg=None, seed=0):
-    """Run both reconciliation halves over loopback threads."""
-    cfg = cfg or ReconConfig()
+def run_pair(alice, bob):
+    """Run Alice's and Bob's halves of an exchange over loopback threads."""
     a_end, b_end = loopback_pair(timeout_s=20.0)
     results = {}
 
-    def alice():
-        results["a"] = reconcile(raw_key(a_bits), a_end, cfg, "alice", 0, 1)
+    def side(name, half, endpoint):
+        results[name] = half(endpoint)
 
-    def bob():
-        results["b"] = reconcile(raw_key(b_bits), b_end, cfg, "bob",
-                                 est_num, est_den, rng=stream(seed, "bob-recon"))
-
-    threads = [threading.Thread(target=alice), threading.Thread(target=bob)]
+    threads = [threading.Thread(target=side, args=("a", alice, a_end)),
+               threading.Thread(target=side, args=("b", bob, b_end))]
     for t in threads:
         t.start()
     for t in threads:
         t.join(timeout=30.0)
     return results["a"], results["b"], a_end, b_end
+
+
+def reconcile_pair(a_bits, b_bits, est_num, est_den, cfg=None, seed=0):
+    cfg = cfg or ReconConfig()
+    return run_pair(
+        lambda end: reconcile(raw_key(a_bits), end, cfg, "alice", 0, 1),
+        lambda end: reconcile(raw_key(b_bits), end, cfg, "bob", est_num, est_den,
+                              rng=stream(seed, "bob-recon")))
+
+
+def estimate_pair(a_key, b_key, cfg, rng):
+    """Both estimation halves; returns (estimate, Alice's trimmed, Bob's trimmed)."""
+    a_trimmed, (errors, sample, b_trimmed), *_ = run_pair(
+        lambda end: estimate_ber_alice(a_key, end),
+        lambda end: estimate_ber_bob(b_key, end, cfg, rng))
+    return errors / sample, a_trimmed, b_trimmed
 
 
 class TestShannonLimit:
@@ -94,9 +106,8 @@ class TestEstimation:
 
     def test_identical_keys_estimate_zero(self):
         bits = np.zeros(500, dtype=np.uint8)
-        est, a_t, b_t = estimate_ber(raw_key(bits), raw_key(bits.copy()),
-                                     ReconConfig(), loopback_pair(),
-                                     stream(1, "sample"))
+        est, a_t, b_t = estimate_pair(raw_key(bits), raw_key(bits.copy()),
+                                      ReconConfig(), stream(1, "sample"))
         assert est == 0.0
         assert len(a_t) == len(b_t) == 450
 
@@ -104,8 +115,8 @@ class TestEstimation:
         rng = np.random.default_rng(2)
         bits = rng.integers(0, 2, 2000).astype(np.uint8)
         a_key, b_key = raw_key(bits), raw_key(bits.copy())
-        est, a_t, b_t = estimate_ber(a_key, b_key, ReconConfig(sample_fraction=0.25),
-                                     loopback_pair(), stream(2, "sample"))
+        est, a_t, b_t = estimate_pair(a_key, b_key, ReconConfig(sample_fraction=0.25),
+                                      stream(2, "sample"))
         assert len(a_t) == len(b_t) == 1500
         assert a_t.leaked_bits == b_t.leaked_bits == 500
 
@@ -121,13 +132,13 @@ class TestEstimation:
             bits = stream(100 + trial, "bits").integers(0, 2, n).astype(np.uint8)
             run = simulate_channel(bits, params, seed=100 + trial,
                                    block_size=100_000)
-            bob = bob_receive(run.detections, params)
-            alice_bits = bits[bob.sifted.indices]
-            truth = np.count_nonzero(alice_bits != bob.sifted.bits) / len(bob.sifted)
-            est, _a, _b = estimate_ber(
+            sifted = bob_receive(run.detections)
+            alice_bits = bits[sifted.indices]
+            truth = np.count_nonzero(alice_bits != sifted.bits) / len(sifted)
+            est, _a, _b = estimate_pair(
                 KeyBuffer(stage=Stage.RAW, bits=alice_bits),
-                KeyBuffer(stage=Stage.RAW, bits=bob.sifted.bits.copy()),
-                ReconConfig(), loopback_pair(), stream(200 + trial, "sample"))
+                KeyBuffer(stage=Stage.RAW, bits=sifted.bits.copy()),
+                ReconConfig(), stream(200 + trial, "sample"))
             assert abs(est - truth) < 0.015
 
     def test_empty_sample_rejected(self):

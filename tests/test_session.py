@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -124,3 +126,47 @@ class TestReportSerialization:
         assert session_hex(params, cfg, 9) == session_hex(params, cfg, 9)
         assert session_hex(params, cfg, 9) != session_hex(params, cfg, 10)
         assert len(session_hex(params, cfg, 9)) == 32
+
+
+GOLDEN_CASES = [
+    pytest.param(ProtocolParams(mean_photon_number=0.5, rng_seed=417),
+                 SessionConfig(pulses=200_000, block_size=50_000,
+                               recon=ReconConfig(sample_fraction=0.05)),
+                 "b2b88477e24c4c43d04d6cec6e48fba61f6fc17a2090dca48f0e6849423c6829",
+                 id="nbar0.5-seed417"),
+    pytest.param(ProtocolParams(), SessionConfig(),
+                 "b9c014ae73020109552b11704a7c02cd4e9859069e8e533e2a41d62c31c51017",
+                 id="defaults"),
+    pytest.param(ProtocolParams(mean_photon_number=0.02, rng_seed=3),
+                 SessionConfig(pulses=200_000),
+                 "67858639674a485903d09322232de02e3cc3b41fedcc6e0b8c9045ab536b1b97",
+                 id="dim-no-yield"),
+    pytest.param(ProtocolParams(mean_photon_number=0.35, eta_system_mean=0.5,
+                                eta_system_sigma=0.0, rng_seed=1),
+                 SessionConfig(pulses=200_000),
+                 "3bf6eb2289b3ed39538bdd1044859bf6db97570b9c263c64bae9992d19bb1b8b",
+                 id="efficient-link-with-key"),
+]
+
+
+class TestGoldenReplay:
+    """Sessions replay to fixed bytes: report, transcript frames and key.
+
+    Each digest is sha256 over ``report.to_kv()``, then every frame of
+    Bob's transcript, then his packed secret key; the last case yields
+    1787 secret bits, so privacy amplification is covered.  The digests
+    were recorded with numpy 2.4.6, whose generators fix the draws.  A
+    change that deliberately alters keys or frames (for example a new
+    privacy-amplification hash with a ``PROTOCOL_VERSION`` bump) updates
+    these digests in that same change.
+    """
+
+    @pytest.mark.parametrize("params, cfg, digest", GOLDEN_CASES)
+    def test_session_bytes(self, params, cfg, digest):
+        sim = run_simulation(params, cfg)
+        assert sim.alice.frames == sim.bob.frames
+        h = hashlib.sha256(sim.report.to_kv().encode())
+        for frame in sim.bob.frames:
+            h.update(frame)
+        h.update(np.packbits(sim.bob.secret_bits).tobytes())
+        assert h.hexdigest() == digest

@@ -50,6 +50,18 @@ class TestLoopback:
         with pytest.raises(SessionAborted, match="bad hash"):
             b.expect(Kind.DONE)
 
+    @pytest.mark.parametrize("body", [
+        b"not a protocol frame",
+        # well-formed body whose SiftIndices payload declares 2**33 indices
+        b"sid=0000000000000000 seq=0 kind=SiftIndices payload=gICAgCA=",
+    ], ids=["garbage", "index-count"])
+    def test_malformed_frame_aborts(self, body):
+        a, b = loopback_pair()
+        b._inbox.put(len(body).to_bytes(4, "big") + body)
+        with pytest.raises(ProtocolError):
+            b.recv()
+        assert a.recv().kind is Kind.ABORT
+
     def test_unexpected_kind_rejected(self):
         a, b = loopback_pair()
         a.send(Done())
