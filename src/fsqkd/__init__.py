@@ -6,7 +6,6 @@ from .channel import (
     DetectionBatch,
     Outcome,
     draw_eta_system,
-    draw_photon_count,
     simulate_channel,
 )
 from .core import KeyBuffer, Stage, compare_keys

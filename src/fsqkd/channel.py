@@ -1,6 +1,6 @@
 """Monte Carlo model of the free-space optical link, one clock tick at a time.
 
-Per gate the model applies, in order: Poisson photon statistics of the dim
+Per gate the physical model is: Poisson photon statistics of the dim
 pulse, independent per-photon survival with the current system efficiency,
 a 50/50 beamsplitter routing each survivor to one of the two analyzers,
 projection onto the analyzer state (cos^2 law), a flat per-photon
@@ -13,11 +13,31 @@ photon is logged on the wrong analyzer with probability
 ``optical_error_prob``) so the conditional error rate of signal detections
 equals the configured 1.9% and the conclusive-detection probability stays
 at 1 - exp(-eta_q * eta_system * nbar).
+
+The simulation draws only what the model makes observable.  A photon
+clicks when it survives (probability eta_system), takes the path of the
+analyzer matching Alice's state (1/2; the other analyzer is orthogonal to
+it) and passes the projection (1/2).  Thinning a Poisson count by an
+independent per-photon probability leaves it Poisson, so within a block of
+fixed eta_system the clicks of a gate are Poisson with mean
+nbar * eta_system / 4 (binomial over the photons with a photon-count
+override), all on the detector Alice's bit selects until each is moved to
+the other detector with probability ``optical_error_prob``.  Each detector
+also fires from noise with probability ``p_bg_half + p_dark``,
+independently.  A gate therefore fires with probability
+1 - P(no click) * (1 - p_bg_half - p_dark)^2, and empty gates leave no
+trace.  Per block the simulation draws the number of fired gates
+(binomial), their positions (a uniform subset), and only for those gates
+the remaining conditional events: whether any photon clicked, the
+zero-truncated click count, each click's detector and each detector's
+noise.  About 98% of gates never fire at the paper's operating points,
+so the detection log holds fired gates only.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +48,6 @@ from .rng import stream
 
 
 class Outcome(enum.IntEnum):
-    NONE = _kernels.OUTCOME_NONE
     BIT0 = _kernels.OUTCOME_BIT0
     BIT1 = _kernels.OUTCOME_BIT1
     DUAL_FIRE = _kernels.OUTCOME_DUAL
@@ -39,12 +58,11 @@ class Cause(enum.IntEnum):
     BACKGROUND = _kernels.CAUSE_BACKGROUND
     DARK = _kernels.CAUSE_DARK
     MIXED = _kernels.CAUSE_MIXED
-    NA = _kernels.CAUSE_NA
 
 
 @dataclass
 class DetectionBatch:
-    """Columnar log of detection events for a run of consecutive gates."""
+    """Columnar log of the fired gates of a run, in tick order."""
 
     ticks: np.ndarray
     outcomes: np.ndarray
@@ -75,13 +93,6 @@ class DetectionBatch:
         )
 
 
-def draw_photon_count(nbar: float, rng: np.random.Generator, size=None):
-    """Poisson photon number of one (or ``size``) attenuated dim pulses."""
-    if nbar < 0:
-        raise ValueError("nbar must be non-negative")
-    return rng.poisson(nbar, size=size)
-
-
 def draw_eta_system(params: ProtocolParams, rng: np.random.Generator) -> float:
     """System efficiency for one transmission block.
 
@@ -95,39 +106,65 @@ def draw_eta_system(params: ProtocolParams, rng: np.random.Generator) -> float:
     return float(min(1.0, max(0.0, value)))
 
 
+def _click_cdf(p_click: float, nbar: float, photon_count_override: int | None) -> np.ndarray:
+    """CDF over k = 1, 2, ... of a gate's signal clicks, given at least one.
+
+    The clicks are Poisson with mean ``nbar * p_click``, or binomial over
+    ``photon_count_override`` photons.  The entries stop twelve standard
+    deviations plus 24 counts above the mean, where the remaining mass is
+    far below double precision.
+    """
+    if photon_count_override is None:
+        lam = nbar * p_click
+        kmax = int(lam + 12.0 * math.sqrt(lam) + 24)
+        log_w = [k * math.log(lam) - math.lgamma(k + 1) for k in range(1, kmax + 1)]
+    else:
+        n = photon_count_override
+        mean = n * p_click
+        kmax = min(n, int(mean + 12.0 * math.sqrt(mean) + 24))
+        log_w = [math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
+                 + k * math.log(p_click) + (n - k) * math.log1p(-p_click)
+                 for k in range(1, kmax + 1)]
+    w = np.exp(np.array(log_w) - max(log_w))
+    return np.cumsum(w) / w.sum()
+
+
 def simulate_block(alice_bits: np.ndarray, first_tick: int, params: ProtocolParams,
-                   eta_system_now: float, photon_rng: np.random.Generator,
-                   transport_rng: np.random.Generator, noise_rng: np.random.Generator,
+                   eta_system_now: float, rng: np.random.Generator,
                    photon_count_override: int | None = None) -> DetectionBatch:
     """Simulate one block of gates with a fixed system efficiency.
 
-    Draw order is fixed: photon counts, then the 4 x total_photons
-    transport uniforms, then the 2 x n noise uniforms, so a block is fully
-    determined by its three streams.
+    Draw order is fixed: the number of fired gates, their positions, three
+    uniforms per fired gate (signal, detector 0 noise, detector 1 noise),
+    one click-count uniform per signal gate, then one flip uniform per
+    click, so a block is fully determined by its stream.
     """
     n = len(alice_bits)
-    bits = np.ascontiguousarray(alice_bits, dtype=np.uint8)
+    p_click = eta_system_now / 4.0
     if photon_count_override is None:
-        counts = draw_photon_count(params.mean_photon_number, photon_rng, size=n).astype(np.int64)
+        p_signal = -math.expm1(-params.mean_photon_number * p_click)
     else:
-        counts = np.full(n, int(photon_count_override), dtype=np.int64)
-    total = int(counts.sum())
-    offsets = np.zeros(n, dtype=np.int64)
-    np.cumsum(counts[:-1], out=offsets[1:])
-    u = transport_rng.random((4, total))
-    noise = noise_rng.random((2, n))
+        p_signal = 1.0 - (1.0 - p_click) ** photon_count_override
+    p_bg_half = params.background_prob_per_gate / 2.0
+    p_dark = params.dark_prob_per_gate
+    p_fire = 1.0 - (1.0 - p_signal) * (1.0 - p_bg_half - p_dark) ** 2
+    fired = np.sort(rng.choice(n, size=rng.binomial(n, p_fire), replace=False))
+    if len(fired) == 0:
+        return DetectionBatch.concatenate([])
+    u = rng.random((3, len(fired)))
+    signal = u[0] < p_signal / p_fire
+    clicks = np.zeros(len(fired), dtype=np.int64)
+    if signal.any():
+        cdf = _click_cdf(p_click, params.mean_photon_number, photon_count_override)
+        picks = np.searchsorted(cdf, rng.random(int(signal.sum())), side="right")
+        clicks[signal] = 1 + np.minimum(picks, len(cdf) - 1)
+    u_flip = rng.random(int(clicks.sum()))
     outcomes, causes = _kernels.channel_outcomes(
-        bits, counts, offsets,
-        np.ascontiguousarray(u[0]), np.ascontiguousarray(u[1]),
-        np.ascontiguousarray(u[2]), np.ascontiguousarray(u[3]),
-        np.ascontiguousarray(noise[0]), np.ascontiguousarray(noise[1]),
-        float(eta_system_now),
-        params.background_prob_per_gate / 2.0,
-        params.dark_prob_per_gate,
-        params.optical_error_prob,
+        np.ascontiguousarray(alice_bits[fired], dtype=np.uint8), clicks, u[1:], u_flip,
+        p_bg_half, p_dark, params.optical_error_prob,
     )
-    ticks = np.arange(first_tick, first_tick + n, dtype=np.int64)
-    return DetectionBatch(ticks=ticks, outcomes=outcomes, causes=causes)
+    return DetectionBatch(ticks=fired + first_tick,
+                          outcomes=outcomes, causes=causes)
 
 
 @dataclass
@@ -156,15 +193,8 @@ def simulate_channel(alice_bits: np.ndarray, params: ProtocolParams, seed: int,
             eta_now = float(eta_system_override)
         else:
             eta_now = draw_eta_system(params, stream(seed, f"eta/{b}"))
-        batches.append(
-            simulate_block(
-                block_bits, start, params, eta_now,
-                photon_rng=stream(seed, f"photons/{b}"),
-                transport_rng=stream(seed, f"transport/{b}"),
-                noise_rng=stream(seed, f"noise/{b}"),
-                photon_count_override=photon_count_override,
-            )
-        )
+        batches.append(simulate_block(block_bits, start, params, eta_now,
+                                      stream(seed, f"gates/{b}"), photon_count_override))
         etas.append(eta_now)
     return ChannelRun(
         detections=DetectionBatch.concatenate(batches),

@@ -36,7 +36,7 @@ from .bitpack import (
     encode_varint,
 )
 
-PROTOCOL_VERSION = 2
+PROTOCOL_VERSION = 3
 MAX_PAYLOAD_BYTES = 2**24
 
 
@@ -80,6 +80,13 @@ class Kind(enum.Enum):
     PA_SEED = "PaSeed"
     ABORT = "Abort"
     DONE = "Done"
+
+
+# the longest body ``encode`` emits: its header tokens, with a sequence
+# number of at most 20 digits, and the base64 of a largest payload
+MAX_BODY_BYTES = (len("sid= seq= kind= payload=") + 16 + 20
+                  + max(len(kind.value) for kind in Kind)
+                  + 4 * ((MAX_PAYLOAD_BYTES + 2) // 3))
 
 
 def _take(data: bytes, offset: int, count: int) -> tuple[bytes, int]:
@@ -363,6 +370,8 @@ def decode(frame: bytes) -> Message:
     if len(frame) < 4:
         raise MessageFormatError("frame shorter than its length prefix")
     body_len = int.from_bytes(frame[:4], "big")
+    if body_len > MAX_BODY_BYTES:
+        raise MessageFormatError(f"frame body of {body_len} bytes exceeds {MAX_BODY_BYTES}")
     if len(frame) != 4 + body_len:
         raise MessageFormatError("frame length prefix does not match body")
     return decode_body(frame[4:])

@@ -48,8 +48,9 @@ class ProtocolParams:
             raise ValueError("background_prob_per_gate must lie in [0, 1]")
         if self.dark_count_rate_hz < 0:
             raise ValueError("dark_count_rate_hz must be non-negative")
-        if self.dark_prob_per_gate > 1.0:
-            raise ValueError("dark_count_rate_hz * gate_width_s exceeds 1")
+        if self.background_prob_per_gate / 2.0 + self.dark_prob_per_gate > 1.0:
+            raise ValueError("per-detector noise probability "
+                             "(background_prob_per_gate / 2 + dark) exceeds 1")
         if not 0.0 <= self.optical_error_prob <= 1.0:
             raise ValueError("optical_error_prob must lie in [0, 1]")
 

@@ -30,5 +30,6 @@ def draw_seed(rng: np.random.Generator) -> int:
 
 
 def random_bits(rng: np.random.Generator, n: int) -> np.ndarray:
-    """n unbiased bits as a uint8 array."""
-    return rng.integers(0, 2, size=n, dtype=np.uint8)
+    """n unbiased bits as a uint8 array: the first n bits, MSB first, of
+    ceil(n / 8) random bytes."""
+    return np.unpackbits(rng.integers(0, 256, size=(n + 7) // 8, dtype=np.uint8), count=n)

@@ -11,7 +11,16 @@ from __future__ import annotations
 import queue
 import socket as socketlib
 
-from .messages import Abort, Kind, Message, decode, encode, message_for
+from .messages import (
+    MAX_BODY_BYTES,
+    Abort,
+    Kind,
+    Message,
+    MessageFormatError,
+    decode,
+    encode,
+    message_for,
+)
 
 
 class ChannelTimeout(TimeoutError):
@@ -69,11 +78,12 @@ class Endpoint:
         return message
 
     def recv(self, timeout_s: float | None = None) -> Message:
-        frame = self._recv_frame(self.timeout_s if timeout_s is None else timeout_s)
         try:
+            frame = self._recv_frame(self.timeout_s if timeout_s is None else timeout_s)
             message = decode(frame)
         except ValueError as exc:
-            # MessageFormatError, or a ValueError from the bitpack decoders
+            # MessageFormatError (an oversized length prefix included), or a
+            # ValueError from the bitpack decoders
             reason = f"malformed frame: {exc}"
             self.abort(reason)
             raise ProtocolError(reason) from exc
@@ -167,6 +177,9 @@ class SocketEndpoint(Endpoint):
     def _recv_frame(self, timeout_s: float) -> bytes:
         header = self._recv_exact(4, timeout_s)
         body_len = int.from_bytes(header, "big")
+        # reject before reading: recv would allocate the untrusted length
+        if body_len > MAX_BODY_BYTES:
+            raise MessageFormatError(f"frame body of {body_len} bytes exceeds {MAX_BODY_BYTES}")
         body = self._recv_exact(body_len, timeout_s) if body_len else b""
         return header + body
 

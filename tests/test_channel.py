@@ -8,43 +8,28 @@ from fsqkd._kernels import (
     CAUSE_BACKGROUND,
     CAUSE_DARK,
     CAUSE_MIXED,
-    CAUSE_NA,
     CAUSE_SIGNAL,
     OUTCOME_BIT0,
     OUTCOME_BIT1,
     OUTCOME_DUAL,
-    OUTCOME_NONE,
 )
-from fsqkd.channel import (
-    Cause,
-    Outcome,
-    draw_eta_system,
-    draw_photon_count,
-    simulate_channel,
-)
+from fsqkd.channel import Cause, Outcome, draw_eta_system, simulate_channel
 from fsqkd.params import ProtocolParams
-from fsqkd.rng import stream
+from fsqkd.rng import random_bits, stream
 
 QUIET = dict(background_prob_per_gate=0.0, dark_count_rate_hz=0.0)
 
 
-class TestPhotonStatistics:
-    def test_sample_mean_tracks_nbar(self):
-        counts = draw_photon_count(0.5, stream(3, "poisson"), size=1_000_000)
-        assert 0.495 <= counts.mean() <= 0.505
-
-    def test_nonzero_probability_matches_poisson(self):
-        counts = draw_photon_count(0.2, stream(4, "poisson"), size=1_000_000)
-        p_nonzero = np.count_nonzero(counts) / len(counts)
-        assert abs(p_nonzero - (1.0 - math.exp(-0.2))) < 0.002
-
-    def test_vanishing_mean_gives_zeros(self):
-        counts = draw_photon_count(1e-9, stream(5, "poisson"), size=100_000)
-        assert np.count_nonzero(counts) <= 3
-
+class TestChannelParams:
     def test_negative_mean_rejected(self):
         with pytest.raises(ValueError):
-            draw_photon_count(-0.1, stream(6, "poisson"))
+            ProtocolParams(mean_photon_number=-0.1)
+
+    def test_noise_probability_above_one_rejected(self):
+        # half of 1.0 background plus 0.6 dark per detector: the gate
+        # firing probability would be meaningless
+        with pytest.raises(ValueError, match="per-detector noise"):
+            ProtocolParams(background_prob_per_gate=1.0, dark_count_rate_hz=1.2e8)
 
 
 class TestEtaSystem:
@@ -67,37 +52,39 @@ class TestEtaSystem:
         assert draws.min() >= 0.0 and draws.max() <= 1.0
 
 
-def _one_gate(bit, photons, noise):
-    """One ideal gate (eta 1, no noise, no misalignment) through the kernel.
+def _one_gate(bit, flips, noise):
+    """One fired gate through the kernel, with no noise or misalignment.
 
-    ``photons`` holds one (survival, route, projection, misalignment)
-    uniform quadruple per photon, ``noise`` the two detector uniforms.
+    ``flips`` holds one wrong-detector uniform per signal click, ``noise``
+    the two detector uniforms.
     """
-    u = np.array(photons, dtype=np.float64).reshape(-1, 4).T
     outcomes, causes = _kernels.channel_outcomes(
-        np.array([bit], dtype=np.uint8), np.array([len(photons)], dtype=np.int64),
-        np.zeros(1, dtype=np.int64),
-        *(np.ascontiguousarray(row) for row in u),
-        np.array([noise[0]]), np.array([noise[1]]),
-        1.0, 0.0, 0.0, 0.0)
+        np.array([bit], dtype=np.uint8), np.array([len(flips)], dtype=np.int64),
+        np.array([[noise[0]], [noise[1]]]), np.array(flips, dtype=np.float64),
+        0.0, 0.0, 0.0)
     return Outcome(int(outcomes[0])), Cause(int(causes[0]))
 
 
 class TestTransmitPulse:
     def test_empty_pulse_quiet_gate_is_none(self):
-        outcome, cause = _one_gate(0, [], (0.0, 0.0))
-        assert outcome is Outcome.NONE
-        assert cause is Cause.NA
+        # no photons and silent detectors: no gate fires, the log stays empty
+        params = ProtocolParams(mean_photon_number=0.0, **QUIET)
+        run = simulate_channel(np.ones(100_000, dtype=np.uint8), params, seed=1,
+                               block_size=50_000, eta_system_override=1.0)
+        assert len(run.detections) == 0
 
     def test_vertical_photon_blocked_by_h_analyzer(self):
-        # route draw 0.9 sends the photon down the horizontal-analysis path,
-        # orthogonal to |V>; with no misalignment nothing can fire
-        outcome, _cause = _one_gate(1, [(0.0, 0.9, 0.0, 0.0)], (0.99, 0.99))
-        assert outcome is Outcome.NONE
+        # a vertical photon never passes the horizontal-analysis path, so
+        # without misalignment or noise detector 0 never fires for bit 1
+        params = ProtocolParams(optical_error_prob=0.0, **QUIET)
+        run = simulate_channel(np.ones(100_000, dtype=np.uint8), params, seed=2,
+                               block_size=50_000, photon_count_override=1,
+                               eta_system_override=1.0)
+        assert len(run.detections) > 20_000
+        assert np.all(run.detections.outcomes == Outcome.BIT1)
 
     def test_matching_analyzer_fires_and_assigns_bit(self):
-        # survive, route to the -45 path (u < 0.5), pass projection
-        outcome, cause = _one_gate(1, [(0.0, 0.1, 0.2, 0.9)], (0.99, 0.99))
+        outcome, cause = _one_gate(1, [0.9], (0.99, 0.99))
         assert outcome is Outcome.BIT1
         assert cause is Cause.SIGNAL
 
@@ -108,115 +95,194 @@ class TestTransmitPulse:
                              eta_system_override=1.5)
 
 
-# Per-pulse reference loop: the kernel must reproduce it gate for gate.
-def _channel_outcomes_py(bits, counts, offsets,
-                         u_surv, u_route, u_proj, u_err,
-                         u_noise0, u_noise1,
-                         eta, p_bg_half, p_dark, p_opt_err,
-                         outcomes, causes):
-    n = bits.shape[0]
-    for i in range(n):
-        sig0 = False
-        sig1 = False
-        abit = bits[i]
-        start = offsets[i]
-        for j in range(start, start + counts[i]):
-            if u_surv[j] >= eta:
-                continue
-            route1 = u_route[j] < 0.5
-            # only the analyzer matching Alice's bit is non-orthogonal
-            if route1 == (abit == 1) and u_proj[j] < 0.5:
-                if route1 != (u_err[j] < p_opt_err):
-                    sig1 = True
-                else:
-                    sig0 = True
-        bg0 = u_noise0[i] < p_bg_half
-        dk0 = (not bg0) and (u_noise0[i] < p_bg_half + p_dark)
-        bg1 = u_noise1[i] < p_bg_half
-        dk1 = (not bg1) and (u_noise1[i] < p_bg_half + p_dark)
-        fired0 = sig0 or bg0 or dk0
-        fired1 = sig1 or bg1 or dk1
-        if fired0 and fired1:
-            outcomes[i] = OUTCOME_DUAL
-        elif fired1:
-            outcomes[i] = OUTCOME_BIT1
-        elif fired0:
-            outcomes[i] = OUTCOME_BIT0
-        else:
-            outcomes[i] = OUTCOME_NONE
-            causes[i] = CAUSE_NA
-            continue
-        mask = 0
-        if fired0:
-            if sig0:
-                mask |= 1
-            if bg0:
-                mask |= 2
-            if dk0:
-                mask |= 4
-        if fired1:
-            if sig1:
-                mask |= 1
-            if bg1:
-                mask |= 2
-            if dk1:
-                mask |= 4
-        if mask == 1:
-            causes[i] = CAUSE_SIGNAL
-        elif mask == 2:
-            causes[i] = CAUSE_BACKGROUND
-        elif mask == 4:
-            causes[i] = CAUSE_DARK
-        else:
-            causes[i] = CAUSE_MIXED
+# Per-fired-gate reference loop: the kernel must reproduce it gate for gate.
+def _gate_outcome_py(bit, flips, u0, u1, p_bg_half, p_dark, p_opt_err):
+    sig = [False, False]
+    for u in flips:
+        # a click lands on the detector of Alice's bit unless it is flipped
+        sig[bit if u >= p_opt_err else 1 - bit] = True
+    p_noise = p_bg_half + p_dark
+    if flips:
+        w0 = u0
+    else:
+        # the gate fired from noise alone: condition detector 0 on that
+        w0 = u0 * (p_noise * (2.0 - p_noise))
+    bg0 = w0 < p_bg_half
+    dk0 = (not bg0) and w0 < p_noise
+    if flips or bg0 or dk0:
+        bg1 = u1 < p_bg_half
+        dk1 = (not bg1) and u1 < p_noise
+    else:
+        # nothing else fired, so detector 1's noise did
+        bg1 = u1 * p_noise < p_bg_half
+        dk1 = not bg1
+    fired0 = sig[0] or bg0 or dk0
+    fired1 = sig[1] or bg1 or dk1
+    if fired0 and fired1:
+        outcome = OUTCOME_DUAL
+    elif fired1:
+        outcome = OUTCOME_BIT1
+    else:
+        assert fired0, "a fired gate must fire a detector"
+        outcome = OUTCOME_BIT0
+    sources = set()
+    if sig[0] or sig[1]:
+        sources.add(CAUSE_SIGNAL)
+    if bg0 or bg1:
+        sources.add(CAUSE_BACKGROUND)
+    if dk0 or dk1:
+        sources.add(CAUSE_DARK)
+    return outcome, sources.pop() if len(sources) == 1 else CAUSE_MIXED
 
 
-def _oracle(bits, counts, offsets, u_surv, u_route, u_proj, u_err,
-            u_noise0, u_noise1, eta, p_bg_half, p_dark, p_opt_err):
+def _oracle(bits, clicks, u_noise, u_flip, p_bg_half, p_dark, p_opt_err):
     outcomes = np.zeros(len(bits), dtype=np.uint8)
     causes = np.zeros(len(bits), dtype=np.uint8)
-    _channel_outcomes_py(bits, counts, offsets, u_surv, u_route, u_proj, u_err,
-                         u_noise0, u_noise1, eta, p_bg_half, p_dark, p_opt_err,
-                         outcomes, causes)
+    first = 0
+    for i in range(len(bits)):
+        flips = u_flip[first:first + clicks[i]].tolist()
+        first += clicks[i]
+        outcomes[i], causes[i] = _gate_outcome_py(
+            int(bits[i]), flips, float(u_noise[0][i]), float(u_noise[1][i]),
+            p_bg_half, p_dark, p_opt_err)
+    assert first == len(u_flip)
     return outcomes, causes
 
 
-def _random_kernel_inputs(seed, n=50_000, nbar=0.5,
-                          p_bg_half=3.35e-4, p_dark=7e-6, p_opt_err=0.019):
-    rng = np.random.default_rng(seed)
-    bits = rng.integers(0, 2, n).astype(np.uint8)
-    counts = rng.poisson(nbar, n).astype(np.int64)
-    offsets = np.zeros(n, dtype=np.int64)
-    np.cumsum(counts[:-1], out=offsets[1:])
-    total = int(counts.sum())
-    u = rng.random((4, total))
-    noise = rng.random((2, n))
-    return (bits, counts, offsets,
-            np.ascontiguousarray(u[0]), np.ascontiguousarray(u[1]),
-            np.ascontiguousarray(u[2]), np.ascontiguousarray(u[3]),
-            np.ascontiguousarray(noise[0]), np.ascontiguousarray(noise[1]),
-            0.13, p_bg_half, p_dark, p_opt_err)
+def _recorded_kernel_calls(monkeypatch, params, n, seed, **overrides):
+    """Run the channel and return every kernel call's arguments and result."""
+    calls = []
+    kernel = _kernels.channel_outcomes
+
+    def recording(*args):
+        result = kernel(*args)
+        calls.append((args, result))
+        return result
+
+    monkeypatch.setattr(_kernels, "channel_outcomes", recording)
+    bits = random_bits(stream(seed, "oracle-bits"), n)
+    simulate_channel(bits, params, seed=seed, block_size=50_000, **overrides)
+    return calls
+
+
+HEAVY_NOISE = dict(background_prob_per_gate=0.6, dark_count_rate_hz=4e7,
+                   optical_error_prob=0.5)
 
 
 class TestKernelOracle:
-    def test_matches_per_pulse_oracle(self):
+    def test_matches_per_pulse_oracle(self, monkeypatch):
+        # the sparse draws of whole sessions' worth of blocks at nbar 0.5
+        params = ProtocolParams(mean_photon_number=0.5)
         for seed in (0, 1, 2):
-            args = _random_kernel_inputs(seed)
-            outcomes, causes = _kernels.channel_outcomes(*args)
-            o_ref, c_ref = _oracle(*args)
-            assert np.array_equal(outcomes, o_ref)
-            assert np.array_equal(causes, c_ref)
+            calls = _recorded_kernel_calls(monkeypatch, params, 1_000_000, seed)
+            assert sum(len(args[0]) for args, _ in calls) > 10_000
+            for args, (outcomes, causes) in calls:
+                o_ref, c_ref = _oracle(*args)
+                assert np.array_equal(outcomes, o_ref)
+                assert np.array_equal(causes, c_ref)
 
-    def test_every_cause_branch_matches_oracle(self):
+    def test_every_cause_branch_matches_oracle(self, monkeypatch):
         # heavy noise and misalignment so every outcome and cause occurs
-        args = _random_kernel_inputs(3, nbar=2.0, p_bg_half=0.3, p_dark=0.2,
-                                     p_opt_err=0.5)
-        outcomes, causes = _kernels.channel_outcomes(*args)
-        o_ref, c_ref = _oracle(*args)
-        assert np.array_equal(outcomes, o_ref)
-        assert np.array_equal(causes, c_ref)
+        params = ProtocolParams(mean_photon_number=2.0, **HEAVY_NOISE)
+        calls = _recorded_kernel_calls(monkeypatch, params, 100_000, 3,
+                                       eta_system_override=0.5)
+        outcomes = np.concatenate([result[0] for _, result in calls])
+        causes = np.concatenate([result[1] for _, result in calls])
+        for args, (o, c) in calls:
+            o_ref, c_ref = _oracle(*args)
+            assert np.array_equal(o, o_ref)
+            assert np.array_equal(c, c_ref)
         assert set(np.unique(outcomes)) == set(Outcome)
         assert set(np.unique(causes)) == set(Cause)
+        clicks = np.concatenate([args[1] for args, _ in calls])
+        assert clicks.max() >= 3 and np.count_nonzero(clicks == 0) > 0
+
+
+def _cell_probabilities(params, eta, photon_count_override=None):
+    """Exact per-gate probability of every (Alice bit, outcome, cause) cell.
+
+    Enumerates the independent events of one gate in the physical model:
+    whether any photon clicks on the detector of Alice's bit ("right") and
+    whether any clicks on the other ("wrong"), and each detector's noise
+    (none, background or dark).  Outcome 0 stands for an empty gate.
+    """
+    q = eta / 4.0
+    p_err = params.optical_error_prob
+    if photon_count_override is None:
+        lam = params.mean_photon_number * q
+        p_no_right = math.exp(-lam * (1.0 - p_err))
+        p_no_wrong = math.exp(-lam * p_err)
+        p_clicks = {(False, False): p_no_right * p_no_wrong,
+                    (False, True): p_no_right * (1.0 - p_no_wrong),
+                    (True, False): (1.0 - p_no_right) * p_no_wrong,
+                    (True, True): (1.0 - p_no_right) * (1.0 - p_no_wrong)}
+    else:
+        n = photon_count_override
+        none = (1.0 - q) ** n
+        no_right = (1.0 - q * (1.0 - p_err)) ** n
+        no_wrong = (1.0 - q * p_err) ** n
+        p_clicks = {(False, False): none,
+                    (False, True): no_right - none,
+                    (True, False): no_wrong - none,
+                    (True, True): 1.0 - no_right - no_wrong + none}
+    p_bg_half = params.background_prob_per_gate / 2.0
+    p_dark = params.dark_prob_per_gate
+    noise = {None: 1.0 - p_bg_half - p_dark, CAUSE_BACKGROUND: p_bg_half, CAUSE_DARK: p_dark}
+    cells = {}
+    for bit in (0, 1):
+        for (right, wrong), p_sig in p_clicks.items():
+            sig = {bit: right, 1 - bit: wrong}
+            for n0, p0 in noise.items():
+                for n1, p1 in noise.items():
+                    fired0 = sig[0] or n0 is not None
+                    fired1 = sig[1] or n1 is not None
+                    outcome = fired0 * OUTCOME_BIT0 + fired1 * OUTCOME_BIT1
+                    sources = {n for n in (n0, n1) if n is not None}
+                    if right or wrong:
+                        sources.add(CAUSE_SIGNAL)
+                    cause = sources.pop() if len(sources) == 1 else CAUSE_MIXED
+                    key = (bit, outcome, cause if outcome else 0)
+                    cells[key] = cells.get(key, 0.0) + 0.5 * p_sig * p0 * p1
+    return cells
+
+
+class TestCellFrequencies:
+    """The sparse draws reproduce the dense model's per-gate statistics.
+
+    Joint (Alice bit, outcome, cause) counts over millions of gates are
+    compared with the exact cell probabilities of the physical model's
+    independent events.  Bound fixed beforehand: |z| < 5 in every cell,
+    with the binomial variance floored at one count so that cells expected
+    to hold less than one gate may hold a few; impossible cells stay empty.
+    """
+
+    @pytest.mark.parametrize("overrides, n, eta, pco", [
+        (dict(), 32_000_000, 0.13, None),
+        (dict(mean_photon_number=2.0, **HEAVY_NOISE), 4_000_000, 0.5, None),
+        (dict(**HEAVY_NOISE), 4_000_000, 1.0, 3),
+    ], ids=["default", "heavy-noise", "heavy-noise-3-photons"])
+    def test_cells_match_model(self, overrides, n, eta, pco):
+        params = ProtocolParams(**overrides)
+        bits = random_bits(stream(31, "cell-bits"), n)
+        run = simulate_channel(bits, params, seed=31, block_size=50_000,
+                               photon_count_override=pco, eta_system_override=eta)
+        det = run.detections
+        fired_bits = bits[det.ticks].astype(np.int64)
+        observed = np.bincount(fired_bits * 16 + det.outcomes.astype(np.int64) * 4
+                               + det.causes, minlength=32)
+        ones = int(np.count_nonzero(bits))
+        observed[0] += (n - ones) - np.count_nonzero(fired_bits == 0)
+        observed[16] += ones - np.count_nonzero(fired_bits == 1)
+        expected = np.zeros(32)
+        for (bit, outcome, cause), p in _cell_probabilities(params, eta, pco).items():
+            expected[bit * 16 + outcome * 4 + cause] += p
+        assert abs(expected.sum() - 1.0) < 1e-12
+        impossible = expected == 0.0
+        assert not observed[impossible].any()
+        mean = n * expected[~impossible]
+        var = np.maximum(mean * (1.0 - expected[~impossible]), 1.0)
+        z = (observed[~impossible] - mean) / np.sqrt(var)
+        assert np.all(np.abs(z) < 5.0), dict(zip(np.flatnonzero(~impossible), z.round(2)))
 
 
 class TestChannelStatistics:

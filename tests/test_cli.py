@@ -166,6 +166,11 @@ class TestTwoProcess:
         code, err = self._serve_fake_peer(tmp_path, len(body).to_bytes(4, "big") + body)
         assert code == 2, err
 
+    def test_oversized_length_prefix_aborts(self, tmp_path):
+        code, err = self._serve_fake_peer(tmp_path, b"\xff\xff\xff\xff")
+        assert code == 2, err
+        assert "exceeds" in err
+
 
 class TestConfigFile:
     def test_flags_override_file(self, tmp_path):

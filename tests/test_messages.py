@@ -1,9 +1,12 @@
+import base64
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from fsqkd.bitpack import delta_encode
+from fsqkd.bitpack import decode_index_list, delta_encode, encode_index_list
 from fsqkd.messages import (
     Abort,
     BlockParity,
@@ -161,3 +164,110 @@ class TestLeakMeter:
         query = message_for(1, 0, Syndrome(pass_no=1, blocks=np.array([4], dtype=np.int64),
                                            bits=np.zeros(0, dtype=np.uint8)))
         assert leak_meter([query]) == 0
+
+
+def _leb128(value: int) -> bytes:
+    """Scalar unsigned LEB128, the reference for the vectorized codec."""
+    out = bytearray()
+    while True:
+        group, value = value & 0x7F, value >> 7
+        out.append(group | (0x80 if value else 0))
+        if not value:
+            return bytes(out)
+
+
+def _index_list_reference(indices: list[int]) -> bytes:
+    gaps = [b - a for a, b in zip([0] + indices, indices)]
+    return _leb128(len(indices)) + b"".join(_leb128(g) for g in gaps)
+
+
+_indices = st.sets(st.one_of(st.integers(0, 300), st.integers(0, 2**63 - 1)),
+                   max_size=300).map(sorted)
+_kinds = st.sampled_from([kind.value for kind in Kind])
+
+
+class TestIndexCodecProperties:
+    @given(_indices, st.binary(max_size=8))
+    def test_decode_inverts_encode(self, indices, trailer):
+        encoded = encode_index_list(np.array(indices, dtype=np.int64))
+        decoded, offset = decode_index_list(encoded + trailer, 0)
+        assert decoded.dtype == np.int64
+        assert decoded.tolist() == indices
+        assert offset == len(encoded)
+
+    @given(_indices)
+    def test_bytes_match_scalar_reference(self, indices):
+        assert encode_index_list(np.array(indices, dtype=np.int64)) == \
+            _index_list_reference(indices)
+
+
+class TestIndexCodecRejects:
+    """Malformed index lists, short (per-varint loop) and long (array code)."""
+
+    @pytest.mark.parametrize("n", [3, 100])
+    @pytest.mark.parametrize("last, message", [
+        (b"\x80", "truncated varint"),
+        (b"\x80" * 11 + b"\x00", "varint too long"),
+        (b"\xff" * 9 + b"\x01", "beyond 2\\*\\*63"),
+        (b"\x00", "not strictly increasing"),
+    ], ids=["truncated", "too-long", "beyond-int64", "repeated"])
+    def test_rejected(self, n, last, message):
+        data = _leb128(n) + b"\x01" * (n - 1) + last
+        with pytest.raises(ValueError, match=message):
+            decode_index_list(data, 0)
+
+    @pytest.mark.parametrize("n", [3, 100])
+    def test_sum_beyond_int64_rejected(self, n):
+        data = _leb128(n) + b"\x01" * (n - 2) + _leb128(2**62) * 2
+        with pytest.raises(ValueError, match="beyond"):
+            decode_index_list(data, 0)
+
+    @pytest.mark.parametrize("indices", [
+        [5, 5], [-1, 3], [4, 2],
+        list(range(100)) + [99], [-1] + list(range(100)), list(range(100)) + [50],
+    ], ids=["repeat", "negative", "decreasing",
+            "long-repeat", "long-negative", "long-decreasing"])
+    def test_encode_rejects_non_increasing(self, indices):
+        with pytest.raises(ValueError):
+            encode_index_list(np.array(indices, dtype=np.int64))
+
+
+class TestDecodeRejectsOnlyWithValueError:
+    """Bytes from a peer either decode or raise ``ValueError``.
+
+    ``MessageFormatError`` is a ``ValueError``; anything else (an
+    ``OverflowError``, an ``IndexError``) would escape the endpoint's
+    abort handling.
+    """
+
+    @staticmethod
+    def _decode(frame: bytes) -> None:
+        try:
+            decode(frame)
+        except ValueError:
+            pass
+
+    @given(st.binary(max_size=200))
+    def test_arbitrary_frames(self, frame):
+        self._decode(frame)
+
+    @settings(max_examples=500)
+    @given(_kinds, st.binary(max_size=120))
+    # one index of 2**63: too large for an int64
+    @example("SiftIndices", b"\x01" + b"\xff" * 9 + b"\x01")
+    def test_arbitrary_payloads(self, kind, payload):
+        body = (f"sid={0:016x} seq=0 kind={kind} payload=".encode("ascii")
+                + base64.b64encode(payload))
+        self._decode(len(body).to_bytes(4, "big") + body)
+
+    @given(_kinds, st.binary(max_size=120))
+    def test_arbitrary_bodies(self, kind, tail):
+        body = f"sid={0:016x} seq=0 kind={kind} payload=".encode("ascii") + tail
+        self._decode(len(body).to_bytes(4, "big") + body)
+
+    @given(st.lists(st.integers(0, 2**80), max_size=20), st.integers(0, 25))
+    def test_index_lists_of_wide_varints(self, gaps, count):
+        payload = _leb128(count) + b"".join(_leb128(g) for g in gaps)
+        body = (f"sid={0:016x} seq=0 kind=SiftIndices payload=".encode("ascii")
+                + base64.b64encode(payload))
+        self._decode(len(body).to_bytes(4, "big") + body)

@@ -132,19 +132,19 @@ GOLDEN_CASES = [
     pytest.param(ProtocolParams(mean_photon_number=0.5, rng_seed=417),
                  SessionConfig(pulses=200_000, block_size=50_000,
                                recon=ReconConfig(sample_fraction=0.05)),
-                 "fa5e8166da8c0a19d6195fab2d098e3705bbe4cbcdd2e93def7a4eff069d8d28",
+                 "6736141e93a1f146e1d2d82a8fafd9a6c0369a5104ad59b8c838042b650ef5c3",
                  id="nbar0.5-seed417"),
     pytest.param(ProtocolParams(), SessionConfig(),
-                 "2600f9ce18bd97925ef088691045e9bb487c2391eabf5df25376c1c81333b0e2",
+                 "818b84c2e6a9768819746834adaa760e1bd956df00b4429dd9498642d1ecb205",
                  id="defaults"),
     pytest.param(ProtocolParams(mean_photon_number=0.02, rng_seed=3),
                  SessionConfig(pulses=200_000),
-                 "15075e0abfe3ad81af882045aae79f7ac02adda50127eb27354e16cceb186c6d",
+                 "e5a9179bbf4367a46ccfc49e9813fbb85edeaec942f1438106c6cb0223d275b5",
                  id="dim-no-yield"),
     pytest.param(ProtocolParams(mean_photon_number=0.35, eta_system_mean=0.5,
                                 eta_system_sigma=0.0, rng_seed=1),
                  SessionConfig(pulses=200_000),
-                 "3e2f1b5dcb9125da42d2e5c38d60aa0dbd346272fb8cebc2095ab9c3fc3c94a3",
+                 "53c3256f3ccff5e4102d4aba598d24faf02ca93f4f0fdccb5cebcab7cfe02fbe",
                  id="efficient-link-with-key"),
 ]
 
@@ -154,12 +154,13 @@ class TestGoldenReplay:
 
     Each digest is sha256 over ``report.to_kv()``, then every frame of
     Bob's transcript, then his packed secret key; the last case yields
-    2070 secret bits and the defaults 504, so privacy amplification is
+    1866 secret bits and the defaults 1176, so privacy amplification is
     covered.  The digests were recorded with numpy 2.4.6, whose generators
-    fix the draws, at ``PROTOCOL_VERSION`` 2 (Cascade bisection, Toeplitz
-    privacy amplification).  A change that deliberately alters keys or
-    frames (for example a new privacy-amplification hash with a
-    ``PROTOCOL_VERSION`` bump) updates these digests in that same change.
+    fix the draws, at ``PROTOCOL_VERSION`` 3 (fired-gate channel draws,
+    Alice's bits unpacked from random bytes).  A change that deliberately
+    alters keys or frames (for example a new privacy-amplification hash
+    with a ``PROTOCOL_VERSION`` bump) updates these digests in that same
+    change.
     """
 
     @pytest.mark.parametrize("params, cfg, digest", GOLDEN_CASES)

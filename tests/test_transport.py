@@ -1,9 +1,20 @@
+import socket
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from fsqkd.messages import Abort, Done, Hello, Kind, SampleReveal, encode, message_for
+from fsqkd.messages import (
+    Abort,
+    Done,
+    Hello,
+    Kind,
+    SampleReveal,
+    decode,
+    encode,
+    message_for,
+)
 from fsqkd.transport import (
     ChannelTimeout,
     ProtocolError,
@@ -111,6 +122,44 @@ class TestSockets:
         finally:
             server.close()
             client.close()
+
+    def test_oversized_length_prefix_aborts(self):
+        # a raw peer announces a 4 GiB body; the endpoint must refuse it
+        # before reading, answer Abort and raise, without allocating it
+        ready = threading.Event()
+        box = {}
+
+        def server():
+            def on_ready(addr):
+                box["addr"] = addr
+                ready.set()
+            endpoint = serve_one(("127.0.0.1", 0), timeout_s=5.0, ready_callback=on_ready)
+            tracemalloc.start()
+            try:
+                endpoint.recv()
+            except ProtocolError as exc:
+                box["error"] = exc
+            finally:
+                box["peak"] = tracemalloc.get_traced_memory()[1]
+                tracemalloc.stop()
+                endpoint.close()
+
+        thread = threading.Thread(target=server)
+        thread.start()
+        assert ready.wait(5.0)
+        with socket.create_connection(box["addr"], timeout=5.0) as peer:
+            peer.sendall(b"\xff\xff\xff\xff")
+            reply = b""
+            while True:
+                chunk = peer.recv(4096)
+                if not chunk:
+                    break
+                reply += chunk
+        thread.join(5.0)
+        assert not thread.is_alive()
+        assert isinstance(box.get("error"), ProtocolError)
+        assert box["peak"] < 2**20
+        assert decode(reply).kind is Kind.ABORT
 
     def test_connect_refused(self):
         with pytest.raises(OSError):
