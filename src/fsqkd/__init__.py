@@ -8,7 +8,6 @@ from .channel import (
     draw_eta_system,
     simulate_channel,
 )
-from .core import KeyBuffer, Stage, compare_keys
 from .messages import Kind, Message, decode, encode, leak_meter
 from .params import ProtocolParams
 from .privacy import (

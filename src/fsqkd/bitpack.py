@@ -29,10 +29,6 @@ def unpack_bits(data: bytes, nbits: int) -> np.ndarray:
     return np.unpackbits(arr, count=nbits).astype(np.uint8)
 
 
-def parity(bits: np.ndarray) -> int:
-    return int(np.bitwise_xor.reduce(np.asarray(bits, dtype=np.uint8))) & 1 if len(bits) else 0
-
-
 def encode_varint(value: int, out: bytearray) -> None:
     if value < 0:
         raise ValueError("varints are unsigned")
@@ -141,14 +137,6 @@ def decode_index_list(data: bytes, offset: int) -> tuple[np.ndarray, int]:
     if np.any(values < 0):
         raise ValueError("index beyond 2**63")
     return values, offset + size
-
-
-def delta_encode(indices: np.ndarray) -> np.ndarray:
-    """The delta form itself ([3, 7, 9] -> [3, 4, 2]); exposed for tests."""
-    indices = np.asarray(indices, dtype=np.int64)
-    if len(indices) == 0:
-        return indices.copy()
-    return np.concatenate([indices[:1], np.diff(indices)])
 
 
 def encode_bit_list(bits: np.ndarray) -> bytes:

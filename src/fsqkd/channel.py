@@ -17,10 +17,11 @@ at 1 - exp(-eta_q * eta_system * nbar).
 The simulation draws only what the model makes observable.  A photon
 clicks when it survives (probability eta_system), takes the path of the
 analyzer matching Alice's state (1/2; the other analyzer is orthogonal to
-it) and passes the projection (1/2).  Thinning a Poisson count by an
-independent per-photon probability leaves it Poisson, so within a block of
-fixed eta_system the clicks of a gate are Poisson with mean
-nbar * eta_system / 4 (binomial over the photons with a photon-count
+it) and passes the projection (1/2); ``eta_q`` is the product of those
+two factors, 1/4 by default.  Thinning a Poisson count by an independent
+per-photon probability leaves it Poisson, so within a block of fixed
+eta_system the clicks of a gate are Poisson with mean
+nbar * eta_q * eta_system (binomial over the photons with a photon-count
 override), all on the detector Alice's bit selects until each is moved to
 the other detector with probability ``optical_error_prob``.  Each detector
 also fires from noise with probability ``p_bg_half + p_dark``,
@@ -140,7 +141,7 @@ def simulate_block(alice_bits: np.ndarray, first_tick: int, params: ProtocolPara
     click, so a block is fully determined by its stream.
     """
     n = len(alice_bits)
-    p_click = eta_system_now / 4.0
+    p_click = params.eta_q * eta_system_now
     if photon_count_override is None:
         p_signal = -math.expm1(-params.mean_photon_number * p_click)
     else:
@@ -169,35 +170,30 @@ def simulate_block(alice_bits: np.ndarray, first_tick: int, params: ProtocolPara
 
 @dataclass
 class ChannelRun:
-    """Aggregate result of simulating a whole session's worth of gates."""
+    """Result of simulating a whole session's worth of gates.
+
+    A one-field record rather than the batch itself: the benchmark's tracer
+    reads ``.detections`` from the result of ``simulate_channel``.
+    """
 
     detections: DetectionBatch
-    etas: np.ndarray
-    block_size: int
 
 
 def simulate_channel(alice_bits: np.ndarray, params: ProtocolParams, seed: int,
-                     block_size: int, photon_count_override: int | None = None,
-                     eta_system_override: float | None = None) -> ChannelRun:
-    """Run the full channel in blocks, redrawing eta_system per block."""
+                     block_size: int, photon_count_override: int | None = None) -> ChannelRun:
+    """Run the full channel in blocks, redrawing eta_system per block.
+
+    For a fixed efficiency set ``eta_system_sigma=0``: every block then
+    runs at ``eta_system_mean``.  Efficiency and gate draws come from
+    separate streams, so fixing the efficiency leaves the gate stream as
+    it is.
+    """
     n = len(alice_bits)
     if block_size <= 0:
         raise ValueError("block_size must be positive")
-    if eta_system_override is not None and not 0.0 <= eta_system_override <= 1.0:
-        raise ValueError("eta_system_override must lie in [0, 1]")
     batches = []
-    etas = []
     for b, start in enumerate(range(0, n, block_size)):
-        block_bits = alice_bits[start : start + block_size]
-        if eta_system_override is not None:
-            eta_now = float(eta_system_override)
-        else:
-            eta_now = draw_eta_system(params, stream(seed, f"eta/{b}"))
-        batches.append(simulate_block(block_bits, start, params, eta_now,
-                                      stream(seed, f"gates/{b}"), photon_count_override))
-        etas.append(eta_now)
-    return ChannelRun(
-        detections=DetectionBatch.concatenate(batches),
-        etas=np.array(etas, dtype=np.float64),
-        block_size=block_size,
-    )
+        eta_now = draw_eta_system(params, stream(seed, f"eta/{b}"))
+        batches.append(simulate_block(alice_bits[start : start + block_size], start, params,
+                                      eta_now, stream(seed, f"gates/{b}"), photon_count_override))
+    return ChannelRun(detections=DetectionBatch.concatenate(batches))

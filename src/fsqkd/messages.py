@@ -95,6 +95,18 @@ def _take(data: bytes, offset: int, count: int) -> tuple[bytes, int]:
     return data[offset : offset + count], offset + count
 
 
+def _decode_estimate(data: bytes, offset: int) -> tuple[int, int]:
+    """An error estimate ``est_num / est_den``, at most one.
+
+    0/0 is legal: it stands for an empty sample.
+    """
+    est_num, offset = decode_varint(data, offset)
+    est_den, offset = decode_varint(data, offset)
+    if est_num > est_den:
+        raise MessageFormatError(f"error estimate {est_num}/{est_den} exceeds one")
+    return est_num, est_den
+
+
 @dataclass(frozen=True)
 class Hello:
     version: int
@@ -186,8 +198,7 @@ class ShuffleSeed:
         pass_no, off = decode_varint(data, 0)
         raw_seed, off = _take(data, off, 8)
         block_size, off = decode_varint(data, off)
-        est_num, off = decode_varint(data, off)
-        est_den, off = decode_varint(data, off)
+        est_num, est_den = _decode_estimate(data, off)
         return cls(pass_no, int.from_bytes(raw_seed, "big"), block_size,
                    est_num, est_den)
 
@@ -289,8 +300,7 @@ class PaSeed:
     def unpack(cls, data: bytes) -> "PaSeed":
         raw_seed, off = _take(data, 0, 8)
         output_length, off = decode_varint(data, off)
-        est_num, off = decode_varint(data, off)
-        est_den, off = decode_varint(data, off)
+        est_num, est_den = _decode_estimate(data, off)
         return cls(seed=int.from_bytes(raw_seed, "big"),
                    output_length=output_length,
                    est_num=est_num, est_den=est_den)

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import KeyBuffer, Stage
 from .reconciliation import shannon_leak_per_bit
 from .rng import stream
 
@@ -76,7 +75,7 @@ def toeplitz_seed_bits(seed: int, input_length: int, output_length: int) -> np.n
     return (stream(seed, "pa-toeplitz").random(count) < 0.5).astype(np.uint8)
 
 
-def compress(key: KeyBuffer, plan: PaPlan) -> KeyBuffer:
+def compress(key: np.ndarray, plan: PaPlan) -> np.ndarray:
     """Apply the planned Toeplitz compression to a corrected key.
 
     Output bit i is ``sum_j t[i - j + n - 1] * key[j]`` mod 2, where t are
@@ -91,14 +90,12 @@ def compress(key: KeyBuffer, plan: PaPlan) -> KeyBuffer:
     if n > MAX_INPUT_BITS:
         raise ValueError(f"key of {n} bits exceeds the {MAX_INPUT_BITS}-bit limit")
     if m == 0:
-        return KeyBuffer(stage=Stage.SECRET, bits=np.zeros(0, dtype=np.uint8),
-                         leaked_bits=key.leaked_bits)
+        return np.zeros(0, dtype=np.uint8)
     size = 1 << (n + m - 2).bit_length()
     spectrum = np.fft.rfft(toeplitz_seed_bits(plan.seed, n, m), size)
-    spectrum *= np.fft.rfft(key.bits, size)
+    spectrum *= np.fft.rfft(key, size)
     product = np.fft.irfft(spectrum, size)[n - 1 : n - 1 + m]
-    out = (np.rint(product).astype(np.int64) & 1).astype(np.uint8)
-    return KeyBuffer(stage=Stage.SECRET, bits=out, leaked_bits=key.leaked_bits)
+    return (np.rint(product).astype(np.int64) & 1).astype(np.uint8)
 
 
 def write_secret_key(path, bits: np.ndarray, session_hex: str) -> None:

@@ -4,7 +4,7 @@ Alice maps each random bit to one of the two non-orthogonal states (+45deg
 for 0, vertical for 1); Bob records conclusive detections indexed by clock
 tick and later reveals the locations, but never the values, of those
 detections.  Alice keeps exactly the raw bits at the revealed locations -
-the sifted key.
+the sifted key.  Keys are uint8 arrays of 0/1 bits.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from __future__ import annotations
 import numpy as np
 
 from .channel import DetectionBatch
-from .core import KeyBuffer, Stage
 from .rng import random_bits
 
 
@@ -23,26 +22,22 @@ def alice_generate(n_pulses: int, rng: np.random.Generator) -> np.ndarray:
     return random_bits(rng, n_pulses)
 
 
-def bob_receive(batch: DetectionBatch) -> KeyBuffer:
-    """Bob's sifted key from an ordered detection log.
+def bob_receive(batch: DetectionBatch) -> tuple[np.ndarray, np.ndarray]:
+    """Bob's sifted key from an ordered detection log, as ``(ticks, bits)``.
 
     Conclusive events contribute one sifted bit each; empty gates and dual
     fires contribute nothing.  Out-of-order input is rejected.
     """
     if len(batch) > 1 and np.any(np.diff(batch.ticks) <= 0):
         raise ValueError("detection events must be ordered by strictly increasing tick")
-    return KeyBuffer(
-        stage=Stage.SIFTED,
-        bits=batch.conclusive_bits(),
-        indices=batch.conclusive_ticks(),
-    )
+    return batch.conclusive_ticks(), batch.conclusive_bits()
 
 
-def sift(raw_bits: np.ndarray, detection_indices: np.ndarray) -> KeyBuffer:
+def sift(raw_bits: np.ndarray, detection_indices: np.ndarray) -> np.ndarray:
     """Alice's sifted key: her raw bits at Bob's detection ticks.
 
-    The index list is public but value-free, so the leak ledger does not
-    move.
+    The index list comes from the peer, so it is checked for range and
+    order before use.
     """
     indices = np.asarray(detection_indices, dtype=np.int64)
     if len(indices):
@@ -50,4 +45,4 @@ def sift(raw_bits: np.ndarray, detection_indices: np.ndarray) -> KeyBuffer:
             raise ValueError("detection index out of range")
         if np.any(np.diff(indices) <= 0):
             raise ValueError("detection indices must be strictly increasing")
-    return KeyBuffer(stage=Stage.SIFTED, bits=raw_bits[indices], indices=indices)
+    return raw_bits[indices]

@@ -14,9 +14,10 @@ passes, so round trips grow with passes, levels and backtracking rounds,
 never with the error count.
 
 A seeded random-parity hash closes the exchange; on mismatch one extra
-pass runs before the session aborts.  Disclosure is metered exactly:
-block parities plus one bit per bisection answer plus any sampled bits,
-never queries, seeds or indices.
+pass runs before the session aborts.  Keys are uint8 arrays of 0/1 bits.
+Disclosure is metered from the transcript alone (``leak_meter``): block
+parities plus one bit per bisection answer, never queries, seeds or
+indices; the session adds the sampled bits on top.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bitpack import pack_bits
-from .core import KeyBuffer, Stage
 # no longer used by the corrector; the benchmark's tracer still wraps this
 # name on the module, so it stays importable from here
 from .hamming import block_syndrome  # noqa: F401
@@ -42,7 +42,7 @@ from .messages import (
     leak_meter,
 )
 from .rng import draw_seed, stream
-from .transport import Endpoint, SessionAborted
+from .transport import Endpoint
 
 BLOCK_SIZE_MIN = 8
 BLOCK_SIZE_MAX = 4096
@@ -68,7 +68,7 @@ class ReconConfig:
 
 @dataclass
 class ReconOutcome:
-    corrected_key: KeyBuffer
+    corrected_key: np.ndarray
     estimated_ber: float
     disclosed_bits: int
     efficiency: float
@@ -158,12 +158,6 @@ def _sorted_unique(values: np.ndarray) -> np.ndarray:
     return values[keep]
 
 
-def _fail(endpoint: Endpoint, reason: str) -> None:
-    """Tell the peer why the exchange ends here, then end it."""
-    endpoint.abort(reason)
-    raise SessionAborted(reason, local=True)
-
-
 class _AliceCorrector:
     """Alice's view: bisects odd blocks toward Bob's reference key.
 
@@ -190,13 +184,13 @@ class _AliceCorrector:
     def begin_pass(self, announce: ShuffleSeed, bob_parities: np.ndarray) -> np.ndarray:
         """Build the announced pass; return its blocks that disagree with Bob."""
         if announce.pass_no != len(self.passes) + 1:
-            _fail(self.endpoint, f"pass {announce.pass_no} announced out of order")
+            self.endpoint.fail(f"pass {announce.pass_no} announced out of order")
         if announce.block_size < 1:
-            _fail(self.endpoint, "block size must be positive")
+            self.endpoint.fail("block size must be positive")
         n = len(self.bits)
         ps = _PassStructure(announce.pass_no, announce.seed, announce.block_size, n)
         if len(bob_parities) != len(ps.starts):
-            _fail(self.endpoint, "block parity count mismatch")
+            self.endpoint.fail("block parity count mismatch")
         bob_parities = np.asarray(bob_parities, dtype=np.uint8)
         inv = np.empty(n, dtype=np.int64)
         inv[ps.perm] = np.arange(n, dtype=np.int64)
@@ -243,7 +237,7 @@ class _AliceCorrector:
         reply = self.endpoint.expect(Kind.SYNDROME).payload
         if (reply.pass_no != current_pass or not np.array_equal(reply.blocks, ids)
                 or len(reply.bits) != len(ids)):
-            _fail(self.endpoint, "bisection reply does not match its query")
+            self.endpoint.fail("bisection reply does not match its query")
         for idx, (known, bob_prefix) in enumerate(zip(self.known, self.bob_prefix)):
             sel = pass_idx == idx
             known[mid[sel]] = True
@@ -292,7 +286,7 @@ class _AliceCorrector:
             self.bits[positions] ^= 1
             self.flips += len(positions)
             if self.flips > n:
-                _fail(self.endpoint, "bisection flipped more bits than the key holds")
+                self.endpoint.fail("bisection flipped more bits than the key holds")
             todo = {}
             for idx, ps in enumerate(self.passes):
                 touched = np.concatenate([lo[pass_idx == idx], self.inv[idx][positions]])
@@ -303,7 +297,7 @@ class _AliceCorrector:
                                     bits=np.zeros(0, dtype=np.uint8)))
 
 
-def _outcome(key: KeyBuffer, bits: np.ndarray, transcript, est_num: int, est_den: int,
+def _outcome(bits: np.ndarray, transcript, est_num: int, est_den: int,
              verified: bool, passes_run: int, flips: int, hash_rounds: int) -> ReconOutcome:
     """Meter one side's correction transcript and package the corrected key."""
     est = est_num / est_den if est_den else 0.0
@@ -311,18 +305,16 @@ def _outcome(key: KeyBuffer, bits: np.ndarray, transcript, est_num: int, est_den
     f_est = shannon_leak_per_bit(est)
     efficiency = (disclosed / (f_est * len(bits))) if f_est > 0 else (
         0.0 if disclosed == 0 else math.inf)
-    corrected = KeyBuffer(stage=Stage.CORRECTED, bits=bits,
-                          leaked_bits=key.leaked_bits + disclosed)
-    return ReconOutcome(corrected_key=corrected, estimated_ber=est,
+    return ReconOutcome(corrected_key=bits, estimated_ber=est,
                         disclosed_bits=disclosed, efficiency=efficiency,
                         verified=verified, passes_run=passes_run,
                         flips=flips, hash_rounds=hash_rounds,
                         est_num=est_num, est_den=est_den)
 
 
-def _reconcile_alice(key: KeyBuffer, endpoint: Endpoint, config: ReconConfig,
+def _reconcile_alice(key: np.ndarray, endpoint: Endpoint, config: ReconConfig,
                      first_message=None) -> ReconOutcome:
-    bits = key.bits.copy()
+    bits = np.array(key, dtype=np.uint8)
     corr = _AliceCorrector(bits, endpoint)
     transcript_start = len(endpoint.messages)
     est_num, est_den = 0, 1
@@ -340,12 +332,17 @@ def _reconcile_alice(key: KeyBuffer, endpoint: Endpoint, config: ReconConfig,
                 est_num, est_den = announce.est_num, announce.est_den
             parity_msg = endpoint.expect(Kind.BLOCK_PARITY).payload
             if parity_msg.pass_no != announce.pass_no:
-                _fail(endpoint, "parity pass number mismatch")
+                endpoint.fail("parity pass number mismatch")
             odd_blocks = corr.begin_pass(announce, parity_msg.parities)
             corr.drain(odd_blocks)
             passes_run += 1
         elif message.kind is Kind.VERIFY_HASH:
             theirs = message.payload
+            # the length was agreed through the session digest; hashing a
+            # length the peer picks would cost a key-sized row per bit
+            if theirs.nbits != config.hash_bits:
+                endpoint.fail(f"verify hash of {theirs.nbits} bits, "
+                              f"agreed {config.hash_bits}")
             hash_rounds += 1
             mine = _verify_hash_bits(bits, theirs.seed, theirs.nbits)
             endpoint.send(VerifyHash(seed=theirs.seed, digest=mine, nbits=theirs.nbits))
@@ -354,8 +351,8 @@ def _reconcile_alice(key: KeyBuffer, endpoint: Endpoint, config: ReconConfig,
                 break
             # Bob decides: one extra pass arrives next, or an abort.
         else:
-            _fail(endpoint, "unexpected BlockParity")
-    return _outcome(key, bits, endpoint.messages[transcript_start:], est_num, est_den,
+            endpoint.fail("unexpected BlockParity")
+    return _outcome(bits, endpoint.messages[transcript_start:], est_num, est_den,
                     verified, passes_run, corr.flips, hash_rounds)
 
 
@@ -382,18 +379,18 @@ def _serve_pass(endpoint: Endpoint, prefixes: list[np.ndarray], bits: np.ndarray
     while True:
         query = endpoint.expect(Kind.SYNDROME).payload
         if not query.is_query or query.pass_no != pass_no:
-            _fail(endpoint, f"expected a bisection query for pass {pass_no}")
+            endpoint.fail(f"expected a bisection query for pass {pass_no}")
         if len(query.blocks) == 0:
             return
         if query.blocks[-1] >= len(prefixes) * len(bits):
-            _fail(endpoint, "bisection query names a pass not yet built")
+            endpoint.fail("bisection query names a pass not yet built")
         answers = _bisection_answers(query.blocks, prefixes, len(bits))
         endpoint.send(Syndrome(pass_no=pass_no, blocks=query.blocks, bits=answers))
 
 
-def _reconcile_bob(key: KeyBuffer, endpoint: Endpoint, config: ReconConfig,
+def _reconcile_bob(key: np.ndarray, endpoint: Endpoint, config: ReconConfig,
                    est_num: int, est_den: int, rng: np.random.Generator) -> ReconOutcome:
-    bits = key.bits.copy()
+    bits = np.array(key, dtype=np.uint8)
     transcript_start = len(endpoint.messages)
     est = est_num / est_den if est_den else 0.0
     schedule = block_schedule(est, len(bits), config.passes)
@@ -416,7 +413,7 @@ def _reconcile_bob(key: KeyBuffer, endpoint: Endpoint, config: ReconConfig,
             verified = True
             break
         if not extra_available:
-            _fail(endpoint, "corrected keys still differ after extra pass")
+            endpoint.fail("corrected keys still differ after extra pass")
         extra_available = False
         pass_no = passes_run + 1
         # restart near the bottom of the ladder: whatever survived the
@@ -425,18 +422,19 @@ def _reconcile_bob(key: KeyBuffer, endpoint: Endpoint, config: ReconConfig,
         _serve_pass(endpoint, prefixes, bits, pass_no, draw_seed(rng),
                     extra_k, est_num, est_den)
         passes_run += 1
-    return _outcome(key, bits, endpoint.messages[transcript_start:], est_num, est_den,
+    return _outcome(bits, endpoint.messages[transcript_start:], est_num, est_den,
                     verified, passes_run, 0, hash_rounds)
 
 
-def reconcile(key: KeyBuffer, endpoint: Endpoint, config: ReconConfig, role: str,
+def reconcile(key: np.ndarray, endpoint: Endpoint, config: ReconConfig, role: str,
               est_num: int, est_den: int,
               rng: np.random.Generator | None = None,
               first_message=None) -> ReconOutcome:
     """Run one side of the correction exchange; ``role`` is alice or bob.
 
     Alice ends up with Bob's key (he is the reference); the estimate is
-    announced by Bob with the first pass.  ``first_message`` lets a caller
+    announced by Bob with the first pass.  The input key is left as it is;
+    the outcome carries a corrected copy.  ``first_message`` lets a caller
     hand Alice a message it already pulled off the channel.
     """
     if len(key) == 0:
@@ -450,11 +448,11 @@ def reconcile(key: KeyBuffer, endpoint: Endpoint, config: ReconConfig, role: str
     raise ValueError("role must be 'alice' or 'bob'")
 
 
-def estimate_ber_bob(key: KeyBuffer, endpoint: Endpoint, config: ReconConfig,
-                     rng: np.random.Generator) -> tuple[int, int, KeyBuffer]:
-    """Bob's half of estimation: sample, compare, trim.
+def estimate_ber_bob(key: np.ndarray, endpoint: Endpoint, config: ReconConfig,
+                     rng: np.random.Generator) -> tuple[int, int, np.ndarray]:
+    """Bob's half of estimation: sample, compare, drop the sample.
 
-    Returns ``(disagreements, sample_size, trimmed_key)``.
+    Returns ``(disagreements, sample_size, remaining_key)``.
     """
     n = len(key)
     if n == 0:
@@ -464,33 +462,20 @@ def estimate_ber_bob(key: KeyBuffer, endpoint: Endpoint, config: ReconConfig,
     endpoint.send(SampleRequest(positions=positions))
     reveal = endpoint.expect(Kind.SAMPLE_REVEAL).payload
     if len(reveal.bits) != sample_size:
-        raise SessionAborted("sample reveal size mismatch", local=True)
-    disagreements = int(np.count_nonzero(reveal.bits != key.bits[positions]))
-    return disagreements, sample_size, _trim(key, positions)
+        endpoint.fail("sample reveal size mismatch")
+    disagreements = int(np.count_nonzero(reveal.bits != key[positions]))
+    return disagreements, sample_size, np.delete(key, positions)
 
 
-def estimate_ber_alice(key: KeyBuffer, endpoint: Endpoint,
-                       first_message=None) -> KeyBuffer:
-    """Alice's half: reveal the requested bits, trim the same positions."""
+def estimate_ber_alice(key: np.ndarray, endpoint: Endpoint,
+                       first_message=None) -> np.ndarray:
+    """Alice's half: reveal the requested bits, drop the same positions."""
     if first_message is None:
         first_message = endpoint.expect(Kind.SAMPLE_REQUEST)
-    request = first_message.payload
-    positions = request.positions
+    positions = first_message.payload.positions
     if len(positions) == 0:
-        raise SessionAborted("empty sample request", local=True)
-    if len(key) == 0 or positions[-1] >= len(key):
-        raise SessionAborted("sample position out of range", local=True)
-    endpoint.send(SampleReveal(bits=key.bits[positions]))
-    return _trim(key, positions)
-
-
-def _trim(key: KeyBuffer, positions: np.ndarray) -> KeyBuffer:
-    keep = np.ones(len(key), dtype=bool)
-    keep[positions] = False
-    return KeyBuffer(
-        stage=key.stage,
-        bits=key.bits[keep],
-        indices=key.indices[keep] if key.indices is not None else None,
-        leaked_bits=key.leaked_bits + len(positions),
-    )
-
+        endpoint.fail("empty sample request")
+    if positions[-1] >= len(key):
+        endpoint.fail("sample position out of range")
+    endpoint.send(SampleReveal(bits=key[positions]))
+    return np.delete(key, positions)

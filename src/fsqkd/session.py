@@ -29,7 +29,6 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .channel import Cause, DetectionBatch, simulate_channel
-from .core import KeyBuffer, Stage
 from .messages import Done, Hello, Kind, PaSeed, SiftIndices, PROTOCOL_VERSION
 from .params import ProtocolParams
 from .privacy import PaPlan, compress, plan_output_length
@@ -43,7 +42,7 @@ from .reconciliation import (
     shannon_leak_per_bit,
 )
 from .rng import draw_seed, stream
-from .transport import Endpoint, SessionAborted, loopback_pair
+from .transport import Endpoint, loopback_pair
 
 
 @dataclass(frozen=True)
@@ -222,7 +221,6 @@ class SessionResult:
     secret_bits: np.ndarray
     session_hex: str
     frames: list[bytes]
-    recon: ReconOutcome | None = None
     duration_s: float = 0.0
 
 
@@ -266,9 +264,8 @@ def _pa_output_length(outcome: ReconOutcome, nbar: float, cfg: SessionConfig,
 def _expect_hello(endpoint: Endpoint) -> Hello:
     hello = endpoint.expect(Kind.HELLO).payload
     if hello.version != PROTOCOL_VERSION:
-        reason = f"protocol version mismatch: peer {hello.version}, local {PROTOCOL_VERSION}"
-        endpoint.abort(reason)
-        raise SessionAborted(reason, local=True)
+        endpoint.fail(f"protocol version mismatch: peer {hello.version}, "
+                      f"local {PROTOCOL_VERSION}")
     return hello
 
 
@@ -284,19 +281,16 @@ def _yield_possible(corrected_len: int, nbar: float, est_num: int, est_den: int,
     return plan_output_length(corrected_len, nbar, est, 1.0, sampled_bits) > 0
 
 
-def _skipped_outcome(trimmed, est_num: int, est_den: int) -> ReconOutcome:
-    corrected = KeyBuffer(stage=Stage.CORRECTED, bits=trimmed.bits.copy(),
-                          leaked_bits=trimmed.leaked_bits)
-    return ReconOutcome(corrected_key=corrected,
+def _skipped_outcome(key: np.ndarray, est_num: int, est_den: int) -> ReconOutcome:
+    return ReconOutcome(corrected_key=key,
                         estimated_ber=est_num / est_den if est_den else 0.0,
                         disclosed_bits=0, efficiency=0.0, verified=False,
                         passes_run=0, flips=0, hash_rounds=0,
                         est_num=est_num, est_den=est_den)
 
 
-def _finish_report(report: SessionReport, params: ProtocolParams, outcome: ReconOutcome,
-                   sampled_bits: int, sifted_len: int, secret_len: int,
-                   cfg: SessionConfig) -> None:
+def _finish_report(report: SessionReport, outcome: ReconOutcome, sampled_bits: int,
+                   sifted_len: int, secret_len: int, cfg: SessionConfig) -> None:
     report.sifted_len = sifted_len
     report.sampled_bits = sampled_bits
     report.corrected_len = len(outcome.corrected_key)
@@ -324,23 +318,20 @@ def run_bob(endpoint: Endpoint, params: ProtocolParams, cfg: SessionConfig) -> S
     seed = params.rng_seed
     hello = _expect_hello(endpoint)
     if hello.params_digest != session_digest(params, cfg):
-        reason = "session configuration mismatch"
-        endpoint.abort(reason)
-        raise SessionAborted(reason, local=True)
+        endpoint.fail("session configuration mismatch")
     endpoint.send(Hello(version=PROTOCOL_VERSION,
                         params_digest=session_digest(params, cfg), seed=seed))
 
     alice_bits = _derive_alice_bits(params, cfg, seed)
     run = simulate_channel(alice_bits, params, seed, cfg.block_size)
-    sifted = bob_receive(run.detections)
-    endpoint.send(SiftIndices(indices=sifted.indices))
+    ticks, sifted = bob_receive(run.detections)
+    endpoint.send(SiftIndices(indices=ticks))
 
     pa_rng = stream(seed, "bob-pa")
     if len(sifted) == 0:
-        est_errors, est_sample, trimmed = 0, 0, sifted
-        outcome = _skipped_outcome(trimmed, 0, 0)
-        secret_bits = _announce_plan_and_compress(
-            endpoint, outcome, 0, pa_rng)
+        est_sample = 0
+        outcome = _skipped_outcome(sifted, 0, 0)
+        secret_bits = _announce_plan_and_compress(endpoint, outcome, 0, pa_rng)
     else:
         est_errors, est_sample, trimmed = estimate_ber_bob(
             sifted, endpoint, cfg.recon, stream(seed, "bob-sample"))
@@ -359,12 +350,11 @@ def run_bob(endpoint: Endpoint, params: ProtocolParams, cfg: SessionConfig) -> S
     endpoint.send(Done())
 
     report = _base_report(params, cfg, seed, "bob")
-    _finish_report(report, params, outcome, est_sample,
-                   len(sifted), len(secret_bits), cfg)
-    _attach_truth(report, alice_bits, sifted, run.detections)
+    _finish_report(report, outcome, est_sample, len(sifted), len(secret_bits), cfg)
+    _attach_truth(report, alice_bits, ticks, sifted, run.detections)
     return SessionResult(role="bob", report=report, secret_bits=secret_bits,
                          session_hex=session_hex(params, cfg, seed),
-                         frames=list(endpoint.frames), recon=outcome,
+                         frames=list(endpoint.frames),
                          duration_s=time.monotonic() - t0)
 
 
@@ -375,15 +365,14 @@ def _announce_plan_and_compress(endpoint, outcome: ReconOutcome,
                          est_num=outcome.est_num, est_den=outcome.est_den))
     plan = PaPlan(input_length=len(outcome.corrected_key),
                   output_length=output_len, seed=pa_seed)
-    return compress(outcome.corrected_key, plan).bits
+    return compress(outcome.corrected_key, plan)
 
 
-def _attach_truth(report: SessionReport, alice_bits: np.ndarray, sifted: KeyBuffer,
-                  detections: DetectionBatch) -> None:
+def _attach_truth(report: SessionReport, alice_bits: np.ndarray, ticks: np.ndarray,
+                  sifted: np.ndarray, detections: DetectionBatch) -> None:
     """Simulation-truth error decomposition, available on the channel host."""
     causes = detections.causes[detections.conclusive_mask()]
-    truth = alice_bits[sifted.indices]
-    errors = sifted.bits != truth
+    errors = sifted != alice_bits[ticks]
     report.true_errors = int(np.count_nonzero(errors))
     report.true_ber = report.true_errors / len(sifted) if len(sifted) else 0.0
     for cause, err_name, tot_name, comp_name in (
@@ -419,7 +408,6 @@ def run_alice(endpoint: Endpoint, params: ProtocolParams, cfg: SessionConfig) ->
     # hopeless by planning a zero-length key straight away
     trimmed = sifted
     sampled_bits = 0
-    outcome = None
     message = endpoint.expect(Kind.SAMPLE_REQUEST, Kind.SHUFFLE_SEED, Kind.PA_SEED)
     if message.kind is Kind.SAMPLE_REQUEST:
         trimmed = estimate_ber_alice(sifted, endpoint, first_message=message)
@@ -436,15 +424,11 @@ def run_alice(endpoint: Endpoint, params: ProtocolParams, cfg: SessionConfig) ->
         outcome = _skipped_outcome(trimmed, pa_msg.est_num, pa_msg.est_den)
         if _yield_possible(len(trimmed), params.mean_photon_number,
                            pa_msg.est_num, pa_msg.est_den, sampled_bits):
-            reason = "peer skipped correction despite a possible yield"
-            endpoint.abort(reason)
-            raise SessionAborted(reason, local=True)
+            endpoint.fail("peer skipped correction despite a possible yield")
         expected_len = 0
     if pa_msg.output_length != expected_len:
-        reason = (f"privacy-amplification length disagreement: "
-                  f"peer {pa_msg.output_length}, local {expected_len}")
-        endpoint.abort(reason)
-        raise SessionAborted(reason, local=True)
+        endpoint.fail(f"privacy-amplification length disagreement: "
+                      f"peer {pa_msg.output_length}, local {expected_len}")
     plan = PaPlan(input_length=len(outcome.corrected_key),
                   output_length=pa_msg.output_length, seed=pa_msg.seed)
     secret = compress(outcome.corrected_key, plan)
@@ -453,11 +437,10 @@ def run_alice(endpoint: Endpoint, params: ProtocolParams, cfg: SessionConfig) ->
 
     report = _base_report(params, cfg, seed, "alice")
     report.recon_flips = outcome.flips
-    _finish_report(report, params, outcome, sampled_bits,
-                   len(sifted), len(secret), cfg)
-    return SessionResult(role="alice", report=report, secret_bits=secret.bits,
+    _finish_report(report, outcome, sampled_bits, len(sifted), len(secret), cfg)
+    return SessionResult(role="alice", report=report, secret_bits=secret,
                          session_hex=session_hex(params, cfg, seed),
-                         frames=list(endpoint.frames), recon=outcome,
+                         frames=list(endpoint.frames),
                          duration_s=time.monotonic() - t0)
 
 

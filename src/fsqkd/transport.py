@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import queue
 import socket as socketlib
+from typing import NoReturn
 
 from .messages import (
     MAX_BODY_BYTES,
@@ -113,6 +114,11 @@ class Endpoint:
             self.send(Abort(reason=reason))
         except Exception:
             pass
+
+    def fail(self, reason: str) -> NoReturn:
+        """Tell the peer why the exchange ends here, then end it."""
+        self.abort(reason)
+        raise SessionAborted(reason, local=True)
 
     def close(self) -> None:
         pass

@@ -1,0 +1,96 @@
+"""The benchmark's tracer still finds every layer it wraps.
+
+``perfbench/tracing.py`` wraps fsqkd functions by name, on the module
+globals their callers look them up through.  A refactor that renames one
+of those names, or stops calling it through its module, would otherwise
+only show when the benchmark runs.  This test loads the tracer from its
+source (without writing bytecode next to it), runs one traced session and
+checks that every wrapped layer recorded a span.
+"""
+
+import types
+from pathlib import Path
+
+import numpy as np
+
+import fsqkd._kernels
+import fsqkd.channel
+import fsqkd.messages
+import fsqkd.privacy
+import fsqkd.reconciliation
+import fsqkd.session
+import fsqkd.transport
+from fsqkd.params import ProtocolParams
+from fsqkd.session import SessionConfig, run_simulation
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+SESSION, RECON = fsqkd.session, fsqkd.reconciliation
+# every (owner, name) the tracer replaces
+SITES = [
+    (SESSION, "run_alice"), (SESSION, "run_bob"), (SESSION, "alice_generate"),
+    (SESSION, "bob_receive"), (SESSION, "sift"), (SESSION, "simulate_channel"),
+    (SESSION, "estimate_ber_alice"), (SESSION, "estimate_ber_bob"),
+    (SESSION, "reconcile"), (SESSION, "compress"), (SESSION, "stream"),
+    (RECON, "_verify_hash_bits"), (RECON, "block_syndrome"), (RECON, "stream"),
+    (fsqkd.privacy, "stream"), (fsqkd.channel, "stream"),
+    (fsqkd._kernels, "channel_outcomes"),
+    (fsqkd.transport, "encode"), (fsqkd.transport, "decode"),
+    (fsqkd.messages, "encode_index_list"), (fsqkd.messages, "decode_index_list"),
+    (fsqkd.transport.LoopbackEndpoint, "_recv_frame"),
+]
+
+# The (span name, party) pairs a keyed session must record.
+# ``hamming.syndrome`` (the ``block_syndrome`` site) is left out: no session
+# calls Hamming code, and the name stays importable only because the
+# tracer wraps it.
+BOTH = ("alice", "bob")
+SPANS = {(name, party) for name, parties in {
+    "session": BOTH, "protocol.bits": BOTH, "protocol.detect": ("bob",),
+    "protocol.sift": ("alice",), "channel": ("bob",), "channel.kernel": ("bob",),
+    "messages.encode": BOTH, "messages.decode": BOTH, "bitpack.index_encode": BOTH,
+    "bitpack.index_decode": BOTH, "transport.wait": BOTH,
+    "reconciliation.estimate": BOTH, "reconciliation.reconcile": BOTH,
+    "reconciliation.verify_hash": BOTH, "privacy.compress": BOTH, "rng.stream": BOTH,
+}.items() for party in parties}
+
+# the span a ``stream`` call sits in tells which module's name it went through
+STREAM_CALLERS = {
+    "session": "session", "channel": "channel", "privacy.compress": "privacy",
+    "reconciliation.reconcile": "reconciliation",
+    "reconciliation.verify_hash": "reconciliation",
+}
+
+
+def load_tracing():
+    module = types.ModuleType("perfbench_tracing")
+    module.__file__ = str(TRACING)
+    exec(compile(TRACING.read_text(), str(TRACING), "exec"), module.__dict__)
+    return module
+
+
+def test_every_traced_layer_records_a_span():
+    tracing = load_tracing()
+    originals = [getattr(owner, name) for owner, name in SITES]
+    tracer, patches = tracing.Tracer(), tracing.Patches()
+    tracing.install(tracer, patches)
+    try:
+        replaced = [getattr(owner, name) is not original
+                    for (owner, name), original in zip(SITES, originals)]
+        params = ProtocolParams(mean_photon_number=0.35, eta_system_mean=0.5,
+                                eta_system_sigma=0.0, rng_seed=1)
+        sim = run_simulation(params, SessionConfig(pulses=200_000))
+    finally:
+        patches.restore()
+    assert all(replaced), [name for (_, name), ok in zip(SITES, replaced) if not ok]
+    assert all(getattr(owner, name) is original
+               for (owner, name), original in zip(SITES, originals))
+
+    assert np.array_equal(sim.alice.secret_bits, sim.bob.secret_bits)
+    assert len(sim.bob.secret_bits) > 0
+    recorded = {(span[1], span[2]) for span in tracer.spans}
+    assert SPANS <= recorded, SPANS - recorded
+    names = {span[0]: span[1] for span in tracer.spans}
+    stream_modules = {STREAM_CALLERS.get(names.get(span[5]))
+                      for span in tracer.spans if span[1] == "rng.stream"}
+    assert {"session", "channel", "privacy", "reconciliation"} <= stream_modules

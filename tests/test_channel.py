@@ -20,6 +20,11 @@ from fsqkd.rng import random_bits, stream
 QUIET = dict(background_prob_per_gate=0.0, dark_count_rate_hz=0.0)
 
 
+def fixed_eta(eta):
+    """Parameters that hold the system efficiency at ``eta`` in every block."""
+    return dict(eta_system_mean=eta, eta_system_sigma=0.0)
+
+
 class TestChannelParams:
     def test_negative_mean_rejected(self):
         with pytest.raises(ValueError):
@@ -30,6 +35,10 @@ class TestChannelParams:
         # firing probability would be meaningless
         with pytest.raises(ValueError, match="per-detector noise"):
             ProtocolParams(background_prob_per_gate=1.0, dark_count_rate_hz=1.2e8)
+
+    def test_eta_out_of_range_rejected(self):
+        with pytest.raises(ValueError):
+            ProtocolParams(eta_system_mean=1.5)
 
 
 class TestEtaSystem:
@@ -68,18 +77,17 @@ def _one_gate(bit, flips, noise):
 class TestTransmitPulse:
     def test_empty_pulse_quiet_gate_is_none(self):
         # no photons and silent detectors: no gate fires, the log stays empty
-        params = ProtocolParams(mean_photon_number=0.0, **QUIET)
+        params = ProtocolParams(mean_photon_number=0.0, **fixed_eta(1.0), **QUIET)
         run = simulate_channel(np.ones(100_000, dtype=np.uint8), params, seed=1,
-                               block_size=50_000, eta_system_override=1.0)
+                               block_size=50_000)
         assert len(run.detections) == 0
 
     def test_vertical_photon_blocked_by_h_analyzer(self):
         # a vertical photon never passes the horizontal-analysis path, so
         # without misalignment or noise detector 0 never fires for bit 1
-        params = ProtocolParams(optical_error_prob=0.0, **QUIET)
+        params = ProtocolParams(optical_error_prob=0.0, **fixed_eta(1.0), **QUIET)
         run = simulate_channel(np.ones(100_000, dtype=np.uint8), params, seed=2,
-                               block_size=50_000, photon_count_override=1,
-                               eta_system_override=1.0)
+                               block_size=50_000, photon_count_override=1)
         assert len(run.detections) > 20_000
         assert np.all(run.detections.outcomes == Outcome.BIT1)
 
@@ -87,12 +95,6 @@ class TestTransmitPulse:
         outcome, cause = _one_gate(1, [0.9], (0.99, 0.99))
         assert outcome is Outcome.BIT1
         assert cause is Cause.SIGNAL
-
-    def test_eta_out_of_range_rejected(self):
-        bits = np.zeros(10, dtype=np.uint8)
-        with pytest.raises(ValueError):
-            simulate_channel(bits, ProtocolParams(), seed=1, block_size=10,
-                             eta_system_override=1.5)
 
 
 # Per-fired-gate reference loop: the kernel must reproduce it gate for gate.
@@ -149,7 +151,7 @@ def _oracle(bits, clicks, u_noise, u_flip, p_bg_half, p_dark, p_opt_err):
     return outcomes, causes
 
 
-def _recorded_kernel_calls(monkeypatch, params, n, seed, **overrides):
+def _recorded_kernel_calls(monkeypatch, params, n, seed):
     """Run the channel and return every kernel call's arguments and result."""
     calls = []
     kernel = _kernels.channel_outcomes
@@ -161,7 +163,7 @@ def _recorded_kernel_calls(monkeypatch, params, n, seed, **overrides):
 
     monkeypatch.setattr(_kernels, "channel_outcomes", recording)
     bits = random_bits(stream(seed, "oracle-bits"), n)
-    simulate_channel(bits, params, seed=seed, block_size=50_000, **overrides)
+    simulate_channel(bits, params, seed=seed, block_size=50_000)
     return calls
 
 
@@ -183,9 +185,8 @@ class TestKernelOracle:
 
     def test_every_cause_branch_matches_oracle(self, monkeypatch):
         # heavy noise and misalignment so every outcome and cause occurs
-        params = ProtocolParams(mean_photon_number=2.0, **HEAVY_NOISE)
-        calls = _recorded_kernel_calls(monkeypatch, params, 100_000, 3,
-                                       eta_system_override=0.5)
+        params = ProtocolParams(mean_photon_number=2.0, **fixed_eta(0.5), **HEAVY_NOISE)
+        calls = _recorded_kernel_calls(monkeypatch, params, 100_000, 3)
         outcomes = np.concatenate([result[0] for _, result in calls])
         causes = np.concatenate([result[1] for _, result in calls])
         for args, (o, c) in calls:
@@ -206,7 +207,7 @@ def _cell_probabilities(params, eta, photon_count_override=None):
     whether any clicks on the other ("wrong"), and each detector's noise
     (none, background or dark).  Outcome 0 stands for an empty gate.
     """
-    q = eta / 4.0
+    q = params.eta_q * eta
     p_err = params.optical_error_prob
     if photon_count_override is None:
         lam = params.mean_photon_number * q
@@ -262,10 +263,10 @@ class TestCellFrequencies:
         (dict(**HEAVY_NOISE), 4_000_000, 1.0, 3),
     ], ids=["default", "heavy-noise", "heavy-noise-3-photons"])
     def test_cells_match_model(self, overrides, n, eta, pco):
-        params = ProtocolParams(**overrides)
+        params = ProtocolParams(**overrides, **fixed_eta(eta))
         bits = random_bits(stream(31, "cell-bits"), n)
         run = simulate_channel(bits, params, seed=31, block_size=50_000,
-                               photon_count_override=pco, eta_system_override=eta)
+                               photon_count_override=pco)
         det = run.detections
         fired_bits = bits[det.ticks].astype(np.int64)
         observed = np.bincount(fired_bits * 16 + det.outcomes.astype(np.int64) * 4
@@ -288,20 +289,18 @@ class TestCellFrequencies:
 class TestChannelStatistics:
     def test_detection_fraction_noise_off(self):
         # pure signal: conclusive fraction converges on 1 - exp(-nbar/4 * eta)
-        params = ProtocolParams(mean_photon_number=0.5, **QUIET)
+        params = ProtocolParams(mean_photon_number=0.5, **fixed_eta(0.13), **QUIET)
         bits = stream(21, "bits").integers(0, 2, 1_000_000).astype(np.uint8)
-        run = simulate_channel(bits, params, seed=21, block_size=100_000,
-                               eta_system_override=0.13)
+        run = simulate_channel(bits, params, seed=21, block_size=100_000)
         frac = np.count_nonzero(run.detections.conclusive_mask()) / len(bits)
         expected = 1.0 - math.exp(-0.25 * 0.13 * 0.5)
         sigma = math.sqrt(expected * (1 - expected) / len(bits))
         assert abs(frac - expected) < 3 * sigma
 
     def test_detection_fraction_with_defaults(self):
-        params = ProtocolParams(mean_photon_number=0.5)
+        params = ProtocolParams(mean_photon_number=0.5, **fixed_eta(0.13))
         bits = stream(22, "bits").integers(0, 2, 4_000_000).astype(np.uint8)
-        run = simulate_channel(bits, params, seed=22, block_size=100_000,
-                               eta_system_override=0.13)
+        run = simulate_channel(bits, params, seed=22, block_size=100_000)
         frac = np.count_nonzero(run.detections.conclusive_mask()) / len(bits)
         p_b = 1.0 - math.exp(-0.25 * 0.13 * 0.5)
         assert abs(frac - p_b) / p_b < 0.05
@@ -336,17 +335,29 @@ class TestChannelStatistics:
         rates = []
         n = 12_000_000
         for nbar in (0.2, 0.35, 0.5):
-            params = ProtocolParams(mean_photon_number=nbar)
+            params = ProtocolParams(mean_photon_number=nbar, **fixed_eta(0.13))
             bits = stream(25, f"bits{nbar}").integers(0, 2, n).astype(np.uint8)
-            run = simulate_channel(bits, params, seed=25, block_size=400_000,
-                                   eta_system_override=0.13)
+            run = simulate_channel(bits, params, seed=25, block_size=400_000)
             rates.append(run.detections.dual_fire_count() / n)
         assert rates[0] < rates[1] < rates[2]
 
     def test_photon_count_override(self):
-        params = ProtocolParams(**QUIET)
+        params = ProtocolParams(**fixed_eta(1.0), **QUIET)
         bits = stream(26, "bits").integers(0, 2, 100_000).astype(np.uint8)
         run = simulate_channel(bits, params, seed=26, block_size=50_000,
-                               photon_count_override=1, eta_system_override=1.0)
+                               photon_count_override=1)
         frac = np.count_nonzero(run.detections.conclusive_mask()) / len(bits)
         assert abs(frac - 0.25) < 0.01
+
+    def test_fired_fraction_follows_eta_q(self):
+        # the channel takes the protocol factor from the parameters, as the
+        # closed-form model does; bound fixed before running: |z| < 5
+        nbar, eta_q, eta = 0.5, 0.125, 0.5
+        params = ProtocolParams(mean_photon_number=nbar, eta_q=eta_q, **fixed_eta(eta))
+        n = 2_000_000
+        run = simulate_channel(random_bits(stream(27, "bits"), n), params, seed=27,
+                               block_size=100_000)
+        quiet = 1.0 - params.background_prob_per_gate / 2 - params.dark_prob_per_gate
+        p = 1.0 - math.exp(-nbar * eta_q * eta) * quiet ** 2
+        z = (len(run.detections) - n * p) / math.sqrt(n * p * (1.0 - p))
+        assert abs(z) < 5.0, z

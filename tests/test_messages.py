@@ -1,4 +1,5 @@
 import base64
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fsqkd.bitpack import decode_index_list, delta_encode, encode_index_list
+from fsqkd.bitpack import decode_index_list, encode_index_list
 from fsqkd.messages import (
     Abort,
     BlockParity,
@@ -69,11 +70,12 @@ class TestRoundTrip:
             elif kind == 1:
                 payload = SampleReveal(bits=rng.integers(0, 2, int(rng.integers(0, 64))).astype(np.uint8))
             elif kind == 2:
+                est_den = int(rng.integers(1, 10_001))
                 payload = ShuffleSeed(pass_no=int(rng.integers(1, 9)),
                                       seed=int(rng.integers(0, 2**63)),
                                       block_size=int(rng.integers(8, 4097)),
-                                      est_num=int(rng.integers(0, 500)),
-                                      est_den=int(rng.integers(1, 10_001)))
+                                      est_num=int(rng.integers(0, min(500, est_den + 1))),
+                                      est_den=est_den)
             elif kind == 3:
                 payload = BlockParity(pass_no=int(rng.integers(1, 9)),
                                       parities=rng.integers(0, 2, int(rng.integers(1, 200))).astype(np.uint8))
@@ -116,6 +118,18 @@ class TestRoundTrip:
             with pytest.raises(MessageFormatError):
                 cls.unpack(data)
 
+    @pytest.mark.parametrize("payload", [
+        ShuffleSeed(pass_no=1, seed=1, block_size=8, est_num=3, est_den=2),
+        PaSeed(seed=1, output_length=0, est_num=1, est_den=0),
+    ], ids=["ShuffleSeed", "PaSeed"])
+    def test_error_estimate_above_one_rejected(self, payload):
+        # a rate above one has no binary entropy; 0/0 (an empty sample) is legal
+        from fsqkd.messages import MessageFormatError
+        with pytest.raises(MessageFormatError, match="exceeds one"):
+            decode(encode(message_for(1, 0, payload)))
+        legal = dataclasses.replace(payload, est_num=0, est_den=0)
+        _roundtrip(message_for(1, 0, legal))
+
     def test_index_count_beyond_payload_rejected_before_allocation(self):
         # the varint declares 2**33 indices in a 5-byte payload
         tracemalloc.start()
@@ -130,10 +144,12 @@ class TestRoundTrip:
 
 class TestDeltaCoding:
     def test_delta_form(self):
-        assert delta_encode(np.array([3, 7, 9])).tolist() == [3, 4, 2]
+        # the count, then the first index and the gaps: [3, 7, 9] -> 3, 3, 4, 2
+        indices = np.array([3, 7, 9])
+        assert list(encode_index_list(indices)) == [3, *np.diff(indices, prepend=0)]
 
     def test_empty(self):
-        assert delta_encode(np.array([], dtype=np.int64)).tolist() == []
+        assert encode_index_list(np.array([], dtype=np.int64)) == b"\x00"
 
 
 class TestLeakMeter:

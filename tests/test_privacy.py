@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from fsqkd.core import KeyBuffer, Stage
 from fsqkd.privacy import (
     MAX_INPUT_BITS,
     PaPlan,
@@ -16,10 +15,6 @@ from fsqkd.privacy import (
     write_secret_key,
 )
 from fsqkd.rng import stream
-
-
-def corrected(bits):
-    return KeyBuffer(stage=Stage.CORRECTED, bits=np.asarray(bits, dtype=np.uint8))
 
 
 class TestPaFraction:
@@ -72,22 +67,22 @@ class TestPlanOutputLength:
 
 class TestCompress:
     def test_zero_output_length(self):
-        key = corrected(stream(1, "k").integers(0, 2, 64))
+        key = stream(1, "k").integers(0, 2, 64).astype(np.uint8)
         secret = compress(key, PaPlan(input_length=64, output_length=0, seed=5))
         assert len(secret) == 0
-        assert secret.stage is Stage.SECRET
+        assert secret.dtype == np.uint8
 
     def test_all_zero_input_gives_all_zero_output(self):
-        key = corrected(np.zeros(128, dtype=np.uint8))
+        key = np.zeros(128, dtype=np.uint8)
         secret = compress(key, PaPlan(input_length=128, output_length=32, seed=9))
-        assert not secret.bits.any()
+        assert not secret.any()
 
     def test_both_parties_agree_from_shared_seed(self):
         bits = stream(2, "k").integers(0, 2, 500).astype(np.uint8)
         plan = PaPlan(input_length=500, output_length=120, seed=77)
-        s1 = compress(corrected(bits), plan)
-        s2 = compress(corrected(bits.copy()), plan)
-        assert np.array_equal(s1.bits, s2.bits)
+        s1 = compress(bits, plan)
+        s2 = compress(bits.copy(), plan)
+        assert np.array_equal(s1, s2)
 
     def test_linearity(self):
         # Toeplitz hashing is a linear map over GF(2)
@@ -96,14 +91,14 @@ class TestCompress:
         for _ in range(25):
             a = rng.integers(0, 2, 200).astype(np.uint8)
             b = rng.integers(0, 2, 200).astype(np.uint8)
-            sa = compress(corrected(a), plan).bits
-            sb = compress(corrected(b), plan).bits
-            sab = compress(corrected(a ^ b), plan).bits
+            sa = compress(a, plan)
+            sb = compress(b, plan)
+            sab = compress(a ^ b, plan)
             assert np.array_equal(sab, sa ^ sb)
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            compress(corrected(np.zeros(10, dtype=np.uint8)),
+            compress(np.zeros(10, dtype=np.uint8),
                      PaPlan(input_length=12, output_length=4, seed=1))
 
     def test_plan_bounds(self):
@@ -123,7 +118,7 @@ class TestToeplitz:
         diagonals = toeplitz_seed_bits(21, n, m)
         matrix = np.array([toeplitz_row(diagonals, n, i) for i in range(m)], dtype=np.int64)
         expected = (matrix @ bits.astype(np.int64)) & 1
-        got = compress(corrected(bits), PaPlan(input_length=n, output_length=m, seed=21)).bits
+        got = compress(bits, PaPlan(input_length=n, output_length=m, seed=21))
         assert np.array_equal(got, expected)
 
     def test_exact_at_largest_key(self):
@@ -132,7 +127,7 @@ class TestToeplitz:
         # popcount, independent of any floating point
         n = m = MAX_INPUT_BITS
         bits = stream(7, "toeplitz-key").integers(0, 2, n).astype(np.uint8)
-        got = compress(corrected(bits), PaPlan(input_length=n, output_length=m, seed=7)).bits
+        got = compress(bits, PaPlan(input_length=n, output_length=m, seed=7))
         diagonals = toeplitz_seed_bits(7, n, m)
         packed_key = np.packbits(bits)
         rows = np.concatenate([np.arange(8), np.arange(m - 8, m),
@@ -145,7 +140,7 @@ class TestToeplitz:
     def test_oversized_key_rejected(self):
         n = MAX_INPUT_BITS + 1
         with pytest.raises(ValueError):
-            compress(corrected(np.zeros(n, dtype=np.uint8)),
+            compress(np.zeros(n, dtype=np.uint8),
                      PaPlan(input_length=n, output_length=1, seed=0))
 
 

@@ -5,8 +5,7 @@ import time
 import numpy as np
 import pytest
 
-from fsqkd.core import KeyBuffer, Stage
-from fsqkd.messages import Kind, SampleRequest, Syndrome, leak_meter
+from fsqkd.messages import Kind, SampleRequest, SampleReveal, Syndrome, VerifyHash, leak_meter
 from fsqkd.params import ProtocolParams
 from fsqkd.reconciliation import (
     ReconConfig,
@@ -18,10 +17,6 @@ from fsqkd.reconciliation import (
 )
 from fsqkd.rng import stream
 from fsqkd.transport import SessionAborted, loopback_pair
-
-
-def raw_key(bits):
-    return KeyBuffer(stage=Stage.RAW, bits=np.asarray(bits, dtype=np.uint8))
 
 
 def run_pair(alice, bob):
@@ -44,17 +39,24 @@ def run_pair(alice, bob):
 def reconcile_pair(a_bits, b_bits, est_num, est_den, cfg=None, seed=0):
     cfg = cfg or ReconConfig()
     return run_pair(
-        lambda end: reconcile(raw_key(a_bits), end, cfg, "alice", 0, 1),
-        lambda end: reconcile(raw_key(b_bits), end, cfg, "bob", est_num, est_den,
+        lambda end: reconcile(a_bits, end, cfg, "alice", 0, 1),
+        lambda end: reconcile(b_bits, end, cfg, "bob", est_num, est_den,
                               rng=stream(seed, "bob-recon")))
 
 
 def estimate_pair(a_key, b_key, cfg, rng):
-    """Both estimation halves; returns (estimate, Alice's trimmed, Bob's trimmed)."""
-    a_trimmed, (errors, sample, b_trimmed), *_ = run_pair(
+    """Both estimation halves; returns (estimate, Alice's rest, Bob's rest, Alice's end)."""
+    a_rest, (errors, sample, b_rest), a_end, _ = run_pair(
         lambda end: estimate_ber_alice(a_key, end),
         lambda end: estimate_ber_bob(b_key, end, cfg, rng))
-    return errors / sample, a_trimmed, b_trimmed
+    return errors / sample, a_rest, b_rest, a_end
+
+
+def expect_abort(endpoint, reason_part):
+    """The peer's next message is an Abort naming ``reason_part``."""
+    with pytest.raises(SessionAborted) as info:
+        endpoint.expect(timeout_s=5.0)
+    assert not info.value.local and reason_part in info.value.reason
 
 
 class TestShannonLimit:
@@ -99,7 +101,7 @@ class TestEstimation:
         a_end, b_end = loopback_pair()
         positions = np.arange(1000, dtype=np.int64)
         b_end.send(SampleRequest(positions=positions))
-        trimmed_a = estimate_ber_alice(raw_key(a), a_end)
+        trimmed_a = estimate_ber_alice(a, a_end)
         reveal = b_end.expect(Kind.SAMPLE_REVEAL).payload
         estimate = np.count_nonzero(reveal.bits != b) / 1000
         assert estimate == pytest.approx(0.032)
@@ -107,19 +109,21 @@ class TestEstimation:
 
     def test_identical_keys_estimate_zero(self):
         bits = np.zeros(500, dtype=np.uint8)
-        est, a_t, b_t = estimate_pair(raw_key(bits), raw_key(bits.copy()),
-                                      ReconConfig(), stream(1, "sample"))
+        est, a_t, b_t, _ = estimate_pair(bits, bits.copy(), ReconConfig(), stream(1, "sample"))
         assert est == 0.0
         assert len(a_t) == len(b_t) == 450
 
     def test_sampled_positions_are_deleted_and_metered(self):
         rng = np.random.default_rng(2)
         bits = rng.integers(0, 2, 2000).astype(np.uint8)
-        a_key, b_key = raw_key(bits), raw_key(bits.copy())
-        est, a_t, b_t = estimate_pair(a_key, b_key, ReconConfig(sample_fraction=0.25),
-                                      stream(2, "sample"))
-        assert len(a_t) == len(b_t) == 1500
-        assert a_t.leaked_bits == b_t.leaked_bits == 500
+        est, a_t, b_t, a_end = estimate_pair(bits, bits.copy(),
+                                             ReconConfig(sample_fraction=0.25),
+                                             stream(2, "sample"))
+        positions = a_end.messages[0].payload.positions
+        assert len(positions) == 500
+        assert np.array_equal(a_t, np.delete(bits, positions))
+        assert np.array_equal(b_t, a_t)
+        assert leak_meter(a_end.messages) == 500
 
     def test_tracks_simulation_truth(self):
         # channel-produced keys: the sampled estimate stays within 1.5
@@ -133,20 +137,48 @@ class TestEstimation:
             bits = stream(100 + trial, "bits").integers(0, 2, n).astype(np.uint8)
             run = simulate_channel(bits, params, seed=100 + trial,
                                    block_size=100_000)
-            sifted = bob_receive(run.detections)
-            alice_bits = bits[sifted.indices]
-            truth = np.count_nonzero(alice_bits != sifted.bits) / len(sifted)
-            est, _a, _b = estimate_pair(
-                KeyBuffer(stage=Stage.RAW, bits=alice_bits),
-                KeyBuffer(stage=Stage.RAW, bits=sifted.bits.copy()),
-                ReconConfig(), stream(200 + trial, "sample"))
+            ticks, sifted = bob_receive(run.detections)
+            alice_bits = bits[ticks]
+            truth = np.count_nonzero(alice_bits != sifted) / len(sifted)
+            est, *_ = estimate_pair(alice_bits, sifted, ReconConfig(),
+                                    stream(200 + trial, "sample"))
             assert abs(est - truth) < 0.015
 
     def test_empty_sample_rejected(self):
-        a_end, b_end = loopback_pair()
+        a_end, b_end = loopback_pair(timeout_s=5.0)
         b_end.send(SampleRequest(positions=np.zeros(0, dtype=np.int64)))
-        with pytest.raises(Exception):
-            estimate_ber_alice(raw_key(np.zeros(10, dtype=np.uint8)), a_end)
+        with pytest.raises(SessionAborted, match="empty sample request"):
+            estimate_ber_alice(np.zeros(10, dtype=np.uint8), a_end)
+        expect_abort(b_end, "empty sample request")
+
+    def test_out_of_range_sample_request_aborts(self):
+        # a hostile reference: Alice answers with an Abort, not silence
+        a_end, b_end = loopback_pair(timeout_s=5.0)
+        b_end.send(SampleRequest(positions=np.array([3, 10], dtype=np.int64)))
+        with pytest.raises(SessionAborted, match="out of range"):
+            estimate_ber_alice(np.zeros(10, dtype=np.uint8), a_end)
+        expect_abort(b_end, "out of range")
+
+    def test_short_sample_reveal_aborts(self):
+        # a hostile transmitter reveals fewer bits than asked for
+        a_end, b_end = loopback_pair(timeout_s=5.0)
+        errors = {}
+
+        def bob():
+            try:
+                estimate_ber_bob(np.zeros(100, dtype=np.uint8), b_end, ReconConfig(),
+                                 stream(1, "sample"))
+            except SessionAborted as exc:
+                errors["b"] = exc
+
+        thread = threading.Thread(target=bob)
+        thread.start()
+        a_end.expect(Kind.SAMPLE_REQUEST, timeout_s=5.0)
+        a_end.send(SampleReveal(bits=np.zeros(3, dtype=np.uint8)))
+        expect_abort(a_end, "sample reveal size mismatch")
+        thread.join(timeout=5.0)
+        assert not thread.is_alive()
+        assert errors["b"].local
 
 
 class TestReconcile:
@@ -170,7 +202,7 @@ class TestReconcile:
             ra, rb, a_end, _ = reconcile_pair(corrupted, base, 1, 7, cfg=cfg,
                                               seed=position)
             assert ra.verified and rb.verified
-            assert np.array_equal(ra.corrected_key.bits, base)
+            assert np.array_equal(ra.corrected_key, base)
             answered = sum(len(m.payload.bits) for m in a_end.messages
                            if m.kind is Kind.SYNDROME)
             assert answered <= 3
@@ -188,9 +220,8 @@ class TestReconcile:
             if not (ra.verified and rb.verified):
                 failures += 1
                 continue
-            assert np.array_equal(ra.corrected_key.bits, rb.corrected_key.bits)
+            assert np.array_equal(ra.corrected_key, rb.corrected_key)
             assert len(ra.corrected_key) == len(rb.corrected_key)
-            assert ra.corrected_key.leaked_bits == rb.corrected_key.leaked_bits
             assert ra.disclosed_bits == rb.disclosed_bits
         assert failures == 0
 
@@ -209,16 +240,6 @@ class TestReconcile:
                 manual += len(message.payload.bits)
         assert ra.disclosed_bits == manual == leak_meter(a_end.messages)
         assert rb.disclosed_bits == manual
-
-    def test_corrected_key_carries_leak_ledger_forward(self):
-        n = 4_000
-        rng = np.random.default_rng(11)
-        b = rng.integers(0, 2, n).astype(np.uint8)
-        a = (b ^ (rng.random(n) < 0.02)).astype(np.uint8)
-        ra, rb, *_ = reconcile_pair(a, b, 80, n, seed=11)
-        assert ra.corrected_key.stage is Stage.CORRECTED
-        assert ra.corrected_key.leaked_bits == ra.disclosed_bits
-        assert rb.corrected_key.leaked_bits == rb.disclosed_bits
 
     def test_inverted_bisection_answers_abort_cleanly(self, monkeypatch):
         # a reference that inverts every answer steers each bisection to a
@@ -243,9 +264,9 @@ class TestReconcile:
 
         threads = [
             threading.Thread(target=side, args=("a", lambda: reconcile(
-                raw_key(a), a_end, ReconConfig(), "alice", 0, 1))),
+                a, a_end, ReconConfig(), "alice", 0, 1))),
             threading.Thread(target=side, args=("b", lambda: reconcile(
-                raw_key(b), b_end, ReconConfig(), "bob", 300, n,
+                b, b_end, ReconConfig(), "bob", 300, n,
                 rng=stream(5, "bob-recon")))),
         ]
         start = time.monotonic()
@@ -267,7 +288,7 @@ class TestReconcile:
 
         def bob():
             try:
-                reconcile(raw_key(bits), b_end, ReconConfig(), "bob", 2, n,
+                reconcile(bits, b_end, ReconConfig(), "bob", 2, n,
                           rng=stream(6, "bob-recon"))
             except SessionAborted as exc:
                 errors["b"] = exc
@@ -284,11 +305,30 @@ class TestReconcile:
         assert not thread.is_alive()
         assert errors["b"].local and "not yet built" in errors["b"].reason
 
+    def test_verify_hash_of_unagreed_length_aborts(self):
+        # the hash length is fixed by the session digest; a reference that
+        # asks for a longer hash gets an Abort and no digest
+        bits = stream(7, "k").integers(0, 2, 64).astype(np.uint8)
+        a_end, b_end = loopback_pair(timeout_s=5.0)
+        b_end.send(VerifyHash(seed=1, digest=bytes(2**17), nbits=2**20))
+        with pytest.raises(SessionAborted, match="agreed 128"):
+            reconcile(bits, a_end, ReconConfig(), "alice", 0, 1)
+        expect_abort(b_end, "agreed 128")
+
+    def test_input_key_left_unchanged(self):
+        n = 4_000
+        rng = np.random.default_rng(11)
+        b = rng.integers(0, 2, n).astype(np.uint8)
+        a = (b ^ (rng.random(n) < 0.02)).astype(np.uint8)
+        a_before = a.copy()
+        ra, rb, *_ = reconcile_pair(a, b, 80, n, seed=11)
+        assert ra.verified and np.array_equal(ra.corrected_key, b)
+        assert np.array_equal(a, a_before)
+
     def test_empty_key_rejected(self):
         a_end, _ = loopback_pair()
         with pytest.raises(ValueError):
-            reconcile(raw_key(np.zeros(0, dtype=np.uint8)), a_end,
-                      ReconConfig(), "alice", 0, 1)
+            reconcile(np.zeros(0, dtype=np.uint8), a_end, ReconConfig(), "alice", 0, 1)
 
 
 class TestReconConfig:

@@ -1,16 +1,21 @@
 import hashlib
+import threading
 
 import numpy as np
 import pytest
 
+from fsqkd.messages import PROTOCOL_VERSION, Hello, Kind, PaSeed, ShuffleSeed, SiftIndices
 from fsqkd.params import ProtocolParams
 from fsqkd.reconciliation import ReconConfig
 from fsqkd.session import (
     SessionConfig,
     SessionReport,
+    run_alice,
     run_simulation,
+    session_digest,
     session_hex,
 )
+from fsqkd.transport import ProtocolError, SessionAborted, loopback_pair
 
 
 @pytest.fixture(scope="module")
@@ -126,6 +131,40 @@ class TestReportSerialization:
         assert session_hex(params, cfg, 9) == session_hex(params, cfg, 9)
         assert session_hex(params, cfg, 9) != session_hex(params, cfg, 10)
         assert len(session_hex(params, cfg, 9)) == 32
+
+
+class TestHostilePeer:
+    """A receiver that sends an error estimate above one gets an Abort."""
+
+    @pytest.mark.parametrize("payload", [
+        PaSeed(seed=1, output_length=0, est_num=5, est_den=1),
+        ShuffleSeed(pass_no=1, seed=1, block_size=8, est_num=3, est_den=2),
+    ], ids=["PaSeed", "ShuffleSeed"])
+    def test_estimate_above_one_aborts(self, payload):
+        params = ProtocolParams(rng_seed=4)
+        cfg = SessionConfig(pulses=1000, block_size=500, timeout_s=5.0)
+        a_end, b_end = loopback_pair(timeout_s=5.0)
+        errors = {}
+
+        def alice():
+            try:
+                run_alice(a_end, params, cfg)
+            except Exception as exc:
+                errors["a"] = exc
+
+        thread = threading.Thread(target=alice)
+        thread.start()
+        b_end.expect(Kind.HELLO)
+        b_end.send(Hello(version=PROTOCOL_VERSION,
+                         params_digest=session_digest(params, cfg), seed=4))
+        b_end.send(SiftIndices(indices=np.arange(0, 1000, 10, dtype=np.int64)))
+        b_end.send(payload)
+        with pytest.raises(SessionAborted, match="exceeds one") as info:
+            b_end.expect(timeout_s=5.0)
+        assert not info.value.local
+        thread.join(timeout=5.0)
+        assert not thread.is_alive()
+        assert isinstance(errors["a"], ProtocolError)
 
 
 GOLDEN_CASES = [
