@@ -150,16 +150,17 @@ def _build_params(args) -> ProtocolParams:
 
 
 def _build_session_config(args) -> SessionConfig:
-    recon = ReconConfig(
-        sample_fraction=_merged(args, "sample-fraction", 0.1),
-        passes=_merged(args, "passes", 4),
-        hash_bits=_merged(args, "hash-bits", 128),
-    )
+    base = SessionConfig()
+    recon = base.recon
     return SessionConfig(
-        pulses=_merged(args, "pulses", 1_000_000),
-        block_size=_merged(args, "blocks", 50_000),
-        recon=recon,
-        timeout_s=_merged(args, "timeout", 30.0),
+        pulses=_merged(args, "pulses", base.pulses),
+        block_size=_merged(args, "blocks", base.block_size),
+        recon=ReconConfig(
+            sample_fraction=_merged(args, "sample-fraction", recon.sample_fraction),
+            passes=_merged(args, "passes", recon.passes),
+            hash_bits=_merged(args, "hash-bits", recon.hash_bits),
+        ),
+        timeout_s=_merged(args, "timeout", base.timeout_s),
     )
 
 
@@ -199,35 +200,19 @@ def _parse_addr(text: str) -> tuple[str, int]:
     return host, int(port)
 
 
-def cmd_serve(args) -> int:
+def cmd_party(args, open_endpoint, engine, prefix: str) -> int:
+    """Run one party of a session over TCP and write its artifacts."""
     params = _build_params(args)
     cfg = _build_session_config(args)
     out = _out_dir(args)
     addr = _parse_addr(_merged(args, "addr", None) or "127.0.0.1:9292")
-    endpoint = serve_one(addr, timeout_s=cfg.timeout_s)
+    endpoint = open_endpoint(addr, timeout_s=cfg.timeout_s)
     try:
-        result = run_bob(endpoint, params, cfg)
+        result = engine(endpoint, params, cfg)
     finally:
         endpoint.close()
-    _write_session_artifacts(out, "bob-", result)
-    write_secret_key(out / "bob-secret.key", result.secret_bits, result.session_hex)
-    sys.stdout.write(result.report.to_text())
-    sys.stdout.write(f"artifacts written to {out} ({result.duration_s:.2f} s)\n")
-    return EXIT_OK
-
-
-def cmd_connect(args) -> int:
-    params = _build_params(args)
-    cfg = _build_session_config(args)
-    out = _out_dir(args)
-    addr = _parse_addr(_merged(args, "addr", None) or "127.0.0.1:9292")
-    endpoint = connect(addr, timeout_s=cfg.timeout_s)
-    try:
-        result = run_alice(endpoint, params, cfg)
-    finally:
-        endpoint.close()
-    _write_session_artifacts(out, "alice-", result)
-    write_secret_key(out / "alice-secret.key", result.secret_bits, result.session_hex)
+    _write_session_artifacts(out, prefix, result)
+    write_secret_key(out / f"{prefix}secret.key", result.secret_bits, result.session_hex)
     sys.stdout.write(result.report.to_text())
     sys.stdout.write(f"artifacts written to {out} ({result.duration_s:.2f} s)\n")
     return EXIT_OK
@@ -265,9 +250,9 @@ def main(argv=None) -> int:
         if args.command == "simulate":
             return cmd_simulate(args)
         if args.command == "serve":
-            return cmd_serve(args)
+            return cmd_party(args, serve_one, run_bob, "bob-")
         if args.command == "connect":
-            return cmd_connect(args)
+            return cmd_party(args, connect, run_alice, "alice-")
         if args.command == "analyze":
             return cmd_analyze(args)
         parser.error(f"unknown command {args.command}")

@@ -6,10 +6,12 @@ ASCII line of a flat key=value record::
     sid=<hex16> seq=<dec> kind=<NAME> payload=<base64>
 
 where the base64 payload wraps a kind-specific packed binary body (see
-``PROTOCOL.md`` for the normative layouts and worked hex examples).  Index
-lists travel delta+varint encoded; bit lists as packed bits behind a
-32-bit bit count.  ``encode`` then ``decode`` is the identity for every
-valid message.
+``PROTOCOL.md`` for the normative layouts and worked hex examples).  Each
+payload class lists its body's fields in wire order (``WIRE``), and one
+``pack``/``unpack`` pair encodes every kind; bytes after the last field
+make a body malformed.  Index lists travel delta+varint encoded; bit
+lists as packed bits behind a 32-bit bit count.  ``encode`` then
+``decode`` is the identity for every valid message.
 
 ``leak_meter`` implements the session's disclosure accounting: block
 parities cost one bit each, bisection replies one bit per answered id,
@@ -21,9 +23,9 @@ counted separately in the session report.
 from __future__ import annotations
 
 import base64
-import dataclasses
 import enum
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -46,26 +48,6 @@ class MessageFormatError(ValueError):
 
 class PayloadTooLarge(MessageFormatError):
     pass
-
-
-def _values_equal(a, b) -> bool:
-    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
-        return np.array_equal(a, b)
-    return a == b
-
-
-class _FieldwiseEq:
-    """Dataclass equality that treats numpy array fields by content."""
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return all(
-            _values_equal(getattr(self, f.name), getattr(other, f.name))
-            for f in dataclasses.fields(self)
-        )
-
-    __hash__ = None
 
 
 class Kind(enum.Enum):
@@ -95,83 +77,132 @@ def _take(data: bytes, offset: int, count: int) -> tuple[bytes, int]:
     return data[offset : offset + count], offset + count
 
 
-def _decode_estimate(data: bytes, offset: int) -> tuple[int, int]:
-    """An error estimate ``est_num / est_den``, at most one.
+class _Encoding(NamedTuple):
+    """One field's wire form, both ways.
 
-    0/0 is legal: it stands for an empty sample.
+    ``put(out, value, fields)`` appends the value's bytes to ``out``;
+    ``get(data, offset, fields)`` returns ``(value, next_offset)``.
+    ``fields`` maps the payload's field names to their values (on decode,
+    those decoded so far), for lengths that another field fixes.
     """
-    est_num, offset = decode_varint(data, offset)
-    est_den, offset = decode_varint(data, offset)
-    if est_num > est_den:
-        raise MessageFormatError(f"error estimate {est_num}/{est_den} exceeds one")
-    return est_num, est_den
+
+    put: Callable[[bytearray, object, dict], None]
+    get: Callable[[bytes, int, dict], tuple[object, int]]
 
 
-@dataclass(frozen=True)
-class Hello:
+def _get_u64(data: bytes, offset: int, fields: dict) -> tuple[int, int]:
+    raw, offset = _take(data, offset, 8)
+    return int.from_bytes(raw, "big"), offset
+
+
+def _raw_bytes(length_of, mismatch: str) -> _Encoding:
+    """Bytes whose count ``length_of(fields)`` both sides know in advance."""
+
+    def put(out: bytearray, value: bytes, fields: dict) -> None:
+        if len(value) != length_of(fields):
+            raise MessageFormatError(mismatch)
+        out += value
+
+    return _Encoding(put, lambda data, offset, fields: _take(data, offset, length_of(fields)))
+
+
+# The codec functions are looked up when a field is packed, not bound here,
+# so a wrapper installed on this module's names (the benchmark's tracer
+# wraps the index codec) sees every call.
+VARINT = _Encoding(lambda out, value, fields: encode_varint(value, out),
+                   lambda data, offset, fields: decode_varint(data, offset))
+U64 = _Encoding(lambda out, value, fields: out.extend(int(value).to_bytes(8, "big")),
+                _get_u64)
+DIGEST16 = _raw_bytes(lambda fields: 16, "params digest must be 16 bytes")
+INDEX_LIST = _Encoding(lambda out, value, fields: out.extend(encode_index_list(value)),
+                       lambda data, offset, fields: decode_index_list(data, offset))
+BIT_LIST = _Encoding(lambda out, value, fields: out.extend(encode_bit_list(value)),
+                     lambda data, offset, fields: decode_bit_list(data, offset))
+UTF8_REST = _Encoding(lambda out, value, fields: out.extend(value.encode("utf-8")),
+                      lambda data, offset, fields: (data[offset:].decode("utf-8"), len(data)))
+HASH_DIGEST = _raw_bytes(lambda fields: (fields["nbits"] + 7) // 8,
+                         "digest length inconsistent with nbits")
+
+
+def _values_equal(a, b) -> bool:
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return np.array_equal(a, b)
+    return a == b
+
+
+class _Payload:
+    """A payload body: the fields listed in ``WIRE``, in that order.
+
+    ``WIRE`` pairs each field name with its encoding (the table in
+    ``PROTOCOL.md``); bytes after the last field make the body malformed.
+    Equality compares numpy array fields by content.
+    """
+
+    WIRE: tuple[tuple[str, _Encoding], ...] = ()
+
+    def pack(self) -> bytes:
+        fields = vars(self)
+        out = bytearray()
+        for name, encoding in self.WIRE:
+            encoding.put(out, fields[name], fields)
+        return bytes(out)
+
+    @classmethod
+    def unpack(cls, data: bytes):
+        fields, offset = {}, 0
+        for name, encoding in cls.WIRE:
+            fields[name], offset = encoding.get(data, offset, fields)
+        if offset != len(data):
+            raise MessageFormatError(
+                f"{len(data) - offset} bytes after the last field of {cls.__name__}")
+        # the sampled error rate of ShuffleSeed and PaSeed is at most one;
+        # 0/0 is legal: it stands for an empty sample
+        if "est_den" in fields and fields["est_num"] > fields["est_den"]:
+            raise MessageFormatError(
+                f"error estimate {fields['est_num']}/{fields['est_den']} exceeds one")
+        return cls(**fields)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        theirs = vars(other)
+        return all(_values_equal(value, theirs[name]) for name, value in vars(self).items())
+
+    __hash__ = None
+
+
+@dataclass(frozen=True, eq=False)
+class Hello(_Payload):
     version: int
     params_digest: bytes
     seed: int = 0
 
-    def pack(self) -> bytes:
-        out = bytearray()
-        encode_varint(self.version, out)
-        if len(self.params_digest) != 16:
-            raise MessageFormatError("params digest must be 16 bytes")
-        out += self.params_digest
-        out += int(self.seed).to_bytes(8, "big")
-        return bytes(out)
-
-    @classmethod
-    def unpack(cls, data: bytes) -> "Hello":
-        version, off = decode_varint(data, 0)
-        digest, off = _take(data, off, 16)
-        raw_seed, off = _take(data, off, 8)
-        return cls(version=version, params_digest=digest,
-                   seed=int.from_bytes(raw_seed, "big"))
+    WIRE = (("version", VARINT), ("params_digest", DIGEST16), ("seed", U64))
 
 
 @dataclass(frozen=True, eq=False)
-class SiftIndices(_FieldwiseEq):
+class SiftIndices(_Payload):
     indices: np.ndarray
 
-    def pack(self) -> bytes:
-        return encode_index_list(self.indices)
-
-    @classmethod
-    def unpack(cls, data: bytes) -> "SiftIndices":
-        indices, _ = decode_index_list(data, 0)
-        return cls(indices=indices)
+    WIRE = (("indices", INDEX_LIST),)
 
 
 @dataclass(frozen=True, eq=False)
-class SampleRequest(_FieldwiseEq):
+class SampleRequest(_Payload):
     positions: np.ndarray
 
-    def pack(self) -> bytes:
-        return encode_index_list(self.positions)
-
-    @classmethod
-    def unpack(cls, data: bytes) -> "SampleRequest":
-        positions, _ = decode_index_list(data, 0)
-        return cls(positions=positions)
+    WIRE = (("positions", INDEX_LIST),)
 
 
 @dataclass(frozen=True, eq=False)
-class SampleReveal(_FieldwiseEq):
+class SampleReveal(_Payload):
     bits: np.ndarray
 
-    def pack(self) -> bytes:
-        return encode_bit_list(self.bits)
-
-    @classmethod
-    def unpack(cls, data: bytes) -> "SampleReveal":
-        bits, _ = decode_bit_list(data, 0)
-        return cls(bits=bits)
+    WIRE = (("bits", BIT_LIST),)
 
 
-@dataclass(frozen=True)
-class ShuffleSeed:
+@dataclass(frozen=True, eq=False)
+class ShuffleSeed(_Payload):
     """Pass structure announcement: permutation seed, block size, estimate.
 
     The error estimate rides along as an exact rational so both parties
@@ -184,45 +215,20 @@ class ShuffleSeed:
     est_num: int = 0
     est_den: int = 1
 
-    def pack(self) -> bytes:
-        out = bytearray()
-        encode_varint(self.pass_no, out)
-        out += int(self.seed).to_bytes(8, "big")
-        encode_varint(self.block_size, out)
-        encode_varint(self.est_num, out)
-        encode_varint(self.est_den, out)
-        return bytes(out)
-
-    @classmethod
-    def unpack(cls, data: bytes) -> "ShuffleSeed":
-        pass_no, off = decode_varint(data, 0)
-        raw_seed, off = _take(data, off, 8)
-        block_size, off = decode_varint(data, off)
-        est_num, est_den = _decode_estimate(data, off)
-        return cls(pass_no, int.from_bytes(raw_seed, "big"), block_size,
-                   est_num, est_den)
+    WIRE = (("pass_no", VARINT), ("seed", U64), ("block_size", VARINT),
+            ("est_num", VARINT), ("est_den", VARINT))
 
 
 @dataclass(frozen=True, eq=False)
-class BlockParity(_FieldwiseEq):
+class BlockParity(_Payload):
     pass_no: int
     parities: np.ndarray
 
-    def pack(self) -> bytes:
-        out = bytearray()
-        encode_varint(self.pass_no, out)
-        out += encode_bit_list(self.parities)
-        return bytes(out)
-
-    @classmethod
-    def unpack(cls, data: bytes) -> "BlockParity":
-        pass_no, off = decode_varint(data, 0)
-        parities, _ = decode_bit_list(data, off)
-        return cls(pass_no, parities)
+    WIRE = (("pass_no", VARINT), ("parities", BIT_LIST))
 
 
 @dataclass(frozen=True, eq=False)
-class Syndrome(_FieldwiseEq):
+class Syndrome(_Payload):
     """Cascade bisection query or reply, sent while pass ``pass_no`` runs.
 
     An empty bit list is a query: each listed id ``(p - 1) * n + i`` asks
@@ -235,51 +241,24 @@ class Syndrome(_FieldwiseEq):
     blocks: np.ndarray
     bits: np.ndarray
 
-    def pack(self) -> bytes:
-        out = bytearray()
-        encode_varint(self.pass_no, out)
-        out += encode_index_list(self.blocks)
-        out += encode_bit_list(self.bits)
-        return bytes(out)
-
-    @classmethod
-    def unpack(cls, data: bytes) -> "Syndrome":
-        pass_no, off = decode_varint(data, 0)
-        blocks, off = decode_index_list(data, off)
-        bits, _ = decode_bit_list(data, off)
-        return cls(pass_no, blocks, bits)
+    WIRE = (("pass_no", VARINT), ("blocks", INDEX_LIST), ("bits", BIT_LIST))
 
     @property
     def is_query(self) -> bool:
         return len(self.bits) == 0
 
 
-@dataclass(frozen=True)
-class VerifyHash:
+@dataclass(frozen=True, eq=False)
+class VerifyHash(_Payload):
     seed: int
     digest: bytes
     nbits: int
 
-    def pack(self) -> bytes:
-        out = bytearray()
-        encode_varint(self.nbits, out)
-        out += int(self.seed).to_bytes(8, "big")
-        if len(self.digest) != (self.nbits + 7) // 8:
-            raise MessageFormatError("digest length inconsistent with nbits")
-        out += self.digest
-        return bytes(out)
-
-    @classmethod
-    def unpack(cls, data: bytes) -> "VerifyHash":
-        nbits, off = decode_varint(data, 0)
-        raw_seed, off = _take(data, off, 8)
-        digest, off = _take(data, off, (nbits + 7) // 8)
-        return cls(seed=int.from_bytes(raw_seed, "big"), digest=digest,
-                   nbits=nbits)
+    WIRE = (("nbits", VARINT), ("seed", U64), ("digest", HASH_DIGEST))
 
 
-@dataclass(frozen=True)
-class PaSeed:
+@dataclass(frozen=True, eq=False)
+class PaSeed(_Payload):
     """Privacy-amplification plan: shared seed, agreed output length, and
     the error estimate it was derived from (echoed for cross-checking)."""
 
@@ -288,59 +267,24 @@ class PaSeed:
     est_num: int = 0
     est_den: int = 1
 
-    def pack(self) -> bytes:
-        out = bytearray()
-        out += int(self.seed).to_bytes(8, "big")
-        encode_varint(self.output_length, out)
-        encode_varint(self.est_num, out)
-        encode_varint(self.est_den, out)
-        return bytes(out)
-
-    @classmethod
-    def unpack(cls, data: bytes) -> "PaSeed":
-        raw_seed, off = _take(data, 0, 8)
-        output_length, off = decode_varint(data, off)
-        est_num, est_den = _decode_estimate(data, off)
-        return cls(seed=int.from_bytes(raw_seed, "big"),
-                   output_length=output_length,
-                   est_num=est_num, est_den=est_den)
+    WIRE = (("seed", U64), ("output_length", VARINT),
+            ("est_num", VARINT), ("est_den", VARINT))
 
 
-@dataclass(frozen=True)
-class Abort:
+@dataclass(frozen=True, eq=False)
+class Abort(_Payload):
     reason: str = ""
 
-    def pack(self) -> bytes:
-        return self.reason.encode("utf-8")
-
-    @classmethod
-    def unpack(cls, data: bytes) -> "Abort":
-        return cls(reason=data.decode("utf-8"))
+    WIRE = (("reason", UTF8_REST),)
 
 
-@dataclass(frozen=True)
-class Done:
-    def pack(self) -> bytes:
-        return b""
-
-    @classmethod
-    def unpack(cls, data: bytes) -> "Done":
-        return cls()
+@dataclass(frozen=True, eq=False)
+class Done(_Payload):
+    pass
 
 
-_PAYLOAD_TYPES = {
-    Kind.HELLO: Hello,
-    Kind.SIFT_INDICES: SiftIndices,
-    Kind.SAMPLE_REQUEST: SampleRequest,
-    Kind.SAMPLE_REVEAL: SampleReveal,
-    Kind.SHUFFLE_SEED: ShuffleSeed,
-    Kind.BLOCK_PARITY: BlockParity,
-    Kind.SYNDROME: Syndrome,
-    Kind.VERIFY_HASH: VerifyHash,
-    Kind.PA_SEED: PaSeed,
-    Kind.ABORT: Abort,
-    Kind.DONE: Done,
-}
+# each kind's value is the name of its payload class
+_PAYLOAD_TYPES = {Kind(cls.__name__): cls for cls in _Payload.__subclasses__()}
 _KIND_FOR_TYPE = {cls: kind for kind, cls in _PAYLOAD_TYPES.items()}
 
 

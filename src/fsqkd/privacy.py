@@ -63,8 +63,7 @@ def plan_output_length(input_length: int, nbar: float, eps_used: float,
     """Secret-key length after correction costs and extra disclosures."""
     if input_length < 0 or extra_leak_bits < 0:
         raise ValueError("lengths must be non-negative")
-    fraction = max(0.0, pa_fraction(nbar, eps_used)
-                   - recon_efficiency * shannon_leak_per_bit(eps_used))
+    fraction = secret_yield_per_sifted_bit(nbar, eps_used, recon_efficiency)
     length = math.floor(input_length * fraction - extra_leak_bits)
     return max(0, min(input_length, length))
 

@@ -65,6 +65,10 @@ class ReconConfig:
         if self.hash_bits < 8:
             raise ValueError("hash_bits must be at least 8")
 
+    def sample_size(self, sifted_len: int) -> int:
+        """Bits sampled for estimation from a sifted key of this length."""
+        return max(1, int(round(self.sample_fraction * sifted_len)))
+
 
 @dataclass
 class ReconOutcome:
@@ -457,7 +461,7 @@ def estimate_ber_bob(key: np.ndarray, endpoint: Endpoint, config: ReconConfig,
     n = len(key)
     if n == 0:
         raise ValueError("cannot sample an empty key")
-    sample_size = max(1, int(round(config.sample_fraction * n)))
+    sample_size = config.sample_size(n)
     positions = np.sort(rng.choice(n, size=sample_size, replace=False)).astype(np.int64)
     endpoint.send(SampleRequest(positions=positions))
     reveal = endpoint.expect(Kind.SAMPLE_REVEAL).payload

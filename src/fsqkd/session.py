@@ -327,25 +327,26 @@ def run_bob(endpoint: Endpoint, params: ProtocolParams, cfg: SessionConfig) -> S
     ticks, sifted = bob_receive(run.detections)
     endpoint.send(SiftIndices(indices=ticks))
 
-    pa_rng = stream(seed, "bob-pa")
-    if len(sifted) == 0:
-        est_sample = 0
-        outcome = _skipped_outcome(sifted, 0, 0)
-        secret_bits = _announce_plan_and_compress(endpoint, outcome, 0, pa_rng)
-    else:
+    est_errors = est_sample = 0
+    trimmed = sifted
+    if len(sifted):
         est_errors, est_sample, trimmed = estimate_ber_bob(
             sifted, endpoint, cfg.recon, stream(seed, "bob-sample"))
-        if not _yield_possible(len(trimmed), params.mean_photon_number,
-                               est_errors, est_sample, est_sample):
-            outcome = _skipped_outcome(trimmed, est_errors, est_sample)
-            secret_bits = _announce_plan_and_compress(endpoint, outcome, 0, pa_rng)
-        else:
-            outcome = reconcile(trimmed, endpoint, cfg.recon, "bob",
-                                est_errors, est_sample, rng=stream(seed, "bob-recon"))
-            output_len = _pa_output_length(outcome, params.mean_photon_number,
-                                           cfg, est_sample)
-            secret_bits = _announce_plan_and_compress(endpoint, outcome,
-                                                      output_len, pa_rng)
+    if _yield_possible(len(trimmed), params.mean_photon_number,
+                       est_errors, est_sample, est_sample):
+        outcome = reconcile(trimmed, endpoint, cfg.recon, "bob",
+                            est_errors, est_sample, rng=stream(seed, "bob-recon"))
+        output_len = _pa_output_length(outcome, params.mean_photon_number,
+                                       cfg, est_sample)
+    else:
+        outcome = _skipped_outcome(trimmed, est_errors, est_sample)
+        output_len = 0
+    pa_seed = draw_seed(stream(seed, "bob-pa"))
+    endpoint.send(PaSeed(seed=pa_seed, output_length=output_len,
+                         est_num=est_errors, est_den=est_sample))
+    secret_bits = compress(outcome.corrected_key,
+                           PaPlan(input_length=len(trimmed),
+                                  output_length=output_len, seed=pa_seed))
     endpoint.expect(Kind.DONE)
     endpoint.send(Done())
 
@@ -356,16 +357,6 @@ def run_bob(endpoint: Endpoint, params: ProtocolParams, cfg: SessionConfig) -> S
                          session_hex=session_hex(params, cfg, seed),
                          frames=list(endpoint.frames),
                          duration_s=time.monotonic() - t0)
-
-
-def _announce_plan_and_compress(endpoint, outcome: ReconOutcome,
-                                output_len: int, pa_rng) -> np.ndarray:
-    pa_seed = draw_seed(pa_rng)
-    endpoint.send(PaSeed(seed=pa_seed, output_length=output_len,
-                         est_num=outcome.est_num, est_den=outcome.est_den))
-    plan = PaPlan(input_length=len(outcome.corrected_key),
-                  output_length=output_len, seed=pa_seed)
-    return compress(outcome.corrected_key, plan)
 
 
 def _attach_truth(report: SessionReport, alice_bits: np.ndarray, ticks: np.ndarray,
@@ -410,21 +401,32 @@ def run_alice(endpoint: Endpoint, params: ProtocolParams, cfg: SessionConfig) ->
     sampled_bits = 0
     message = endpoint.expect(Kind.SAMPLE_REQUEST, Kind.SHUFFLE_SEED, Kind.PA_SEED)
     if message.kind is Kind.SAMPLE_REQUEST:
+        # a larger sample than agreed could reveal the whole key
+        requested = len(message.payload.positions)
+        agreed = cfg.recon.sample_size(len(sifted))
+        if requested != agreed:
+            endpoint.fail(f"sample request of {requested} positions, agreed {agreed}")
         trimmed = estimate_ber_alice(sifted, endpoint, first_message=message)
         sampled_bits = len(sifted) - len(trimmed)
         message = endpoint.expect(Kind.SHUFFLE_SEED, Kind.PA_SEED)
-    if message.kind is Kind.SHUFFLE_SEED:
+    # the receiver opens correction exactly when some yield is possible,
+    # which an empty key never allows
+    est = message.payload
+    correcting = message.kind is Kind.SHUFFLE_SEED
+    if correcting != _yield_possible(len(trimmed), params.mean_photon_number,
+                                     est.est_num, est.est_den, sampled_bits):
+        endpoint.fail("peer opened correction although no yield is possible"
+                      if correcting else
+                      "peer skipped correction despite a possible yield")
+    if correcting:
         outcome = reconcile(trimmed, endpoint, cfg.recon, "alice", 0, 1,
                             first_message=message)
         pa_msg = endpoint.expect(Kind.PA_SEED).payload
         expected_len = _pa_output_length(outcome, params.mean_photon_number,
                                          cfg, sampled_bits)
     else:
-        pa_msg = message.payload
+        pa_msg = est
         outcome = _skipped_outcome(trimmed, pa_msg.est_num, pa_msg.est_den)
-        if _yield_possible(len(trimmed), params.mean_photon_number,
-                           pa_msg.est_num, pa_msg.est_den, sampled_bits):
-            endpoint.fail("peer skipped correction despite a possible yield")
         expected_len = 0
     if pa_msg.output_length != expected_len:
         endpoint.fail(f"privacy-amplification length disagreement: "

@@ -1,13 +1,22 @@
 import base64
 import dataclasses
+import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fsqkd.bitpack import decode_index_list, encode_index_list
+from fsqkd.bitpack import (
+    decode_bit_list,
+    decode_index_list,
+    decode_varint,
+    encode_bit_list,
+    encode_index_list,
+    encode_varint,
+)
 from fsqkd.messages import (
     Abort,
     BlockParity,
@@ -15,6 +24,7 @@ from fsqkd.messages import (
     Hello,
     Kind,
     Message,
+    MessageFormatError,
     PaSeed,
     PayloadTooLarge,
     SampleRequest,
@@ -28,6 +38,24 @@ from fsqkd.messages import (
     leak_meter,
     message_for,
 )
+from fsqkd.transport import ProtocolError, loopback_pair
+
+
+# one valid payload of every kind, in ``Kind`` order
+SAMPLES = [
+    Hello(version=1, params_digest=bytes(range(16)), seed=2**63 - 1),
+    SiftIndices(indices=np.array([3, 7, 9], dtype=np.int64)),
+    SampleRequest(positions=np.array([0, 5], dtype=np.int64)),
+    SampleReveal(bits=np.array([1, 0, 1, 1, 0], dtype=np.uint8)),
+    ShuffleSeed(pass_no=2, seed=12345, block_size=24, est_num=3, est_den=100),
+    BlockParity(pass_no=1, parities=np.array([0, 1, 1], dtype=np.uint8)),
+    Syndrome(pass_no=1, blocks=np.array([2, 9], dtype=np.int64),
+             bits=np.array([1, 0, 1, 0, 1, 1, 0, 0, 1, 1], dtype=np.uint8)),
+    VerifyHash(seed=99, digest=bytes(16), nbits=128),
+    PaSeed(seed=77, output_length=4096),
+    Abort(reason="because"),
+    Done(),
+]
 
 
 def _roundtrip(message):
@@ -41,21 +69,7 @@ class TestRoundTrip:
         _roundtrip(Message(1, 0, Kind.ABORT, Abort(reason="")))
 
     def test_every_kind_roundtrips(self):
-        samples = [
-            Hello(version=1, params_digest=bytes(range(16)), seed=2**63 - 1),
-            SiftIndices(indices=np.array([3, 7, 9], dtype=np.int64)),
-            SampleRequest(positions=np.array([0, 5], dtype=np.int64)),
-            SampleReveal(bits=np.array([1, 0, 1, 1, 0], dtype=np.uint8)),
-            ShuffleSeed(pass_no=2, seed=12345, block_size=24, est_num=3, est_den=100),
-            BlockParity(pass_no=1, parities=np.array([0, 1, 1], dtype=np.uint8)),
-            Syndrome(pass_no=1, blocks=np.array([2, 9], dtype=np.int64),
-                     bits=np.array([1, 0, 1, 0, 1, 1, 0, 0, 1, 1], dtype=np.uint8)),
-            VerifyHash(seed=99, digest=bytes(16), nbits=128),
-            PaSeed(seed=77, output_length=4096),
-            Abort(reason="because"),
-            Done(),
-        ]
-        for i, payload in enumerate(samples):
+        for i, payload in enumerate(SAMPLES):
             _roundtrip(message_for(session_id=0xDEADBEEF, seq=i, payload=payload))
 
     def test_randomized_messages(self):
@@ -140,6 +154,54 @@ class TestRoundTrip:
         finally:
             tracemalloc.stop()
         assert peak < 2**20
+
+
+PROTOCOL_MD = (Path(__file__).resolve().parents[1] / "PROTOCOL.md").read_text()
+
+
+def _doc_hex(text: str) -> bytes:
+    return bytes.fromhex(text.replace(" ", "").replace("\n", ""))
+
+
+class TestProtocolDocument:
+    """The examples in ``PROTOCOL.md`` are the bytes the code emits."""
+
+    def test_primitive_examples(self):
+        value, varint_hex = re.search(r"Example: `(\d+) -> ([0-9a-f ]+)`", PROTOCOL_MD).groups()
+        out = bytearray()
+        encode_varint(int(value), out)
+        assert bytes(out) == _doc_hex(varint_hex)
+        assert decode_varint(_doc_hex(varint_hex), 0) == (int(value), len(out))
+
+        listed, index_hex = re.search(r"Example: `\[([\d, ]+)\] -> ([0-9a-f ]+)`",
+                                      PROTOCOL_MD).groups()
+        indices = [int(v) for v in listed.split(",")]
+        assert encode_index_list(np.array(indices, dtype=np.int64)) == _doc_hex(index_hex)
+        decoded, _ = decode_index_list(_doc_hex(index_hex), 0)
+        assert decoded.tolist() == indices
+
+        bits, bit_hex = re.search(r"Example: bits `([01]+) -> ([0-9a-f ]+)`", PROTOCOL_MD).groups()
+        bit_array = np.array([int(b) for b in bits], dtype=np.uint8)
+        assert encode_bit_list(bit_array) == _doc_hex(bit_hex)
+        decoded, _ = decode_bit_list(_doc_hex(bit_hex), 0)
+        assert decoded.tolist() == bit_array.tolist()
+
+    def test_worked_example_frames(self):
+        section = PROTOCOL_MD.split("## Worked examples", 1)[1].split("\n## ", 1)[0]
+        frames = [_doc_hex(block) for block in re.findall(r"```\n(.*?)```", section, re.S)]
+        sid = 0x1F2E3D4C5B6A7988
+        expected = [
+            Message(sid, 0, Kind.ABORT, Abort(reason="")),
+            Message(sid, 4, Kind.SIFT_INDICES,
+                    SiftIndices(indices=np.array([3, 7, 9], dtype=np.int64))),
+            Message(sid, 9, Kind.SYNDROME,
+                    Syndrome(pass_no=1, blocks=np.array([2, 5, 9], dtype=np.int64),
+                             bits=np.array([1, 0, 1], dtype=np.uint8))),
+        ]
+        assert len(frames) == len(expected)
+        for frame, message in zip(frames, expected):
+            assert encode(message) == frame
+            assert decode(frame) == message
 
 
 class TestDeltaCoding:
@@ -246,6 +308,87 @@ class TestIndexCodecRejects:
     def test_encode_rejects_non_increasing(self, indices):
         with pytest.raises(ValueError):
             encode_index_list(np.array(indices, dtype=np.int64))
+
+
+_varints = st.integers(0, 2**64)
+_u64s = st.integers(0, 2**64 - 1)
+_index_arrays = _indices.map(lambda v: np.array(v, dtype=np.int64))
+_bit_arrays = st.lists(st.integers(0, 1), max_size=100).map(
+    lambda v: np.array(v, dtype=np.uint8))
+
+
+@st.composite
+def _shuffle_seeds(draw):
+    est_den = draw(_varints)
+    return ShuffleSeed(pass_no=draw(_varints), seed=draw(_u64s), block_size=draw(_varints),
+                       est_num=draw(st.integers(0, est_den)), est_den=est_den)
+
+
+@st.composite
+def _pa_seeds(draw):
+    est_den = draw(_varints)
+    return PaSeed(seed=draw(_u64s), output_length=draw(_varints),
+                  est_num=draw(st.integers(0, est_den)), est_den=est_den)
+
+
+@st.composite
+def _verify_hashes(draw):
+    nbits = draw(st.integers(0, 300))
+    digest = draw(st.binary(min_size=(nbits + 7) // 8, max_size=(nbits + 7) // 8))
+    return VerifyHash(seed=draw(_u64s), digest=digest, nbits=nbits)
+
+
+PAYLOADS = {
+    Kind.HELLO: st.builds(Hello, version=_varints,
+                          params_digest=st.binary(min_size=16, max_size=16), seed=_u64s),
+    Kind.SIFT_INDICES: st.builds(SiftIndices, indices=_index_arrays),
+    Kind.SAMPLE_REQUEST: st.builds(SampleRequest, positions=_index_arrays),
+    Kind.SAMPLE_REVEAL: st.builds(SampleReveal, bits=_bit_arrays),
+    Kind.SHUFFLE_SEED: _shuffle_seeds(),
+    Kind.BLOCK_PARITY: st.builds(BlockParity, pass_no=_varints, parities=_bit_arrays),
+    Kind.SYNDROME: st.builds(Syndrome, pass_no=_varints, blocks=_index_arrays,
+                             bits=_bit_arrays),
+    Kind.VERIFY_HASH: _verify_hashes(),
+    Kind.PA_SEED: _pa_seeds(),
+    Kind.ABORT: st.builds(Abort, reason=st.text(max_size=40)),
+    Kind.DONE: st.just(Done()),
+}
+
+
+class TestEveryKind:
+    @pytest.mark.parametrize("kind", list(Kind), ids=lambda kind: kind.value)
+    @settings(max_examples=50)
+    @given(data=st.data(), session_id=_u64s, seq=st.integers(0, 2**64))
+    def test_decode_inverts_encode(self, kind, data, session_id, seq):
+        message = message_for(session_id, seq, data.draw(PAYLOADS[kind]))
+        assert message.kind is kind
+        assert decode(encode(message)) == message
+
+    # an Abort's reason runs to the end of its payload, so it has no
+    # bytes after its last field
+    @pytest.mark.parametrize("payload", [p for p in SAMPLES if not isinstance(p, Abort)],
+                             ids=lambda p: type(p).__name__)
+    def test_byte_after_last_field_rejected(self, payload):
+        data = payload.pack() + b"\x00"
+        with pytest.raises(MessageFormatError, match="after the last field"):
+            type(payload).unpack(data)
+        kind = message_for(0, 0, payload).kind
+        body = (f"sid={0:016x} seq=0 kind={kind.value} payload=".encode("ascii")
+                + base64.b64encode(data))
+        a_end, b_end = loopback_pair()
+        b_end._inbox.put(len(body).to_bytes(4, "big") + body)
+        with pytest.raises(ProtocolError, match="after the last field"):
+            b_end.recv()
+        assert a_end.recv().kind is Kind.ABORT
+
+    @pytest.mark.parametrize("payload, message", [
+        (Hello(version=3, params_digest=bytes(15)), "16 bytes"),
+        (VerifyHash(seed=1, digest=bytes(16), nbits=129), "inconsistent with nbits"),
+        (VerifyHash(seed=1, digest=bytes(16), nbits=120), "inconsistent with nbits"),
+    ], ids=["Hello-15-byte-digest", "VerifyHash-digest-short", "VerifyHash-digest-long"])
+    def test_pack_rejects_digest_of_wrong_length(self, payload, message):
+        with pytest.raises(MessageFormatError, match=message):
+            payload.pack()
 
 
 class TestDecodeRejectsOnlyWithValueError:

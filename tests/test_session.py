@@ -4,7 +4,15 @@ import threading
 import numpy as np
 import pytest
 
-from fsqkd.messages import PROTOCOL_VERSION, Hello, Kind, PaSeed, ShuffleSeed, SiftIndices
+from fsqkd.messages import (
+    PROTOCOL_VERSION,
+    Hello,
+    Kind,
+    PaSeed,
+    SampleRequest,
+    ShuffleSeed,
+    SiftIndices,
+)
 from fsqkd.params import ProtocolParams
 from fsqkd.reconciliation import ReconConfig
 from fsqkd.session import (
@@ -134,13 +142,12 @@ class TestReportSerialization:
 
 
 class TestHostilePeer:
-    """A receiver that sends an error estimate above one gets an Abort."""
+    """A receiver that breaks the protocol's rules gets an Abort from Alice."""
 
-    @pytest.mark.parametrize("payload", [
-        PaSeed(seed=1, output_length=0, est_num=5, est_den=1),
-        ShuffleSeed(pass_no=1, seed=1, block_size=8, est_num=3, est_den=2),
-    ], ids=["PaSeed", "ShuffleSeed"])
-    def test_estimate_above_one_aborts(self, payload):
+    @staticmethod
+    def _alice_against_fake_bob(ticks):
+        """Start Alice, play Bob's Hello and SiftIndices; returns Bob's end,
+        Alice's end, her thread and the dict her exception lands in."""
         params = ProtocolParams(rng_seed=4)
         cfg = SessionConfig(pulses=1000, block_size=500, timeout_s=5.0)
         a_end, b_end = loopback_pair(timeout_s=5.0)
@@ -157,14 +164,49 @@ class TestHostilePeer:
         b_end.expect(Kind.HELLO)
         b_end.send(Hello(version=PROTOCOL_VERSION,
                          params_digest=session_digest(params, cfg), seed=4))
-        b_end.send(SiftIndices(indices=np.arange(0, 1000, 10, dtype=np.int64)))
-        b_end.send(payload)
-        with pytest.raises(SessionAborted, match="exceeds one") as info:
+        b_end.send(SiftIndices(indices=np.asarray(ticks, dtype=np.int64)))
+        return b_end, a_end, thread, errors
+
+    @staticmethod
+    def _expect_abort(b_end, thread, reason_part):
+        with pytest.raises(SessionAborted, match=reason_part) as info:
             b_end.expect(timeout_s=5.0)
         assert not info.value.local
         thread.join(timeout=5.0)
         assert not thread.is_alive()
+
+    @pytest.mark.parametrize("payload", [
+        PaSeed(seed=1, output_length=0, est_num=5, est_den=1),
+        ShuffleSeed(pass_no=1, seed=1, block_size=8, est_num=3, est_den=2),
+    ], ids=["PaSeed", "ShuffleSeed"])
+    def test_estimate_above_one_aborts(self, payload):
+        b_end, _a_end, thread, errors = self._alice_against_fake_bob(np.arange(0, 1000, 10))
+        b_end.send(payload)
+        self._expect_abort(b_end, thread, "exceeds one")
         assert isinstance(errors["a"], ProtocolError)
+
+    def test_sample_of_the_whole_key_aborts(self):
+        # 100 sifted bits: the agreed sample is 10 of them, not all 100
+        b_end, a_end, thread, errors = self._alice_against_fake_bob(np.arange(0, 1000, 10))
+        b_end.send(SampleRequest(positions=np.arange(100, dtype=np.int64)))
+        self._expect_abort(b_end, thread, "agreed 10")
+        assert isinstance(errors["a"], SessionAborted)
+        assert Kind.SAMPLE_REVEAL not in {m.kind for m in a_end.messages}
+
+    @pytest.mark.parametrize("ticks, sample, est_num, est_den", [
+        # 100 sifted bits, a 10-bit sample and an estimate of 1/2
+        (np.arange(0, 1000, 10), np.arange(10), 5, 10),
+        # one sifted bit: the agreed one-bit sample leaves an empty key
+        ([7], [0], 0, 1),
+    ], ids=["hopeless-estimate", "empty-key"])
+    def test_correction_without_possible_yield_aborts(self, ticks, sample, est_num, est_den):
+        b_end, _a_end, thread, errors = self._alice_against_fake_bob(ticks)
+        b_end.send(SampleRequest(positions=np.asarray(sample, dtype=np.int64)))
+        b_end.expect(Kind.SAMPLE_REVEAL, timeout_s=5.0)
+        b_end.send(ShuffleSeed(pass_no=1, seed=1, block_size=8,
+                               est_num=est_num, est_den=est_den))
+        self._expect_abort(b_end, thread, "no yield is possible")
+        assert isinstance(errors["a"], SessionAborted)
 
 
 GOLDEN_CASES = [
