@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import threading
 
@@ -214,20 +215,29 @@ GOLDEN_CASES = [
                  SessionConfig(pulses=200_000, block_size=50_000,
                                recon=ReconConfig(sample_fraction=0.05)),
                  "6736141e93a1f146e1d2d82a8fafd9a6c0369a5104ad59b8c838042b650ef5c3",
+                 "4c6083e9ec8e0be17dd5c1272fea5bc94230910605e9309604153fa2a3faafa8",
                  id="nbar0.5-seed417"),
     pytest.param(ProtocolParams(), SessionConfig(),
                  "818b84c2e6a9768819746834adaa760e1bd956df00b4429dd9498642d1ecb205",
+                 "6412558b8cba53ae93e10c4bbc94ef065ceafeb7439f3ca5dd8c224ed4609219",
                  id="defaults"),
     pytest.param(ProtocolParams(mean_photon_number=0.02, rng_seed=3),
                  SessionConfig(pulses=200_000),
                  "e5a9179bbf4367a46ccfc49e9813fbb85edeaec942f1438106c6cb0223d275b5",
+                 "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
                  id="dim-no-yield"),
     pytest.param(ProtocolParams(mean_photon_number=0.35, eta_system_mean=0.5,
                                 eta_system_sigma=0.0, rng_seed=1),
                  SessionConfig(pulses=200_000),
                  "53c3256f3ccff5e4102d4aba598d24faf02ca93f4f0fdccb5cebcab7cfe02fbe",
+                 "1bf731e293ae533be827147734cc2ce917531b719bcc143599f22f2ffcff8f73",
                  id="efficient-link-with-key"),
 ]
+
+
+@functools.lru_cache(maxsize=None)
+def golden_run(params, cfg):
+    return run_simulation(params, cfg)
 
 
 class TestGoldenReplay:
@@ -244,12 +254,21 @@ class TestGoldenReplay:
     change.
     """
 
-    @pytest.mark.parametrize("params, cfg, digest", GOLDEN_CASES)
-    def test_session_bytes(self, params, cfg, digest):
-        sim = run_simulation(params, cfg)
+    @pytest.mark.parametrize("params, cfg, digest, _secret", GOLDEN_CASES)
+    def test_session_bytes(self, params, cfg, digest, _secret):
+        sim = golden_run(params, cfg)
         assert sim.alice.frames == sim.bob.frames
         h = hashlib.sha256(sim.report.to_kv().encode())
         for frame in sim.bob.frames:
             h.update(frame)
         h.update(np.packbits(sim.bob.secret_bits).tobytes())
         assert h.hexdigest() == digest
+
+    @pytest.mark.parametrize("params, cfg, _digest, secret", GOLDEN_CASES)
+    def test_secret_key_bytes(self, params, cfg, _digest, secret):
+        """sha256 of the packed secret key alone.  A change to the wire
+        format or the report leaves these digests as they are; only a
+        change to the keys themselves may move them."""
+        sim = golden_run(params, cfg)
+        assert np.array_equal(sim.alice.secret_bits, sim.bob.secret_bits)
+        assert hashlib.sha256(np.packbits(sim.bob.secret_bits).tobytes()).hexdigest() == secret
