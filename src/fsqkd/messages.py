@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import base64
 import enum
+import re
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -38,7 +39,7 @@ from .bitpack import (
     encode_varint,
 )
 
-PROTOCOL_VERSION = 3
+PROTOCOL_VERSION = 4
 MAX_PAYLOAD_BYTES = 2**24
 
 
@@ -301,6 +302,8 @@ class Message:
             raise MessageFormatError(
                 f"payload for {self.kind.value} must be {expected.__name__}"
             )
+        if not 0 <= self.seq < 10**20:
+            raise MessageFormatError(f"seq {self.seq} is not a decimal of at most 20 digits")
 
 
 def message_for(session_id: int, seq: int, payload) -> Message:
@@ -331,28 +334,28 @@ def decode(frame: bytes) -> Message:
     return decode_body(frame[4:])
 
 
+# The header in its one canonical spelling: tokens in this order, ``sid``
+# as 16 lowercase hex digits and ``seq`` as a decimal of at most 20 digits
+# without sign, underscores or leading zeros.  The payload is the rest of
+# the body, so base64 validation rejects any further token.
+_HEADER = re.compile(
+    rb"sid=([0-9a-f]{16}) seq=(0|[1-9][0-9]{0,19}) kind=([A-Za-z]+) payload=")
+
+
 def decode_body(body: bytes) -> Message:
+    header = _HEADER.match(body)
+    if header is None:
+        raise MessageFormatError(
+            "malformed header: expected 'sid=<16 lowercase hex> "
+            "seq=<decimal, at most 20 digits, no leading zeros> kind=<name> payload='")
     try:
-        text = body.decode("ascii")
-    except UnicodeDecodeError as exc:
-        raise MessageFormatError("body is not ASCII") from exc
-    fields = {}
-    for token in text.split(" "):
-        if "=" not in token:
-            raise MessageFormatError(f"malformed token {token!r}")
-        key, value = token.split("=", 1)
-        if key not in ("sid", "seq", "kind", "payload") or key in fields:
-            raise MessageFormatError(f"unexpected token {key!r}")
-        fields[key] = value
-    try:
-        session_id = int(fields["sid"], 16)
-        seq = int(fields["seq"])
-        kind = Kind(fields["kind"])
-        raw = base64.b64decode(fields["payload"], validate=True)
-    except (KeyError, ValueError) as exc:
+        kind = Kind(header[3].decode("ascii"))
+        raw = base64.b64decode(body[header.end():], validate=True)
+    except ValueError as exc:
         raise MessageFormatError(f"invalid body: {exc}") from exc
     payload = _PAYLOAD_TYPES[kind].unpack(raw)
-    return Message(session_id=session_id, seq=seq, kind=kind, payload=payload)
+    return Message(session_id=int(header[1], 16), seq=int(header[2]), kind=kind,
+                   payload=payload)
 
 
 def leak_meter(messages) -> int:

@@ -13,11 +13,13 @@ Every bisection level is one query covering all open ranges of all
 passes, so round trips grow with passes, levels and backtracking rounds,
 never with the error count.
 
-A seeded random-parity hash closes the exchange; on mismatch one extra
-pass runs before the session aborts.  Keys are uint8 arrays of 0/1 bits.
-Disclosure is metered from the transcript alone (``leak_meter``): block
-parities plus one bit per bisection answer, never queries, seeds or
-indices; the session adds the sampled bits on top.
+A seeded Toeplitz hash of the corrected key closes the exchange: the
+universal family privacy amplification also uses, drawn as n + 127 bits
+for a 128-bit digest.  On mismatch one extra pass runs before the session
+aborts.  Keys are uint8 arrays of 0/1 bits.  Disclosure is metered from
+the transcript alone (``leak_meter``): block parities plus one bit per
+bisection answer, never queries, seeds or indices; the session adds the
+sampled bits on top.
 """
 
 from __future__ import annotations
@@ -135,18 +137,27 @@ class _PassStructure:
 
 
 def _verify_hash_bits(key_bits: np.ndarray, seed: int, nbits: int) -> bytes:
-    """Random-parity (universal family) hash of a key, as packed bytes.
+    """Toeplitz (universal family) hash of a key, as packed bytes.
 
-    Digest bit i is the parity of the key bits selected by row i, the i-th
-    run of n uniforms below 0.5 from the labeled stream.  Drawing the rows
-    one at a time consumes the stream exactly as one (nbits, n) draw would,
-    and keeps the working memory at one row.
+    The nbits x n binary Toeplitz matrix is fixed by its n + nbits - 1
+    diagonal bits, ``random(n + nbits - 1) < 0.5`` from the labeled stream
+    ``verify-hash`` of the seed; entry (i, j) is diagonal bit
+    ``i - j + n - 1``, the convention of ``privacy.compress``.  With the
+    diagonal reversed, row i is the contiguous slice starting at
+    ``nbits - 1 - i``, so digest bit i is the parity of that slice ANDed
+    with the key: exact integer counts at any key length, including keys
+    shorter than the digest.
     """
-    rng = stream(seed, "verify-hash")
+    n = len(key_bits)
+    diagonal = stream(seed, "verify-hash").random(n + nbits - 1) < 0.5
+    reversed_diagonal = diagonal[::-1].copy()
     key = key_bits.astype(bool)
+    row = np.empty(n, dtype=bool)
     digest = np.empty(nbits, dtype=np.uint8)
     for i in range(nbits):
-        digest[i] = np.count_nonzero((rng.random(len(key)) < 0.5) & key) & 1
+        start = nbits - 1 - i
+        np.logical_and(reversed_diagonal[start : start + n], key, out=row)
+        digest[i] = np.count_nonzero(row) & 1
     return pack_bits(digest)
 
 

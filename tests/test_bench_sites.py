@@ -94,3 +94,9 @@ def test_every_traced_layer_records_a_span():
     stream_modules = {STREAM_CALLERS.get(names.get(span[5]))
                       for span in tracer.spans if span[1] == "rng.stream"}
     assert {"session", "channel", "privacy", "reconciliation"} <= stream_modules
+    # the per-layer verify-hash time is the sum of these spans, one per hash
+    # each party computes
+    for party, result in (("alice", sim.alice), ("bob", sim.bob)):
+        hashes = sum(1 for span in tracer.spans
+                     if span[1] == "reconciliation.verify_hash" and span[2] == party)
+        assert hashes == result.report.hash_rounds >= 1, party

@@ -166,6 +166,13 @@ class TestTwoProcess:
         code, err = self._serve_fake_peer(tmp_path, len(body).to_bytes(4, "big") + body)
         assert code == 2, err
 
+    def test_noncanonical_header_aborts(self, tmp_path):
+        # parses as session 1, seq 10 under int(); the header has one spelling
+        body = b"sid=0x1 seq=+1_0 kind=Done payload="
+        code, err = self._serve_fake_peer(tmp_path, len(body).to_bytes(4, "big") + body)
+        assert code == 2, err
+        assert "malformed header" in err
+
     def test_oversized_length_prefix_aborts(self, tmp_path):
         code, err = self._serve_fake_peer(tmp_path, b"\xff\xff\xff\xff")
         assert code == 2, err

@@ -34,6 +34,7 @@ from fsqkd.messages import (
     Syndrome,
     VerifyHash,
     decode,
+    decode_body,
     encode,
     leak_meter,
     message_for,
@@ -161,6 +162,48 @@ PROTOCOL_MD = (Path(__file__).resolve().parents[1] / "PROTOCOL.md").read_text()
 
 def _doc_hex(text: str) -> bytes:
     return bytes.fromhex(text.replace(" ", "").replace("\n", ""))
+
+
+class TestCanonicalHeader:
+    """A header has one spelling: tokens in the order sid, seq, kind,
+    payload; ``sid`` as 16 lowercase hex digits; ``seq`` as a decimal of at
+    most 20 digits without sign, underscores or leading zeros."""
+
+    @pytest.mark.parametrize("header", [
+        "sid=0x1 seq=+1_0",
+        "sid=00000000000000AB seq=0",
+        "sid=00000000000000ab seq=01",
+        "sid=00000000000000ab seq=-1",
+        "sid=00000000000000ab seq=1_0",
+        "sid=00000000000000ab seq= 1",
+        "sid=00000000000000ab seq=" + "1" * 21,
+        "sid=0000000000000ab seq=0",
+        "sid=000000000000000ab seq=0",
+        "seq=0 sid=00000000000000ab",
+    ], ids=["hex-prefix-signed-underscore", "uppercase-sid", "leading-zero-seq",
+            "negative-seq", "underscore-seq", "double-space", "21-digit-seq",
+            "15-digit-sid", "17-digit-sid", "reordered"])
+    def test_rejected(self, header):
+        body = f"{header} kind=Done payload=".encode("ascii")
+        with pytest.raises(MessageFormatError, match="malformed header"):
+            decode_body(body)
+        # an endpoint answers it with an Abort
+        a_end, b_end = loopback_pair()
+        b_end._inbox.put(len(body).to_bytes(4, "big") + body)
+        with pytest.raises(ProtocolError, match="malformed header"):
+            b_end.recv()
+        assert a_end.recv().kind is Kind.ABORT
+
+    @pytest.mark.parametrize("seq", [0, 10, 10**20 - 1])
+    def test_canonical_seq_accepted(self, seq):
+        frame = encode(message_for(0xAB, seq, Done()))
+        assert frame[4:] == f"sid=00000000000000ab seq={seq} kind=Done payload=".encode()
+        assert decode(frame).seq == seq
+
+    @pytest.mark.parametrize("seq", [-1, 10**20])
+    def test_unencodable_seq_rejected(self, seq):
+        with pytest.raises(MessageFormatError, match="20 digits"):
+            message_for(0, seq, Done())
 
 
 class TestProtocolDocument:

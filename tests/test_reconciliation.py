@@ -9,6 +9,7 @@ from fsqkd.messages import Kind, SampleRequest, SampleReveal, Syndrome, VerifyHa
 from fsqkd.params import ProtocolParams
 from fsqkd.reconciliation import (
     ReconConfig,
+    _verify_hash_bits,
     block_schedule,
     estimate_ber_alice,
     estimate_ber_bob,
@@ -329,6 +330,48 @@ class TestReconcile:
         a_end, _ = loopback_pair()
         with pytest.raises(ValueError):
             reconcile(np.zeros(0, dtype=np.uint8), a_end, ReconConfig(), "alice", 0, 1)
+
+
+def toeplitz_diagonal(seed, n, nbits):
+    """The hash matrix's n + nbits - 1 diagonal bits, as PROTOCOL.md draws them."""
+    return (stream(seed, "verify-hash").random(n + nbits - 1) < 0.5).astype(np.int64)
+
+
+class TestVerifyHash:
+    """The key-confirmation digest is an nbits x n Toeplitz matrix times the key."""
+
+    @pytest.mark.parametrize("n", [1, 7, 127, 128, 129, 1000])
+    def test_equals_dense_toeplitz_product(self, n):
+        nbits, seed = 128, 12
+        key = stream(n, "key").integers(0, 2, n).astype(np.uint8)
+        diagonal = toeplitz_diagonal(seed, n, nbits)
+        i, j = np.indices((nbits, n))
+        matrix = diagonal[i - j + n - 1]
+        expected = np.packbits((matrix @ key) & 1).tobytes()
+        assert _verify_hash_bits(key, seed, nbits) == expected
+
+    def test_equals_fft_convolution_at_bright_key_length(self):
+        # the corrected key length of a 32M-pulse session at nbar 0.5
+        n, nbits, seed = 485_907, 128, 3
+        key = stream(1, "key").integers(0, 2, n).astype(np.uint8)
+        size = 1 << (n + nbits - 2).bit_length()
+        spectrum = np.fft.rfft(toeplitz_diagonal(seed, n, nbits), size)
+        spectrum *= np.fft.rfft(key, size)
+        product = np.fft.irfft(spectrum, size)[n - 1 : n - 1 + nbits]
+        expected = np.packbits(np.rint(product).astype(np.int64) & 1).tobytes()
+        assert _verify_hash_bits(key, seed, nbits) == expected
+
+    @pytest.mark.parametrize("position", [0, 500, 999])
+    def test_one_bit_difference_changes_digest(self, position):
+        key = stream(2, "key").integers(0, 2, 1000).astype(np.uint8)
+        other = key.copy()
+        other[position] ^= 1
+        assert _verify_hash_bits(key, 5, 128) != _verify_hash_bits(other, 5, 128)
+
+    @pytest.mark.parametrize("nbits", [8, 13, 128, 129])
+    def test_digest_length(self, nbits):
+        key = stream(3, "key").integers(0, 2, 300).astype(np.uint8)
+        assert len(_verify_hash_bits(key, 1, nbits)) == math.ceil(nbits / 8)
 
 
 class TestReconConfig:

@@ -1,5 +1,6 @@
 import functools
 import hashlib
+import itertools
 import threading
 
 import numpy as np
@@ -20,6 +21,7 @@ from fsqkd.session import (
     SessionConfig,
     SessionReport,
     run_alice,
+    run_bob,
     run_simulation,
     session_digest,
     session_hex,
@@ -210,26 +212,96 @@ class TestHostilePeer:
         assert isinstance(errors["a"], SessionAborted)
 
 
+class TestFaultInjection:
+    """A frame damaged in transit ends the session with a ProtocolError on
+    the receiving side and an Abort to the sender, within the timeout."""
+
+    @staticmethod
+    def _session_with_damage(sender, damage):
+        """Run both engines over loopback; ``sender``'s frame number i goes
+        out as the frames ``damage(i, frame)`` returns.  Returns each
+        party's exception."""
+        params = ProtocolParams(mean_photon_number=0.5, rng_seed=417)
+        cfg = SessionConfig(pulses=200_000, block_size=50_000, timeout_s=5.0,
+                            recon=ReconConfig(sample_fraction=0.05))
+        a_end, b_end = loopback_pair(timeout_s=cfg.timeout_s)
+        damaged_end = {"alice": a_end, "bob": b_end}[sender]
+        send_frame, sent = damaged_end._send_frame, itertools.count()
+
+        def send_damaged(frame):
+            for out in damage(next(sent), frame):
+                send_frame(out)
+
+        damaged_end._send_frame = send_damaged
+        errors = {}
+
+        def party(name, engine, endpoint):
+            try:
+                engine(endpoint, params, cfg)
+            except Exception as exc:
+                errors[name] = exc
+
+        threads = [threading.Thread(target=party, args=("alice", run_alice, a_end)),
+                   threading.Thread(target=party, args=("bob", run_bob, b_end))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=2 * cfg.timeout_s)
+        assert not any(thread.is_alive() for thread in threads)
+        return errors
+
+    def _expect_receiver_error(self, sender, damage, reason):
+        errors = self._session_with_damage(sender, damage)
+        receiver = "bob" if sender == "alice" else "alice"
+        assert isinstance(errors[receiver], ProtocolError)
+        assert reason in str(errors[receiver])
+        assert isinstance(errors[sender], SessionAborted)
+        assert not errors[sender].local and reason in errors[sender].reason
+
+    # frame 4 is mid-session: Bob's BlockParity of pass 1, or Alice's third
+    # bisection query
+    @pytest.mark.parametrize("sender", ["alice", "bob"])
+    @pytest.mark.parametrize("damage, reason", [
+        (lambda i, frame: [frame, frame] if i == 4 else [frame], "sequence regression"),
+        (lambda i, frame: [frame[:-3]] if i == 4 else [frame], "length prefix does not match"),
+    ], ids=["duplicated", "truncated"])
+    def test_damaged_frame_mid_session_aborts(self, sender, damage, reason):
+        self._expect_receiver_error(sender, damage, reason)
+
+    def test_reordered_frames_abort(self):
+        # Bob's ShuffleSeed (frame 3) arrives after his BlockParity; only Bob
+        # ever sends two frames in a row, so only his can be swapped
+        held = []
+
+        def swap(i, frame):
+            if i == 3:
+                held.append(frame)
+                return []
+            return [frame, *held] if i == 4 else [frame]
+
+        self._expect_receiver_error("bob", swap, "got BlockParity")
+
+
 GOLDEN_CASES = [
     pytest.param(ProtocolParams(mean_photon_number=0.5, rng_seed=417),
                  SessionConfig(pulses=200_000, block_size=50_000,
                                recon=ReconConfig(sample_fraction=0.05)),
-                 "6736141e93a1f146e1d2d82a8fafd9a6c0369a5104ad59b8c838042b650ef5c3",
+                 "d8ea3d69b68c47922836332e615b221503c199a05d14c3db62678f896a525221",
                  "4c6083e9ec8e0be17dd5c1272fea5bc94230910605e9309604153fa2a3faafa8",
                  id="nbar0.5-seed417"),
     pytest.param(ProtocolParams(), SessionConfig(),
-                 "818b84c2e6a9768819746834adaa760e1bd956df00b4429dd9498642d1ecb205",
+                 "d455b5516a527104db0dd40e640c89f133cab6d953a020dcbbee003628b68ba7",
                  "6412558b8cba53ae93e10c4bbc94ef065ceafeb7439f3ca5dd8c224ed4609219",
                  id="defaults"),
     pytest.param(ProtocolParams(mean_photon_number=0.02, rng_seed=3),
                  SessionConfig(pulses=200_000),
-                 "e5a9179bbf4367a46ccfc49e9813fbb85edeaec942f1438106c6cb0223d275b5",
+                 "b15a81c5df843fc670829367deb19be4962eae98872b0c872077ff3281ff48f0",
                  "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
                  id="dim-no-yield"),
     pytest.param(ProtocolParams(mean_photon_number=0.35, eta_system_mean=0.5,
                                 eta_system_sigma=0.0, rng_seed=1),
                  SessionConfig(pulses=200_000),
-                 "53c3256f3ccff5e4102d4aba598d24faf02ca93f4f0fdccb5cebcab7cfe02fbe",
+                 "0bf59947ce4ec075575e2c7f2fb31e8c54897b2eb860a0a6d24c431998d94d20",
                  "1bf731e293ae533be827147734cc2ce917531b719bcc143599f22f2ffcff8f73",
                  id="efficient-link-with-key"),
 ]
@@ -247,11 +319,14 @@ class TestGoldenReplay:
     Bob's transcript, then his packed secret key; the last case yields
     1866 secret bits and the defaults 1176, so privacy amplification is
     covered.  The digests were recorded with numpy 2.4.6, whose generators
-    fix the draws, at ``PROTOCOL_VERSION`` 3 (fired-gate channel draws,
-    Alice's bits unpacked from random bytes).  A change that deliberately
-    alters keys or frames (for example a new privacy-amplification hash
-    with a ``PROTOCOL_VERSION`` bump) updates these digests in that same
-    change.
+    fix the draws, at ``PROTOCOL_VERSION`` 4 (fired-gate channel draws,
+    Alice's bits unpacked from random bytes, Toeplitz verify hash).  A
+    change that deliberately alters keys or frames (for example a new
+    privacy-amplification hash with a ``PROTOCOL_VERSION`` bump) updates
+    these digests in that same change.  The secret-key digests are kept
+    apart: the move from version 3 to 4 changed only the ``Hello`` and
+    ``VerifyHash`` frames and the report's ``protocol_version``, and left
+    them as they were.
     """
 
     @pytest.mark.parametrize("params, cfg, digest, _secret", GOLDEN_CASES)
