@@ -51,11 +51,9 @@ def detection_probability(eta: float, nbar: float) -> float:
 
 
 def ber_model(params: ProtocolParams, nbar: float,
-              recon_efficiency: float = 1.0,
-              eta_system: float | None = None) -> LinkBudget:
+              recon_efficiency: float = 1.0) -> LinkBudget:
     """Analytic error decomposition and yield at one operating point."""
-    eta_sys = params.eta_system_mean if eta_system is None else eta_system
-    p_signal = detection_probability(params.eta_q * eta_sys, nbar)
+    p_signal = detection_probability(params.eta_q * params.eta_system_mean, nbar)
     p_background = params.background_prob_per_gate
     p_dark = 2.0 * params.dark_prob_per_gate
     p_total = p_signal + p_background + p_dark
@@ -88,8 +86,7 @@ def default_grid(start: float = 0.01, stop: float = 0.99, step: float = 0.01) ->
 
 
 def optimize_nbar(params: ProtocolParams, recon_efficiency: float = 1.0,
-                  grid: np.ndarray | None = None,
-                  eta_system: float | None = None) -> tuple[float, LinkBudget, bool]:
+                  grid: np.ndarray | None = None) -> tuple[float, LinkBudget, bool]:
     """Maximize secret bits per transmitted pulse over an nbar grid.
 
     Returns ``(nbar_opt, budget_at_opt, no_yield)``; ties break toward the
@@ -102,12 +99,12 @@ def optimize_nbar(params: ProtocolParams, recon_efficiency: float = 1.0,
         raise ValueError("grid must be non-empty within (0, 1)")
     best: LinkBudget | None = None
     for nbar in grid:
-        budget = ber_model(params, float(nbar), recon_efficiency, eta_system)
+        budget = ber_model(params, float(nbar), recon_efficiency)
         if best is None or budget.secret_fraction_of_transmitted > best.secret_fraction_of_transmitted:
             best = budget
     no_yield = best.secret_fraction_of_transmitted <= 0.0
     if no_yield:
-        best = ber_model(params, float(grid[0]), recon_efficiency, eta_system)
+        best = ber_model(params, float(grid[0]), recon_efficiency)
     return best.nbar, best, no_yield
 
 
@@ -116,14 +113,13 @@ CSV_HEADER = ("nbar,p_signal,p_background,p_dark,p_total,ber_background,"
 
 
 def rate_curve_rows(params: ProtocolParams, recon_efficiency: float = 1.0,
-                    grid: np.ndarray | None = None,
-                    eta_system: float | None = None) -> list[str]:
+                    grid: np.ndarray | None = None) -> list[str]:
     """CSV rows of the full rate curve for plotting."""
     if grid is None:
         grid = default_grid()
     rows = []
     for nbar in np.asarray(grid, dtype=np.float64):
-        b = ber_model(params, float(nbar), recon_efficiency, eta_system)
+        b = ber_model(params, float(nbar), recon_efficiency)
         rows.append(
             f"{b.nbar:.6g},{b.p_signal:.8g},{b.p_background:.8g},{b.p_dark:.8g},"
             f"{b.p_total:.8g},{b.ber_background:.8g},{b.ber_optical:.8g},"

@@ -3,9 +3,10 @@
 Wire conventions used throughout the public-channel payloads:
 
 * bits pack MSB-first within each byte (``np.packbits`` order);
-* a *bit list* is a 4-byte big-endian bit count followed by packed bits;
+* a *bit list* is a 4-byte big-endian bit count followed by packed bits,
+  the unused low bits of its last byte zero;
 * varints are unsigned LEB128: 7 payload bits per byte, low group first,
-  high bit set on continuation bytes;
+  high bit set on continuation bytes, no zero last group after the first;
 * an *index list* is ``varint(count)`` followed by the first index as a
   varint and then the successive gaps as varints (delta coding - the gaps
   of a strictly increasing sequence are small, so million-tick detection
@@ -53,6 +54,9 @@ def decode_varint(data: bytes, offset: int) -> tuple[int, int]:
         offset += 1
         value |= (byte & 0x7F) << shift
         if not byte & 0x80:
+            # a zero last group after the first spells a shorter varint
+            if shift and not byte:
+                raise ValueError("overlong varint")
             return value, offset
         shift += 7
         if shift > 70:
@@ -64,8 +68,8 @@ def decode_varint(data: bytes, offset: int) -> tuple[int, int]:
 # per call plus 0.03 us per index (2-vCPU VM, numpy 2.4.6), and half of a
 # session's lists (bisection queries and replies) hold five ids or fewer.
 _SCALAR_MAX = 64
-# decode_varint accepts up to eleven bytes (the tail zero-padded); an index
-# below 2**63 needs at most nine
+# decode_varint reads up to eleven bytes before it gives up; an index below
+# 2**63 needs at most nine
 _MAX_VARINT_BYTES = 11
 _GROUP_LIMITS = np.array([1 << (7 * j) for j in range(1, 10)], dtype=np.uint64)
 _SHIFTS = np.arange(0, 64, 7, dtype=np.uint64)
@@ -123,6 +127,8 @@ def decode_index_list(data: bytes, offset: int) -> tuple[np.ndarray, int]:
     if len(ends) < count:
         tail = len(window) - (int(ends[-1]) + 1 if len(ends) else 0)
         raise ValueError("varint too long" if tail >= _MAX_VARINT_BYTES else "truncated varint")
+    if np.any((window[ends] == 0) & (lengths > 1)):
+        raise ValueError("overlong varint")
     size = int(ends[-1]) + 1
     starts = ends + 1 - lengths
     column = np.arange(size) - np.repeat(starts, lengths)
@@ -152,5 +158,8 @@ def decode_bit_list(data: bytes, offset: int) -> tuple[np.ndarray, int]:
     nbytes = (nbits + 7) // 8
     if offset + nbytes > len(data):
         raise ValueError("truncated bit list body")
+    # the last byte's unused low bits are zero, as packbits leaves them
+    if nbits % 8 and data[offset + nbytes - 1] & (0xFF >> nbits % 8):
+        raise ValueError("non-zero padding bits in bit list")
     bits = unpack_bits(data[offset : offset + nbytes], nbits)
     return bits, offset + nbytes

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from decimal import Decimal
 from pathlib import Path
 
 from .analytics import CSV_HEADER, default_grid, optimize_nbar, rate_curve_rows
@@ -184,8 +185,8 @@ def cmd_simulate(args) -> int:
     out = _out_dir(args)
     sim = run_simulation(params, cfg)
     _write_session_artifacts(out, "", sim.bob)
-    write_secret_key(out / "alice-secret.key", sim.alice.secret_bits, sim.alice.session_hex)
-    write_secret_key(out / "bob-secret.key", sim.bob.secret_bits, sim.bob.session_hex)
+    write_secret_key(out / "alice-secret.key", sim.alice.secret_bits, sim.alice.report.session)
+    write_secret_key(out / "bob-secret.key", sim.bob.secret_bits, sim.bob.report.session)
     sys.stdout.write(sim.report.to_text())
     if sim.report.no_yield:
         sys.stdout.write("no secret bit yield at these parameters\n")
@@ -212,7 +213,7 @@ def cmd_party(args, open_endpoint, engine, prefix: str) -> int:
     finally:
         endpoint.close()
     _write_session_artifacts(out, prefix, result)
-    write_secret_key(out / f"{prefix}secret.key", result.secret_bits, result.session_hex)
+    write_secret_key(out / f"{prefix}secret.key", result.secret_bits, result.report.session)
     sys.stdout.write(result.report.to_text())
     sys.stdout.write(f"artifacts written to {out} ({result.duration_s:.2f} s)\n")
     return EXIT_OK
@@ -222,7 +223,12 @@ def cmd_analyze(args) -> int:
     params = _build_params(args)
     c = _merged(args, "recon-efficiency", 1.0)
     step = args.grid_step
-    grid = default_grid(step, round((0.99 // step) * step, 12), step) if step != 0.01 else default_grid()
+    if not step > 0:
+        raise ConfigError(f"grid step must be positive, got {step}")
+    # the last multiple of the step not above 0.99, counted in decimal:
+    # float floor division undercounts (0.99 // 0.005 == 197.0)
+    points = int(Decimal("0.99") // Decimal(repr(step)))
+    grid = default_grid(step, round(points * step, 12), step)
     out = _out_dir(args)
     nbar_opt, budget, no_yield = optimize_nbar(params, recon_efficiency=c, grid=grid)
     rows = rate_curve_rows(params, recon_efficiency=c, grid=grid)

@@ -348,12 +348,17 @@ def decode_body(body: bytes) -> Message:
         raise MessageFormatError(
             "malformed header: expected 'sid=<16 lowercase hex> "
             "seq=<decimal, at most 20 digits, no leading zeros> kind=<name> payload='")
+    text = body[header.end():]
     try:
         kind = Kind(header[3].decode("ascii"))
-        raw = base64.b64decode(body[header.end():], validate=True)
+        raw = base64.b64decode(text, validate=True)
+        # b64decode ignores the unused bits of a last group and accepts
+        # extra padding; only the encoder's own spelling is a valid payload
+        if base64.b64encode(raw) != text:
+            raise ValueError("payload is not canonical base64")
+        payload = _PAYLOAD_TYPES[kind].unpack(raw)
     except ValueError as exc:
         raise MessageFormatError(f"invalid body: {exc}") from exc
-    payload = _PAYLOAD_TYPES[kind].unpack(raw)
     return Message(session_id=int(header[1], 16), seq=int(header[2]), kind=kind,
                    payload=payload)
 

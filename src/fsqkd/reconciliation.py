@@ -19,7 +19,8 @@ for a 128-bit digest.  On mismatch one extra pass runs before the session
 aborts.  Keys are uint8 arrays of 0/1 bits.  Disclosure is metered from
 the transcript alone (``leak_meter``): block parities plus one bit per
 bisection answer, never queries, seeds or indices; the session adds the
-sampled bits on top.
+sampled bits on top.  ``Endpoint.expect`` answers any message out of
+turn with ``Abort``.  ``block_syndrome`` is off the session path.
 """
 
 from __future__ import annotations
@@ -30,9 +31,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bitpack import pack_bits
-# no longer used by the corrector; the benchmark's tracer still wraps this
-# name on the module, so it stays importable from here
-from .hamming import block_syndrome  # noqa: F401
 from .messages import (
     BlockParity,
     Kind,
@@ -111,6 +109,13 @@ def block_schedule(est: float, n: int, passes: int) -> list[int]:
     k1 = int(round(BLOCK_SIZE_FACTOR / est))
     k1 = max(BLOCK_SIZE_MIN, min(BLOCK_SIZE_MAX, k1))
     return [min(k1 << (p - 1), BLOCK_SIZE_MAX, max(n, BLOCK_SIZE_MIN)) for p in range(1, passes + 1)]
+
+
+# No session calls this since Cascade replaced Hamming correction; it stays
+# because the benchmark's tracer wraps this name on this module.
+def block_syndrome(bits: np.ndarray) -> int:
+    """XOR of the 1-based positions of a block's set bits."""
+    return int(np.bitwise_xor.reduce(np.flatnonzero(bits) + 1))
 
 
 def _permutation(seed: int, pass_no: int, n: int) -> np.ndarray:
@@ -340,7 +345,7 @@ def _reconcile_alice(key: np.ndarray, endpoint: Endpoint, config: ReconConfig,
         if first_message is not None:
             message, first_message = first_message, None
         else:
-            message = endpoint.expect(Kind.SHUFFLE_SEED, Kind.VERIFY_HASH, Kind.BLOCK_PARITY)
+            message = endpoint.expect(Kind.SHUFFLE_SEED, Kind.VERIFY_HASH)
         if message.kind is Kind.SHUFFLE_SEED:
             announce = message.payload
             if announce.pass_no == 1 and announce.est_den:
@@ -351,7 +356,7 @@ def _reconcile_alice(key: np.ndarray, endpoint: Endpoint, config: ReconConfig,
             odd_blocks = corr.begin_pass(announce, parity_msg.parities)
             corr.drain(odd_blocks)
             passes_run += 1
-        elif message.kind is Kind.VERIFY_HASH:
+        else:
             theirs = message.payload
             # the length was agreed through the session digest; hashing a
             # length the peer picks would cost a key-sized row per bit
@@ -365,8 +370,6 @@ def _reconcile_alice(key: np.ndarray, endpoint: Endpoint, config: ReconConfig,
                 verified = True
                 break
             # Bob decides: one extra pass arrives next, or an abort.
-        else:
-            endpoint.fail("unexpected BlockParity")
     return _outcome(bits, endpoint.messages[transcript_start:], est_num, est_den,
                     verified, passes_run, corr.flips, hash_rounds)
 

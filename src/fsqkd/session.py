@@ -216,10 +216,8 @@ class SessionReport:
 
 @dataclass
 class SessionResult:
-    role: str
     report: SessionReport
     secret_bits: np.ndarray
-    session_hex: str
     frames: list[bytes]
     duration_s: float = 0.0
 
@@ -353,8 +351,7 @@ def run_bob(endpoint: Endpoint, params: ProtocolParams, cfg: SessionConfig) -> S
     report = _base_report(params, cfg, seed, "bob")
     _finish_report(report, outcome, est_sample, len(sifted), len(secret_bits), cfg)
     _attach_truth(report, alice_bits, ticks, sifted, run.detections)
-    return SessionResult(role="bob", report=report, secret_bits=secret_bits,
-                         session_hex=session_hex(params, cfg, seed),
+    return SessionResult(report=report, secret_bits=secret_bits,
                          frames=list(endpoint.frames),
                          duration_s=time.monotonic() - t0)
 
@@ -440,8 +437,7 @@ def run_alice(endpoint: Endpoint, params: ProtocolParams, cfg: SessionConfig) ->
     report = _base_report(params, cfg, seed, "alice")
     report.recon_flips = outcome.flips
     _finish_report(report, outcome, sampled_bits, len(sifted), len(secret), cfg)
-    return SessionResult(role="alice", report=report, secret_bits=secret,
-                         session_hex=session_hex(params, cfg, seed),
+    return SessionResult(report=report, secret_bits=secret,
                          frames=list(endpoint.frames),
                          duration_s=time.monotonic() - t0)
 

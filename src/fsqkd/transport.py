@@ -3,7 +3,10 @@
 Both transports move the exact frames produced by ``messages.encode``, so
 a session transcript is byte-identical whichever carrier it ran over.
 Endpoints enforce strictly increasing sequence numbers per sender and
-surface peer aborts as exceptions.
+surface peer aborts as exceptions.  Every frame they send carries session
+id 0, and the ``sid`` of a received frame is not checked: the ``Hello``
+exchange alone fixes which session a connection runs.  Each receive waits
+at most the endpoint's ``timeout_s``.
 """
 
 from __future__ import annotations
@@ -55,8 +58,7 @@ class Endpoint:
     arrival/send order) for leak accounting and logging.
     """
 
-    def __init__(self, session_id: int = 0, timeout_s: float = DEFAULT_TIMEOUT_S):
-        self.session_id = session_id
+    def __init__(self, timeout_s: float = DEFAULT_TIMEOUT_S):
         self.timeout_s = timeout_s
         self._next_seq = 0
         self._last_peer_seq = -1
@@ -70,7 +72,7 @@ class Endpoint:
         raise NotImplementedError
 
     def send(self, payload) -> Message:
-        message = message_for(self.session_id, self._next_seq, payload)
+        message = message_for(0, self._next_seq, payload)
         self._next_seq += 1
         frame = encode(message)
         self.frames.append(frame)
@@ -78,13 +80,13 @@ class Endpoint:
         self._send_frame(frame)
         return message
 
-    def recv(self, timeout_s: float | None = None) -> Message:
+    def recv(self) -> Message:
         try:
-            frame = self._recv_frame(self.timeout_s if timeout_s is None else timeout_s)
+            frame = self._recv_frame(self.timeout_s)
             message = decode(frame)
         except ValueError as exc:
-            # MessageFormatError (an oversized length prefix included), or a
-            # ValueError from the bitpack decoders
+            # MessageFormatError: any malformed frame, an oversized length
+            # prefix included
             reason = f"malformed frame: {exc}"
             self.abort(reason)
             raise ProtocolError(reason) from exc
@@ -97,9 +99,9 @@ class Endpoint:
         self.messages.append(message)
         return message
 
-    def expect(self, *kinds: Kind, timeout_s: float | None = None) -> Message:
+    def expect(self, *kinds: Kind) -> Message:
         """Receive one message of the given kind(s); abort handling built in."""
-        message = self.recv(timeout_s=timeout_s)
+        message = self.recv()
         if message.kind is Kind.ABORT:
             raise SessionAborted(message.payload.reason, local=False)
         if kinds and message.kind not in kinds:
@@ -126,8 +128,8 @@ class Endpoint:
 
 class LoopbackEndpoint(Endpoint):
     def __init__(self, outbox: queue.Queue, inbox: queue.Queue,
-                 session_id: int = 0, timeout_s: float = DEFAULT_TIMEOUT_S):
-        super().__init__(session_id=session_id, timeout_s=timeout_s)
+                 timeout_s: float = DEFAULT_TIMEOUT_S):
+        super().__init__(timeout_s)
         self._outbox = outbox
         self._inbox = inbox
 
@@ -141,20 +143,18 @@ class LoopbackEndpoint(Endpoint):
             raise ChannelTimeout(f"no message within {timeout_s} s") from None
 
 
-def loopback_pair(session_id: int = 0,
-                  timeout_s: float = DEFAULT_TIMEOUT_S) -> tuple[Endpoint, Endpoint]:
+def loopback_pair(timeout_s: float = DEFAULT_TIMEOUT_S) -> tuple[Endpoint, Endpoint]:
     """Two connected in-memory endpoints: FIFO, lossless, ordered."""
     ab: queue.Queue = queue.Queue()
     ba: queue.Queue = queue.Queue()
-    a = LoopbackEndpoint(outbox=ab, inbox=ba, session_id=session_id, timeout_s=timeout_s)
-    b = LoopbackEndpoint(outbox=ba, inbox=ab, session_id=session_id, timeout_s=timeout_s)
+    a = LoopbackEndpoint(outbox=ab, inbox=ba, timeout_s=timeout_s)
+    b = LoopbackEndpoint(outbox=ba, inbox=ab, timeout_s=timeout_s)
     return a, b
 
 
 class SocketEndpoint(Endpoint):
-    def __init__(self, sock: socketlib.socket, session_id: int = 0,
-                 timeout_s: float = DEFAULT_TIMEOUT_S):
-        super().__init__(session_id=session_id, timeout_s=timeout_s)
+    def __init__(self, sock: socketlib.socket, timeout_s: float = DEFAULT_TIMEOUT_S):
+        super().__init__(timeout_s)
         self._sock = sock
 
     def _send_frame(self, frame: bytes) -> None:
@@ -196,15 +196,13 @@ class SocketEndpoint(Endpoint):
             pass
 
 
-def connect(addr: tuple[str, int], session_id: int = 0,
-            timeout_s: float = DEFAULT_TIMEOUT_S) -> SocketEndpoint:
+def connect(addr: tuple[str, int], timeout_s: float = DEFAULT_TIMEOUT_S) -> SocketEndpoint:
     sock = socketlib.create_connection(addr, timeout=timeout_s)
     sock.setsockopt(socketlib.IPPROTO_TCP, socketlib.TCP_NODELAY, 1)
-    return SocketEndpoint(sock, session_id=session_id, timeout_s=timeout_s)
+    return SocketEndpoint(sock, timeout_s)
 
 
-def serve_one(addr: tuple[str, int], session_id: int = 0,
-              timeout_s: float = DEFAULT_TIMEOUT_S,
+def serve_one(addr: tuple[str, int], timeout_s: float = DEFAULT_TIMEOUT_S,
               ready_callback=None) -> SocketEndpoint:
     """Listen on ``addr``, accept exactly one peer, return its endpoint."""
     listener = socketlib.socket(socketlib.AF_INET, socketlib.SOCK_STREAM)
@@ -220,6 +218,6 @@ def serve_one(addr: tuple[str, int], session_id: int = 0,
         except socketlib.timeout:
             raise ChannelTimeout(f"no connection within {timeout_s} s") from None
         sock.setsockopt(socketlib.IPPROTO_TCP, socketlib.TCP_NODELAY, 1)
-        return SocketEndpoint(sock, session_id=session_id, timeout_s=timeout_s)
+        return SocketEndpoint(sock, timeout_s)
     finally:
         listener.close()

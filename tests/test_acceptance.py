@@ -185,7 +185,7 @@ def test_criterion_7_yield_optimization():
 
 def test_criterion_8_no_yield_thresholds():
     params = ProtocolParams()
-    _n1, budget1, flag1 = optimize_nbar(params, 1.0, eta_system=0.03)
+    _n1, budget1, flag1 = optimize_nbar(params.replace(eta_system_mean=0.03), 1.0)
     low_grid = default_grid(0.01, 0.05, 0.01)
     _n2, budget2, flag2 = optimize_nbar(params, 1.0, grid=low_grid)
     ok = flag1 and flag2

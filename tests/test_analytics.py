@@ -58,7 +58,7 @@ class TestBerModel:
 
     def test_signal_dominated_limit_is_optical_floor(self):
         params = ProtocolParams()
-        budget = ber_model(params, 0.99, eta_system=1.0)
+        budget = ber_model(params.replace(eta_system_mean=1.0), 0.99)
         assert budget.ber_total == pytest.approx(params.optical_error_prob, abs=0.002)
 
     def test_component_sum(self):
@@ -105,7 +105,8 @@ class TestOptimizeNbar:
         assert 0.0025 <= budget.secret_fraction_of_transmitted <= 0.0055
 
     def test_low_system_efficiency_has_no_yield(self):
-        _nbar, budget, no_yield = optimize_nbar(ProtocolParams(), 1.0, eta_system=0.03)
+        _nbar, budget, no_yield = optimize_nbar(
+            ProtocolParams().replace(eta_system_mean=0.03), 1.0)
         assert no_yield
         assert budget.secret_fraction_of_transmitted == 0.0
 

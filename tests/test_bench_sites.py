@@ -42,8 +42,8 @@ SITES = [
 
 # The (span name, party) pairs a keyed session must record.
 # ``hamming.syndrome`` (the ``block_syndrome`` site) is left out: no session
-# calls Hamming code, and the name stays importable only because the
-# tracer wraps it.
+# calls ``reconciliation.block_syndrome``, which stays only because the
+# tracer wraps it, so the test below asserts that span never appears.
 BOTH = ("alice", "bob")
 SPANS = {(name, party) for name, parties in {
     "session": BOTH, "protocol.bits": BOTH, "protocol.detect": ("bob",),
@@ -90,6 +90,8 @@ def test_every_traced_layer_records_a_span():
     assert len(sim.bob.secret_bits) > 0
     recorded = {(span[1], span[2]) for span in tracer.spans}
     assert SPANS <= recorded, SPANS - recorded
+    # the benchmark's four ``hamming.*`` metrics read 0 by construction
+    assert not any(span[1] == "hamming.syndrome" for span in tracer.spans)
     names = {span[0]: span[1] for span in tracer.spans}
     stream_modules = {STREAM_CALLERS.get(names.get(span[5]))
                       for span in tracer.spans if span[1] == "rng.stream"}

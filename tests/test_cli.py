@@ -85,6 +85,20 @@ class TestAnalyze:
         frac = lambda r: float(r.stdout.split("secret fraction ")[1].split(" ")[0])
         assert frac(cascade) < frac(shannon)
 
+    @pytest.mark.parametrize("step, points", [("0.005", 198), ("0.11", 9)])
+    def test_grid_ends_at_last_multiple_of_step(self, tmp_path, step, points):
+        # float floor division put the last point at 0.985 and 0.88
+        result = run_cli("analyze", "--grid-step", step, "--out-dir", str(tmp_path))
+        assert result.returncode == 0
+        rows = (tmp_path / "rate_curve.csv").read_text().splitlines()[1:]
+        assert len(rows) == points
+        assert float(rows[-1].split(",")[0]) == 0.99
+
+    def test_nonpositive_grid_step_is_usage_error(self, tmp_path):
+        result = run_cli("analyze", "--grid-step", "0", "--out-dir", str(tmp_path))
+        assert result.returncode == 1
+        assert "grid step" in result.stderr
+
 
 class TestTwoProcess:
     def _run_pair(self, tmp_path, port, seed="11"):
@@ -172,6 +186,13 @@ class TestTwoProcess:
         code, err = self._serve_fake_peer(tmp_path, len(body).to_bytes(4, "big") + body)
         assert code == 2, err
         assert "malformed header" in err
+
+    def test_noncanonical_payload_aborts(self, tmp_path):
+        # one revealed bit, with a set bit the base64 decoder would ignore
+        body = b"sid=0000000000000000 seq=0 kind=SampleReveal payload=AAAAAYB="
+        code, err = self._serve_fake_peer(tmp_path, len(body).to_bytes(4, "big") + body)
+        assert code == 2, err
+        assert "canonical" in err
 
     def test_oversized_length_prefix_aborts(self, tmp_path):
         code, err = self._serve_fake_peer(tmp_path, b"\xff\xff\xff\xff")

@@ -206,6 +206,44 @@ class TestCanonicalHeader:
             message_for(0, seq, Done())
 
 
+class TestCanonicalPayload:
+    """A payload has one spelling too: canonical base64 of a body whose
+    bit lists pad with zeros and whose varints carry no zero last group."""
+
+    HEADER = b"sid=0000000000000000 seq=0 kind=SampleReveal payload="
+
+    def test_canonical_one_bit_reveal_decodes(self):
+        # one bit ``1``: count 00 00 00 01, then 80 (padding 0000000)
+        message = decode_body(self.HEADER + b"AAAAAYA=")
+        assert message.payload == SampleReveal(bits=np.array([1], dtype=np.uint8))
+
+    @pytest.mark.parametrize("payload, reason", [
+        (b"AAAAAYB=", "not canonical base64"),  # unused low bits of the last group
+        (b"AAAA====", "not canonical base64"),  # padding after a full group
+        (b"AAAAAYE=", "padding bits"),          # padding 0000001
+    ], ids=["base64-trailing-bits", "base64-extra-padding", "bit-list-padding"])
+    def test_noncanonical_payload_rejected(self, payload, reason):
+        with pytest.raises(MessageFormatError, match=reason):
+            decode_body(self.HEADER + payload)
+
+    def test_overlong_varint_rejected(self):
+        # pass number 1 spelled in two bytes, then an empty parity list
+        payload = base64.b64encode(b"\x81\x00" + bytes(4))
+        with pytest.raises(MessageFormatError, match="overlong varint"):
+            decode_body(b"sid=0000000000000000 seq=0 kind=BlockParity payload=" + payload)
+        for n in (3, 100):  # short and long index lists
+            with pytest.raises(ValueError, match="overlong varint"):
+                decode_index_list(bytes([n]) + b"\x01" * (n - 1) + b"\x81\x00", 0)
+
+    def test_endpoint_aborts_on_noncanonical_payload(self):
+        body = self.HEADER + b"AAAAAYE="
+        a_end, b_end = loopback_pair()
+        b_end._inbox.put(len(body).to_bytes(4, "big") + body)
+        with pytest.raises(ProtocolError, match="padding bits"):
+            b_end.recv()
+        assert a_end.recv().kind is Kind.ABORT
+
+
 class TestProtocolDocument:
     """The examples in ``PROTOCOL.md`` are the bytes the code emits."""
 

@@ -5,19 +5,28 @@ import time
 import numpy as np
 import pytest
 
-from fsqkd.messages import Kind, SampleRequest, SampleReveal, Syndrome, VerifyHash, leak_meter
+from fsqkd.messages import (
+    BlockParity,
+    Kind,
+    SampleRequest,
+    SampleReveal,
+    Syndrome,
+    VerifyHash,
+    leak_meter,
+)
 from fsqkd.params import ProtocolParams
 from fsqkd.reconciliation import (
     ReconConfig,
     _verify_hash_bits,
     block_schedule,
+    block_syndrome,
     estimate_ber_alice,
     estimate_ber_bob,
     reconcile,
     shannon_leak_per_bit,
 )
 from fsqkd.rng import stream
-from fsqkd.transport import SessionAborted, loopback_pair
+from fsqkd.transport import ProtocolError, SessionAborted, loopback_pair
 
 
 def run_pair(alice, bob):
@@ -56,7 +65,7 @@ def estimate_pair(a_key, b_key, cfg, rng):
 def expect_abort(endpoint, reason_part):
     """The peer's next message is an Abort naming ``reason_part``."""
     with pytest.raises(SessionAborted) as info:
-        endpoint.expect(timeout_s=5.0)
+        endpoint.expect()
     assert not info.value.local and reason_part in info.value.reason
 
 
@@ -174,7 +183,7 @@ class TestEstimation:
 
         thread = threading.Thread(target=bob)
         thread.start()
-        a_end.expect(Kind.SAMPLE_REQUEST, timeout_s=5.0)
+        a_end.expect(Kind.SAMPLE_REQUEST)
         a_end.send(SampleReveal(bits=np.zeros(3, dtype=np.uint8)))
         expect_abort(a_end, "sample reveal size mismatch")
         thread.join(timeout=5.0)
@@ -316,6 +325,16 @@ class TestReconcile:
             reconcile(bits, a_end, ReconConfig(), "alice", 0, 1)
         expect_abort(b_end, "agreed 128")
 
+    def test_block_parity_out_of_turn_aborts(self):
+        # a pass opens with ShuffleSeed; Alice's expect answers a BlockParity
+        # in its place with an Abort
+        bits = stream(7, "k").integers(0, 2, 64).astype(np.uint8)
+        a_end, b_end = loopback_pair(timeout_s=5.0)
+        b_end.send(BlockParity(pass_no=1, parities=np.zeros(8, dtype=np.uint8)))
+        with pytest.raises(ProtocolError, match="got BlockParity"):
+            reconcile(bits, a_end, ReconConfig(), "alice", 0, 1)
+        expect_abort(b_end, "got BlockParity")
+
     def test_input_key_left_unchanged(self):
         n = 4_000
         rng = np.random.default_rng(11)
@@ -372,6 +391,21 @@ class TestVerifyHash:
     def test_digest_length(self, nbits):
         key = stream(3, "key").integers(0, 2, 300).astype(np.uint8)
         assert len(_verify_hash_bits(key, 1, nbits)) == math.ceil(nbits / 8)
+
+
+class TestBlockSyndrome:
+    """No session calls ``block_syndrome``; its defining property still holds."""
+
+    def test_single_error_position(self):
+        # the syndromes of two blocks that differ in one bit XOR to that
+        # bit's 1-based position, and equal blocks XOR to zero
+        for length in (7, 24, 100):
+            base = np.random.default_rng(length).integers(0, 2, length).astype(np.uint8)
+            assert block_syndrome(base) ^ block_syndrome(base.copy()) == 0
+            for position in range(length):
+                other = base.copy()
+                other[position] ^= 1
+                assert block_syndrome(base) ^ block_syndrome(other) == position + 1
 
 
 class TestReconConfig:

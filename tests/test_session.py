@@ -173,7 +173,7 @@ class TestHostilePeer:
     @staticmethod
     def _expect_abort(b_end, thread, reason_part):
         with pytest.raises(SessionAborted, match=reason_part) as info:
-            b_end.expect(timeout_s=5.0)
+            b_end.expect()
         assert not info.value.local
         thread.join(timeout=5.0)
         assert not thread.is_alive()
@@ -205,7 +205,7 @@ class TestHostilePeer:
     def test_correction_without_possible_yield_aborts(self, ticks, sample, est_num, est_den):
         b_end, _a_end, thread, errors = self._alice_against_fake_bob(ticks)
         b_end.send(SampleRequest(positions=np.asarray(sample, dtype=np.int64)))
-        b_end.expect(Kind.SAMPLE_REVEAL, timeout_s=5.0)
+        b_end.expect(Kind.SAMPLE_REVEAL)
         b_end.send(ShuffleSeed(pass_no=1, seed=1, block_size=8,
                                est_num=est_num, est_den=est_den))
         self._expect_abort(b_end, thread, "no yield is possible")

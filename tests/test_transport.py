@@ -27,13 +27,13 @@ from fsqkd.transport import (
 
 class TestLoopback:
     def test_hello_crosses_intact(self):
-        a, b = loopback_pair(session_id=7)
+        a, b = loopback_pair()
         payload = Hello(version=1, params_digest=bytes(range(16)), seed=42)
         a.send(payload)
         got = b.recv()
         assert got.kind is Kind.HELLO
         assert got.payload == payload
-        assert got.session_id == 7
+        assert got.session_id == 0
 
     def test_fifo_order(self):
         a, b = loopback_pair()
@@ -43,9 +43,9 @@ class TestLoopback:
         assert b.recv().payload.reason == "second"
 
     def test_empty_receive_times_out(self):
-        a, _b = loopback_pair()
+        a, _b = loopback_pair(timeout_s=0.01)
         with pytest.raises(ChannelTimeout):
-            a.recv(timeout_s=0.01)
+            a.recv()
 
     def test_sequence_regression_detected(self):
         a, b = loopback_pair()
