@@ -19,7 +19,6 @@ from fsqkd.reconciliation import (
     ReconConfig,
     _verify_hash_bits,
     block_schedule,
-    block_syndrome,
     estimate_ber_alice,
     estimate_ber_bob,
     reconcile,
@@ -391,21 +390,6 @@ class TestVerifyHash:
     def test_digest_length(self, nbits):
         key = stream(3, "key").integers(0, 2, 300).astype(np.uint8)
         assert len(_verify_hash_bits(key, 1, nbits)) == math.ceil(nbits / 8)
-
-
-class TestBlockSyndrome:
-    """No session calls ``block_syndrome``; its defining property still holds."""
-
-    def test_single_error_position(self):
-        # the syndromes of two blocks that differ in one bit XOR to that
-        # bit's 1-based position, and equal blocks XOR to zero
-        for length in (7, 24, 100):
-            base = np.random.default_rng(length).integers(0, 2, length).astype(np.uint8)
-            assert block_syndrome(base) ^ block_syndrome(base.copy()) == 0
-            for position in range(length):
-                other = base.copy()
-                other[position] ^= 1
-                assert block_syndrome(base) ^ block_syndrome(other) == position + 1
 
 
 class TestReconConfig:
