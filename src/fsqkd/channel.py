@@ -183,10 +183,12 @@ def simulate_channel(alice_bits: np.ndarray, params: ProtocolParams, seed: int,
                      block_size: int, photon_count_override: int | None = None) -> ChannelRun:
     """Run the full channel in blocks, redrawing eta_system per block.
 
-    For a fixed efficiency set ``eta_system_sigma=0``: every block then
-    runs at ``eta_system_mean``.  Efficiency and gate draws come from
-    separate streams, so fixing the efficiency leaves the gate stream as
-    it is.
+    ``alice_bits`` is read only through ``len`` and one slice per block,
+    ``alice_bits[start : start + block_size]``, so it may be a bit array
+    or the session's packed raw bits.  For a fixed efficiency set
+    ``eta_system_sigma=0``: every block then runs at ``eta_system_mean``.
+    Efficiency and gate draws come from separate streams, so fixing the
+    efficiency leaves the gate stream as it is.
     """
     n = len(alice_bits)
     if block_size <= 0:

@@ -4,9 +4,10 @@ The secret key is the product of a random binary Toeplitz matrix with the
 corrected key over GF(2), a universal hash family (Krawczyk 1994).  An
 m x n Toeplitz matrix is fixed by its n + m - 1 diagonal bits, drawn from
 a labeled stream of a shared 64-bit seed, so only the seed crosses the
-public channel; the product is one FFT convolution.  The compression
-fraction ``(1 - nbar) - 2*sqrt(2)*eps`` prices beamsplitting of
-multi-photon pulses (first term) and intercept-resend at the observed
+public channel; the product is one FFT convolution per pair of key and
+output chunks of at most 2^21 bits, one pair below that length.  The
+compression fraction ``(1 - nbar) - 2*sqrt(2)*eps`` prices beamsplitting
+of multi-photon pulses (first term) and intercept-resend at the observed
 error rate (second term); the reconciliation disclosure and any sampled
 or hashed bits are subtracted on top.
 """
@@ -22,9 +23,10 @@ from .reconciliation import shannon_leak_per_bit
 from .rng import stream
 
 SECRET_FILE_MAGIC = b"FSQKDSEC"
-# Largest key ``compress`` accepts, four times the corrected key of a
-# 32M-pulse session at nbar 0.5.  Its transforms take about 200 MB; the
-# tests check exactness at this size against a bitwise reference.
+# Largest key and output chunk of one FFT convolution in ``compress``,
+# four times the corrected key of a 32M-pulse session at nbar 0.5.  Its
+# transforms take about 200 MB; the tests check exactness at this size,
+# and above it, against a bitwise reference.
 MAX_INPUT_BITS = 1 << 21
 
 
@@ -74,27 +76,47 @@ def toeplitz_seed_bits(seed: int, input_length: int, output_length: int) -> np.n
     return (stream(seed, "pa-toeplitz").random(count) < 0.5).astype(np.uint8)
 
 
+def _toeplitz_product(diagonal: np.ndarray, key: np.ndarray, m: int) -> np.ndarray:
+    """Entries n - 1 .. n + m - 2 of the convolution of a diagonal with a
+    key of n bits, mod 2: the m x n Toeplitz product.
+
+    Those entries never wrap in a cyclic convolution of length n + m - 1
+    or more, and each is an integer of at most n, which float64 FFTs
+    reproduce exactly while n and m stay within ``MAX_INPUT_BITS``.
+    """
+    n = len(key)
+    size = 1 << (n + m - 2).bit_length()
+    spectrum = np.fft.rfft(diagonal, size)
+    spectrum *= np.fft.rfft(key, size)
+    product = np.fft.irfft(spectrum, size)[n - 1 : n - 1 + m]
+    return (np.rint(product).astype(np.int64) & 1).astype(np.uint8)
+
+
 def compress(key: np.ndarray, plan: PaPlan) -> np.ndarray:
     """Apply the planned Toeplitz compression to a corrected key.
 
     Output bit i is ``sum_j t[i - j + n - 1] * key[j]`` mod 2, where t are
-    the seed bits: entries n - 1 .. n + m - 2 of the convolution of t with
-    the key.  Those entries never wrap in a cyclic convolution of length
-    n + m - 1 or more, and each is an integer of at most n, which float64
-    FFTs reproduce exactly up to ``MAX_INPUT_BITS``.
+    the seed bits.  Keys and outputs longer than ``MAX_INPUT_BITS`` are
+    cut into chunks of at most that many bits; each pair of an output
+    chunk and a key chunk is an exact Toeplitz product of its own, over
+    the slice of t it reads, and the output chunk is the XOR of those
+    products.  Up to ``MAX_INPUT_BITS`` there is one chunk of each.
     """
     n, m = plan.input_length, plan.output_length
     if n != len(key):
         raise ValueError(f"plan expects {n} bits, key has {len(key)}")
-    if n > MAX_INPUT_BITS:
-        raise ValueError(f"key of {n} bits exceeds the {MAX_INPUT_BITS}-bit limit")
     if m == 0:
         return np.zeros(0, dtype=np.uint8)
-    size = 1 << (n + m - 2).bit_length()
-    spectrum = np.fft.rfft(toeplitz_seed_bits(plan.seed, n, m), size)
-    spectrum *= np.fft.rfft(key, size)
-    product = np.fft.irfft(spectrum, size)[n - 1 : n - 1 + m]
-    return (np.rint(product).astype(np.int64) & 1).astype(np.uint8)
+    diagonal = toeplitz_seed_bits(plan.seed, n, m)
+    out = np.zeros(m, dtype=np.uint8)
+    for i0 in range(0, m, MAX_INPUT_BITS):
+        i1 = min(i0 + MAX_INPUT_BITS, m)
+        for j0 in range(0, n, MAX_INPUT_BITS):
+            j1 = min(j0 + MAX_INPUT_BITS, n)
+            # entry (i, j) of the chunk reads t[i - j + n - 1]
+            out[i0:i1] ^= _toeplitz_product(diagonal[i0 - j1 + n : i1 - j0 + n - 1],
+                                            key[j0:j1], i1 - i0)
+    return out
 
 
 def write_secret_key(path, bits: np.ndarray, session_hex: str) -> None:

@@ -12,14 +12,15 @@ from __future__ import annotations
 import numpy as np
 
 from .channel import DetectionBatch
-from .rng import random_bits
+from .rng import random_bytes
 
 
 def alice_generate(n_pulses: int, rng: np.random.Generator) -> np.ndarray:
-    """Alice's raw random bits for ``n_pulses`` clock ticks."""
+    """Alice's raw random bits for ``n_pulses`` clock ticks, packed MSB first
+    into ceil(n_pulses / 8) bytes."""
     if n_pulses < 1:
         raise ValueError("n_pulses must be at least 1")
-    return random_bits(rng, n_pulses)
+    return random_bytes(rng, n_pulses)
 
 
 def bob_receive(batch: DetectionBatch) -> tuple[np.ndarray, np.ndarray]:
@@ -33,11 +34,12 @@ def bob_receive(batch: DetectionBatch) -> tuple[np.ndarray, np.ndarray]:
     return batch.conclusive_ticks(), batch.conclusive_bits()
 
 
-def sift(raw_bits: np.ndarray, detection_indices: np.ndarray) -> np.ndarray:
+def sift(raw_bits, detection_indices: np.ndarray) -> np.ndarray:
     """Alice's sifted key: her raw bits at Bob's detection ticks.
 
-    The index list comes from the peer, so it is checked for range and
-    order before use.
+    ``raw_bits`` is a bit array or anything that gathers like one from an
+    index array, such as the session's packed raw bits.  The index list
+    comes from the peer, so it is checked for range and order before use.
     """
     indices = np.asarray(detection_indices, dtype=np.int64)
     if len(indices):

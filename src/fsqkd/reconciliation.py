@@ -119,7 +119,7 @@ def block_syndrome(bits: np.ndarray) -> int:
 
 
 def _permutation(seed: int, pass_no: int, n: int) -> np.ndarray:
-    return stream(seed, f"recon-perm-{pass_no}").permutation(n).astype(np.int64)
+    return stream(seed, f"recon-perm-{pass_no}").permutation(n)
 
 
 class _PassStructure:
@@ -348,6 +348,11 @@ def _reconcile_alice(key: np.ndarray, endpoint: Endpoint, config: ReconConfig,
             message = endpoint.expect(Kind.SHUFFLE_SEED, Kind.VERIFY_HASH)
         if message.kind is Kind.SHUFFLE_SEED:
             announce = message.payload
+            # Bob runs the agreed passes and at most one extra; each pass
+            # costs Alice several key-sized arrays for a few bytes of frames
+            if announce.pass_no > config.passes + 1:
+                endpoint.fail(f"pass {announce.pass_no} beyond the {config.passes} "
+                              f"agreed passes and one extra")
             if announce.pass_no == 1 and announce.est_den:
                 est_num, est_den = announce.est_num, announce.est_den
             parity_msg = endpoint.expect(Kind.BLOCK_PARITY).payload

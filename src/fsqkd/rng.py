@@ -29,7 +29,11 @@ def draw_seed(rng: np.random.Generator) -> int:
     return int(rng.integers(0, 2**63 - 1, dtype=np.int64))
 
 
+def random_bytes(rng: np.random.Generator, n: int) -> np.ndarray:
+    """n unbiased bits packed MSB first: ceil(n / 8) random bytes."""
+    return rng.integers(0, 256, size=(n + 7) // 8, dtype=np.uint8)
+
+
 def random_bits(rng: np.random.Generator, n: int) -> np.ndarray:
-    """n unbiased bits as a uint8 array: the first n bits, MSB first, of
-    ceil(n / 8) random bytes."""
-    return np.unpackbits(rng.integers(0, 256, size=(n + 7) // 8, dtype=np.uint8), count=n)
+    """The bits of ``random_bytes(rng, n)`` unpacked, one uint8 per bit."""
+    return np.unpackbits(random_bytes(rng, n), count=n)

@@ -5,7 +5,9 @@ bits from the session seed exchanged at Hello, so no key material crosses
 the public channel), receives detections, drives estimation, acts as the
 error-correction reference, and chooses the privacy-amplification plan.
 Alice mirrors each phase and independently recomputes the plan; any
-disagreement aborts the session.
+disagreement aborts the session.  Both engines keep Alice's raw bits
+packed as they are drawn, eight to a byte (``PackedBits``), and unpack
+only the channel's current block and the bits at the detection ticks.
 
 Per-phase message flow (strictly turn-based)::
 
@@ -81,12 +83,49 @@ def session_hex(params: ProtocolParams, cfg: SessionConfig, seed: int) -> str:
     return raw.hex()
 
 
-def _derive_alice_bits(params: ProtocolParams, cfg: SessionConfig, seed: int) -> np.ndarray:
-    chunks = []
+class PackedBits:
+    """Alice's raw bits as they are drawn: ceil(n / 8) bytes per pulse block.
+
+    Reads like a read-only bit array where the engines use one: ``len``, a
+    slice of one whole block (the channel, block by block) and an index
+    array (sifting and the truth report, at the detection ticks).  Both
+    give unpacked uint8 bits, so no array of one byte per pulse exists.
+    """
+
+    def __init__(self, n: int, block_size: int):
+        self.n = n
+        self.block_size = block_size
+        self.block_bytes = (block_size + 7) // 8
+        last_start = (n - 1) // block_size * block_size
+        self.data = np.empty(last_start // block_size * self.block_bytes
+                             + (n - last_start + 7) // 8, dtype=np.uint8)
+
+    def __len__(self) -> int:
+        return self.n
+
+    def block(self, start: int) -> np.ndarray:
+        """Where the packed bits of the block starting at tick ``start`` go."""
+        at = start // self.block_size * self.block_bytes
+        return self.data[at : at + (min(self.block_size, self.n - start) + 7) // 8]
+
+    def __getitem__(self, key) -> np.ndarray:
+        if isinstance(key, slice):
+            start, stop, step = key.indices(self.n)
+            if (step != 1 or start % self.block_size
+                    or stop != min(start + self.block_size, self.n)):
+                raise IndexError("packed bits are sliced one whole block at a time")
+            return np.unpackbits(self.block(start), count=stop - start)
+        block, offset = np.divmod(np.asarray(key, dtype=np.int64), self.block_size)
+        packed = self.data[block * self.block_bytes + (offset >> 3)]
+        return ((packed >> (7 - (offset & 7))) & 1).astype(np.uint8)
+
+
+def _derive_alice_bits(cfg: SessionConfig, seed: int) -> PackedBits:
+    bits = PackedBits(cfg.pulses, cfg.block_size)
     for b, start in enumerate(range(0, cfg.pulses, cfg.block_size)):
         n = min(cfg.block_size, cfg.pulses - start)
-        chunks.append(alice_generate(n, stream(seed, f"alice-bits/{b}")))
-    return np.concatenate(chunks)
+        bits.block(start)[:] = alice_generate(n, stream(seed, f"alice-bits/{b}"))
+    return bits
 
 
 @dataclass
@@ -320,7 +359,7 @@ def run_bob(endpoint: Endpoint, params: ProtocolParams, cfg: SessionConfig) -> S
     endpoint.send(Hello(version=PROTOCOL_VERSION,
                         params_digest=session_digest(params, cfg), seed=seed))
 
-    alice_bits = _derive_alice_bits(params, cfg, seed)
+    alice_bits = _derive_alice_bits(cfg, seed)
     run = simulate_channel(alice_bits, params, seed, cfg.block_size)
     ticks, sifted = bob_receive(run.detections)
     endpoint.send(SiftIndices(indices=ticks))
@@ -356,7 +395,7 @@ def run_bob(endpoint: Endpoint, params: ProtocolParams, cfg: SessionConfig) -> S
                          duration_s=time.monotonic() - t0)
 
 
-def _attach_truth(report: SessionReport, alice_bits: np.ndarray, ticks: np.ndarray,
+def _attach_truth(report: SessionReport, alice_bits: PackedBits, ticks: np.ndarray,
                   sifted: np.ndarray, detections: DetectionBatch) -> None:
     """Simulation-truth error decomposition, available on the channel host."""
     causes = detections.causes[detections.conclusive_mask()]
@@ -388,7 +427,7 @@ def run_alice(endpoint: Endpoint, params: ProtocolParams, cfg: SessionConfig) ->
                         params_digest=session_digest(params, cfg), seed=0))
     seed = _expect_hello(endpoint).seed
 
-    alice_bits = _derive_alice_bits(params, cfg, seed)
+    alice_bits = _derive_alice_bits(cfg, seed)
     indices = endpoint.expect(Kind.SIFT_INDICES).payload.indices
     sifted = sift(alice_bits, indices)
 

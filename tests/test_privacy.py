@@ -137,11 +137,22 @@ class TestToeplitz:
             parity = int(np.unpackbits(packed_row & packed_key).sum()) & 1
             assert got[i] == parity
 
-    def test_oversized_key_rejected(self):
-        n = MAX_INPUT_BITS + 1
-        with pytest.raises(ValueError):
-            compress(np.zeros(n, dtype=np.uint8),
-                     PaPlan(input_length=n, output_length=1, seed=0))
+    def test_exact_above_largest_chunk(self):
+        # past MAX_INPUT_BITS the key and the output are cut into two
+        # chunks each; rows at every chunk edge and a random few are
+        # checked with the same packed-bit reference as above
+        n, m = MAX_INPUT_BITS + 8, MAX_INPUT_BITS + 5
+        bits = stream(8, "toeplitz-key").integers(0, 2, n).astype(np.uint8)
+        got = compress(bits, PaPlan(input_length=n, output_length=m, seed=8))
+        diagonals = toeplitz_seed_bits(8, n, m)
+        packed_key = np.packbits(bits)
+        rows = np.concatenate([np.arange(4), np.arange(MAX_INPUT_BITS - 4, MAX_INPUT_BITS + 4),
+                               np.arange(m - 4, m),
+                               stream(8, "rows").choice(m, 16, replace=False)])
+        for i in rows:
+            packed_row = np.packbits(toeplitz_row(diagonals, n, i))
+            parity = int(np.unpackbits(packed_row & packed_key).sum()) & 1
+            assert got[i] == parity
 
 
 class TestSecretKeyFiles:

@@ -10,6 +10,7 @@ from fsqkd.messages import (
     Kind,
     SampleRequest,
     SampleReveal,
+    ShuffleSeed,
     Syndrome,
     VerifyHash,
     leak_meter,
@@ -313,6 +314,38 @@ class TestReconcile:
         thread.join(timeout=10.0)
         assert not thread.is_alive()
         assert errors["b"].local and "not yet built" in errors["b"].reason
+
+    def test_pass_beyond_agreed_and_extra_aborts(self):
+        # Bob runs the agreed passes and one extra at most; a reference
+        # that keeps announcing one-parity passes would cost Alice several
+        # key-sized arrays per pass for a few bytes of frames
+        cfg = ReconConfig()
+        n = 64
+        bits = stream(8, "k").integers(0, 2, n).astype(np.uint8)
+        parity = np.bitwise_xor.reduce(bits, keepdims=True)
+        a_end, b_end = loopback_pair(timeout_s=5.0)
+        errors = {}
+
+        def alice():
+            try:
+                reconcile(bits, a_end, cfg, "alice", 0, 1)
+            except SessionAborted as exc:
+                errors["a"] = exc
+
+        thread = threading.Thread(target=alice)
+        thread.start()
+        for pass_no in range(1, cfg.passes + 3):
+            b_end.send(ShuffleSeed(pass_no=pass_no, seed=pass_no, block_size=n))
+            if pass_no > cfg.passes + 1:
+                break
+            b_end.send(BlockParity(pass_no=pass_no, parities=parity))
+            # the parity agrees, so Alice closes the pass with an empty query
+            closing = b_end.expect(Kind.SYNDROME).payload
+            assert closing.pass_no == pass_no and len(closing.blocks) == 0
+        expect_abort(b_end, f"pass {cfg.passes + 2} beyond")
+        thread.join(timeout=10.0)
+        assert not thread.is_alive()
+        assert errors["a"].local and f"pass {cfg.passes + 2} beyond" in errors["a"].reason
 
     def test_verify_hash_of_unagreed_length_aborts(self):
         # the hash length is fixed by the session digest; a reference that

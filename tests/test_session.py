@@ -2,6 +2,7 @@ import functools
 import hashlib
 import itertools
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,9 +18,12 @@ from fsqkd.messages import (
 )
 from fsqkd.params import ProtocolParams
 from fsqkd.reconciliation import ReconConfig
+from fsqkd.rng import random_bits, stream
 from fsqkd.session import (
+    PackedBits,
     SessionConfig,
     SessionReport,
+    _derive_alice_bits,
     run_alice,
     run_bob,
     run_simulation,
@@ -35,6 +39,51 @@ def small_run():
     cfg = SessionConfig(pulses=300_000, block_size=50_000,
                         recon=ReconConfig(sample_fraction=0.05))
     return params, cfg, run_simulation(params, cfg)
+
+
+class TestPackedBits:
+    # the bits a byte-per-pulse derivation gives: each block's stream
+    # unpacked, blocks laid end to end
+    @pytest.mark.parametrize("pulses, block_size", [(100_000, 30_000), (1_001, 333), (5, 8)])
+    def test_reads_like_the_unpacked_bits(self, pulses, block_size):
+        cfg = SessionConfig(pulses=pulses, block_size=block_size)
+        expected = np.concatenate([
+            random_bits(stream(9, f"alice-bits/{b}"), min(block_size, pulses - start))
+            for b, start in enumerate(range(0, pulses, block_size))])
+        bits = _derive_alice_bits(cfg, 9)
+        assert len(bits) == pulses
+        assert bits.data.nbytes == sum((min(block_size, pulses - start) + 7) // 8
+                                       for start in range(0, pulses, block_size))
+        for start in range(0, pulses, block_size):
+            got = bits[start : start + block_size]
+            assert got.dtype == np.uint8
+            assert np.array_equal(got, expected[start : start + block_size])
+        ticks = np.sort(stream(9, "ticks").choice(pulses, min(pulses, 500), replace=False))
+        gathered = bits[ticks]
+        assert gathered.dtype == np.uint8
+        assert np.array_equal(gathered, expected[ticks])
+        assert len(bits[np.zeros(0, dtype=np.int64)]) == 0
+
+    @pytest.mark.parametrize("key", [slice(1, 11), slice(0, 5), slice(0, 10, 2)])
+    def test_slices_only_whole_blocks(self, key):
+        bits = PackedBits(25, 10)
+        with pytest.raises(IndexError):
+            bits[key]
+
+    def test_traced_memory_per_pulse(self):
+        # Alice's raw bits take one bit per pulse; a byte per pulse, and the
+        # copy that joined its blocks, put the peak above 4 bytes per pulse
+        pulses = 4_000_000
+        params = ProtocolParams(mean_photon_number=0.5, rng_seed=2)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            run_simulation(params, SessionConfig(pulses=pulses))
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak / pulses < 3.0
 
 
 class TestPipeline:
