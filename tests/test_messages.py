@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fsqkd.bitpack import (
+    _SCALAR_MAX,
     decode_bit_list,
     decode_index_list,
     decode_varint,
@@ -389,6 +390,85 @@ class TestIndexCodecRejects:
     def test_encode_rejects_non_increasing(self, indices):
         with pytest.raises(ValueError):
             encode_index_list(np.array(indices, dtype=np.int64))
+
+
+@st.composite
+def _delta_lists(draw, sizes=st.integers(0, 600)):
+    """Deltas of a strictly increasing index list below 2**63: the first
+    may be 0, every later one is at least 1, and each is at most 2**63 - 1."""
+    size, width = draw(sizes), draw(st.integers(0, 63))
+    drawn = draw(st.lists(st.integers(1, 2**width), min_size=size, max_size=size))
+    deltas, total = [], -1
+    for i, delta in enumerate(drawn):
+        # leave room below 2**63 for the deltas still to come
+        delta = min(delta, 2**63 - 1 - total - (size - 1 - i))
+        deltas.append(delta)
+        total += delta
+    if deltas:
+        deltas[0] -= 1
+    return deltas
+
+
+def _varint_reference(value: int) -> bytes:
+    out = bytearray()
+    encode_varint(value, out)
+    return bytes(out)
+
+
+class TestIndexCodecAcrossThreshold:
+    """Lists of every length around ``_SCALAR_MAX``, where the codec switches
+    between its per-byte loop and its array code, against one
+    ``encode_varint`` call per delta."""
+
+    AROUND = st.sampled_from([_SCALAR_MAX - 1, _SCALAR_MAX, _SCALAR_MAX + 1])
+
+    @given(_delta_lists(st.one_of(AROUND, st.integers(0, 600))))
+    @example([])
+    @example([0] + [1] * (_SCALAR_MAX - 1))
+    @example([2**63 - 1])
+    def test_bytes_match_reference_and_decode_inverts(self, deltas):
+        indices = np.cumsum(np.array(deltas, dtype=np.uint64)).astype(np.int64)
+        encoded = encode_index_list(indices)
+        assert encoded == _varint_reference(len(deltas)) + b"".join(
+            _varint_reference(d) for d in deltas)
+        decoded, offset = decode_index_list(encoded + b"\x05", 0)
+        assert decoded.dtype == np.int64
+        assert decoded.tolist() == indices.tolist() and offset == len(encoded)
+
+    @staticmethod
+    def _spell(deltas, at, spelling):
+        return _varint_reference(len(deltas)) + b"".join(
+            spelling if i == at else _varint_reference(d) for i, d in enumerate(deltas))
+
+    @given(_delta_lists(AROUND), st.data())
+    def test_truncated(self, deltas, data):
+        encoded = self._spell(deltas, -1, b"")
+        cut = data.draw(st.integers(len(_varint_reference(len(deltas))), len(encoded) - 1))
+        with pytest.raises(ValueError):
+            decode_index_list(encoded[:cut], 0)
+
+    @given(_delta_lists(AROUND), st.data())
+    def test_overlong(self, deltas, data):
+        at = data.draw(st.integers(0, len(deltas) - 1))
+        plain = _varint_reference(deltas[at])
+        spelling = plain[:-1] + bytes([plain[-1] | 0x80, 0])
+        with pytest.raises(ValueError, match="overlong varint|varint too long"):
+            decode_index_list(self._spell(deltas, at, spelling), 0)
+
+    @given(_delta_lists(AROUND), st.data())
+    def test_zero_delta(self, deltas, data):
+        at = data.draw(st.integers(1, len(deltas) - 1))
+        with pytest.raises(ValueError, match="not strictly increasing"):
+            decode_index_list(self._spell(deltas, at, b"\x00"), 0)
+
+    @given(_delta_lists(AROUND), st.data())
+    def test_beyond_int64(self, deltas, data):
+        at = data.draw(st.integers(0, len(deltas) - 1))
+        # the running index reaches 2**63 here, or the delta alone does
+        reach = 2**63 - sum(deltas[:at])
+        delta = data.draw(st.integers(reach, 2**64 - 1))
+        with pytest.raises(ValueError, match="beyond 2\\*\\*63"):
+            decode_index_list(self._spell(deltas, at, _varint_reference(delta)), 0)
 
 
 _varints = st.integers(0, 2**64)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import threading
 import time
@@ -381,6 +382,54 @@ class TestReconcile:
         a_end, _ = loopback_pair()
         with pytest.raises(ValueError):
             reconcile(np.zeros(0, dtype=np.uint8), a_end, ReconConfig(), "alice", 0, 1)
+
+
+def planted_keys(seed, n, eps):
+    """Bob's random key and Alice's copy with each bit flipped at rate eps."""
+    rng = np.random.default_rng(seed)
+    b = rng.integers(0, 2, n).astype(np.uint8)
+    return (b ^ (rng.random(n) < eps)).astype(np.uint8), b
+
+
+def short_key_pair():
+    """A 6-bit key with one error: every pass's block is longer than the key."""
+    b = stream(9, "k").integers(0, 2, 6).astype(np.uint8)
+    a = b.copy()
+    a[4] ^= 1
+    return a, b
+
+
+class TestPinnedTranscripts:
+    """sha256 of Alice's whole correction transcript and corrected key on
+    paths the session goldens do not reach; a faster corrector must replay
+    them byte for byte."""
+
+    CASES = {
+        # two scheduled passes leave an error: hash mismatch, extra pass,
+        # second hash round
+        "extra-pass": (lambda: planted_keys(2, 2000, 0.05), 100, 2000, ReconConfig(passes=2),
+                       2, (3, 2),
+                       "9cd972c1d9cc0aaf09c5acca2dcd71d44e49e5cdcb9b482859e419f5e52447c1"),
+        "key-shorter-than-block": (short_key_pair, 1, 6, ReconConfig(), 9, (4, 1),
+                                   "34975ae078b0fda4143d1ab61710773c"
+                                   "2032a2d32fc83bfb9effa1b8e7eaf9a1"),
+        # pass 2's held half of odd blocks is still odd once the first
+        # half and its backtracking have settled, so it is bisected too
+        "held-half-drained": (lambda: planted_keys(1, 300, 0.05), 15, 300, ReconConfig(),
+                              1, (4, 1),
+                              "c32cf7def1bce122587b24e10421d430f9ded686a4a8f1acdbc0af725dd9bd03"),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_transcript_and_key_bytes(self, case):
+        keys, est_num, est_den, cfg, seed, (passes, hash_rounds), expected = self.CASES[case]
+        a, b = keys()
+        ra, rb, a_end, _ = reconcile_pair(a, b, est_num, est_den, cfg=cfg, seed=seed)
+        assert ra.verified and rb.verified and np.array_equal(ra.corrected_key, b)
+        assert (ra.passes_run, ra.hash_rounds) == (passes, hash_rounds)
+        digest = hashlib.sha256(b"".join(a_end.frames))
+        digest.update(np.packbits(ra.corrected_key).tobytes())
+        assert digest.hexdigest() == expected
 
 
 def toeplitz_diagonal(seed, n, nbits):
