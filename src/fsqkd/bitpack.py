@@ -23,13 +23,6 @@ def pack_bits(bits: np.ndarray) -> bytes:
     return np.packbits(bits).tobytes()
 
 
-def unpack_bits(data: bytes, nbits: int) -> np.ndarray:
-    if nbits == 0:
-        return np.zeros(0, dtype=np.uint8)
-    arr = np.frombuffer(data, dtype=np.uint8)
-    return np.unpackbits(arr, count=nbits).astype(np.uint8)
-
-
 def encode_varint(value: int, out: bytearray) -> None:
     if value < 0:
         raise ValueError("varints are unsigned")
@@ -63,16 +56,20 @@ def decode_varint(data: bytes, offset: int) -> tuple[int, int]:
             raise ValueError("varint too long")
 
 
-# Lists up to this long take the per-varint loop, longer ones the array
-# code: the loop costs about 0.3 us per index, the array code about 20 us
-# per call plus 0.03 us per index (2-vCPU VM, numpy 2.4.6), and half of a
-# session's lists (bisection queries and replies) hold five ids or fewer.
-_SCALAR_MAX = 64
+# Lists up to this long take the per-byte loop, longer ones the array
+# code.  The loop costs about 0.15 us per index to encode and 0.3 us to
+# decode; the array code 20-40 us per call (7-12 us when every gap fits
+# one byte) plus about 0.06 us per index (2-vCPU VM, numpy 2.4.6).
+# Bisection ids, whose gaps mostly take two bytes, cross over near 128 ids
+# when decoded and later when encoded; half of a session's lists are
+# bisection queries and replies of five ids or fewer.
+_SCALAR_MAX = 128
 # decode_varint reads up to eleven bytes before it gives up; an index below
 # 2**63 needs at most nine
 _MAX_VARINT_BYTES = 11
 _GROUP_LIMITS = np.array([1 << (7 * j) for j in range(1, 10)], dtype=np.uint64)
 _SHIFTS = np.arange(0, 64, 7, dtype=np.uint64)
+_COLUMNS = np.arange(_MAX_VARINT_BYTES)
 _NOT_INCREASING = "indices must be non-negative and strictly increasing"
 
 
@@ -86,20 +83,31 @@ def encode_index_list(indices: np.ndarray) -> bytes:
         for value in indices.tolist():
             if value < least:
                 raise ValueError(_NOT_INCREASING)
-            encode_varint(value - prev, out)
+            delta = value - prev
+            while delta > 0x7F:
+                out.append(delta & 0x7F | 0x80)
+                delta >>= 7
+            out.append(delta)
             prev, least = value, value + 1
         return bytes(out)
-    deltas = np.diff(indices, prepend=0)
-    if deltas[0] < 0 or np.any(deltas[1:] <= 0):
+    deltas = np.empty(len(indices), dtype=np.int64)
+    deltas[0] = indices[0]
+    np.subtract(indices[1:], indices[:-1], out=deltas[1:])
+    # differences of non-negative int64 values cannot wrap
+    if np.count_nonzero(indices < 0) or np.count_nonzero(deltas[1:] <= 0):
         raise ValueError(_NOT_INCREASING)
     # one row of 7-bit groups per delta, cut to its varint length
-    deltas = deltas.astype(np.uint64)
+    deltas = deltas.view(np.uint64)
     continued = np.searchsorted(_GROUP_LIMITS, deltas, side="right")
-    width = int(continued.max()) + 1
-    groups = (deltas[:, None] >> _SHIFTS[:width]) & np.uint64(0x7F)
-    column = np.arange(width)
-    groups[column < continued[:, None]] |= np.uint64(0x80)
-    return bytes(out) + groups[column <= continued[:, None]].astype(np.uint8).tobytes()
+    width = int(continued[continued.argmax()]) + 1
+    if width == 1:
+        return bytes(out) + deltas.astype(np.uint8).tobytes()
+    groups = (deltas[:, None] >> _SHIFTS[:width]).astype(np.uint8)
+    groups &= 0x7F
+    keep = _COLUMNS[:width] <= continued[:, None]
+    # a group is continued exactly when the next one is kept
+    groups[:, :-1] |= keep[:, 1:].view(np.uint8) << 7
+    return bytes(out) + groups[keep].tobytes()
 
 
 def decode_index_list(data: bytes, offset: int) -> tuple[np.ndarray, int]:
@@ -108,9 +116,24 @@ def decode_index_list(data: bytes, offset: int) -> tuple[np.ndarray, int]:
     if count > len(data) - offset:
         raise ValueError(f"index count {count} exceeds the {len(data) - offset} bytes left")
     if count <= _SCALAR_MAX:
-        values, value = [], 0
+        # decode_varint inlined: the same checks in the same order
+        values, value, size = [], 0, len(data)
         for i in range(count):
-            delta, offset = decode_varint(data, offset)
+            delta = shift = 0
+            while True:
+                if offset >= size:
+                    raise ValueError("truncated varint")
+                byte = data[offset]
+                offset += 1
+                delta |= (byte & 0x7F) << shift
+                if byte < 0x80:
+                    break
+                shift += 7
+                if shift > 70:
+                    raise ValueError("varint too long")
+            # a zero last group after the first spells a shorter varint
+            if shift and not byte:
+                raise ValueError("overlong varint")
             if i and not delta:
                 raise ValueError("decoded indices are not strictly increasing")
             value += delta
@@ -120,27 +143,34 @@ def decode_index_list(data: bytes, offset: int) -> tuple[np.ndarray, int]:
         return np.array(values, dtype=np.int64), offset
     window = np.frombuffer(data, dtype=np.uint8, offset=offset,
                            count=min(len(data) - offset, count * _MAX_VARINT_BYTES))
-    ends = np.flatnonzero(window < 0x80)[:count]
-    lengths = np.diff(ends, prepend=-1)
-    if np.any(lengths > _MAX_VARINT_BYTES):
-        raise ValueError("varint too long")
-    if len(ends) < count:
-        tail = len(window) - (int(ends[-1]) + 1 if len(ends) else 0)
-        raise ValueError("varint too long" if tail >= _MAX_VARINT_BYTES else "truncated varint")
-    if np.any((window[ends] == 0) & (lengths > 1)):
-        raise ValueError("overlong varint")
-    size = int(ends[-1]) + 1
-    starts = ends + 1 - lengths
-    column = np.arange(size) - np.repeat(starts, lengths)
-    groups = window[:size] & np.uint8(0x7F)
-    if np.any(groups[column >= 9]):
-        raise ValueError("index beyond 2**63")
-    deltas = np.add.reduceat(groups.astype(np.uint64) << _SHIFTS[np.minimum(column, 9)], starts)
-    if np.any(deltas[1:] == 0):
+    ends = (window < 0x80).nonzero()[0][:count]
+    size = int(ends[-1]) + 1 if len(ends) else 0
+    if len(ends) == count == size:
+        # one byte per delta
+        deltas = window[:count].astype(np.uint64)
+    else:
+        lengths = np.empty(len(ends), dtype=np.int64)
+        lengths[:1] = ends[:1] + 1
+        np.subtract(ends[1:], ends[:-1], out=lengths[1:])
+        if len(ends) and lengths[lengths.argmax()] > _MAX_VARINT_BYTES:
+            raise ValueError("varint too long")
+        if len(ends) < count:
+            raise ValueError("varint too long" if len(window) - size >= _MAX_VARINT_BYTES
+                             else "truncated varint")
+        if np.count_nonzero((window[ends] == 0) & (lengths > 1)):
+            raise ValueError("overlong varint")
+        starts = ends + 1 - lengths
+        column = np.arange(size) - np.repeat(starts, lengths)
+        groups = window[:size] & np.uint8(0x7F)
+        if np.count_nonzero(groups[column >= 9]):
+            raise ValueError("index beyond 2**63")
+        deltas = np.add.reduceat(groups.astype(np.uint64) << _SHIFTS[np.minimum(column, 9)],
+                                 starts)
+    if np.count_nonzero(deltas[1:]) < count - 1:
         raise ValueError("decoded indices are not strictly increasing")
     # every delta is below 2**63, so a running sum that wraps turns negative first
-    values = np.cumsum(deltas).view(np.int64)
-    if np.any(values < 0):
+    values = np.add.accumulate(deltas).view(np.int64)
+    if np.count_nonzero(values < 0):
         raise ValueError("index beyond 2**63")
     return values, offset + size
 
@@ -161,5 +191,6 @@ def decode_bit_list(data: bytes, offset: int) -> tuple[np.ndarray, int]:
     # the last byte's unused low bits are zero, as packbits leaves them
     if nbits % 8 and data[offset + nbytes - 1] & (0xFF >> nbits % 8):
         raise ValueError("non-zero padding bits in bit list")
-    bits = unpack_bits(data[offset : offset + nbytes], nbits)
+    bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8, count=nbytes, offset=offset),
+                         count=nbits)
     return bits, offset + nbytes

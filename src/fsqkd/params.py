@@ -67,9 +67,8 @@ class ProtocolParams:
 
     def digest(self) -> bytes:
         """16-byte fingerprint used to cross-check peer configuration."""
+        fields = self.as_dict()
         canon = ";".join(
-            f"{name}={self.as_dict()[name]!r}"
-            for name in sorted(self.as_dict())
-            if name != "rng_seed"
+            f"{name}={fields[name]!r}" for name in sorted(fields) if name != "rng_seed"
         )
         return hashlib.blake2s(canon.encode("utf-8"), digest_size=16).digest()

@@ -4,8 +4,8 @@ The secret key is the product of a random binary Toeplitz matrix with the
 corrected key over GF(2), a universal hash family (Krawczyk 1994).  An
 m x n Toeplitz matrix is fixed by its n + m - 1 diagonal bits, drawn from
 a labeled stream of a shared 64-bit seed, so only the seed crosses the
-public channel; the product is one FFT convolution per pair of key and
-output chunks of at most 2^21 bits, one pair below that length.  The
+public channel; the product is one FFT convolution of at most 2^21
+points per pair of key and output chunks, one pair for short keys.  The
 compression fraction ``(1 - nbar) - 2*sqrt(2)*eps`` prices beamsplitting
 of multi-photon pulses (first term) and intercept-resend at the observed
 error rate (second term); the reconciliation disclosure and any sampled
@@ -20,13 +20,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .reconciliation import shannon_leak_per_bit
-from .rng import stream
+from .rng import stream, toeplitz_diagonal
 
 SECRET_FILE_MAGIC = b"FSQKDSEC"
-# Largest key and output chunk of one FFT convolution in ``compress``,
-# four times the corrected key of a 32M-pulse session at nbar 0.5.  Its
-# transforms take about 200 MB; the tests check exactness at this size,
-# and above it, against a bitwise reference.
+# Largest transform of one FFT convolution in ``compress``, four times the
+# corrected key of a 32M-pulse session at nbar 0.5: a key chunk and an
+# output chunk fill at most this many points, the output chunk at most
+# half of them.  The tests check exactness at this size, and above it,
+# against a bitwise reference.
 MAX_INPUT_BITS = 1 << 21
 
 
@@ -72,8 +73,7 @@ def plan_output_length(input_length: int, nbar: float, eps_used: float,
 
 def toeplitz_seed_bits(seed: int, input_length: int, output_length: int) -> np.ndarray:
     """The n + m - 1 diagonal bits of the plan's Toeplitz matrix."""
-    count = input_length + output_length - 1
-    return (stream(seed, "pa-toeplitz").random(count) < 0.5).astype(np.uint8)
+    return toeplitz_diagonal(stream(seed, "pa-toeplitz"), input_length + output_length - 1)
 
 
 def _toeplitz_product(diagonal: np.ndarray, key: np.ndarray, m: int) -> np.ndarray:
@@ -82,7 +82,8 @@ def _toeplitz_product(diagonal: np.ndarray, key: np.ndarray, m: int) -> np.ndarr
 
     Those entries never wrap in a cyclic convolution of length n + m - 1
     or more, and each is an integer of at most n, which float64 FFTs
-    reproduce exactly while n and m stay within ``MAX_INPUT_BITS``.
+    reproduce exactly while the transform stays within ``MAX_INPUT_BITS``
+    points.
     """
     n = len(key)
     size = 1 << (n + m - 2).bit_length()
@@ -96,11 +97,12 @@ def compress(key: np.ndarray, plan: PaPlan) -> np.ndarray:
     """Apply the planned Toeplitz compression to a corrected key.
 
     Output bit i is ``sum_j t[i - j + n - 1] * key[j]`` mod 2, where t are
-    the seed bits.  Keys and outputs longer than ``MAX_INPUT_BITS`` are
-    cut into chunks of at most that many bits; each pair of an output
-    chunk and a key chunk is an exact Toeplitz product of its own, over
-    the slice of t it reads, and the output chunk is the XOR of those
-    products.  Up to ``MAX_INPUT_BITS`` there is one chunk of each.
+    the seed bits.  Outputs are cut into chunks of at most half of
+    ``MAX_INPUT_BITS`` bits and the key into chunks of ``MAX_INPUT_BITS -
+    m + 1`` bits for an output chunk of m bits, so no transform exceeds
+    ``MAX_INPUT_BITS`` points; each pair of an output chunk and a key
+    chunk is an exact Toeplitz product of its own, over the slice of t it
+    reads, and the output chunk is the XOR of those products.
     """
     n, m = plan.input_length, plan.output_length
     if n != len(key):
@@ -109,10 +111,11 @@ def compress(key: np.ndarray, plan: PaPlan) -> np.ndarray:
         return np.zeros(0, dtype=np.uint8)
     diagonal = toeplitz_seed_bits(plan.seed, n, m)
     out = np.zeros(m, dtype=np.uint8)
-    for i0 in range(0, m, MAX_INPUT_BITS):
-        i1 = min(i0 + MAX_INPUT_BITS, m)
-        for j0 in range(0, n, MAX_INPUT_BITS):
-            j1 = min(j0 + MAX_INPUT_BITS, n)
+    for i0 in range(0, m, MAX_INPUT_BITS // 2):
+        i1 = min(i0 + MAX_INPUT_BITS // 2, m)
+        key_chunk = MAX_INPUT_BITS - (i1 - i0) + 1
+        for j0 in range(0, n, key_chunk):
+            j1 = min(j0 + key_chunk, n)
             # entry (i, j) of the chunk reads t[i - j + n - 1]
             out[i0:i1] ^= _toeplitz_product(diagonal[i0 - j1 + n : i1 - j0 + n - 1],
                                             key[j0:j1], i1 - i0)

@@ -13,6 +13,12 @@ Every bisection level is one query covering all open ranges of all
 passes, so round trips grow with passes, levels and backtracking rounds,
 never with the error count.
 
+Each party keeps all built passes in one flat table, so a round trip
+costs a fixed handful of array operations however many passes are open.
+Alice lays pass p's shuffled positions 0..n at p * (n + 1) + i, the last
+slot of each pass standing for its end; Bob lays his prefix parities at
+p * n + i, which is the id a bisection query carries on the wire.
+
 A seeded Toeplitz hash of the corrected key closes the exchange: the
 universal family privacy amplification also uses, drawn as n + 127 bits
 for a 128-bit digest.  On mismatch one extra pass runs before the session
@@ -41,7 +47,7 @@ from .messages import (
     VerifyHash,
     leak_meter,
 )
-from .rng import draw_seed, stream
+from .rng import draw_seed, stream, toeplitz_diagonal
 from .transport import Endpoint
 
 BLOCK_SIZE_MIN = 8
@@ -122,23 +128,17 @@ def _permutation(seed: int, pass_no: int, n: int) -> np.ndarray:
     return stream(seed, f"recon-perm-{pass_no}").permutation(n)
 
 
-class _PassStructure:
-    """One pass's shuffle and block boundaries, in shuffled order."""
+def _block_bounds(n: int, block_size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Start and end of each block of a pass, in shuffled positions."""
+    starts = np.arange(0, n, block_size, dtype=np.int64)
+    return starts, np.minimum(starts + block_size, n)
 
-    def __init__(self, pass_no: int, seed: int, block_size: int, key_len: int):
-        self.block_size = block_size
-        self.perm = _permutation(seed, pass_no, key_len)
-        self.starts = np.arange(0, key_len, block_size, dtype=np.int64)
-        self.ends = np.minimum(self.starts + block_size, key_len)
 
-    def prefix_parities(self, key_bits: np.ndarray) -> np.ndarray:
-        """Entry i is the parity of the first i shuffled key bits."""
-        out = np.zeros(len(self.perm) + 1, dtype=np.uint8)
-        np.bitwise_xor.accumulate(key_bits[self.perm], out=out[1:])
-        return out
-
-    def block_parities(self, prefix: np.ndarray) -> np.ndarray:
-        return prefix[self.ends] ^ prefix[self.starts]
+def _shuffled_prefix(key_bits: np.ndarray, perm: np.ndarray) -> np.ndarray:
+    """Entry i is the parity of the first i key bits in the order ``perm``."""
+    out = np.zeros(len(perm) + 1, dtype=np.uint8)
+    np.bitwise_xor.accumulate(key_bits[perm], out=out[1:])
+    return out
 
 
 def _verify_hash_bits(key_bits: np.ndarray, seed: int, nbits: int) -> bytes:
@@ -146,7 +146,8 @@ def _verify_hash_bits(key_bits: np.ndarray, seed: int, nbits: int) -> bytes:
 
     The nbits x n binary Toeplitz matrix is fixed by its n + nbits - 1
     diagonal bits, ``random(n + nbits - 1) < 0.5`` from the labeled stream
-    ``verify-hash`` of the seed; entry (i, j) is diagonal bit
+    ``verify-hash`` of the seed (``rng.toeplitz_diagonal``); entry (i, j) is
+    diagonal bit
     ``i - j + n - 1``, the convention of ``privacy.compress``.  With the
     diagonal reversed, row i is the contiguous slice starting at
     ``nbits - 1 - i``, so digest bit i is the parity of that slice ANDed
@@ -154,8 +155,8 @@ def _verify_hash_bits(key_bits: np.ndarray, seed: int, nbits: int) -> bytes:
     shorter than the digest.
     """
     n = len(key_bits)
-    diagonal = stream(seed, "verify-hash").random(n + nbits - 1) < 0.5
-    reversed_diagonal = diagonal[::-1].copy()
+    diagonal = toeplitz_diagonal(stream(seed, "verify-hash"), n + nbits - 1)
+    reversed_diagonal = diagonal[::-1].view(bool).copy()
     key = key_bits.astype(bool)
     row = np.empty(n, dtype=bool)
     digest = np.empty(nbits, dtype=np.uint8)
@@ -167,14 +168,15 @@ def _verify_hash_bits(key_bits: np.ndarray, seed: int, nbits: int) -> bytes:
 
 
 def _sorted_unique(values: np.ndarray) -> np.ndarray:
-    """Distinct values in ascending order.
+    """Distinct values in ascending order; sorts ``values`` in place.
 
     ``np.unique`` would do, but its first call imports ``numpy.ma``, which
     costs every fresh process about 14 ms.
     """
-    values = np.sort(values)
-    keep = np.ones(len(values), dtype=bool)
-    keep[1:] = values[1:] != values[:-1]
+    values.sort()
+    keep = np.empty(len(values), dtype=bool)
+    keep[:1] = True
+    np.not_equal(values[1:], values[:-1], out=keep[1:])
     return values[keep]
 
 
@@ -190,78 +192,109 @@ class _AliceCorrector:
     disagrees holds an error, and its midpoint is the next question.
     Known positions are never forgotten, so a block that turns odd again
     later is searched only within the segment that changed.
+
+    All passes share one position space: shuffled position i of pass p
+    is g = p * (n + 1) + i, and slot i = n marks the pass's end, so no
+    segment or block ever spans two passes.  ``perm`` maps g to its key
+    position, ``inv[p]`` maps a key position to its g in pass p,
+    ``known`` marks the g whose prefix parity Bob has disclosed and
+    ``bob_prefix`` holds it.  A block is named by the g of its start.
+    The table holds room for the agreed passes from the start and grows
+    only for the one extra pass; the wire id of g is g - g // (n + 1).
     """
 
-    def __init__(self, bits: np.ndarray, endpoint: Endpoint):
+    def __init__(self, bits: np.ndarray, endpoint: Endpoint, passes: int):
+        n = len(bits)
         self.bits = bits
         self.endpoint = endpoint
-        self.passes: list[_PassStructure] = []
-        self.inv: list[np.ndarray] = []
-        self.known: list[np.ndarray] = []       # Bob's prefix parity known here
-        self.bob_prefix: list[np.ndarray] = []  # that parity, where known
+        self.stride = n + 1
+        self.built = 0
+        self.block_sizes = np.zeros(passes, dtype=np.int64)
+        self.perm = np.empty(passes * self.stride, dtype=np.int64)
+        self.inv = np.empty((passes, n), dtype=np.int64)
+        self.known = np.zeros(passes * self.stride, dtype=bool)
+        self.bob_prefix = np.zeros(passes * self.stride, dtype=np.uint8)
         self.flips = 0
+
+    def _add_room(self) -> None:
+        """Room for one more pass than the table holds."""
+        self.block_sizes = np.append(self.block_sizes, 0)
+        self.perm = np.append(self.perm, np.empty(self.stride, dtype=np.int64))
+        self.inv = np.vstack([self.inv, np.empty((1, self.stride - 1), dtype=np.int64)])
+        self.known = np.append(self.known, np.zeros(self.stride, dtype=bool))
+        self.bob_prefix = np.append(self.bob_prefix, np.zeros(self.stride, dtype=np.uint8))
 
     def begin_pass(self, announce: ShuffleSeed, bob_parities: np.ndarray) -> np.ndarray:
         """Build the announced pass; return its blocks that disagree with Bob."""
-        if announce.pass_no != len(self.passes) + 1:
+        if announce.pass_no != self.built + 1:
             self.endpoint.fail(f"pass {announce.pass_no} announced out of order")
         if announce.block_size < 1:
             self.endpoint.fail("block size must be positive")
         n = len(self.bits)
-        ps = _PassStructure(announce.pass_no, announce.seed, announce.block_size, n)
-        if len(bob_parities) != len(ps.starts):
+        # a block longer than the key is the whole key
+        block_size = min(announce.block_size, n)
+        starts, ends = _block_bounds(n, block_size)
+        if len(bob_parities) != len(starts):
             self.endpoint.fail("block parity count mismatch")
         bob_parities = np.asarray(bob_parities, dtype=np.uint8)
-        inv = np.empty(n, dtype=np.int64)
-        inv[ps.perm] = np.arange(n, dtype=np.int64)
-        known = np.zeros(n + 1, dtype=bool)
-        known[ps.starts] = True
-        known[n] = True
-        bob_prefix = np.zeros(n + 1, dtype=np.uint8)
-        bob_prefix[ps.ends] = np.bitwise_xor.accumulate(bob_parities)
-        self.passes.append(ps)
-        self.inv.append(inv)
-        self.known.append(known)
-        self.bob_prefix.append(bob_prefix)
-        return np.flatnonzero(ps.block_parities(ps.prefix_parities(self.bits)) ^ bob_parities)
+        if self.built == len(self.block_sizes):
+            self._add_room()
+        p, base = self.built, self.built * self.stride
+        self.block_sizes[p] = block_size
+        perm = self.perm[base : base + n]
+        perm[:] = _permutation(announce.seed, announce.pass_no, n)
+        self.inv[p, perm] = np.arange(base, base + n, dtype=np.int64)
+        self.known[base + starts] = True
+        self.known[base + n] = True
+        self.bob_prefix[base + ends] = np.bitwise_xor.accumulate(bob_parities)
+        self.built += 1
+        prefix = _shuffled_prefix(self.bits, perm)
+        return base + starts[(prefix[ends] ^ prefix[starts] ^ bob_parities).nonzero()[0]]
 
-    def _odd_segments(self, idx: int, blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _block_starts(self, g: np.ndarray) -> np.ndarray:
+        """The distinct blocks holding positions g, in ascending order."""
+        p = g // self.stride
+        return _sorted_unique(g - (g - p * self.stride) % self.block_sizes[p])
+
+    def _odd_segments(self, blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Segments ``[lo, hi)`` of the given blocks whose parity differs from Bob's."""
         if not len(blocks):
             return blocks, blocks
-        ps = self.passes[idx]
-        starts = ps.starts[blocks]
-        lens = ps.ends[blocks] - starts
-        offsets = np.cumsum(lens) - lens
-        total = int(lens.sum())
-        # the blocks' shuffled positions laid end to end, and Alice's
-        # parity of everything before each of them
-        at = np.arange(total, dtype=np.int64) + np.repeat(starts - offsets, lens)
+        p = blocks // self.stride
+        pass_end = p * self.stride + (self.stride - 1)
+        lens = np.minimum(blocks + self.block_sizes[p], pass_end) - blocks
+        offsets = np.add.accumulate(lens)
+        total = int(offsets[-1])
+        offsets -= lens
+        # the blocks' positions laid end to end, and Alice's parity of
+        # everything before each of them
+        at = (blocks - offsets).repeat(lens)
+        at += np.arange(total, dtype=np.int64)
         mine = np.zeros(total + 1, dtype=np.uint8)
-        np.bitwise_xor.accumulate(self.bits[ps.perm[at]], out=mine[1:])
+        np.bitwise_xor.accumulate(self.bits[self.perm[at]], out=mine[1:])
         # every block start is known, so no segment crosses a block boundary
-        cuts = np.flatnonzero(self.known[idx][at])
-        ends = np.append(cuts[1:], total)
+        cuts = self.known[at].nonzero()[0]
+        ends = np.empty_like(cuts)
+        ends[:-1] = cuts[1:]
+        ends[-1] = total
         lo = at[cuts]
         hi = lo + (ends - cuts)
-        bob = self.bob_prefix[idx]
-        odd = (mine[cuts] ^ mine[ends] ^ bob[lo] ^ bob[hi]).astype(bool)
+        bob = self.bob_prefix
+        odd = mine[cuts] ^ mine[ends] ^ bob[lo] ^ bob[hi]
+        odd = odd.view(bool)
         return lo[odd], hi[odd]
 
-    def _ask(self, pass_idx: np.ndarray, mid: np.ndarray) -> None:
+    def _ask(self, mid: np.ndarray) -> None:
         """One round trip: learn Bob's prefix parity at every midpoint."""
-        ids = pass_idx * len(self.bits) + mid
-        current_pass = len(self.passes)
-        self.endpoint.send(Syndrome(pass_no=current_pass, blocks=ids,
+        ids = mid - mid // self.stride
+        self.endpoint.send(Syndrome(pass_no=self.built, blocks=ids,
                                     bits=np.zeros(0, dtype=np.uint8)))
         reply = self.endpoint.expect(Kind.SYNDROME).payload
-        if (reply.pass_no != current_pass or not np.array_equal(reply.blocks, ids)
-                or len(reply.bits) != len(ids)):
+        if (reply.pass_no != self.built or len(reply.blocks) != len(ids)
+                or np.count_nonzero(reply.blocks != ids) or len(reply.bits) != len(ids)):
             self.endpoint.fail("bisection reply does not match its query")
-        for idx, (known, bob_prefix) in enumerate(zip(self.known, self.bob_prefix)):
-            sel = pass_idx == idx
-            known[mid[sel]] = True
-            bob_prefix[mid[sel]] = reply.bits[sel]
+        self.known[mid] = True
+        self.bob_prefix[mid] = reply.bits
 
     def drain(self, odd_blocks: np.ndarray) -> None:
         """Bisect until no segment of any built pass disagrees, then end the pass.
@@ -277,42 +310,33 @@ class _AliceCorrector:
         pass between two flips.
         """
         n = len(self.bits)
-        current = len(self.passes) - 1
         # From the second pass on, half the disagreeing blocks wait until the
         # other half and the backtracking it sets off have settled: that
         # backtracking runs through the smaller blocks of earlier passes and
         # often corrects a waiting block's error for fewer bits than
         # bisecting the waiting block would cost.
-        held = odd_blocks[1::2] if current else odd_blocks[:0]
-        todo = {current: odd_blocks[0::2] if current else odd_blocks}
+        if self.built > 1:
+            todo, held = odd_blocks[0::2], odd_blocks[1::2]
+        else:
+            todo, held = odd_blocks, odd_blocks[:0]
         while True:
-            found = [(idx, *self._odd_segments(idx, blocks)) for idx, blocks in todo.items()]
-            pass_idx = np.concatenate([np.full(len(lo), idx, dtype=np.int64)
-                                       for idx, lo, _ in found])
-            lo = np.concatenate([lo for _, lo, _ in found])
-            hi = np.concatenate([hi for _, _, hi in found])
+            lo, hi = self._odd_segments(todo)
             if not len(lo):
                 if not len(held):
                     break
-                todo, held = {current: held}, held[:0]
+                todo, held = held, held[:0]
                 continue
             wide = hi - lo > 1
-            if wide.any():
-                self._ask(pass_idx[wide], (lo + (hi - lo) // 2)[wide])
-            single = ~wide
-            positions = _sorted_unique(np.concatenate(
-                [self.passes[idx].perm[lo[single & (pass_idx == idx)]]
-                 for idx in range(len(self.passes))]))
+            if np.count_nonzero(wide):
+                self._ask((lo + (hi - lo) // 2)[wide])
+            positions = _sorted_unique(self.perm[lo[~wide]])
             self.bits[positions] ^= 1
             self.flips += len(positions)
             if self.flips > n:
                 self.endpoint.fail("bisection flipped more bits than the key holds")
-            todo = {}
-            for idx, ps in enumerate(self.passes):
-                touched = np.concatenate([lo[pass_idx == idx], self.inv[idx][positions]])
-                if len(touched):
-                    todo[idx] = _sorted_unique(touched // ps.block_size)
-        self.endpoint.send(Syndrome(pass_no=len(self.passes),
+            todo = self._block_starts(np.concatenate(
+                [lo, self.inv[:self.built, positions].ravel()]))
+        self.endpoint.send(Syndrome(pass_no=self.built,
                                     blocks=np.zeros(0, dtype=np.int64),
                                     bits=np.zeros(0, dtype=np.uint8)))
 
@@ -335,12 +359,15 @@ def _outcome(bits: np.ndarray, transcript, est_num: int, est_den: int,
 def _reconcile_alice(key: np.ndarray, endpoint: Endpoint, config: ReconConfig,
                      first_message=None) -> ReconOutcome:
     bits = np.array(key, dtype=np.uint8)
-    corr = _AliceCorrector(bits, endpoint)
+    corr = _AliceCorrector(bits, endpoint, config.passes)
     transcript_start = len(endpoint.messages)
     est_num, est_den = 0, 1
     passes_run = 0
     hash_rounds = 0
     verified = False
+    # Bob hashes once after the agreed passes and once after the extra
+    # one; each digest is a key-sized product that discloses nbits more
+    pass_since_hash = False
     while True:
         if first_message is not None:
             message, first_message = first_message, None
@@ -361,6 +388,7 @@ def _reconcile_alice(key: np.ndarray, endpoint: Endpoint, config: ReconConfig,
             odd_blocks = corr.begin_pass(announce, parity_msg.parities)
             corr.drain(odd_blocks)
             passes_run += 1
+            pass_since_hash = True
         else:
             theirs = message.payload
             # the length was agreed through the session digest; hashing a
@@ -368,6 +396,9 @@ def _reconcile_alice(key: np.ndarray, endpoint: Endpoint, config: ReconConfig,
             if theirs.nbits != config.hash_bits:
                 endpoint.fail(f"verify hash of {theirs.nbits} bits, "
                               f"agreed {config.hash_bits}")
+            if not pass_since_hash:
+                endpoint.fail("verify hash with no pass since the start or the last hash")
+            pass_since_hash = False
             hash_rounds += 1
             mine = _verify_hash_bits(bits, theirs.seed, theirs.nbits)
             endpoint.send(VerifyHash(seed=theirs.seed, digest=mine, nbits=theirs.nbits))
@@ -379,35 +410,36 @@ def _reconcile_alice(key: np.ndarray, endpoint: Endpoint, config: ReconConfig,
                     verified, passes_run, corr.flips, hash_rounds)
 
 
-def _bisection_answers(ids: np.ndarray, prefixes: list[np.ndarray], n: int) -> np.ndarray:
-    """Bob's parity of the first ``mid`` shuffled bits of each named pass."""
-    pass_idx, mid = np.divmod(ids, n)
-    out = np.empty(len(ids), dtype=np.uint8)
-    for idx, prefix in enumerate(prefixes):
-        sel = pass_idx == idx
-        out[sel] = prefix[mid[sel]]
-    return out
+def _bisection_answers(ids: np.ndarray, prefixes: np.ndarray) -> np.ndarray:
+    """Bob's parity of the first ``mid`` shuffled bits of pass p, for each id p * n + mid."""
+    return prefixes[ids]
 
 
-def _serve_pass(endpoint: Endpoint, prefixes: list[np.ndarray], bits: np.ndarray,
+def _serve_pass(endpoint: Endpoint, prefixes: np.ndarray, bits: np.ndarray,
                 pass_no: int, seed: int, block_size: int, est_num: int,
                 est_den: int) -> None:
-    """Bob's side of one pass: announce, disclose parities, answer queries."""
+    """Bob's side of one pass: announce, disclose parities, answer queries.
+
+    ``prefixes`` is the table of every pass's prefix parities, entry
+    p * n + i the parity of the first i shuffled bits of pass p; this pass
+    fills its slice.
+    """
+    n = len(bits)
     endpoint.send(ShuffleSeed(pass_no=pass_no, seed=seed, block_size=block_size,
                               est_num=est_num, est_den=est_den))
-    ps = _PassStructure(pass_no, seed, block_size, len(bits))
-    prefix = ps.prefix_parities(bits)
-    prefixes.append(prefix)
-    endpoint.send(BlockParity(pass_no=pass_no, parities=ps.block_parities(prefix)))
+    prefix = _shuffled_prefix(bits, _permutation(seed, pass_no, n))
+    prefixes[(pass_no - 1) * n : pass_no * n] = prefix[:-1]
+    starts, ends = _block_bounds(n, block_size)
+    endpoint.send(BlockParity(pass_no=pass_no, parities=prefix[ends] ^ prefix[starts]))
     while True:
         query = endpoint.expect(Kind.SYNDROME).payload
         if not query.is_query or query.pass_no != pass_no:
             endpoint.fail(f"expected a bisection query for pass {pass_no}")
         if len(query.blocks) == 0:
             return
-        if query.blocks[-1] >= len(prefixes) * len(bits):
+        if query.blocks[-1] >= pass_no * n:
             endpoint.fail("bisection query names a pass not yet built")
-        answers = _bisection_answers(query.blocks, prefixes, len(bits))
+        answers = _bisection_answers(query.blocks, prefixes)
         endpoint.send(Syndrome(pass_no=pass_no, blocks=query.blocks, bits=answers))
 
 
@@ -417,7 +449,8 @@ def _reconcile_bob(key: np.ndarray, endpoint: Endpoint, config: ReconConfig,
     transcript_start = len(endpoint.messages)
     est = est_num / est_den if est_den else 0.0
     schedule = block_schedule(est, len(bits), config.passes)
-    prefixes: list[np.ndarray] = []
+    # room for the scheduled passes and the one extra
+    prefixes = np.zeros((len(schedule) + 1) * len(bits), dtype=np.uint8)
     passes_run = 0
     hash_rounds = 0
     verified = False

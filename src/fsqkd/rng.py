@@ -37,3 +37,21 @@ def random_bytes(rng: np.random.Generator, n: int) -> np.ndarray:
 def random_bits(rng: np.random.Generator, n: int) -> np.ndarray:
     """The bits of ``random_bytes(rng, n)`` unpacked, one uint8 per bit."""
     return np.unpackbits(random_bytes(rng, n), count=n)
+
+
+# doubles per ``random`` call in ``toeplitz_diagonal``: 512 KiB of float64
+# scratch however long the diagonal
+_DIAGONAL_CHUNK = 1 << 16
+
+
+def toeplitz_diagonal(rng: np.random.Generator, count: int) -> np.ndarray:
+    """``rng.random(count) < 0.5`` as uint8 bits, drawn in bounded chunks.
+
+    Consecutive ``random(k)`` calls continue one stream of doubles, so the
+    bits equal the one-shot draw without holding 8 bytes per bit.
+    """
+    out = np.empty(count, dtype=np.uint8)
+    for start in range(0, count, _DIAGONAL_CHUNK):
+        chunk = out[start : start + _DIAGONAL_CHUNK]
+        np.less(rng.random(len(chunk)), 0.5, out=chunk.view(bool))
+    return out

@@ -127,7 +127,7 @@ class Endpoint:
 
 
 class LoopbackEndpoint(Endpoint):
-    def __init__(self, outbox: queue.Queue, inbox: queue.Queue,
+    def __init__(self, outbox: queue.SimpleQueue, inbox: queue.SimpleQueue,
                  timeout_s: float = DEFAULT_TIMEOUT_S):
         super().__init__(timeout_s)
         self._outbox = outbox
@@ -145,8 +145,10 @@ class LoopbackEndpoint(Endpoint):
 
 def loopback_pair(timeout_s: float = DEFAULT_TIMEOUT_S) -> tuple[Endpoint, Endpoint]:
     """Two connected in-memory endpoints: FIFO, lossless, ordered."""
-    ab: queue.Queue = queue.Queue()
-    ba: queue.Queue = queue.Queue()
+    # SimpleQueue is implemented in C: a hand-off between the two parties'
+    # threads takes no Python-level lock or condition variable
+    ab: queue.SimpleQueue = queue.SimpleQueue()
+    ba: queue.SimpleQueue = queue.SimpleQueue()
     a = LoopbackEndpoint(outbox=ab, inbox=ba, timeout_s=timeout_s)
     b = LoopbackEndpoint(outbox=ba, inbox=ab, timeout_s=timeout_s)
     return a, b

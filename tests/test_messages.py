@@ -385,8 +385,10 @@ class TestIndexCodecRejects:
     @pytest.mark.parametrize("indices", [
         [5, 5], [-1, 3], [4, 2],
         list(range(100)) + [99], [-1] + list(range(100)), list(range(100)) + [50],
+        # the int64 difference of the last two wraps to +6
+        list(range(100)) + [2**63 - 1, -2**63 + 5],
     ], ids=["repeat", "negative", "decreasing",
-            "long-repeat", "long-negative", "long-decreasing"])
+            "long-repeat", "long-negative", "long-decreasing", "long-wrapped-negative"])
     def test_encode_rejects_non_increasing(self, indices):
         with pytest.raises(ValueError):
             encode_index_list(np.array(indices, dtype=np.int64))

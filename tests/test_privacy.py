@@ -137,6 +137,29 @@ class TestToeplitz:
             parity = int(np.unpackbits(packed_row & packed_key).sum()) & 1
             assert got[i] == parity
 
+    @pytest.mark.parametrize("n, m", [(3000, 700), (3000, 5), (1500, 1500), (2000, 1100)])
+    def test_chunked_product_with_small_transforms(self, n, m, monkeypatch):
+        # with the transform limit cut to 1024 points, keys and outputs of a
+        # few thousand bits take every chunking path; each transform fits
+        # the limit and the XOR of the chunk products is the dense product
+        import fsqkd.privacy as privacy
+
+        limit, sizes = 1024, []
+        product = privacy._toeplitz_product
+
+        def recorded(diagonal, key, rows):
+            sizes.append(1 << (len(key) + rows - 2).bit_length())
+            return product(diagonal, key, rows)
+
+        monkeypatch.setattr(privacy, "MAX_INPUT_BITS", limit)
+        monkeypatch.setattr(privacy, "_toeplitz_product", recorded)
+        bits = stream(n, "toeplitz-key").integers(0, 2, n).astype(np.uint8)
+        got = compress(bits, PaPlan(input_length=n, output_length=m, seed=22))
+        diagonals = toeplitz_seed_bits(22, n, m)
+        matrix = np.array([toeplitz_row(diagonals, n, i) for i in range(m)], dtype=np.int64)
+        assert np.array_equal(got, (matrix @ bits.astype(np.int64)) & 1)
+        assert len(sizes) > 1 and max(sizes) <= limit
+
     def test_exact_above_largest_chunk(self):
         # past MAX_INPUT_BITS the key and the output are cut into two
         # chunks each; rows at every chunk edge and a random few are

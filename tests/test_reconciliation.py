@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from fsqkd.messages import (
+    Abort,
     BlockParity,
     Kind,
     SampleRequest,
@@ -347,6 +348,66 @@ class TestReconcile:
         thread.join(timeout=10.0)
         assert not thread.is_alive()
         assert errors["a"].local and f"pass {cfg.passes + 2} beyond" in errors["a"].reason
+
+    @pytest.mark.parametrize("passes_first", [0, 1], ids=["at-start", "after-a-hash"])
+    def test_verify_hash_without_a_pass_aborts(self, passes_first):
+        # an honest reference hashes once after the agreed passes and once
+        # after the extra pass; back-to-back hash rounds would each cost
+        # Alice a key-sized product and disclose 128 more bits
+        n = 64
+        bits = stream(8, "k").integers(0, 2, n).astype(np.uint8)
+        parity = np.bitwise_xor.reduce(bits, keepdims=True)
+        a_end, b_end = loopback_pair(timeout_s=5.0)
+        errors = {}
+
+        def alice():
+            try:
+                reconcile(bits, a_end, ReconConfig(), "alice", 0, 1)
+            except SessionAborted as exc:
+                errors["a"] = exc
+
+        thread = threading.Thread(target=alice)
+        thread.start()
+        if passes_first:
+            b_end.send(ShuffleSeed(pass_no=1, seed=1, block_size=n))
+            b_end.send(BlockParity(pass_no=1, parities=parity))
+            assert len(b_end.expect(Kind.SYNDROME).payload.blocks) == 0
+            # a wrong digest: Alice answers with hers and waits for Bob
+            b_end.send(VerifyHash(seed=1, digest=bytes(16), nbits=128))
+            assert b_end.expect(Kind.VERIFY_HASH).payload.nbits == 128
+        b_end.send(VerifyHash(seed=2, digest=bytes(16), nbits=128))
+        expect_abort(b_end, "verify hash with no pass")
+        thread.join(timeout=10.0)
+        assert not thread.is_alive()
+        assert errors["a"].local and "verify hash with no pass" in errors["a"].reason
+
+    @pytest.mark.parametrize("block_size", [65, 2**64 - 1])
+    def test_block_longer_than_key_is_the_whole_key(self, block_size):
+        # block sizes arrive as unbounded varints; one past the key, or
+        # beyond any int64, is one block of the whole key
+        n = 64
+        bits = stream(8, "k").integers(0, 2, n).astype(np.uint8)
+        parity = np.bitwise_xor.reduce(bits, keepdims=True)
+        a_end, b_end = loopback_pair(timeout_s=5.0)
+        errors = {}
+
+        def alice():
+            try:
+                reconcile(bits, a_end, ReconConfig(), "alice", 0, 1)
+            except SessionAborted as exc:
+                errors["a"] = exc
+
+        thread = threading.Thread(target=alice)
+        thread.start()
+        b_end.send(ShuffleSeed(pass_no=1, seed=1, block_size=block_size))
+        b_end.send(BlockParity(pass_no=1, parities=parity ^ 1))
+        # the whole-key block disagrees: Alice bisects it
+        query = b_end.expect(Kind.SYNDROME).payload
+        assert query.blocks.tolist() == [n // 2]
+        b_end.send(Abort(reason="enough"))
+        thread.join(timeout=10.0)
+        assert not thread.is_alive()
+        assert not errors["a"].local and errors["a"].reason == "enough"
 
     def test_verify_hash_of_unagreed_length_aborts(self):
         # the hash length is fixed by the session digest; a reference that

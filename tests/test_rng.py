@@ -1,6 +1,7 @@
 import numpy as np
+import pytest
 
-from fsqkd.rng import stream
+from fsqkd.rng import _DIAGONAL_CHUNK, stream, toeplitz_diagonal
 
 
 class TestSeededStreams:
@@ -18,3 +19,14 @@ class TestSeededStreams:
         a = stream(42, "alice-bits").integers(0, 2, 64)
         b = stream(43, "alice-bits").integers(0, 2, 64)
         assert not np.array_equal(a, b)
+
+
+class TestToeplitzDiagonal:
+    @pytest.mark.parametrize("count", [0, 1, _DIAGONAL_CHUNK - 1, _DIAGONAL_CHUNK,
+                                       _DIAGONAL_CHUNK + 1, 3 * _DIAGONAL_CHUNK + 5])
+    def test_equals_one_shot_draw(self, count):
+        # chunked draws continue one stream of doubles
+        expected = (stream(9, "diagonal").random(count) < 0.5).astype(np.uint8)
+        got = toeplitz_diagonal(stream(9, "diagonal"), count)
+        assert got.dtype == np.uint8
+        assert np.array_equal(got, expected)
