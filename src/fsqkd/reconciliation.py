@@ -253,25 +253,22 @@ class _AliceCorrector:
 
     def _block_starts(self, g: np.ndarray) -> np.ndarray:
         """The distinct blocks holding positions g, in ascending order."""
-        p = g // self.stride
-        return _sorted_unique(g - (g - p * self.stride) % self.block_sizes[p])
+        p, i = np.divmod(g, self.stride)
+        return _sorted_unique(g - i % self.block_sizes[p])
 
     def _odd_segments(self, blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Segments ``[lo, hi)`` of the given blocks whose parity differs from Bob's."""
         if not len(blocks):
             return blocks, blocks
-        p = blocks // self.stride
-        pass_end = p * self.stride + (self.stride - 1)
-        lens = np.minimum(blocks + self.block_sizes[p], pass_end) - blocks
+        p, i = np.divmod(blocks, self.stride)
+        # the last block of a pass ends at its slot n
+        lens = np.minimum(self.block_sizes[p], (self.stride - 1) - i)
         offsets = np.add.accumulate(lens)
         total = int(offsets[-1])
         offsets -= lens
-        # the blocks' positions laid end to end, and Alice's parity of
-        # everything before each of them
+        # the blocks' positions laid end to end
         at = (blocks - offsets).repeat(lens)
         at += np.arange(total, dtype=np.int64)
-        mine = np.zeros(total + 1, dtype=np.uint8)
-        np.bitwise_xor.accumulate(self.bits[self.perm[at]], out=mine[1:])
         # every block start is known, so no segment crosses a block boundary
         cuts = self.known[at].nonzero()[0]
         ends = np.empty_like(cuts)
@@ -279,8 +276,10 @@ class _AliceCorrector:
         ends[-1] = total
         lo = at[cuts]
         hi = lo + (ends - cuts)
-        bob = self.bob_prefix
-        odd = mine[cuts] ^ mine[ends] ^ bob[lo] ^ bob[hi]
+        # Alice's parity of each segment against Bob's
+        odd = np.bitwise_xor.reduceat(self.bits[self.perm[at]], cuts)
+        odd ^= self.bob_prefix[lo]
+        odd ^= self.bob_prefix[hi]
         odd = odd.view(bool)
         return lo[odd], hi[odd]
 
@@ -327,15 +326,19 @@ class _AliceCorrector:
                 todo, held = held, held[:0]
                 continue
             wide = hi - lo > 1
-            if np.count_nonzero(wide):
+            asked = np.count_nonzero(wide)
+            if asked:
                 self._ask((lo + (hi - lo) // 2)[wide])
-            positions = _sorted_unique(self.perm[lo[~wide]])
-            self.bits[positions] ^= 1
-            self.flips += len(positions)
-            if self.flips > n:
-                self.endpoint.fail("bisection flipped more bits than the key holds")
-            todo = self._block_starts(np.concatenate(
-                [lo, self.inv[:self.built, positions].ravel()]))
+            touched = lo
+            # about half the rounds pin down no single bit
+            if asked < len(lo):
+                positions = _sorted_unique(self.perm[lo[~wide]])
+                self.bits[positions] ^= 1
+                self.flips += len(positions)
+                if self.flips > n:
+                    self.endpoint.fail("bisection flipped more bits than the key holds")
+                touched = np.concatenate([lo, self.inv[:self.built, positions].ravel()])
+            todo = self._block_starts(touched)
         self.endpoint.send(Syndrome(pass_no=self.built,
                                     blocks=np.zeros(0, dtype=np.int64),
                                     bits=np.zeros(0, dtype=np.uint8)))
