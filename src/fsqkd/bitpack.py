@@ -57,12 +57,12 @@ def decode_varint(data: bytes, offset: int) -> tuple[int, int]:
 
 
 # Lists up to this long take the per-byte loop, longer ones the array
-# code.  The loop costs about 0.15 us per index to encode and 0.3 us to
-# decode; the array code 20-40 us per call (7-12 us when every gap fits
-# one byte) plus about 0.06 us per index (2-vCPU VM, numpy 2.4.6).
-# Bisection ids, whose gaps mostly take two bytes, cross over near 128 ids
-# when decoded and later when encoded; half of a session's lists are
-# bisection queries and replies of five ids or fewer.
+# code.  The loop costs about 0.15 us per index to encode and 0.25 us to
+# decode; the array code 20-30 us per call plus about 0.05 us per index
+# (2-vCPU VM, numpy 2.4.6).  For bisection ids, whose gaps mostly take
+# two bytes, the two cross near 128 ids when decoding and later when
+# encoding; half of a session's lists are bisection queries and replies
+# of five ids or fewer.
 _SCALAR_MAX = 128
 # decode_varint reads up to eleven bytes before it gives up; an index below
 # 2**63 needs at most nine
@@ -100,8 +100,6 @@ def encode_index_list(indices: np.ndarray) -> bytes:
     deltas = deltas.view(np.uint64)
     continued = np.searchsorted(_GROUP_LIMITS, deltas, side="right")
     width = int(continued[continued.argmax()]) + 1
-    if width == 1:
-        return bytes(out) + deltas.astype(np.uint8).tobytes()
     groups = (deltas[:, None] >> _SHIFTS[:width]).astype(np.uint8)
     groups &= 0x7F
     keep = _COLUMNS[:width] <= continued[:, None]
@@ -145,27 +143,22 @@ def decode_index_list(data: bytes, offset: int) -> tuple[np.ndarray, int]:
                            count=min(len(data) - offset, count * _MAX_VARINT_BYTES))
     ends = (window < 0x80).nonzero()[0][:count]
     size = int(ends[-1]) + 1 if len(ends) else 0
-    if len(ends) == count == size:
-        # one byte per delta
-        deltas = window[:count].astype(np.uint64)
-    else:
-        lengths = np.empty(len(ends), dtype=np.int64)
-        lengths[:1] = ends[:1] + 1
-        np.subtract(ends[1:], ends[:-1], out=lengths[1:])
-        if len(ends) and lengths[lengths.argmax()] > _MAX_VARINT_BYTES:
-            raise ValueError("varint too long")
-        if len(ends) < count:
-            raise ValueError("varint too long" if len(window) - size >= _MAX_VARINT_BYTES
-                             else "truncated varint")
-        if np.count_nonzero((window[ends] == 0) & (lengths > 1)):
-            raise ValueError("overlong varint")
-        starts = ends + 1 - lengths
-        column = np.arange(size) - np.repeat(starts, lengths)
-        groups = window[:size] & np.uint8(0x7F)
-        if np.count_nonzero(groups[column >= 9]):
-            raise ValueError("index beyond 2**63")
-        deltas = np.add.reduceat(groups.astype(np.uint64) << _SHIFTS[np.minimum(column, 9)],
-                                 starts)
+    lengths = np.empty(len(ends), dtype=np.int64)
+    lengths[:1] = ends[:1] + 1
+    np.subtract(ends[1:], ends[:-1], out=lengths[1:])
+    if len(ends) and lengths[lengths.argmax()] > _MAX_VARINT_BYTES:
+        raise ValueError("varint too long")
+    if len(ends) < count:
+        raise ValueError("varint too long" if len(window) - size >= _MAX_VARINT_BYTES
+                         else "truncated varint")
+    if np.count_nonzero((window[ends] == 0) & (lengths > 1)):
+        raise ValueError("overlong varint")
+    starts = ends + 1 - lengths
+    column = np.arange(size) - starts.repeat(lengths)
+    groups = window[:size] & np.uint8(0x7F)
+    if np.count_nonzero(groups[column >= 9]):
+        raise ValueError("index beyond 2**63")
+    deltas = np.add.reduceat(groups.astype(np.uint64) << _SHIFTS[np.minimum(column, 9)], starts)
     if np.count_nonzero(deltas[1:]) < count - 1:
         raise ValueError("decoded indices are not strictly increasing")
     # every delta is below 2**63, so a running sum that wraps turns negative first

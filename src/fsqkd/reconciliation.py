@@ -198,9 +198,10 @@ class _AliceCorrector:
     segment or block ever spans two passes.  ``perm`` maps g to its key
     position, ``inv[p]`` maps a key position to its g in pass p,
     ``known`` marks the g whose prefix parity Bob has disclosed and
-    ``bob_prefix`` holds it.  A block is named by the g of its start.
-    The table holds room for the agreed passes from the start and grows
-    only for the one extra pass; the wire id of g is g - g // (n + 1).
+    ``bob_prefix`` holds it.  A block is named by the g of its start,
+    and the wire id of g is g - g // (n + 1).  The table holds room for
+    the agreed passes from the start, so building a pass copies none of
+    the others; only the one extra pass grows it.
     """
 
     def __init__(self, bits: np.ndarray, endpoint: Endpoint, passes: int):
