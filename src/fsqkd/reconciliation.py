@@ -201,7 +201,9 @@ class _AliceCorrector:
     ``bob_prefix`` holds it.  A block is named by the g of its start,
     and the wire id of g is g - g // (n + 1).  The table holds room for
     the agreed passes from the start, so building a pass copies none of
-    the others; only the one extra pass grows it.
+    the others; only the one extra pass grows it.  ``perm`` and ``inv``
+    hold int32 whenever every g fits, which is any key a session can
+    carry: 10 bytes per key bit and pass, against 18 with int64.
     """
 
     def __init__(self, bits: np.ndarray, endpoint: Endpoint, passes: int):
@@ -210,9 +212,11 @@ class _AliceCorrector:
         self.endpoint = endpoint
         self.stride = n + 1
         self.built = 0
+        # the agreed passes and the one extra
+        index = np.int32 if (passes + 1) * self.stride <= 2**31 else np.int64
         self.block_sizes = np.zeros(passes, dtype=np.int64)
-        self.perm = np.empty(passes * self.stride, dtype=np.int64)
-        self.inv = np.empty((passes, n), dtype=np.int64)
+        self.perm = np.empty(passes * self.stride, dtype=index)
+        self.inv = np.empty((passes, n), dtype=index)
         self.known = np.zeros(passes * self.stride, dtype=bool)
         self.bob_prefix = np.zeros(passes * self.stride, dtype=np.uint8)
         self.flips = 0
@@ -220,8 +224,8 @@ class _AliceCorrector:
     def _add_room(self) -> None:
         """Room for one more pass than the table holds."""
         self.block_sizes = np.append(self.block_sizes, 0)
-        self.perm = np.append(self.perm, np.empty(self.stride, dtype=np.int64))
-        self.inv = np.vstack([self.inv, np.empty((1, self.stride - 1), dtype=np.int64)])
+        self.perm = np.append(self.perm, np.empty(self.stride, dtype=self.perm.dtype))
+        self.inv = np.vstack([self.inv, np.empty((1, self.stride - 1), dtype=self.inv.dtype)])
         self.known = np.append(self.known, np.zeros(self.stride, dtype=bool))
         self.bob_prefix = np.append(self.bob_prefix, np.zeros(self.stride, dtype=np.uint8))
 
@@ -244,7 +248,7 @@ class _AliceCorrector:
         self.block_sizes[p] = block_size
         perm = self.perm[base : base + n]
         perm[:] = _permutation(announce.seed, announce.pass_no, n)
-        self.inv[p, perm] = np.arange(base, base + n, dtype=np.int64)
+        self.inv[p, perm] = np.arange(base, base + n, dtype=self.inv.dtype)
         self.known[base + starts] = True
         self.known[base + n] = True
         self.bob_prefix[base + ends] = np.bitwise_xor.accumulate(bob_parities)
