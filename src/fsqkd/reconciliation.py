@@ -146,13 +146,12 @@ def _verify_hash_bits(key_bits: np.ndarray, seed: int, nbits: int) -> bytes:
 
     The nbits x n binary Toeplitz matrix is fixed by its n + nbits - 1
     diagonal bits, ``random(n + nbits - 1) < 0.5`` from the labeled stream
-    ``verify-hash`` of the seed (``rng.toeplitz_diagonal``); entry (i, j) is
-    diagonal bit
-    ``i - j + n - 1``, the convention of ``privacy.compress``.  With the
-    diagonal reversed, row i is the contiguous slice starting at
-    ``nbits - 1 - i``, so digest bit i is the parity of that slice ANDed
-    with the key: exact integer counts at any key length, including keys
-    shorter than the digest.
+    ``verify-hash`` of the seed (``rng.toeplitz_diagonal``); entry (i, j)
+    is diagonal bit ``i - j + n - 1``, the convention of
+    ``privacy.compress``.  With the diagonal reversed, row i is the
+    contiguous slice starting at ``nbits - 1 - i``, so digest bit i is the
+    parity of that slice ANDed with the key: exact integer counts at any
+    key length, including keys shorter than the digest.
     """
     n = len(key_bits)
     diagonal = toeplitz_diagonal(stream(seed, "verify-hash"), n + nbits - 1)
@@ -212,7 +211,7 @@ class _AliceCorrector:
         self.endpoint = endpoint
         self.stride = n + 1
         self.built = 0
-        # the agreed passes and the one extra
+        # int32 when every g of the agreed passes and the one extra fits
         index = np.int32 if (passes + 1) * self.stride <= 2**31 else np.int64
         self.block_sizes = np.zeros(passes, dtype=np.int64)
         self.perm = np.empty(passes * self.stride, dtype=index)
