@@ -46,7 +46,6 @@ CONFIG_KEYS = {
     "sigma": float,
     "sample-fraction": float,
     "passes": int,
-    "hash-bits": int,
     "recon-efficiency": float,
     "out-dir": str,
     "addr": str,
@@ -105,8 +104,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--sample-fraction", type=float, dest="sample_fraction",
                        help="sifted fraction sacrificed to estimate the error rate")
         p.add_argument("--passes", type=int, help="correction passes")
-        p.add_argument("--hash-bits", type=int, dest="hash_bits",
-                       help="verification hash length")
         p.add_argument("--timeout", type=float, help="channel receive timeout, seconds")
 
     p_sim = sub.add_parser("simulate", help="run a full session in one process")
@@ -159,7 +156,6 @@ def _build_session_config(args) -> SessionConfig:
         recon=ReconConfig(
             sample_fraction=_merged(args, "sample-fraction", recon.sample_fraction),
             passes=_merged(args, "passes", recon.passes),
-            hash_bits=_merged(args, "hash-bits", recon.hash_bits),
         ),
         timeout_s=_merged(args, "timeout", base.timeout_s),
     )

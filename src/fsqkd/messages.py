@@ -9,9 +9,11 @@ where the base64 payload wraps a kind-specific packed binary body (see
 ``PROTOCOL.md`` for the normative layouts and worked hex examples).  Each
 payload class lists its body's fields in wire order (``WIRE``), and one
 ``pack``/``unpack`` pair encodes every kind; bytes after the last field
-make a body malformed.  Index lists travel delta+varint encoded; bit
-lists as packed bits behind a 32-bit bit count.  ``encode`` then
-``decode`` is the identity for every valid message.
+make a body malformed.  Every field decodes on its own: index lists
+travel delta+varint encoded, bit lists as packed bits behind a 32-bit bit
+count, and digests (Hello's parameter digest, VerifyHash's 128-bit hash)
+as 16 raw bytes.  ``encode`` then ``decode`` is the identity for every
+valid message.
 
 ``leak_meter`` implements the session's disclosure accounting: block
 parities cost one bit each, bisection replies one bit per answered id,
@@ -81,48 +83,38 @@ def _take(data: bytes, offset: int, count: int) -> tuple[bytes, int]:
 class _Encoding(NamedTuple):
     """One field's wire form, both ways.
 
-    ``put(out, value, fields)`` appends the value's bytes to ``out``;
-    ``get(data, offset, fields)`` returns ``(value, next_offset)``.
-    ``fields`` maps the payload's field names to their values (on decode,
-    those decoded so far), for lengths that another field fixes.
+    ``put(out, value)`` appends the value's bytes to ``out``;
+    ``get(data, offset)`` returns ``(value, next_offset)``.
     """
 
-    put: Callable[[bytearray, object, dict], None]
-    get: Callable[[bytes, int, dict], tuple[object, int]]
+    put: Callable[[bytearray, object], None]
+    get: Callable[[bytes, int], tuple[object, int]]
 
 
-def _get_u64(data: bytes, offset: int, fields: dict) -> tuple[int, int]:
+def _get_u64(data: bytes, offset: int) -> tuple[int, int]:
     raw, offset = _take(data, offset, 8)
     return int.from_bytes(raw, "big"), offset
 
 
-def _raw_bytes(length_of, mismatch: str) -> _Encoding:
-    """Bytes whose count ``length_of(fields)`` both sides know in advance."""
-
-    def put(out: bytearray, value: bytes, fields: dict) -> None:
-        if len(value) != length_of(fields):
-            raise MessageFormatError(mismatch)
-        out += value
-
-    return _Encoding(put, lambda data, offset, fields: _take(data, offset, length_of(fields)))
+def _put_digest16(out: bytearray, value: bytes) -> None:
+    if len(value) != 16:
+        raise MessageFormatError("digest must be 16 bytes")
+    out += value
 
 
 # The codec functions are looked up when a field is packed, not bound here,
 # so a wrapper installed on this module's names (the benchmark's tracer
 # wraps the index codec) sees every call.
-VARINT = _Encoding(lambda out, value, fields: encode_varint(value, out),
-                   lambda data, offset, fields: decode_varint(data, offset))
-U64 = _Encoding(lambda out, value, fields: out.extend(int(value).to_bytes(8, "big")),
-                _get_u64)
-DIGEST16 = _raw_bytes(lambda fields: 16, "params digest must be 16 bytes")
-INDEX_LIST = _Encoding(lambda out, value, fields: out.extend(encode_index_list(value)),
-                       lambda data, offset, fields: decode_index_list(data, offset))
-BIT_LIST = _Encoding(lambda out, value, fields: out.extend(encode_bit_list(value)),
-                     lambda data, offset, fields: decode_bit_list(data, offset))
-UTF8_REST = _Encoding(lambda out, value, fields: out.extend(value.encode("utf-8")),
-                      lambda data, offset, fields: (data[offset:].decode("utf-8"), len(data)))
-HASH_DIGEST = _raw_bytes(lambda fields: (fields["nbits"] + 7) // 8,
-                         "digest length inconsistent with nbits")
+VARINT = _Encoding(lambda out, value: encode_varint(value, out),
+                   lambda data, offset: decode_varint(data, offset))
+U64 = _Encoding(lambda out, value: out.extend(int(value).to_bytes(8, "big")), _get_u64)
+DIGEST16 = _Encoding(_put_digest16, lambda data, offset: _take(data, offset, 16))
+INDEX_LIST = _Encoding(lambda out, value: out.extend(encode_index_list(value)),
+                       lambda data, offset: decode_index_list(data, offset))
+BIT_LIST = _Encoding(lambda out, value: out.extend(encode_bit_list(value)),
+                     lambda data, offset: decode_bit_list(data, offset))
+UTF8_REST = _Encoding(lambda out, value: out.extend(value.encode("utf-8")),
+                      lambda data, offset: (data[offset:].decode("utf-8"), len(data)))
 
 
 def _values_equal(a, b) -> bool:
@@ -145,14 +137,14 @@ class _Payload:
         fields = vars(self)
         out = bytearray()
         for name, encoding in self.WIRE:
-            encoding.put(out, fields[name], fields)
+            encoding.put(out, fields[name])
         return bytes(out)
 
     @classmethod
     def unpack(cls, data: bytes):
         fields, offset = {}, 0
         for name, encoding in cls.WIRE:
-            fields[name], offset = encoding.get(data, offset, fields)
+            fields[name], offset = encoding.get(data, offset)
         if offset != len(data):
             raise MessageFormatError(
                 f"{len(data) - offset} bytes after the last field of {cls.__name__}")
@@ -255,13 +247,14 @@ class VerifyHash(_Payload):
     digest: bytes
     nbits: int
 
-    WIRE = (("nbits", VARINT), ("seed", U64), ("digest", HASH_DIGEST))
+    WIRE = (("nbits", VARINT), ("seed", U64), ("digest", DIGEST16))
 
 
 @dataclass(frozen=True, eq=False)
 class PaSeed(_Payload):
     """Privacy-amplification plan: shared seed, agreed output length, and
-    the error estimate it was derived from (echoed for cross-checking)."""
+    the error estimate it was derived from, echoed for cross-checking: it
+    must equal the estimate ``ShuffleSeed`` announced for correction."""
 
     seed: int
     output_length: int

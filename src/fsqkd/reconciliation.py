@@ -21,12 +21,14 @@ p * n + i, which is the id a bisection query carries on the wire.
 
 A seeded Toeplitz hash of the corrected key closes the exchange: the
 universal family privacy amplification also uses, drawn as n + 127 bits
-for a 128-bit digest.  On mismatch one extra pass runs before the session
-aborts.  Keys are uint8 arrays of 0/1 bits.  Disclosure is metered from
-the transcript alone (``leak_meter``): block parities plus one bit per
-bisection answer, never queries, seeds or indices; the session adds the
-sampled bits on top.  ``Endpoint.expect`` answers any message out of
-turn with ``Abort``.  ``block_syndrome`` is off the session path.
+for a digest of ``HASH_BITS`` = 128 bits, a protocol constant, so a
+wrong key passes a round with probability 2^-128.  On mismatch one extra
+pass runs before the session aborts.  Keys are uint8 arrays of 0/1 bits.
+Disclosure is metered from the transcript alone (``leak_meter``): block
+parities plus one bit per bisection answer, never queries, seeds or
+indices; the session adds the sampled bits on top.  ``Endpoint.expect``
+answers any message out of turn with ``Abort``.  ``block_syndrome`` is
+off the session path.
 """
 
 from __future__ import annotations
@@ -53,6 +55,7 @@ from .transport import Endpoint
 BLOCK_SIZE_MIN = 8
 BLOCK_SIZE_MAX = 4096
 BLOCK_SIZE_FACTOR = 0.73
+HASH_BITS = 128
 
 
 @dataclass(frozen=True)
@@ -61,15 +64,12 @@ class ReconConfig:
 
     sample_fraction: float = 0.1
     passes: int = 4
-    hash_bits: int = 128
 
     def __post_init__(self) -> None:
         if not 0.0 < self.sample_fraction < 0.5:
             raise ValueError("sample_fraction must lie in (0, 0.5)")
         if self.passes < 2:
             raise ValueError("passes must be at least 2")
-        if self.hash_bits < 8:
-            raise ValueError("hash_bits must be at least 8")
 
     def sample_size(self, sifted_len: int) -> int:
         """Bits sampled for estimation from a sifted key of this length."""
@@ -199,10 +199,11 @@ class _AliceCorrector:
     ``known`` marks the g whose prefix parity Bob has disclosed and
     ``bob_prefix`` holds it.  A block is named by the g of its start,
     and the wire id of g is g - g // (n + 1).  The table holds room for
-    the agreed passes from the start, so building a pass copies none of
-    the others; only the one extra pass grows it.  ``perm`` and ``inv``
-    hold int32 whenever every g fits, which is any key a session can
-    carry: 10 bytes per key bit and pass, against 18 with int64.
+    the agreed passes and the one extra from the start, so building a
+    pass copies none of the others; the extra pass's room stays untouched
+    unless that pass runs.  ``perm`` and ``inv`` hold int32 whenever
+    every g fits, which is any key a session can carry: 10 bytes per key
+    bit and pass, against 18 with int64.
     """
 
     def __init__(self, bits: np.ndarray, endpoint: Endpoint, passes: int):
@@ -211,22 +212,15 @@ class _AliceCorrector:
         self.endpoint = endpoint
         self.stride = n + 1
         self.built = 0
-        # int32 when every g of the agreed passes and the one extra fits
-        index = np.int32 if (passes + 1) * self.stride <= 2**31 else np.int64
-        self.block_sizes = np.zeros(passes, dtype=np.int64)
-        self.perm = np.empty(passes * self.stride, dtype=index)
-        self.inv = np.empty((passes, n), dtype=index)
-        self.known = np.zeros(passes * self.stride, dtype=bool)
-        self.bob_prefix = np.zeros(passes * self.stride, dtype=np.uint8)
+        # the agreed passes and the one extra; int32 when every g fits
+        rows = passes + 1
+        index = np.int32 if rows * self.stride <= 2**31 else np.int64
+        self.block_sizes = np.zeros(rows, dtype=np.int64)
+        self.perm = np.empty(rows * self.stride, dtype=index)
+        self.inv = np.empty((rows, n), dtype=index)
+        self.known = np.zeros(rows * self.stride, dtype=bool)
+        self.bob_prefix = np.zeros(rows * self.stride, dtype=np.uint8)
         self.flips = 0
-
-    def _add_room(self) -> None:
-        """Room for one more pass than the table holds."""
-        self.block_sizes = np.append(self.block_sizes, 0)
-        self.perm = np.append(self.perm, np.empty(self.stride, dtype=self.perm.dtype))
-        self.inv = np.vstack([self.inv, np.empty((1, self.stride - 1), dtype=self.inv.dtype)])
-        self.known = np.append(self.known, np.zeros(self.stride, dtype=bool))
-        self.bob_prefix = np.append(self.bob_prefix, np.zeros(self.stride, dtype=np.uint8))
 
     def begin_pass(self, announce: ShuffleSeed, bob_parities: np.ndarray) -> np.ndarray:
         """Build the announced pass; return its blocks that disagree with Bob."""
@@ -241,8 +235,6 @@ class _AliceCorrector:
         if len(bob_parities) != len(starts):
             self.endpoint.fail("block parity count mismatch")
         bob_parities = np.asarray(bob_parities, dtype=np.uint8)
-        if self.built == len(self.block_sizes):
-            self._add_room()
         p, base = self.built, self.built * self.stride
         self.block_sizes[p] = block_size
         perm = self.perm[base : base + n]
@@ -373,7 +365,7 @@ def _reconcile_alice(key: np.ndarray, endpoint: Endpoint, config: ReconConfig,
     hash_rounds = 0
     verified = False
     # Bob hashes once after the agreed passes and once after the extra
-    # one; each digest is a key-sized product that discloses nbits more
+    # one; each digest is a key-sized product that discloses HASH_BITS more
     pass_since_hash = False
     while True:
         if first_message is not None:
@@ -398,17 +390,16 @@ def _reconcile_alice(key: np.ndarray, endpoint: Endpoint, config: ReconConfig,
             pass_since_hash = True
         else:
             theirs = message.payload
-            # the length was agreed through the session digest; hashing a
-            # length the peer picks would cost a key-sized row per bit
-            if theirs.nbits != config.hash_bits:
-                endpoint.fail(f"verify hash of {theirs.nbits} bits, "
-                              f"agreed {config.hash_bits}")
+            # the length is fixed by the protocol; hashing a length the
+            # peer picks would cost a key-sized row per bit
+            if theirs.nbits != HASH_BITS:
+                endpoint.fail(f"verify hash of {theirs.nbits} bits, agreed {HASH_BITS}")
             if not pass_since_hash:
                 endpoint.fail("verify hash with no pass since the start or the last hash")
             pass_since_hash = False
             hash_rounds += 1
-            mine = _verify_hash_bits(bits, theirs.seed, theirs.nbits)
-            endpoint.send(VerifyHash(seed=theirs.seed, digest=mine, nbits=theirs.nbits))
+            mine = _verify_hash_bits(bits, theirs.seed, HASH_BITS)
+            endpoint.send(VerifyHash(seed=theirs.seed, digest=mine, nbits=HASH_BITS))
             if mine == theirs.digest:
                 verified = True
                 break
@@ -468,8 +459,8 @@ def _reconcile_bob(key: np.ndarray, endpoint: Endpoint, config: ReconConfig,
     extra_available = True
     while True:
         hash_seed = draw_seed(rng)
-        mine = _verify_hash_bits(bits, hash_seed, config.hash_bits)
-        endpoint.send(VerifyHash(seed=hash_seed, digest=mine, nbits=config.hash_bits))
+        mine = _verify_hash_bits(bits, hash_seed, HASH_BITS)
+        endpoint.send(VerifyHash(seed=hash_seed, digest=mine, nbits=HASH_BITS))
         hash_rounds += 1
         theirs = endpoint.expect(Kind.VERIFY_HASH).payload
         if theirs.digest == mine:

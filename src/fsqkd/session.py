@@ -36,6 +36,7 @@ from .params import ProtocolParams
 from .privacy import PaPlan, compress, plan_output_length
 from .protocol import alice_generate, bob_receive, sift
 from .reconciliation import (
+    HASH_BITS,
     ReconConfig,
     ReconOutcome,
     estimate_ber_alice,
@@ -64,13 +65,14 @@ class SessionConfig:
 
 
 def session_digest(params: ProtocolParams, cfg: SessionConfig) -> bytes:
-    # the pco/eso tail names channel overrides sessions no longer offer; it
-    # stays so digests, session ids and keys match earlier releases
+    # the hash/pco/eso tail names settings sessions no longer offer (the
+    # hash length is the protocol's HASH_BITS); it stays so digests,
+    # session ids and keys match earlier releases
     canon = (
         params.digest().hex()
         + f";pulses={cfg.pulses};block={cfg.block_size}"
         + f";sample={cfg.recon.sample_fraction!r};passes={cfg.recon.passes}"
-        + f";hash={cfg.recon.hash_bits};pco=None;eso=None"
+        + ";hash=128;pco=None;eso=None"
     )
     return hashlib.blake2s(canon.encode(), digest_size=16).digest()
 
@@ -281,15 +283,14 @@ def _base_report(params: ProtocolParams, cfg: SessionConfig, seed: int, role: st
     )
 
 
-def _pa_output_length(outcome: ReconOutcome, nbar: float, cfg: SessionConfig,
-                      sampled_bits: int) -> int:
+def _pa_output_length(outcome: ReconOutcome, nbar: float, sampled_bits: int) -> int:
     """Secret length after correction; both parties compute it independently.
 
     With the measured efficiency, c*f(eps)*n equals the correction
     disclosure exactly; when the estimate is zero (f = 0) the correction
     bits move into the flat term instead.
     """
-    extra = sampled_bits + cfg.recon.hash_bits * outcome.hash_rounds
+    extra = sampled_bits + HASH_BITS * outcome.hash_rounds
     if shannon_leak_per_bit(outcome.estimated_ber) > 0:
         c_eff = outcome.efficiency
     else:
@@ -327,7 +328,7 @@ def _skipped_outcome(key: np.ndarray, est_num: int, est_den: int) -> ReconOutcom
 
 
 def _finish_report(report: SessionReport, outcome: ReconOutcome, sampled_bits: int,
-                   sifted_len: int, secret_len: int, cfg: SessionConfig) -> None:
+                   sifted_len: int, secret_len: int) -> None:
     report.sifted_len = sifted_len
     report.sampled_bits = sampled_bits
     report.corrected_len = len(outcome.corrected_key)
@@ -339,9 +340,9 @@ def _finish_report(report: SessionReport, outcome: ReconOutcome, sampled_bits: i
     report.disclosed_bits = outcome.disclosed_bits + sampled_bits
     report.recon_efficiency = outcome.efficiency
     report.recon_passes = outcome.passes_run
-    report.hash_bits = cfg.recon.hash_bits
+    report.hash_bits = HASH_BITS
     report.hash_rounds = outcome.hash_rounds
-    report.hash_disclosed_bits = cfg.recon.hash_bits * outcome.hash_rounds
+    report.hash_disclosed_bits = HASH_BITS * outcome.hash_rounds
     report.verified = outcome.verified
     report.secret_per_sifted = secret_len / sifted_len if sifted_len else 0.0
     report.secret_per_pulse = secret_len / report.pulses if report.pulses else 0.0
@@ -373,8 +374,7 @@ def run_bob(endpoint: Endpoint, params: ProtocolParams, cfg: SessionConfig) -> S
                        est_errors, est_sample, est_sample):
         outcome = reconcile(trimmed, endpoint, cfg.recon, "bob",
                             est_errors, est_sample, rng=stream(seed, "bob-recon"))
-        output_len = _pa_output_length(outcome, params.mean_photon_number,
-                                       cfg, est_sample)
+        output_len = _pa_output_length(outcome, params.mean_photon_number, est_sample)
     else:
         outcome = _skipped_outcome(trimmed, est_errors, est_sample)
         output_len = 0
@@ -388,7 +388,7 @@ def run_bob(endpoint: Endpoint, params: ProtocolParams, cfg: SessionConfig) -> S
     endpoint.send(Done())
 
     report = _base_report(params, cfg, seed, "bob")
-    _finish_report(report, outcome, est_sample, len(sifted), len(secret_bits), cfg)
+    _finish_report(report, outcome, est_sample, len(sifted), len(secret_bits))
     _attach_truth(report, alice_bits, ticks, sifted, run.detections)
     return SessionResult(report=report, secret_bits=secret_bits,
                          frames=list(endpoint.frames),
@@ -428,7 +428,11 @@ def run_alice(endpoint: Endpoint, params: ProtocolParams, cfg: SessionConfig) ->
     seed = _expect_hello(endpoint).seed
 
     alice_bits = _derive_alice_bits(cfg, seed)
+    # the index codec admits only strictly increasing, non-negative ticks,
+    # so the last one bounds them all
     indices = endpoint.expect(Kind.SIFT_INDICES).payload.indices
+    if len(indices) and indices[-1] >= cfg.pulses:
+        endpoint.fail(f"detection tick {indices[-1]} out of range of {cfg.pulses} pulses")
     sifted = sift(alice_bits, indices)
 
     # the receiver either samples, opens correction, or declares the run
@@ -458,8 +462,10 @@ def run_alice(endpoint: Endpoint, params: ProtocolParams, cfg: SessionConfig) ->
         outcome = reconcile(trimmed, endpoint, cfg.recon, "alice", 0, 1,
                             first_message=message)
         pa_msg = endpoint.expect(Kind.PA_SEED).payload
-        expected_len = _pa_output_length(outcome, params.mean_photon_number,
-                                         cfg, sampled_bits)
+        if (pa_msg.est_num, pa_msg.est_den) != (est.est_num, est.est_den):
+            endpoint.fail(f"privacy-amplification estimate {pa_msg.est_num}/{pa_msg.est_den} "
+                          f"differs from the correction estimate {est.est_num}/{est.est_den}")
+        expected_len = _pa_output_length(outcome, params.mean_photon_number, sampled_bits)
     else:
         pa_msg = est
         outcome = _skipped_outcome(trimmed, pa_msg.est_num, pa_msg.est_den)
@@ -475,7 +481,7 @@ def run_alice(endpoint: Endpoint, params: ProtocolParams, cfg: SessionConfig) ->
 
     report = _base_report(params, cfg, seed, "alice")
     report.recon_flips = outcome.flips
-    _finish_report(report, outcome, sampled_bits, len(sifted), len(secret), cfg)
+    _finish_report(report, outcome, sampled_bits, len(sifted), len(secret))
     return SessionResult(report=report, secret_bits=secret,
                          frames=list(endpoint.frames),
                          duration_s=time.monotonic() - t0)

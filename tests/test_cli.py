@@ -1,11 +1,13 @@
+import re
 import socket
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
-from fsqkd.cli import ConfigError, load_config_file
+from fsqkd.cli import CONFIG_KEYS, ConfigError, load_config_file, main
 from fsqkd.messages import Hello, encode, message_for
 from fsqkd.session import SessionReport
 
@@ -230,3 +232,18 @@ class TestConfigFile:
         result = run_cli("simulate", "--config", str(config),
                          "--out-dir", str(tmp_path / "x"))
         assert result.returncode == 1
+
+    def test_hash_length_is_not_a_setting(self, tmp_path):
+        # the verify hash is 128 bits by protocol: neither a flag nor a
+        # config key sets it
+        assert main(["simulate", "--hash-bits", "64"]) == 1
+        config = tmp_path / "hash.cfg"
+        config.write_text("hash-bits=64\n")
+        assert main(["simulate", "--config", str(config),
+                     "--out-dir", str(tmp_path / "x")]) == 1
+
+    def test_readme_lists_every_config_key(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        listed = re.search(r"Keys: `([^`]*)`", readme)
+        assert listed is not None, "README.md has no 'Keys: `...`' list"
+        assert listed[1].split() == list(CONFIG_KEYS)

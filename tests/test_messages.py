@@ -494,13 +494,6 @@ def _pa_seeds(draw):
                   est_num=draw(st.integers(0, est_den)), est_den=est_den)
 
 
-@st.composite
-def _verify_hashes(draw):
-    nbits = draw(st.integers(0, 300))
-    digest = draw(st.binary(min_size=(nbits + 7) // 8, max_size=(nbits + 7) // 8))
-    return VerifyHash(seed=draw(_u64s), digest=digest, nbits=nbits)
-
-
 PAYLOADS = {
     Kind.HELLO: st.builds(Hello, version=_varints,
                           params_digest=st.binary(min_size=16, max_size=16), seed=_u64s),
@@ -511,7 +504,10 @@ PAYLOADS = {
     Kind.BLOCK_PARITY: st.builds(BlockParity, pass_no=_varints, parities=_bit_arrays),
     Kind.SYNDROME: st.builds(Syndrome, pass_no=_varints, blocks=_index_arrays,
                              bits=_bit_arrays),
-    Kind.VERIFY_HASH: _verify_hashes(),
+    # the digest is 16 bytes whatever nbits says; Alice rejects any nbits
+    # but 128 after decoding
+    Kind.VERIFY_HASH: st.builds(VerifyHash, seed=_u64s,
+                                digest=st.binary(min_size=16, max_size=16), nbits=_varints),
     Kind.PA_SEED: _pa_seeds(),
     Kind.ABORT: st.builds(Abort, reason=st.text(max_size=40)),
     Kind.DONE: st.just(Done()),
@@ -546,12 +542,26 @@ class TestEveryKind:
 
     @pytest.mark.parametrize("payload, message", [
         (Hello(version=3, params_digest=bytes(15)), "16 bytes"),
-        (VerifyHash(seed=1, digest=bytes(16), nbits=129), "inconsistent with nbits"),
-        (VerifyHash(seed=1, digest=bytes(16), nbits=120), "inconsistent with nbits"),
+        (VerifyHash(seed=1, digest=bytes(15), nbits=128), "16 bytes"),
+        (VerifyHash(seed=1, digest=bytes(17), nbits=128), "16 bytes"),
     ], ids=["Hello-15-byte-digest", "VerifyHash-digest-short", "VerifyHash-digest-long"])
     def test_pack_rejects_digest_of_wrong_length(self, payload, message):
         with pytest.raises(MessageFormatError, match=message):
             payload.pack()
+
+    def test_verify_hash_of_a_long_digest_is_malformed(self):
+        # a 2^20-bit request with its 2^17 digest bytes: the 16-byte digest
+        # field leaves the rest over, so the frame fails to decode before
+        # anyone hashes
+        raw = bytearray()
+        encode_varint(2**20, raw)
+        raw += (1).to_bytes(8, "big") + bytes(2**17)
+        body = b"sid=0000000000000000 seq=0 kind=VerifyHash payload=" + base64.b64encode(raw)
+        a_end, b_end = loopback_pair()
+        b_end._inbox.put(len(body).to_bytes(4, "big") + body)
+        with pytest.raises(ProtocolError, match="after the last field"):
+            b_end.recv()
+        assert a_end.recv().kind is Kind.ABORT
 
 
 class TestDecodeRejectsOnlyWithValueError:

@@ -410,11 +410,11 @@ class TestReconcile:
         assert not errors["a"].local and errors["a"].reason == "enough"
 
     def test_verify_hash_of_unagreed_length_aborts(self):
-        # the hash length is fixed by the session digest; a reference that
-        # asks for a longer hash gets an Abort and no digest
+        # the hash length is fixed by the protocol; a reference that asks
+        # for a longer hash gets an Abort and no digest
         bits = stream(7, "k").integers(0, 2, 64).astype(np.uint8)
         a_end, b_end = loopback_pair(timeout_s=5.0)
-        b_end.send(VerifyHash(seed=1, digest=bytes(2**17), nbits=2**20))
+        b_end.send(VerifyHash(seed=1, digest=bytes(16), nbits=2**20))
         with pytest.raises(SessionAborted, match="agreed 128"):
             reconcile(bits, a_end, ReconConfig(), "alice", 0, 1)
         expect_abort(b_end, "agreed 128")

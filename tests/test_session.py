@@ -260,6 +260,23 @@ class TestHostilePeer:
         self._expect_abort(b_end, thread, "no yield is possible")
         assert isinstance(errors["a"], SessionAborted)
 
+    def test_sift_tick_out_of_range_aborts(self):
+        # tick 1000 of a 1000-pulse session names no pulse Alice sent
+        b_end, _a_end, thread, errors = self._alice_against_fake_bob([5, 1000])
+        self._expect_abort(b_end, thread, "out of range")
+        assert isinstance(errors["a"], SessionAborted)
+
+    def test_pa_estimate_differing_from_correction_aborts(self, monkeypatch):
+        # Bob echoes the estimate he corrected under in PaSeed; a different
+        # one there is a plan Alice did not agree to
+        monkeypatch.setattr("fsqkd.session.PaSeed", lambda **kw: PaSeed(
+            **{**kw, "est_den": kw["est_den"] + 1}))
+        params = ProtocolParams(mean_photon_number=0.5, rng_seed=417)
+        cfg = SessionConfig(pulses=200_000, block_size=50_000, timeout_s=5.0,
+                            recon=ReconConfig(sample_fraction=0.05))
+        with pytest.raises(SessionAborted, match="differs from the correction estimate"):
+            run_simulation(params, cfg)
+
 
 class TestFaultInjection:
     """A frame damaged in transit ends the session with a ProtocolError on
