@@ -463,6 +463,10 @@ def _reconcile_bob(key: np.ndarray, endpoint: Endpoint, config: ReconConfig,
         endpoint.send(VerifyHash(seed=hash_seed, digest=mine, nbits=HASH_BITS))
         hash_rounds += 1
         theirs = endpoint.expect(Kind.VERIFY_HASH).payload
+        # a digest under another seed or length says nothing about the keys
+        if theirs.seed != hash_seed or theirs.nbits != HASH_BITS:
+            endpoint.fail(f"verify hash echo of seed {theirs.seed} and {theirs.nbits} bits, "
+                          f"sent seed {hash_seed} and {HASH_BITS} bits")
         if theirs.digest == mine:
             verified = True
             break

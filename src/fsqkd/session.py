@@ -19,12 +19,20 @@ Per-phase message flow (strictly turn-based)::
               ... until A sends a query with no ids
     B->A VerifyHash      A->B VerifyHash
     B->A PaSeed (Toeplitz seed)   A->B Done   B->A Done
+
+``run_simulation`` runs the two engines on two threads of one process.
+The protocol and the GIL already let only one of them run at a time, so
+where the platform allows it both threads are kept on the CPU the caller
+is running on: each frame is then handed to a thread on the same, warm
+CPU rather than across CPUs.  That placement is a hint only; the sessions
+are the same without it.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
 import hashlib
+import os
 import time
 from dataclasses import dataclass, field, fields
 
@@ -435,8 +443,8 @@ def run_alice(endpoint: Endpoint, params: ProtocolParams, cfg: SessionConfig) ->
         endpoint.fail(f"detection tick {indices[-1]} out of range of {cfg.pulses} pulses")
     sifted = sift(alice_bits, indices)
 
-    # the receiver either samples, opens correction, or declares the run
-    # hopeless by planning a zero-length key straight away
+    # the receiver samples a non-empty key; an empty one goes straight to
+    # the zero-length plan that declares the run hopeless
     trimmed = sifted
     sampled_bits = 0
     message = endpoint.expect(Kind.SAMPLE_REQUEST, Kind.SHUFFLE_SEED, Kind.PA_SEED)
@@ -449,9 +457,15 @@ def run_alice(endpoint: Endpoint, params: ProtocolParams, cfg: SessionConfig) ->
         trimmed = estimate_ber_alice(sifted, endpoint, first_message=message)
         sampled_bits = len(sifted) - len(trimmed)
         message = endpoint.expect(Kind.SHUFFLE_SEED, Kind.PA_SEED)
+    elif len(sifted):
+        endpoint.fail(f"no sample taken of {len(sifted)} sifted bits")
+    # both parties price privacy amplification from this estimate, so it
+    # must be over exactly the bits she revealed
+    est = message.payload
+    if est.est_den != sampled_bits:
+        endpoint.fail(f"estimate over {est.est_den} bits, {sampled_bits} sampled")
     # the receiver opens correction exactly when some yield is possible,
     # which an empty key never allows
-    est = message.payload
     correcting = message.kind is Kind.SHUFFLE_SEED
     if correcting != _yield_possible(len(trimmed), params.mean_photon_number,
                                      est.est_num, est.est_den, sampled_bits):
@@ -495,13 +509,49 @@ class SimulationResult:
     duration_s: float
 
 
+def _caller_cpu() -> int | None:
+    """The CPU the calling thread runs on, or None where it cannot be pinned.
+
+    Field 39 of ``/proc/thread-self/stat``; the command name (field 2) may
+    hold spaces and parentheses, so fields are counted from its last ``)``.
+    """
+    if not hasattr(os, "sched_setaffinity"):
+        return None
+    try:
+        with open("/proc/thread-self/stat", "rb") as stat:
+            text = stat.read()
+        return int(text[text.rindex(b")") + 1:].split()[36])
+    except (OSError, ValueError, IndexError):
+        return None
+
+
+def _on_cpu(cpu: int | None, engine, *args) -> SessionResult:
+    """Run ``engine`` on this thread after pinning the thread to ``cpu``.
+
+    Pid 0 pins only the calling thread.  A failed pin leaves the thread
+    where the scheduler puts it; it never fails the session.
+    """
+    if cpu is not None:
+        try:
+            os.sched_setaffinity(0, {cpu})
+        except OSError:
+            pass
+    return engine(*args)
+
+
 def run_simulation(params: ProtocolParams, cfg: SessionConfig) -> SimulationResult:
-    """Run both engines over loopback in one process."""
+    """Run both engines over loopback in one process, one thread each.
+
+    Both threads are pinned to the CPU the caller runs on when the session
+    starts (see the module docstring); the caller's own placement is left
+    as it is, and the pool's threads end with the session.
+    """
     t0 = time.monotonic()
     a_end, b_end = loopback_pair(timeout_s=cfg.timeout_s)
+    cpu = _caller_cpu()
     with concurrent.futures.ThreadPoolExecutor(max_workers=2) as pool:
-        fut_a = pool.submit(run_alice, a_end, params, cfg)
-        fut_b = pool.submit(run_bob, b_end, params, cfg)
+        fut_a = pool.submit(_on_cpu, cpu, run_alice, a_end, params, cfg)
+        fut_b = pool.submit(_on_cpu, cpu, run_bob, b_end, params, cfg)
         exc = None
         try:
             bob = fut_b.result()

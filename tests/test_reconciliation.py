@@ -419,6 +419,38 @@ class TestReconcile:
             reconcile(bits, a_end, ReconConfig(), "alice", 0, 1)
         expect_abort(b_end, "agreed 128")
 
+    def test_verify_hash_echo_of_another_seed_aborts(self):
+        # Alice echoes the seed and length Bob hashed under; a digest under
+        # any other seed must end the session, not open the extra pass and
+        # disclose its parities
+        n = 64
+        bits = stream(9, "k").integers(0, 2, n).astype(np.uint8)
+        a_end, b_end = loopback_pair(timeout_s=5.0)
+        errors = {}
+
+        def bob():
+            try:
+                reconcile(bits, b_end, ReconConfig(), "bob", 2, n,
+                          rng=stream(9, "bob-recon"))
+            except SessionAborted as exc:
+                errors["b"] = exc
+
+        thread = threading.Thread(target=bob)
+        thread.start()
+        while (message := a_end.expect(Kind.SHUFFLE_SEED, Kind.VERIFY_HASH)).kind \
+                is Kind.SHUFFLE_SEED:
+            # every parity taken to agree: close the pass with an empty query
+            pass_no = a_end.expect(Kind.BLOCK_PARITY).payload.pass_no
+            a_end.send(Syndrome(pass_no=pass_no, blocks=np.zeros(0, dtype=np.int64),
+                                bits=np.zeros(0, dtype=np.uint8)))
+        seed = message.payload.seed + 1
+        a_end.send(VerifyHash(seed=seed, digest=_verify_hash_bits(bits, seed, 128),
+                              nbits=128))
+        expect_abort(a_end, "verify hash echo")
+        thread.join(timeout=10.0)
+        assert not thread.is_alive()
+        assert errors["b"].local and "verify hash echo" in errors["b"].reason
+
     def test_block_parity_out_of_turn_aborts(self):
         # a pass opens with ShuffleSeed; Alice's expect answers a BlockParity
         # in its place with an Abort

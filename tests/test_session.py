@@ -1,6 +1,9 @@
 import functools
 import hashlib
+import io
 import itertools
+import os
+import sys
 import threading
 import tracemalloc
 
@@ -9,6 +12,7 @@ import pytest
 
 from fsqkd.messages import (
     PROTOCOL_VERSION,
+    BlockParity,
     Hello,
     Kind,
     PaSeed,
@@ -23,6 +27,7 @@ from fsqkd.session import (
     PackedBits,
     SessionConfig,
     SessionReport,
+    _caller_cpu,
     _derive_alice_bits,
     run_alice,
     run_bob,
@@ -260,6 +265,24 @@ class TestHostilePeer:
         self._expect_abort(b_end, thread, "no yield is possible")
         assert isinstance(errors["a"], SessionAborted)
 
+    @pytest.mark.parametrize("sample, reason", [
+        # 100 sifted bits, 10 of them revealed, an estimate over 1000
+        (np.arange(10), "estimate over 1000 bits, 10 sampled"),
+        # the same estimate with no sample taken at all
+        (None, "no sample taken of 100 sifted bits"),
+    ], ids=["unchecked-sample-size", "no-sample"])
+    def test_estimate_not_over_the_revealed_sample_aborts(self, sample, reason):
+        # both parties price privacy amplification from the estimate, so it
+        # must be over exactly the bits Alice revealed
+        b_end, _a_end, thread, errors = self._alice_against_fake_bob(np.arange(0, 1000, 10))
+        if sample is not None:
+            b_end.send(SampleRequest(positions=sample.astype(np.int64)))
+            b_end.expect(Kind.SAMPLE_REVEAL)
+        b_end.send(ShuffleSeed(pass_no=1, seed=1, block_size=2**20, est_num=0, est_den=1000))
+        b_end.send(BlockParity(pass_no=1, parities=np.zeros(1, dtype=np.uint8)))
+        self._expect_abort(b_end, thread, reason)
+        assert isinstance(errors["a"], SessionAborted)
+
     def test_sift_tick_out_of_range_aborts(self):
         # tick 1000 of a 1000-pulse session names no pulse Alice sent
         b_end, _a_end, thread, errors = self._alice_against_fake_bob([5, 1000])
@@ -373,9 +396,25 @@ GOLDEN_CASES = [
 ]
 
 
+GOLDEN = {case.id: case.values for case in GOLDEN_CASES}
+
+
 @functools.lru_cache(maxsize=None)
 def golden_run(params, cfg):
     return run_simulation(params, cfg)
+
+
+def session_sha256(sim):
+    """sha256 over the report, every frame of Bob's transcript and his packed key."""
+    h = hashlib.sha256(sim.report.to_kv().encode())
+    for frame in sim.bob.frames:
+        h.update(frame)
+    h.update(np.packbits(sim.bob.secret_bits).tobytes())
+    return h.hexdigest()
+
+
+def key_sha256(sim):
+    return hashlib.sha256(np.packbits(sim.bob.secret_bits).tobytes()).hexdigest()
 
 
 class TestGoldenReplay:
@@ -399,11 +438,7 @@ class TestGoldenReplay:
     def test_session_bytes(self, params, cfg, digest, _secret):
         sim = golden_run(params, cfg)
         assert sim.alice.frames == sim.bob.frames
-        h = hashlib.sha256(sim.report.to_kv().encode())
-        for frame in sim.bob.frames:
-            h.update(frame)
-        h.update(np.packbits(sim.bob.secret_bits).tobytes())
-        assert h.hexdigest() == digest
+        assert session_sha256(sim) == digest
 
     @pytest.mark.parametrize("params, cfg, _digest, secret", GOLDEN_CASES)
     def test_secret_key_bytes(self, params, cfg, _digest, secret):
@@ -412,4 +447,92 @@ class TestGoldenReplay:
         change to the keys themselves may move them."""
         sim = golden_run(params, cfg)
         assert np.array_equal(sim.alice.secret_bits, sim.bob.secret_bits)
-        assert hashlib.sha256(np.packbits(sim.bob.secret_bits).tobytes()).hexdigest() == secret
+        assert key_sha256(sim) == secret
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                    reason="no thread affinity on this platform")
+class TestEnginePlacement:
+    """run_simulation keeps both engine threads on the CPU its caller runs
+    on; the placement never changes a session or the caller's own CPUs."""
+
+    def test_both_engines_run_on_one_cpu(self, monkeypatch):
+        seen = {}
+
+        def recording(name, engine):
+            def wrapper(*args):
+                seen[name] = os.sched_getaffinity(0)
+                return engine(*args)
+            return wrapper
+
+        monkeypatch.setattr("fsqkd.session.run_alice", recording("alice", run_alice))
+        monkeypatch.setattr("fsqkd.session.run_bob", recording("bob", run_bob))
+        params, cfg, digest, _secret = GOLDEN["nbar0.5-seed417"]
+        assert session_sha256(run_simulation(params, cfg)) == digest
+        assert len(seen["alice"]) == 1 and seen["alice"] == seen["bob"]
+        assert seen["alice"] <= os.sched_getaffinity(0)
+
+    def test_caller_affinity_unchanged(self, monkeypatch):
+        before = os.sched_getaffinity(0)
+        params, cfg, _digest, _secret = GOLDEN["nbar0.5-seed417"]
+        assert run_simulation(params, cfg).report.secret_len > 0
+        assert os.sched_getaffinity(0) == before
+        # an aborting session: Bob's PaSeed names an estimate he did not use
+        monkeypatch.setattr("fsqkd.session.PaSeed", lambda **kw: PaSeed(
+            **{**kw, "est_den": kw["est_den"] + 1}))
+        with pytest.raises(SessionAborted):
+            run_simulation(params, cfg)
+        assert os.sched_getaffinity(0) == before
+
+    def test_failed_pin_leaves_the_session_as_it_is(self, monkeypatch):
+        calls = []
+
+        def refuse(pid, cpus):
+            calls.append(cpus)
+            raise OSError("pinning refused")
+
+        monkeypatch.setattr(os, "sched_setaffinity", refuse)
+        params, cfg, digest, secret = GOLDEN["defaults"]
+        sim = run_simulation(params, cfg)
+        assert len(calls) == 2
+        assert session_sha256(sim) == digest and key_sha256(sim) == secret
+
+    @pytest.mark.parametrize("stat, cpu", [
+        (OSError("no such file"), None),
+        (b"1 (py) R 0", None),
+        # the command name may hold spaces and parentheses of its own
+        (b"7 (a) b) S" + b" 0" * 35 + b" 1 0", 1),
+    ], ids=["unreadable", "short", "name-with-spaces"])
+    def test_cpu_read(self, monkeypatch, stat, cpu):
+        def fake_open(*args):
+            if isinstance(stat, Exception):
+                raise stat
+            return io.BytesIO(stat)
+
+        monkeypatch.setattr("fsqkd.session.open", fake_open, raising=False)
+        assert _caller_cpu() == cpu
+
+    def test_concurrent_sessions(self):
+        # two callers at once put four engine threads on two CPUs or fewer;
+        # a short switch interval makes the threads trade the GIL often
+        cases = [GOLDEN["nbar0.5-seed417"], GOLDEN["efficient-link-with-key"]]
+        results = {}
+
+        def caller(i, params, cfg):
+            results[i] = run_simulation(params, cfg)
+
+        threads = [threading.Thread(target=caller, args=(i, params, cfg))
+                   for i, (params, cfg, _digest, _secret) in enumerate(cases)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-4)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for i, (_params, _cfg, digest, secret) in enumerate(cases):
+            assert session_sha256(results[i]) == digest
+            assert key_sha256(results[i]) == secret
