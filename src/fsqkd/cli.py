@@ -1,28 +1,29 @@
 """Command-line harness: simulate, serve, connect, analyze.
 
-Configuration comes from built-in defaults, an optional flat key=value
-file, and command-line flags, in increasing precedence.  Exit codes:
-0 success (including a no-yield session), 1 usage or configuration error,
-2 protocol abort, 3 transport failure.
+Each setting is one row of ``SETTINGS``: its key, which is also its flag,
+its type and help, the commands that take it, and where its value lands.
+A value comes from the flag, else from the flat key=value ``--config``
+file, else from the default.  The file is read, and every value checked,
+before a command does anything.  Exit codes: 0 success (including a
+no-yield session), 1 usage or configuration error, 2 protocol abort,
+3 transport failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from decimal import Decimal
 from pathlib import Path
+from types import SimpleNamespace
+from typing import NamedTuple
 
 from .analytics import CSV_HEADER, default_grid, optimize_nbar, rate_curve_rows
 from .params import ProtocolParams
 from .privacy import write_secret_key
 from .reconciliation import ReconConfig
-from .session import (
-    SessionConfig,
-    run_alice,
-    run_bob,
-    run_simulation,
-)
+from .session import SessionConfig, run_alice, run_bob, run_simulation
 from .transport import (
     ChannelTimeout,
     ProtocolError,
@@ -37,20 +38,39 @@ EXIT_USAGE = 1
 EXIT_ABORT = 2
 EXIT_TRANSPORT = 3
 
-CONFIG_KEYS = {
-    "pulses": int,
-    "blocks": int,
-    "nbar": float,
-    "seed": int,
-    "eta-system": float,
-    "sigma": float,
-    "sample-fraction": float,
-    "passes": int,
-    "recon-efficiency": float,
-    "out-dir": str,
-    "addr": str,
-    "timeout": float,
-}
+SESSION = ("simulate", "serve", "connect")
+ALL = SESSION + ("analyze",)
+
+
+class Setting(NamedTuple):
+    key: str
+    type: type
+    commands: tuple[str, ...]
+    help: str
+    lands: str  # "params.<field>", "session.<field>", "recon.<field>" or "cli.<name>"
+    default: object = None  # for "cli." values; the others default in their dataclass
+
+
+SETTINGS = (
+    Setting("pulses", int, SESSION, "clock ticks to transmit", "session.pulses"),
+    Setting("blocks", int, SESSION, "pulses per transmission block (eta redrawn per block)",
+            "session.block_size"),
+    Setting("nbar", float, ALL, "mean photon number per dim pulse",
+            "params.mean_photon_number"),
+    Setting("seed", int, ALL, "session seed", "params.rng_seed"),
+    Setting("eta-system", float, ALL, "mean system efficiency", "params.eta_system_mean"),
+    Setting("sigma", float, ALL, "system efficiency spread", "params.eta_system_sigma"),
+    Setting("sample-fraction", float, SESSION,
+            "sifted fraction sacrificed to estimate the error rate", "recon.sample_fraction"),
+    Setting("passes", int, SESSION, "correction passes", "recon.passes"),
+    Setting("recon-efficiency", float, ("analyze",),
+            "correction efficiency multiple of the Shannon limit", "cli.recon_efficiency", 1.0),
+    Setting("out-dir", str, ALL, "artifact output directory", "cli.out_dir", "fsqkd-out"),
+    Setting("addr", str, ("serve", "connect"), "host:port the receiver listens on",
+            "cli.addr", "127.0.0.1:9292"),
+    Setting("timeout", float, SESSION, "channel receive timeout, seconds", "session.timeout_s"),
+)
+CONFIG_KEYS = {s.key: s.type for s in SETTINGS}
 
 
 class ConfigError(ValueError):
@@ -80,89 +100,51 @@ def load_config_file(path: str) -> dict:
     return values
 
 
+def load_settings(args) -> SimpleNamespace:
+    """The command's ``params``, ``session`` and ``cli`` values, all checked.
+
+    Each value comes from its flag, else the config file, else its default.
+    """
+    from_file = load_config_file(args.config) if args.config else {}
+    landed = {"params": {}, "session": {}, "recon": {}, "cli": {}}
+    for s in SETTINGS:
+        if args.command in s.commands:
+            value = getattr(args, s.key.replace("-", "_"))
+            if value is None:
+                value = from_file.get(s.key, s.default)
+            if value is not None:
+                group, name = s.lands.split(".")
+                landed[group][name] = value
+    recon = ReconConfig(**landed["recon"])
+    return SimpleNamespace(params=ProtocolParams(**landed["params"]),
+                           session=SessionConfig(recon=recon, **landed["session"]),
+                           cli=SimpleNamespace(**landed["cli"]))
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fsqkd",
         description="Free-space B92 quantum key distribution simulator.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    for command, summary in (
+        ("simulate", "run a full session in one process"),
+        ("serve", "run the receiver over a TCP socket"),
+        ("connect", "run the transmitter over a TCP socket"),
+        ("analyze", "rate curve and optimal photon number"),
+    ):
+        p = sub.add_parser(command, help=summary)
         p.add_argument("--config", help="flat key=value config file")
-        p.add_argument("--nbar", type=float, help="mean photon number per dim pulse")
-        p.add_argument("--seed", type=int, help="session seed")
-        p.add_argument("--eta-system", type=float, dest="eta_system",
-                       help="mean system efficiency")
-        p.add_argument("--sigma", type=float, help="system efficiency spread")
-        p.add_argument("--out-dir", dest="out_dir", help="artifact output directory")
-
-    def sessionish(p):
-        common(p)
-        p.add_argument("--pulses", type=int, help="clock ticks to transmit")
-        p.add_argument("--blocks", type=int,
-                       help="pulses per transmission block (eta redrawn per block)")
-        p.add_argument("--sample-fraction", type=float, dest="sample_fraction",
-                       help="sifted fraction sacrificed to estimate the error rate")
-        p.add_argument("--passes", type=int, help="correction passes")
-        p.add_argument("--timeout", type=float, help="channel receive timeout, seconds")
-
-    p_sim = sub.add_parser("simulate", help="run a full session in one process")
-    sessionish(p_sim)
-
-    p_serve = sub.add_parser("serve", help="run the receiver over a TCP socket")
-    sessionish(p_serve)
-    p_serve.add_argument("--addr", help="host:port to listen on", default=None)
-
-    p_conn = sub.add_parser("connect", help="run the transmitter over a TCP socket")
-    sessionish(p_conn)
-    p_conn.add_argument("--addr", help="host:port of the receiver", default=None)
-
-    p_an = sub.add_parser("analyze", help="rate curve and optimal photon number")
-    common(p_an)
-    p_an.add_argument("--recon-efficiency", type=float, dest="recon_efficiency",
-                      help="correction efficiency multiple of the Shannon limit")
-    p_an.add_argument("--grid-step", type=float, dest="grid_step", default=0.01)
+        for s in SETTINGS:
+            if command in s.commands:
+                p.add_argument(f"--{s.key}", type=s.type, help=s.help)
+        if command == "analyze":
+            p.add_argument("--grid-step", type=float, default=0.01)
     return parser
 
 
-def _merged(args, key, default):
-    flag = getattr(args, key.replace("-", "_"), None)
-    if flag is not None:
-        return flag
-    if getattr(args, "config", None):
-        if not hasattr(args, "_config_cache"):
-            args._config_cache = load_config_file(args.config)
-        if key in args._config_cache:
-            return args._config_cache[key]
-    return default
-
-
-def _build_params(args) -> ProtocolParams:
-    base = ProtocolParams()
-    return base.replace(
-        mean_photon_number=_merged(args, "nbar", base.mean_photon_number),
-        eta_system_mean=_merged(args, "eta-system", base.eta_system_mean),
-        eta_system_sigma=_merged(args, "sigma", base.eta_system_sigma),
-        rng_seed=_merged(args, "seed", base.rng_seed),
-    )
-
-
-def _build_session_config(args) -> SessionConfig:
-    base = SessionConfig()
-    recon = base.recon
-    return SessionConfig(
-        pulses=_merged(args, "pulses", base.pulses),
-        block_size=_merged(args, "blocks", base.block_size),
-        recon=ReconConfig(
-            sample_fraction=_merged(args, "sample-fraction", recon.sample_fraction),
-            passes=_merged(args, "passes", recon.passes),
-        ),
-        timeout_s=_merged(args, "timeout", base.timeout_s),
-    )
-
-
-def _out_dir(args) -> Path:
-    path = Path(_merged(args, "out-dir", "fsqkd-out"))
+def _out_dir(text: str) -> Path:
+    path = Path(text)
     path.mkdir(parents=True, exist_ok=True)
     return path
 
@@ -175,11 +157,9 @@ def _write_session_artifacts(out: Path, prefix: str, result) -> None:
             fh.write(frame.hex() + "\n")
 
 
-def cmd_simulate(args) -> int:
-    params = _build_params(args)
-    cfg = _build_session_config(args)
-    out = _out_dir(args)
-    sim = run_simulation(params, cfg)
+def cmd_simulate(settings: SimpleNamespace) -> int:
+    out = _out_dir(settings.cli.out_dir)
+    sim = run_simulation(settings.params, settings.session)
     _write_session_artifacts(out, "", sim.bob)
     write_secret_key(out / "alice-secret.key", sim.alice.secret_bits, sim.alice.report.session)
     write_secret_key(out / "bob-secret.key", sim.bob.secret_bits, sim.bob.report.session)
@@ -192,20 +172,18 @@ def cmd_simulate(args) -> int:
 
 def _parse_addr(text: str) -> tuple[str, int]:
     host, _, port = text.rpartition(":")
-    if not host or not port.isdigit():
-        raise ConfigError(f"bad address {text!r}, expected host:port")
+    if not host or not port.isdigit() or int(port) > 65535:
+        raise ConfigError(f"bad address {text!r}, expected host:port with port at most 65535")
     return host, int(port)
 
 
-def cmd_party(args, open_endpoint, engine, prefix: str) -> int:
+def cmd_party(settings: SimpleNamespace, open_endpoint, engine, prefix: str) -> int:
     """Run one party of a session over TCP and write its artifacts."""
-    params = _build_params(args)
-    cfg = _build_session_config(args)
-    out = _out_dir(args)
-    addr = _parse_addr(_merged(args, "addr", None) or "127.0.0.1:9292")
-    endpoint = open_endpoint(addr, timeout_s=cfg.timeout_s)
+    addr = _parse_addr(settings.cli.addr)
+    out = _out_dir(settings.cli.out_dir)
+    endpoint = open_endpoint(addr, timeout_s=settings.session.timeout_s)
     try:
-        result = engine(endpoint, params, cfg)
+        result = engine(endpoint, settings.params, settings.session)
     finally:
         endpoint.close()
     _write_session_artifacts(out, prefix, result)
@@ -215,17 +193,19 @@ def cmd_party(args, open_endpoint, engine, prefix: str) -> int:
     return EXIT_OK
 
 
-def cmd_analyze(args) -> int:
-    params = _build_params(args)
-    c = _merged(args, "recon-efficiency", 1.0)
-    step = args.grid_step
+def cmd_analyze(settings: SimpleNamespace, step: float) -> int:
+    c = settings.cli.recon_efficiency
+    # below 1 would disclose less than the Shannon limit allows
+    if not 1.0 <= c < math.inf:
+        raise ConfigError(f"recon efficiency must be finite and at least 1, got {c}")
     if not step > 0:
         raise ConfigError(f"grid step must be positive, got {step}")
     # the last multiple of the step not above 0.99, counted in decimal:
     # float floor division undercounts (0.99 // 0.005 == 197.0)
     points = int(Decimal("0.99") // Decimal(repr(step)))
     grid = default_grid(step, round(points * step, 12), step)
-    out = _out_dir(args)
+    out = _out_dir(settings.cli.out_dir)
+    params = settings.params
     nbar_opt, budget, no_yield = optimize_nbar(params, recon_efficiency=c, grid=grid)
     rows = rate_curve_rows(params, recon_efficiency=c, grid=grid)
     csv_path = out / "rate_curve.csv"
@@ -243,22 +223,20 @@ def cmd_analyze(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
+        settings = load_settings(args)
         if args.command == "simulate":
-            return cmd_simulate(args)
+            return cmd_simulate(settings)
         if args.command == "serve":
-            return cmd_party(args, serve_one, run_bob, "bob-")
+            return cmd_party(settings, serve_one, run_bob, "bob-")
         if args.command == "connect":
-            return cmd_party(args, connect, run_alice, "alice-")
-        if args.command == "analyze":
-            return cmd_analyze(args)
-        parser.error(f"unknown command {args.command}")
-    except (ConfigError, ValueError) as exc:
+            return cmd_party(settings, connect, run_alice, "alice-")
+        return cmd_analyze(settings, args.grid_step)
+    except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
     except (SessionAborted, ProtocolError) as exc:
@@ -267,7 +245,6 @@ def main(argv=None) -> int:
     except (ChannelTimeout, TransportClosed, ConnectionError, OSError) as exc:
         sys.stderr.write(f"transport failure: {exc}\n")
         return EXIT_TRANSPORT
-    return EXIT_USAGE
 
 
 if __name__ == "__main__":

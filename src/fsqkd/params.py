@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import math
 from dataclasses import dataclass
 
 
@@ -30,6 +31,9 @@ class ProtocolParams:
     rng_seed: int = 19990813
 
     def __post_init__(self) -> None:
+        for name, value in vars(self).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite")
         if self.clock_rate_hz <= 0:
             raise ValueError("clock_rate_hz must be positive")
         # mean photon number 0 is allowed so background-only runs can be
@@ -53,6 +57,9 @@ class ProtocolParams:
                              "(background_prob_per_gate / 2 + dark) exceeds 1")
         if not 0.0 <= self.optical_error_prob <= 1.0:
             raise ValueError("optical_error_prob must lie in [0, 1]")
+        # the seed crosses the wire as an unsigned 64-bit field
+        if not 0 <= self.rng_seed < 2**64:
+            raise ValueError("rng_seed must lie in [0, 2**64)")
 
     @property
     def dark_prob_per_gate(self) -> float:

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import hashlib
+import math
 import os
 import time
 from dataclasses import dataclass, field, fields
@@ -53,7 +54,7 @@ from .reconciliation import (
     shannon_leak_per_bit,
 )
 from .rng import draw_seed, stream
-from .transport import Endpoint, loopback_pair
+from .transport import DEFAULT_TIMEOUT_S, Endpoint, loopback_pair
 
 
 @dataclass(frozen=True)
@@ -63,13 +64,15 @@ class SessionConfig:
     pulses: int = 1_000_000
     block_size: int = 50_000
     recon: ReconConfig = field(default_factory=ReconConfig)
-    timeout_s: float = 30.0
+    timeout_s: float = DEFAULT_TIMEOUT_S
 
     def __post_init__(self) -> None:
         if self.pulses < 1:
             raise ValueError("pulses must be at least 1")
         if self.block_size < 1:
             raise ValueError("block_size must be at least 1")
+        if not 0.0 < self.timeout_s < math.inf:
+            raise ValueError("timeout_s must be finite and positive")
 
 
 def session_digest(params: ProtocolParams, cfg: SessionConfig) -> bytes:
@@ -279,15 +282,7 @@ def _base_report(params: ProtocolParams, cfg: SessionConfig, seed: int, role: st
         pulses=cfg.pulses,
         block_size=cfg.block_size,
         blocks=(cfg.pulses + cfg.block_size - 1) // cfg.block_size,
-        clock_rate_hz=params.clock_rate_hz,
-        mean_photon_number=params.mean_photon_number,
-        eta_q=params.eta_q,
-        eta_system_mean=params.eta_system_mean,
-        eta_system_sigma=params.eta_system_sigma,
-        gate_width_s=params.gate_width_s,
-        background_prob_per_gate=params.background_prob_per_gate,
-        dark_count_rate_hz=params.dark_count_rate_hz,
-        optical_error_prob=params.optical_error_prob,
+        **{name: value for name, value in params.as_dict().items() if name != "rng_seed"},
     )
 
 

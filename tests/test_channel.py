@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -39,6 +40,20 @@ class TestChannelParams:
     def test_eta_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             ProtocolParams(eta_system_mean=1.5)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(ProtocolParams)
+                                      if isinstance(f.default, float)])
+    def test_non_finite_rejected(self, name, value):
+        # nan slipped past the sign checks; inf overflowed in the channel
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            ProtocolParams(**{name: value})
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_64_bits_rejected(self, seed):
+        # it overflowed the Hello frame's seed field mid-session
+        with pytest.raises(ValueError, match="rng_seed"):
+            ProtocolParams(rng_seed=seed)
 
 
 class TestEtaSystem:

@@ -1,4 +1,6 @@
+import operator
 import re
+import shlex
 import socket
 import subprocess
 import sys
@@ -7,11 +9,19 @@ from pathlib import Path
 
 import pytest
 
-from fsqkd.cli import CONFIG_KEYS, ConfigError, load_config_file, main
+from fsqkd.cli import (
+    CONFIG_KEYS,
+    ConfigError,
+    build_parser,
+    load_config_file,
+    load_settings,
+    main,
+)
 from fsqkd.messages import Hello, encode, message_for
 from fsqkd.session import SessionReport
 
 BASE = [sys.executable, "-m", "fsqkd.cli"]
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run_cli(*args, timeout=180):
@@ -95,6 +105,13 @@ class TestAnalyze:
         rows = (tmp_path / "rate_curve.csv").read_text().splitlines()[1:]
         assert len(rows) == points
         assert float(rows[-1].split(",")[0]) == 0.99
+
+    @pytest.mark.parametrize("value", ["-5", "0.99", "nan", "inf"])
+    def test_efficiency_below_shannon_or_non_finite_rejected(self, tmp_path, value):
+        # -5 printed a secret fraction above 1, nan an empty yield surface
+        out = tmp_path / "x"
+        assert main(["analyze", "--recon-efficiency", value, "--out-dir", str(out)]) == 1
+        assert not out.exists()
 
     def test_nonpositive_grid_step_is_usage_error(self, tmp_path):
         result = run_cli("analyze", "--grid-step", "0", "--out-dir", str(tmp_path))
@@ -243,7 +260,83 @@ class TestConfigFile:
                      "--out-dir", str(tmp_path / "x")]) == 1
 
     def test_readme_lists_every_config_key(self):
-        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        readme = README.read_text()
         listed = re.search(r"Keys: `([^`]*)`", readme)
         assert listed is not None, "README.md has no 'Keys: `...`' list"
         assert listed[1].split() == list(CONFIG_KEYS)
+
+    ANALYZE_FLAGS = ["--nbar", "0.3", "--eta-system", "0.13", "--sigma", "0.04",
+                     "--seed", "1", "--recon-efficiency", "1.0"]
+
+    def test_missing_file_is_read_even_when_flags_cover_every_setting(self, tmp_path):
+        out = tmp_path / "x"
+        assert main(["analyze", "--config", str(tmp_path / "nonexistent.cfg"),
+                     *self.ANALYZE_FLAGS, "--out-dir", str(out)]) == 1
+        assert not out.exists()
+
+    def test_unknown_key_rejected_even_when_flags_cover_every_setting(self, tmp_path):
+        config = tmp_path / "bad.cfg"
+        config.write_text("frobnicate=1\n")
+        out = tmp_path / "x"
+        assert main(["analyze", "--config", str(config),
+                     *self.ANALYZE_FLAGS, "--out-dir", str(out)]) == 1
+        assert not out.exists()
+
+    # per key: a command that takes it, where its value lands, a file
+    # value and a flag value
+    LANDS = {
+        "pulses": ("simulate", "session.pulses", "1234", "5678"),
+        "blocks": ("serve", "session.block_size", "100", "200"),
+        "nbar": ("analyze", "params.mean_photon_number", "0.3", "0.4"),
+        "seed": ("connect", "params.rng_seed", "5", "6"),
+        "eta-system": ("simulate", "params.eta_system_mean", "0.2", "0.25"),
+        "sigma": ("analyze", "params.eta_system_sigma", "0.01", "0.02"),
+        "sample-fraction": ("simulate", "session.recon.sample_fraction", "0.2", "0.3"),
+        "passes": ("serve", "session.recon.passes", "3", "5"),
+        "recon-efficiency": ("analyze", "cli.recon_efficiency", "1.1", "1.2"),
+        "out-dir": ("connect", "cli.out_dir", "a", "b"),
+        "addr": ("serve", "cli.addr", "h:1", "h:2"),
+        "timeout": ("simulate", "session.timeout_s", "5", "7"),
+    }
+
+    @pytest.mark.parametrize("key", list(CONFIG_KEYS))
+    def test_file_value_lands_and_flag_overrides_it(self, tmp_path, key):
+        command, lands, in_file, in_flag = self.LANDS[key]
+        config = tmp_path / "run.cfg"
+        config.write_text(f"{key}={in_file}\n")
+        argv = [command, "--config", str(config)]
+        get = operator.attrgetter(lands)
+        assert get(load_settings(build_parser().parse_args(argv))) == CONFIG_KEYS[key](in_file)
+        flagged = load_settings(build_parser().parse_args(argv + [f"--{key}", in_flag]))
+        assert get(flagged) == CONFIG_KEYS[key](in_flag)
+
+    def test_readme_commands_parse_and_check(self):
+        block = re.search(r"## Command line\n\n```\n(.*?)```", README.read_text(), re.S)
+        assert block is not None, "README.md has no 'Command line' code block"
+        lines = block[1].splitlines()
+        assert {shlex.split(line)[1] for line in lines} == {"simulate", "serve", "connect",
+                                                             "analyze"}
+        for line in lines:
+            load_settings(build_parser().parse_args(shlex.split(line)[1:]))
+
+
+class TestBadValuesStoppedBeforeTheRun:
+    @pytest.mark.parametrize("flag, value", [
+        ("--timeout", "0"), ("--timeout", "nan"), ("--sigma", "nan"), ("--nbar", "inf"),
+    ])
+    def test_simulate(self, tmp_path, flag, value):
+        # timeout 0 ended in a transport failure, nan in a malformed-frame
+        # abort; sigma nan ran to exit 0, nbar inf overflowed in the channel
+        out = tmp_path / "x"
+        assert main(["simulate", "--pulses", "1000", flag, value,
+                     "--out-dir", str(out)]) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("port", ["70000", "1" * 20])
+    @pytest.mark.parametrize("command", ["serve", "connect"])
+    def test_port_above_65535(self, tmp_path, capsys, command, port):
+        out = tmp_path / "x"
+        assert main([command, "--addr", f"127.0.0.1:{port}", "--timeout", "2",
+                     "--out-dir", str(out)]) == 1
+        assert "65535" in capsys.readouterr().err
+        assert not out.exists()
