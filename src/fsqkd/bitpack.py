@@ -11,6 +11,13 @@ Wire conventions used throughout the public-channel payloads:
   varint and then the successive gaps as varints (delta coding - the gaps
   of a strictly increasing sequence are small, so million-tick detection
   sets stay compact).
+
+Short index lists take a per-byte loop; long ones an array path that works
+through fixed-size chunks, ``_CHUNK`` ids at a time when encoding and
+``_CHUNK`` payload bytes at a time when decoding, carrying the running
+index from one chunk to the next.  Its scratch is bounded by the chunk, so
+decoding peaks at its output, 8 bytes per id, plus under a megabyte,
+however long the list; each check applies to every chunk.
 """
 
 from __future__ import annotations
@@ -64,6 +71,9 @@ def decode_varint(data: bytes, offset: int) -> tuple[int, int]:
 # encoding; half of a session's lists are bisection queries and replies
 # of five ids or fewer.
 _SCALAR_MAX = 128
+# Longer lists take the array code, this many ids per chunk when encoding
+# and this many payload bytes per chunk when decoding
+_CHUNK = 1 << 14
 # decode_varint reads up to eleven bytes before it gives up; an index below
 # 2**63 needs at most nine
 _MAX_VARINT_BYTES = 11
@@ -90,22 +100,29 @@ def encode_index_list(indices: np.ndarray) -> bytes:
             out.append(delta)
             prev, least = value, value + 1
         return bytes(out)
-    deltas = np.empty(len(indices), dtype=np.int64)
-    deltas[0] = indices[0]
-    np.subtract(indices[1:], indices[:-1], out=deltas[1:])
-    # differences of non-negative int64 values cannot wrap
-    if np.count_nonzero(indices < 0) or np.count_nonzero(deltas[1:] <= 0):
-        raise ValueError(_NOT_INCREASING)
-    # one row of 7-bit groups per delta, cut to its varint length
-    deltas = deltas.view(np.uint64)
-    continued = np.searchsorted(_GROUP_LIMITS, deltas, side="right")
-    width = int(continued[continued.argmax()]) + 1
-    groups = (deltas[:, None] >> _SHIFTS[:width]).astype(np.uint8)
-    groups &= 0x7F
-    keep = _COLUMNS[:width] <= continued[:, None]
-    # a group is continued exactly when the next one is kept
-    groups[:, :-1] |= keep[:, 1:].view(np.uint8) << 7
-    return bytes(out) + groups[keep].tobytes()
+    prev = least = 0
+    for start in range(0, len(indices), _CHUNK):
+        chunk = indices[start : start + _CHUNK]
+        deltas = np.empty(len(chunk), dtype=np.int64)
+        deltas[0] = chunk[0] - prev
+        np.subtract(chunk[1:], chunk[:-1], out=deltas[1:])
+        # differences of non-negative int64 values cannot wrap
+        if (chunk[0] < least or np.count_nonzero(chunk < 0)
+                or np.count_nonzero(deltas[1:] <= 0)):
+            raise ValueError(_NOT_INCREASING)
+        prev = int(chunk[-1])
+        least = prev + 1
+        # one row of 7-bit groups per delta, cut to its varint length
+        deltas = deltas.view(np.uint64)
+        continued = np.searchsorted(_GROUP_LIMITS, deltas, side="right")
+        width = int(continued[continued.argmax()]) + 1
+        groups = (deltas[:, None] >> _SHIFTS[:width]).astype(np.uint8)
+        groups &= 0x7F
+        keep = _COLUMNS[:width] <= continued[:, None]
+        # a group is continued exactly when the next one is kept
+        groups[:, :-1] |= keep[:, 1:].view(np.uint8) << 7
+        out += memoryview(groups[keep])
+    return bytes(out)
 
 
 def decode_index_list(data: bytes, offset: int) -> tuple[np.ndarray, int]:
@@ -139,33 +156,47 @@ def decode_index_list(data: bytes, offset: int) -> tuple[np.ndarray, int]:
         if value >= 2**63:
             raise ValueError("index beyond 2**63")
         return np.array(values, dtype=np.int64), offset
-    window = np.frombuffer(data, dtype=np.uint8, offset=offset,
-                           count=min(len(data) - offset, count * _MAX_VARINT_BYTES))
-    ends = (window < 0x80).nonzero()[0][:count]
-    size = int(ends[-1]) + 1 if len(ends) else 0
-    lengths = np.empty(len(ends), dtype=np.int64)
-    lengths[:1] = ends[:1] + 1
-    np.subtract(ends[1:], ends[:-1], out=lengths[1:])
-    if len(ends) and lengths[lengths.argmax()] > _MAX_VARINT_BYTES:
-        raise ValueError("varint too long")
-    if len(ends) < count:
-        raise ValueError("varint too long" if len(window) - size >= _MAX_VARINT_BYTES
-                         else "truncated varint")
-    if np.count_nonzero((window[ends] == 0) & (lengths > 1)):
-        raise ValueError("overlong varint")
-    starts = ends + 1 - lengths
-    column = np.arange(size) - starts.repeat(lengths)
-    groups = window[:size] & np.uint8(0x7F)
-    if np.count_nonzero(groups[column >= 9]):
-        raise ValueError("index beyond 2**63")
-    deltas = np.add.reduceat(groups.astype(np.uint64) << _SHIFTS[np.minimum(column, 9)], starts)
-    if np.count_nonzero(deltas[1:]) < count - 1:
-        raise ValueError("decoded indices are not strictly increasing")
-    # every delta is below 2**63, so a running sum that wraps turns negative first
-    values = np.add.accumulate(deltas).view(np.int64)
-    if np.count_nonzero(values < 0):
-        raise ValueError("index beyond 2**63")
-    return values, offset + size
+    values = np.empty(count, dtype=np.int64)
+    # each chunk decodes the varints that end within its bytes; one cut
+    # off at its end starts the next chunk, and every remaining id has at
+    # least one of the bytes left, so no chunk starts past the data
+    done = 0
+    while done < count:
+        window = np.frombuffer(data, dtype=np.uint8, offset=offset,
+                               count=min(len(data) - offset, _CHUNK))
+        ends = (window < 0x80).nonzero()[0][:count - done]
+        if not len(ends):
+            raise ValueError("varint too long" if len(window) >= _MAX_VARINT_BYTES
+                             else "truncated varint")
+        size = int(ends[-1]) + 1
+        lengths = np.empty(len(ends), dtype=np.int64)
+        lengths[0] = ends[0] + 1
+        np.subtract(ends[1:], ends[:-1], out=lengths[1:])
+        if lengths[lengths.argmax()] > _MAX_VARINT_BYTES:
+            raise ValueError("varint too long")
+        if np.count_nonzero((window[ends] == 0) & (lengths > 1)):
+            raise ValueError("overlong varint")
+        starts = ends + 1 - lengths
+        column = np.arange(size) - starts.repeat(lengths)
+        groups = window[:size] & np.uint8(0x7F)
+        if np.count_nonzero(groups[column >= 9]):
+            raise ValueError("index beyond 2**63")
+        deltas = np.add.reduceat(groups.astype(np.uint64) << _SHIFTS[np.minimum(column, 9)],
+                                 starts)
+        # only the list's first delta may be zero
+        if np.count_nonzero(deltas[not done:]) < len(deltas) - (not done):
+            raise ValueError("decoded indices are not strictly increasing")
+        # the running sum carries over: the last index so far is below
+        # 2**63, as is every delta, so a sum that wraps turns negative first
+        if done:
+            deltas[0] += values.view(np.uint64)[done - 1]
+        chunk = values[done : done + len(deltas)]
+        np.add.accumulate(deltas, out=chunk.view(np.uint64))
+        if np.count_nonzero(chunk < 0):
+            raise ValueError("index beyond 2**63")
+        done += len(deltas)
+        offset += size
+    return values, offset
 
 
 def encode_bit_list(bits: np.ndarray) -> bytes:

@@ -5,6 +5,9 @@ calibrated against: 1-MHz pulse clock, mean system efficiency 0.13 with
 turbulence spread 0.04, a 5-ns coincidence gate with 6.7e-4 background
 firing probability across both detectors, 1400-cps dark counts per
 detector, and 1.9% polarization misalignment.
+
+The mean photon number lies in [0, 10]: above 1 no key survives privacy
+amplification, and the channel's per-gate click draws grow with it.
 """
 
 from __future__ import annotations
@@ -13,6 +16,11 @@ import dataclasses
 import hashlib
 import math
 from dataclasses import dataclass
+
+# Above nbar 1 the privacy-amplification fraction (1 - nbar) leaves no key;
+# the ceiling leaves room for bright-pulse channel studies while bounding
+# the per-gate click tables and flip draws, which grow linearly in nbar.
+MAX_MEAN_PHOTON_NUMBER = 10.0
 
 
 @dataclass(frozen=True)
@@ -40,6 +48,8 @@ class ProtocolParams:
         # configured; the dim-pulse source itself always runs with nbar > 0.
         if self.mean_photon_number < 0:
             raise ValueError("mean_photon_number must be non-negative")
+        if self.mean_photon_number > MAX_MEAN_PHOTON_NUMBER:
+            raise ValueError(f"mean_photon_number must be at most {MAX_MEAN_PHOTON_NUMBER:g}")
         if not 0.0 <= self.eta_q <= 1.0:
             raise ValueError("eta_q must lie in [0, 1]")
         if not 0.0 < self.eta_system_mean <= 1.0:

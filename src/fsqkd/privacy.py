@@ -4,8 +4,12 @@ The secret key is the product of a random binary Toeplitz matrix with the
 corrected key over GF(2), a universal hash family (Krawczyk 1994).  An
 m x n Toeplitz matrix is fixed by its n + m - 1 diagonal bits, drawn from
 a labeled stream of a shared 64-bit seed, so only the seed crosses the
-public channel; the product is one FFT convolution of at most 2^21
-points per pair of key and output chunks, one pair for short keys.  The
+public channel.  The product is computed as FFT convolutions, one per
+pair of an output chunk and a key chunk.  Each transform is sized to its
+output chunk, at least 4m points for m output bits (no fewer than
+``MIN_SPAN_BITS``), so a short output over a long key costs small
+transforms, never one the size of the key; ``MAX_INPUT_BITS`` = 2^21
+points stays the ceiling under which float64 products are exact.  The
 compression fraction ``(1 - nbar) - 2*sqrt(2)*eps`` prices beamsplitting
 of multi-photon pulses (first term) and intercept-resend at the observed
 error rate (second term); the reconciliation disclosure and any sampled
@@ -29,6 +33,16 @@ SECRET_FILE_MAGIC = b"FSQKDSEC"
 # half of them.  The tests check exactness at this size, and above it,
 # against a bitwise reference.
 MAX_INPUT_BITS = 1 << 21
+# Smallest transform ``compress`` sizes to an output chunk.  Floors from
+# 2^13 to 2^17 points cost the same for a 486k-bit key (about 25 ms on a
+# 2-vCPU VM, numpy 2.4.6); 2^18 doubles it.
+MIN_SPAN_BITS = 1 << 16
+
+
+def _span(m: int) -> int:
+    """Transform size for an output chunk of m bits: the smallest power of
+    two of at least 4m points, within [MIN_SPAN_BITS, MAX_INPUT_BITS]."""
+    return min(MAX_INPUT_BITS, max(MIN_SPAN_BITS, 1 << (4 * m - 1).bit_length()))
 
 
 def pa_fraction(nbar: float, eps: float) -> float:
@@ -98,11 +112,12 @@ def compress(key: np.ndarray, plan: PaPlan) -> np.ndarray:
 
     Output bit i is ``sum_j t[i - j + n - 1] * key[j]`` mod 2, where t are
     the seed bits.  Outputs are cut into chunks of at most half of
-    ``MAX_INPUT_BITS`` bits and the key into chunks of ``MAX_INPUT_BITS -
-    m + 1`` bits for an output chunk of m bits, so no transform exceeds
-    ``MAX_INPUT_BITS`` points; each pair of an output chunk and a key
-    chunk is an exact Toeplitz product of its own, over the slice of t it
-    reads, and the output chunk is the XOR of those products.
+    ``MAX_INPUT_BITS`` bits, and for an output chunk of m bits the key
+    into chunks of ``_span(m) - m + 1`` bits, so each transform is sized
+    to its output chunk and none exceeds ``MAX_INPUT_BITS`` points.  Each
+    pair of an output chunk and a key chunk is an exact Toeplitz product
+    of its own, over the slice of t it reads, and the output chunk is the
+    XOR of those products (overlap-add over the key chunks, mod 2).
     """
     n, m = plan.input_length, plan.output_length
     if n != len(key):
@@ -113,7 +128,7 @@ def compress(key: np.ndarray, plan: PaPlan) -> np.ndarray:
     out = np.zeros(m, dtype=np.uint8)
     for i0 in range(0, m, MAX_INPUT_BITS // 2):
         i1 = min(i0 + MAX_INPUT_BITS // 2, m)
-        key_chunk = MAX_INPUT_BITS - (i1 - i0) + 1
+        key_chunk = _span(i1 - i0) - (i1 - i0) + 1
         for j0 in range(0, n, key_chunk):
             j1 = min(j0 + key_chunk, n)
             # entry (i, j) of the chunk reads t[i - j + n - 1]

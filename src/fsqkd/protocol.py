@@ -45,6 +45,6 @@ def sift(raw_bits, detection_indices: np.ndarray) -> np.ndarray:
     if len(indices):
         if indices[0] < 0 or indices[-1] >= len(raw_bits):
             raise ValueError("detection index out of range")
-        if np.any(np.diff(indices) <= 0):
+        if np.any(indices[1:] <= indices[:-1]):
             raise ValueError("detection indices must be strictly increasing")
     return raw_bits[indices]

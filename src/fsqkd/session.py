@@ -7,7 +7,12 @@ error-correction reference, and chooses the privacy-amplification plan.
 Alice mirrors each phase and independently recomputes the plan; any
 disagreement aborts the session.  Both engines keep Alice's raw bits
 packed as they are drawn, eight to a byte (``PackedBits``), and unpack
-only the channel's current block and the bits at the detection ticks.
+only the channel's current block and the bits at the detection ticks,
+gathered a fixed number of ticks at a time.  Each engine drops its
+per-pulse arrays as soon as the protocol is done with them: Alice her raw
+bits right after sifting; Bob his raw bits and the channel's detection
+log right after he sends ``SiftIndices``, once the simulation-truth part
+of his report is taken from them.
 
 Per-phase message flow (strictly turn-based)::
 
@@ -96,6 +101,11 @@ def session_hex(params: ProtocolParams, cfg: SessionConfig, seed: int) -> str:
     return raw.hex()
 
 
+# ``PackedBits`` gathers an index array this many ticks at a time into its
+# output, so its scratch stays near a megabyte for any number of ticks
+_GATHER_CHUNK = 1 << 14
+
+
 class PackedBits:
     """Alice's raw bits as they are drawn: ceil(n / 8) bytes per pulse block.
 
@@ -128,9 +138,15 @@ class PackedBits:
                     or stop != min(start + self.block_size, self.n)):
                 raise IndexError("packed bits are sliced one whole block at a time")
             return np.unpackbits(self.block(start), count=stop - start)
-        block, offset = np.divmod(np.asarray(key, dtype=np.int64), self.block_size)
-        packed = self.data[block * self.block_bytes + (offset >> 3)]
-        return ((packed >> (7 - (offset & 7))) & 1).astype(np.uint8)
+        key = np.asarray(key, dtype=np.int64)
+        bits = np.empty(len(key), dtype=np.uint8)
+        for start in range(0, len(key), _GATHER_CHUNK):
+            block, offset = np.divmod(key[start : start + _GATHER_CHUNK], self.block_size)
+            packed = self.data[block * self.block_bytes + (offset >> 3)]
+            # the bit at MSB-first position p is the top bit of byte << p
+            packed <<= (offset & 7).astype(np.uint8)
+            np.right_shift(packed, 7, out=bits[start : start + _GATHER_CHUNK])
+        return bits
 
 
 def _derive_alice_bits(cfg: SessionConfig, seed: int) -> PackedBits:
@@ -367,6 +383,10 @@ def run_bob(endpoint: Endpoint, params: ProtocolParams, cfg: SessionConfig) -> S
     run = simulate_channel(alice_bits, params, seed, cfg.block_size)
     ticks, sifted = bob_receive(run.detections)
     endpoint.send(SiftIndices(indices=ticks))
+    # the raw bits and the detection log are dead once the truth is taken
+    report = _base_report(params, cfg, seed, "bob")
+    _attach_truth(report, alice_bits, ticks, sifted, run.detections)
+    del alice_bits, run
 
     est_errors = est_sample = 0
     trimmed = sifted
@@ -390,9 +410,7 @@ def run_bob(endpoint: Endpoint, params: ProtocolParams, cfg: SessionConfig) -> S
     endpoint.expect(Kind.DONE)
     endpoint.send(Done())
 
-    report = _base_report(params, cfg, seed, "bob")
     _finish_report(report, outcome, est_sample, len(sifted), len(secret_bits))
-    _attach_truth(report, alice_bits, ticks, sifted, run.detections)
     return SessionResult(report=report, secret_bits=secret_bits,
                          frames=list(endpoint.frames),
                          duration_s=time.monotonic() - t0)
@@ -437,6 +455,8 @@ def run_alice(endpoint: Endpoint, params: ProtocolParams, cfg: SessionConfig) ->
     if len(indices) and indices[-1] >= cfg.pulses:
         endpoint.fail(f"detection tick {indices[-1]} out of range of {cfg.pulses} pulses")
     sifted = sift(alice_bits, indices)
+    # the raw bits are dead once sifted
+    del alice_bits
 
     # the receiver samples a non-empty key; an empty one goes straight to
     # the zero-length plan that declares the run hopeless

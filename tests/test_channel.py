@@ -31,6 +31,13 @@ class TestChannelParams:
         with pytest.raises(ValueError):
             ProtocolParams(mean_photon_number=-0.1)
 
+    def test_mean_above_ceiling_rejected(self):
+        # the click table and the per-click flip draws grow linearly in nbar
+        assert ProtocolParams(mean_photon_number=10.0).mean_photon_number == 10.0
+        for nbar in (10.01, 1e10):
+            with pytest.raises(ValueError, match="at most 10"):
+                ProtocolParams(mean_photon_number=nbar)
+
     def test_noise_probability_above_one_rejected(self):
         # half of 1.0 background plus 0.6 dark per detector: the gate
         # firing probability would be meaningless

@@ -332,6 +332,15 @@ class TestBadValuesStoppedBeforeTheRun:
                      "--out-dir", str(out)]) == 1
         assert not out.exists()
 
+    def test_nbar_far_above_the_ceiling(self, tmp_path):
+        # unchecked, nbar 1e10 built a Poisson click table of about 3e8
+        # entries in the channel before anything else failed
+        out = tmp_path / "x"
+        result = run_cli("simulate", "--nbar", "1e10", "--out-dir", str(out), timeout=30)
+        assert result.returncode == 1
+        assert "at most 10" in result.stderr
+        assert not out.exists()
+
     @pytest.mark.parametrize("port", ["70000", "1" * 20])
     @pytest.mark.parametrize("command", ["serve", "connect"])
     def test_port_above_65535(self, tmp_path, capsys, command, port):

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fsqkd.bitpack import (
+    _CHUNK,
     _SCALAR_MAX,
     decode_bit_list,
     decode_index_list,
@@ -40,6 +41,7 @@ from fsqkd.messages import (
     leak_meter,
     message_for,
 )
+from fsqkd.rng import stream
 from fsqkd.transport import ProtocolError, loopback_pair
 
 
@@ -156,6 +158,24 @@ class TestRoundTrip:
         finally:
             tracemalloc.stop()
         assert peak < 2**20
+
+    def test_decode_peak_is_its_output(self):
+        # a 0.95 MiB SiftIndices body of 1M one-byte ids: the decoder's
+        # peak is its 8-byte-per-id output plus scratch of fixed size
+        # (54 MiB when the whole list was decoded at once)
+        count = 1_000_000
+        raw = SiftIndices(indices=np.arange(count)).pack()
+        assert len(raw) == count + 3
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            decoded = SiftIndices.unpack(raw)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(decoded.indices, np.arange(count))
+        assert peak <= 8 * count + 2 * 2**20
 
 
 PROTOCOL_MD = (Path(__file__).resolve().parents[1] / "PROTOCOL.md").read_text()
@@ -471,6 +491,62 @@ class TestIndexCodecAcrossThreshold:
         delta = data.draw(st.integers(reach, 2**64 - 1))
         with pytest.raises(ValueError, match="beyond 2\\*\\*63"):
             decode_index_list(self._spell(deltas, at, _varint_reference(delta)), 0)
+
+
+class TestIndexCodecChunks:
+    """Lists around the array code's chunk size, ``_CHUNK`` ids per encode
+    chunk and ``_CHUNK`` payload bytes per decode chunk.  With one-byte
+    gaps, id ``k * _CHUNK`` is the first varint of decode chunk k."""
+
+    @staticmethod
+    def _deltas(n, gaps):
+        rng = stream(n, "chunk-deltas")
+        if gaps == "one-byte":
+            deltas = rng.integers(1, 128, n)
+        else:
+            # widths of 1 to 7 bytes, so varints straddle the chunk edges
+            deltas = rng.integers(1, 2 ** rng.integers(1, 49, n), dtype=np.int64)
+        deltas[0] = 0
+        return deltas
+
+    @pytest.mark.parametrize("gaps", ["one-byte", "mixed"])
+    @pytest.mark.parametrize("n", [_CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 5])
+    def test_bytes_match_reference_and_decode_inverts(self, n, gaps):
+        deltas = self._deltas(n, gaps)
+        indices = np.cumsum(deltas)
+        encoded = encode_index_list(indices)
+        assert encoded == _varint_reference(n) + b"".join(
+            _varint_reference(d) for d in deltas.tolist())
+        decoded, offset = decode_index_list(encoded + b"\x05", 0)
+        assert decoded.dtype == np.int64
+        assert np.array_equal(decoded, indices) and offset == len(encoded)
+
+    @pytest.mark.parametrize("chunk", [1, 3])
+    @pytest.mark.parametrize("spelling, message", [
+        (b"\x80", "truncated varint"),
+        (b"\x81\x00", "overlong varint"),
+        (b"\x80" * 11 + b"\x01", "varint too long"),
+        (b"\x00", "not strictly increasing"),
+    ], ids=["truncated", "overlong", "too-long", "zero-delta"])
+    def test_reject_at_first_varint_of_a_later_chunk(self, chunk, spelling, message):
+        at = chunk * _CHUNK
+        tail = b"" if message == "truncated varint" else b"\x01" * 7
+        data = _varint_reference(at + 1 + len(tail)) + b"\x01" * at + spelling + tail
+        with pytest.raises(ValueError, match=message):
+            decode_index_list(data, 0)
+
+    @pytest.mark.parametrize("chunk", [1, 3])
+    def test_sum_beyond_int64_through_the_carried_sum(self, chunk):
+        # the delta alone is below 2**63; only with the sum carried from
+        # the earlier chunks does the index reach it
+        at = chunk * _CHUNK
+        data = (_varint_reference(at + 2) + b"\x01" * at
+                + _varint_reference(2**63 - at) + b"\x01")
+        with pytest.raises(ValueError, match="beyond 2\\*\\*63"):
+            decode_index_list(data, 0)
+        # one less is the largest index there is
+        data = _varint_reference(at + 1) + b"\x01" * at + _varint_reference(2**63 - 1 - at)
+        assert decode_index_list(data, 0)[0][-1] == 2**63 - 1
 
 
 _varints = st.integers(0, 2**64)

@@ -5,6 +5,7 @@ import pytest
 
 from fsqkd.privacy import (
     MAX_INPUT_BITS,
+    MIN_SPAN_BITS,
     PaPlan,
     compress,
     pa_fraction,
@@ -159,6 +160,28 @@ class TestToeplitz:
         matrix = np.array([toeplitz_row(diagonals, n, i) for i in range(m)], dtype=np.int64)
         assert np.array_equal(got, (matrix @ bits.astype(np.int64)) & 1)
         assert len(sizes) > 1 and max(sizes) <= limit
+
+    @pytest.mark.parametrize("m", [1, 24])
+    def test_short_output_over_several_key_chunks(self, m, monkeypatch):
+        # a short output sizes its transforms to MIN_SPAN_BITS points, so
+        # a key of a few spans is cut into several chunks whose products
+        # overlap-add to the dense product
+        import fsqkd.privacy as privacy
+
+        n, sizes = 3 * MIN_SPAN_BITS + 5, []
+        product = privacy._toeplitz_product
+
+        def recorded(diagonal, key, rows):
+            sizes.append(1 << (len(key) + rows - 2).bit_length())
+            return product(diagonal, key, rows)
+
+        monkeypatch.setattr(privacy, "_toeplitz_product", recorded)
+        bits = stream(n, "toeplitz-key").integers(0, 2, n).astype(np.uint8)
+        got = compress(bits, PaPlan(input_length=n, output_length=m, seed=23))
+        diagonals = toeplitz_seed_bits(23, n, m)
+        matrix = np.array([toeplitz_row(diagonals, n, i) for i in range(m)], dtype=np.int32)
+        assert np.array_equal(got, (matrix @ bits.astype(np.int32)) & 1)
+        assert len(sizes) == 4 and max(sizes) == MIN_SPAN_BITS
 
     def test_exact_above_largest_chunk(self):
         # past MAX_INPUT_BITS the key and the output are cut into two
