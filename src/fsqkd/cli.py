@@ -198,8 +198,8 @@ def cmd_analyze(settings: SimpleNamespace, step: float) -> int:
     # below 1 would disclose less than the Shannon limit allows
     if not 1.0 <= c < math.inf:
         raise ConfigError(f"recon efficiency must be finite and at least 1, got {c}")
-    if not step > 0:
-        raise ConfigError(f"grid step must be positive, got {step}")
+    if not 0 < step <= 0.99:
+        raise ConfigError(f"grid step must lie in (0, 0.99], got {step}")
     # the last multiple of the step not above 0.99, counted in decimal:
     # float floor division undercounts (0.99 // 0.005 == 197.0)
     points = int(Decimal("0.99") // Decimal(repr(step)))

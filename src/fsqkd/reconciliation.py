@@ -24,11 +24,11 @@ universal family privacy amplification also uses, drawn as n + 127 bits
 for a digest of ``HASH_BITS`` = 128 bits, a protocol constant, so a
 wrong key passes a round with probability 2^-128.  On mismatch one extra
 pass runs before the session aborts.  Keys are uint8 arrays of 0/1 bits.
-Disclosure is metered from the transcript alone (``leak_meter``): block
-parities plus one bit per bisection answer, never queries, seeds or
-indices; the session adds the sampled bits on top.  ``Endpoint.expect``
-answers any message out of turn with ``Abort``.  ``block_syndrome`` is
-off the session path.
+Disclosure is what the endpoint's ``disclosed_bits`` grows by over the
+exchange (``leak_meter``, counted as frames pass): block parities plus
+one bit per bisection answer, never queries, seeds or indices.
+``Endpoint.expect`` answers any message out of turn with ``Abort``.
+``block_syndrome`` is off the session path.
 """
 
 from __future__ import annotations
@@ -47,7 +47,6 @@ from .messages import (
     ShuffleSeed,
     Syndrome,
     VerifyHash,
-    leak_meter,
 )
 from .rng import draw_seed, stream, toeplitz_diagonal
 from .transport import Endpoint
@@ -340,11 +339,10 @@ class _AliceCorrector:
                                     bits=np.zeros(0, dtype=np.uint8)))
 
 
-def _outcome(bits: np.ndarray, transcript, est_num: int, est_den: int,
+def _outcome(bits: np.ndarray, disclosed: int, est_num: int, est_den: int,
              verified: bool, passes_run: int, flips: int, hash_rounds: int) -> ReconOutcome:
-    """Meter one side's correction transcript and package the corrected key."""
+    """Package the corrected key with the bits its exchange disclosed."""
     est = est_num / est_den if est_den else 0.0
-    disclosed = leak_meter(transcript)
     f_est = shannon_leak_per_bit(est)
     efficiency = (disclosed / (f_est * len(bits))) if f_est > 0 else (
         0.0 if disclosed == 0 else math.inf)
@@ -359,7 +357,7 @@ def _reconcile_alice(key: np.ndarray, endpoint: Endpoint, config: ReconConfig,
                      first_message=None) -> ReconOutcome:
     bits = np.array(key, dtype=np.uint8)
     corr = _AliceCorrector(bits, endpoint, config.passes)
-    transcript_start = len(endpoint.messages)
+    disclosed_before = endpoint.disclosed_bits
     est_num, est_den = 0, 1
     passes_run = 0
     hash_rounds = 0
@@ -404,7 +402,7 @@ def _reconcile_alice(key: np.ndarray, endpoint: Endpoint, config: ReconConfig,
                 verified = True
                 break
             # Bob decides: one extra pass arrives next, or an abort.
-    return _outcome(bits, endpoint.messages[transcript_start:], est_num, est_den,
+    return _outcome(bits, endpoint.disclosed_bits - disclosed_before, est_num, est_den,
                     verified, passes_run, corr.flips, hash_rounds)
 
 
@@ -444,7 +442,7 @@ def _serve_pass(endpoint: Endpoint, prefixes: np.ndarray, bits: np.ndarray,
 def _reconcile_bob(key: np.ndarray, endpoint: Endpoint, config: ReconConfig,
                    est_num: int, est_den: int, rng: np.random.Generator) -> ReconOutcome:
     bits = np.array(key, dtype=np.uint8)
-    transcript_start = len(endpoint.messages)
+    disclosed_before = endpoint.disclosed_bits
     est = est_num / est_den if est_den else 0.0
     schedule = block_schedule(est, len(bits), config.passes)
     # room for the scheduled passes and the one extra
@@ -480,7 +478,7 @@ def _reconcile_bob(key: np.ndarray, endpoint: Endpoint, config: ReconConfig,
         _serve_pass(endpoint, prefixes, bits, pass_no, draw_seed(rng),
                     extra_k, est_num, est_den)
         passes_run += 1
-    return _outcome(bits, endpoint.messages[transcript_start:], est_num, est_den,
+    return _outcome(bits, endpoint.disclosed_bits - disclosed_before, est_num, est_den,
                     verified, passes_run, 0, hash_rounds)
 
 

@@ -9,10 +9,11 @@ disagreement aborts the session.  Both engines keep Alice's raw bits
 packed as they are drawn, eight to a byte (``PackedBits``), and unpack
 only the channel's current block and the bits at the detection ticks,
 gathered a fixed number of ticks at a time.  Each engine drops its
-per-pulse arrays as soon as the protocol is done with them: Alice her raw
-bits right after sifting; Bob his raw bits and the channel's detection
-log right after he sends ``SiftIndices``, once the simulation-truth part
-of his report is taken from them.
+per-pulse arrays and the sift indices as soon as the protocol is done
+with them: Alice her raw bits and the decoded indices right after
+sifting; Bob his raw bits, the channel's detection log and his ticks
+right after he sends ``SiftIndices``, once the simulation-truth part of
+his report is taken from them.  No endpoint keeps a decoded message.
 
 Per-phase message flow (strictly turn-based)::
 
@@ -346,8 +347,8 @@ def _skipped_outcome(key: np.ndarray, est_num: int, est_den: int) -> ReconOutcom
                         est_num=est_num, est_den=est_den)
 
 
-def _finish_report(report: SessionReport, outcome: ReconOutcome, sampled_bits: int,
-                   sifted_len: int, secret_len: int) -> None:
+def _finish_report(report: SessionReport, endpoint: Endpoint, outcome: ReconOutcome,
+                   sampled_bits: int, sifted_len: int, secret_len: int) -> None:
     report.sifted_len = sifted_len
     report.sampled_bits = sampled_bits
     report.corrected_len = len(outcome.corrected_key)
@@ -356,7 +357,8 @@ def _finish_report(report: SessionReport, outcome: ReconOutcome, sampled_bits: i
     report.est_sample = outcome.est_den
     report.est_ber = outcome.estimated_ber
     report.ec_disclosed_bits = outcome.disclosed_bits
-    report.disclosed_bits = outcome.disclosed_bits + sampled_bits
+    # the sample reveal is the only disclosure before correction
+    report.disclosed_bits = endpoint.disclosed_bits
     report.recon_efficiency = outcome.efficiency
     report.recon_passes = outcome.passes_run
     report.hash_bits = HASH_BITS
@@ -383,10 +385,10 @@ def run_bob(endpoint: Endpoint, params: ProtocolParams, cfg: SessionConfig) -> S
     run = simulate_channel(alice_bits, params, seed, cfg.block_size)
     ticks, sifted = bob_receive(run.detections)
     endpoint.send(SiftIndices(indices=ticks))
-    # the raw bits and the detection log are dead once the truth is taken
+    # the raw bits, the detection log and the ticks are dead once the truth is taken
     report = _base_report(params, cfg, seed, "bob")
     _attach_truth(report, alice_bits, ticks, sifted, run.detections)
-    del alice_bits, run
+    del alice_bits, run, ticks
 
     est_errors = est_sample = 0
     trimmed = sifted
@@ -410,9 +412,8 @@ def run_bob(endpoint: Endpoint, params: ProtocolParams, cfg: SessionConfig) -> S
     endpoint.expect(Kind.DONE)
     endpoint.send(Done())
 
-    _finish_report(report, outcome, est_sample, len(sifted), len(secret_bits))
-    return SessionResult(report=report, secret_bits=secret_bits,
-                         frames=list(endpoint.frames),
+    _finish_report(report, endpoint, outcome, est_sample, len(sifted), len(secret_bits))
+    return SessionResult(report=report, secret_bits=secret_bits, frames=endpoint.frames,
                          duration_s=time.monotonic() - t0)
 
 
@@ -455,8 +456,8 @@ def run_alice(endpoint: Endpoint, params: ProtocolParams, cfg: SessionConfig) ->
     if len(indices) and indices[-1] >= cfg.pulses:
         endpoint.fail(f"detection tick {indices[-1]} out of range of {cfg.pulses} pulses")
     sifted = sift(alice_bits, indices)
-    # the raw bits are dead once sifted
-    del alice_bits
+    # the raw bits and the indices are dead once sifted
+    del alice_bits, indices
 
     # the receiver samples a non-empty key; an empty one goes straight to
     # the zero-length plan that declares the run hopeless
@@ -510,9 +511,8 @@ def run_alice(endpoint: Endpoint, params: ProtocolParams, cfg: SessionConfig) ->
 
     report = _base_report(params, cfg, seed, "alice")
     report.recon_flips = outcome.flips
-    _finish_report(report, outcome, sampled_bits, len(sifted), len(secret))
-    return SessionResult(report=report, secret_bits=secret,
-                         frames=list(endpoint.frames),
+    _finish_report(report, endpoint, outcome, sampled_bits, len(sifted), len(secret))
+    return SessionResult(report=report, secret_bits=secret, frames=endpoint.frames,
                          duration_s=time.monotonic() - t0)
 
 

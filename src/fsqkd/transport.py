@@ -6,7 +6,8 @@ Endpoints enforce strictly increasing sequence numbers per sender and
 surface peer aborts as exceptions.  Every frame they send carries session
 id 0, and the ``sid`` of a received frame is not checked: the ``Hello``
 exchange alone fixes which session a connection runs.  Each receive waits
-at most the endpoint's ``timeout_s``.
+at most the endpoint's ``timeout_s``.  An endpoint keeps its frames and
+counts the bits they disclose as each passes, never a decoded message.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .messages import (
     MessageFormatError,
     decode,
     encode,
+    leak_meter,
     message_for,
 )
 
@@ -54,8 +56,8 @@ class Endpoint:
 
     Subclasses implement ``_send_frame``/``_recv_frame``.  The endpoint
     assigns outbound sequence numbers, checks inbound ones, and keeps the
-    full transcript (encoded frames plus decoded messages, in local
-    arrival/send order) for leak accounting and logging.
+    transcript, ``frames`` (sent or accepted, in local order), and its
+    ``leak_meter`` count ``disclosed_bits``, taken as each frame passes.
     """
 
     def __init__(self, timeout_s: float = DEFAULT_TIMEOUT_S):
@@ -63,7 +65,7 @@ class Endpoint:
         self._next_seq = 0
         self._last_peer_seq = -1
         self.frames: list[bytes] = []
-        self.messages: list[Message] = []
+        self.disclosed_bits = 0
 
     def _send_frame(self, frame: bytes) -> None:
         raise NotImplementedError
@@ -76,7 +78,7 @@ class Endpoint:
         self._next_seq += 1
         frame = encode(message)
         self.frames.append(frame)
-        self.messages.append(message)
+        self.disclosed_bits += leak_meter((message,))
         self._send_frame(frame)
         return message
 
@@ -96,7 +98,7 @@ class Endpoint:
             raise ProtocolError(reason)
         self._last_peer_seq = message.seq
         self.frames.append(frame)
-        self.messages.append(message)
+        self.disclosed_bits += leak_meter((message,))
         return message
 
     def expect(self, *kinds: Kind) -> Message:

@@ -1,10 +1,13 @@
-"""Shared test fixtures: the 250-bit daylight-run key sample.
+"""Shared test fixtures: the 250-bit daylight-run key sample, and the
+decoded transcript of an endpoint.
 
 Five 50-bit rows per party; the receiver's copy differs from the
 transmitter's in exactly eight positions (3.2% of 250).
 """
 
 import numpy as np
+
+from fsqkd.messages import decode
 
 ALICE_250 = (
     "00011011110111010111010000101011111101111101110000"
@@ -25,3 +28,8 @@ BOB_250 = (
 
 def bits_from_string(text: str) -> np.ndarray:
     return np.frombuffer(text.encode("ascii"), dtype=np.uint8) - ord("0")
+
+
+def decoded(endpoint) -> list:
+    """The messages of every frame an endpoint sent or accepted, in its order."""
+    return [decode(frame) for frame in endpoint.frames]

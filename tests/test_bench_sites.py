@@ -102,3 +102,9 @@ def test_every_traced_layer_records_a_span():
         hashes = sum(1 for span in tracer.spans
                      if span[1] == "reconciliation.verify_hash" and span[2] == party)
         assert hashes == result.report.hash_rounds >= 1, party
+        # the per-layer disclosure is what the party's endpoint counted
+        # over its correction exchange
+        disclosed = [span[6]["disclosed_bits"] for span in tracer.spans
+                     if span[1] == "reconciliation.reconcile" and span[2] == party]
+        assert disclosed == [result.report.ec_disclosed_bits], party
+        assert disclosed[0] > 0, party

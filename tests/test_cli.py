@@ -118,6 +118,16 @@ class TestAnalyze:
         assert result.returncode == 1
         assert "grid step" in result.stderr
 
+    @pytest.mark.parametrize("value", ["1.5", "inf", "nan"])
+    def test_grid_step_without_a_grid_point_rejected_before_writing(
+            self, tmp_path, value, capsys):
+        # 1.5 created the output directory and then found an empty grid;
+        # inf failed converting a NaN point count
+        out = tmp_path / "x"
+        assert main(["analyze", "--grid-step", value, "--out-dir", str(out)]) == 1
+        assert f"grid step must lie in (0, 0.99], got {float(value)}" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestTwoProcess:
     def _run_pair(self, tmp_path, port, seed="11"):

@@ -30,6 +30,8 @@ from fsqkd.reconciliation import (
 from fsqkd.rng import stream
 from fsqkd.transport import ProtocolError, SessionAborted, loopback_pair
 
+from fixtures import decoded
+
 
 def run_pair(alice, bob):
     """Run Alice's and Bob's halves of an exchange over loopback threads."""
@@ -131,11 +133,11 @@ class TestEstimation:
         est, a_t, b_t, a_end = estimate_pair(bits, bits.copy(),
                                              ReconConfig(sample_fraction=0.25),
                                              stream(2, "sample"))
-        positions = a_end.messages[0].payload.positions
+        positions = decoded(a_end)[0].payload.positions
         assert len(positions) == 500
         assert np.array_equal(a_t, np.delete(bits, positions))
         assert np.array_equal(b_t, a_t)
-        assert leak_meter(a_end.messages) == 500
+        assert leak_meter(decoded(a_end)) == 500
 
     def test_tracks_simulation_truth(self):
         # channel-produced keys: the sampled estimate stays within 1.5
@@ -215,7 +217,7 @@ class TestReconcile:
                                               seed=position)
             assert ra.verified and rb.verified
             assert np.array_equal(ra.corrected_key, base)
-            answered = sum(len(m.payload.bits) for m in a_end.messages
+            answered = sum(len(m.payload.bits) for m in decoded(a_end)
                            if m.kind is Kind.SYNDROME)
             assert answered <= 3
 
@@ -245,12 +247,12 @@ class TestReconcile:
         ra, rb, a_end, b_end = reconcile_pair(a, b, 240, n, seed=77)
         # independent recount: parities + syndrome payload bits, nothing else
         manual = 0
-        for message in a_end.messages:
+        for message in decoded(a_end):
             if message.kind is Kind.BLOCK_PARITY:
                 manual += len(message.payload.parities)
             elif message.kind is Kind.SYNDROME:
                 manual += len(message.payload.bits)
-        assert ra.disclosed_bits == manual == leak_meter(a_end.messages)
+        assert ra.disclosed_bits == manual == leak_meter(decoded(a_end))
         assert rb.disclosed_bits == manual
 
     def test_inverted_bisection_answers_abort_cleanly(self, monkeypatch):
@@ -290,7 +292,7 @@ class TestReconcile:
         assert time.monotonic() - start < 5.0
         assert errors["a"].local and "flipped more bits" in errors["a"].reason
         assert not errors["b"].local and errors["b"].reason == errors["a"].reason
-        assert a_end.messages[-1].kind is Kind.ABORT
+        assert decoded(a_end)[-1].kind is Kind.ABORT
 
     def test_query_beyond_built_passes_aborts(self):
         n = 64

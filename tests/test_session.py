@@ -1,4 +1,5 @@
 import functools
+import gc
 import hashlib
 import io
 import itertools
@@ -7,6 +8,7 @@ import sys
 import threading
 import time
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -38,6 +40,8 @@ from fsqkd.session import (
     session_hex,
 )
 from fsqkd.transport import ProtocolError, SessionAborted, loopback_pair
+
+from fixtures import decoded
 
 
 @pytest.fixture(scope="module")
@@ -116,6 +120,13 @@ class TestPackedBits:
         # transformed the whole key at once; 1.72 with all of them bounded
         # or freed
         assert traced_bytes_per_pulse < 1.9
+
+    def test_traced_memory_per_pulse_with_no_decoded_transcript(self, traced_bytes_per_pulse):
+        # 1.72 bytes per pulse while each endpoint kept every decoded message,
+        # and with it Bob's sift indices, to the end of the session; 1.32 to
+        # 1.39 (thread interleaving moves it) with only the frames kept and
+        # both engines dropping the indices once sifted
+        assert traced_bytes_per_pulse < 1.5
 
 
 class TestPipeline:
@@ -275,7 +286,7 @@ class TestHostilePeer:
         b_end.send(SampleRequest(positions=np.arange(100, dtype=np.int64)))
         self._expect_abort(b_end, thread, "agreed 10")
         assert isinstance(errors["a"], SessionAborted)
-        assert Kind.SAMPLE_REVEAL not in {m.kind for m in a_end.messages}
+        assert Kind.SAMPLE_REVEAL not in {m.kind for m in decoded(a_end)}
 
     @pytest.mark.parametrize("ticks, sample, est_num, est_den", [
         # 100 sifted bits, a 10-bit sample and an estimate of 1/2
@@ -484,6 +495,81 @@ class TestGoldenReplay:
         sim = golden_run(params, cfg)
         assert np.array_equal(sim.alice.secret_bits, sim.bob.secret_bits)
         assert key_sha256(sim) == secret
+
+
+def recount_disclosure(endpoint) -> int:
+    """Bits an endpoint's frames disclose, counted apart from ``leak_meter``."""
+    total = 0
+    for message in decoded(endpoint):
+        if message.kind is Kind.BLOCK_PARITY:
+            total += len(message.payload.parities)
+        elif message.kind in (Kind.SYNDROME, Kind.SAMPLE_REVEAL):
+            total += len(message.payload.bits)
+    return total
+
+
+def capture_endpoints(monkeypatch) -> list:
+    """Make ``run_simulation``'s loopback pairs land in the returned list,
+    Alice's end first."""
+    ends = []
+
+    def capturing(**kwargs):
+        pair = loopback_pair(**kwargs)
+        ends.extend(pair)
+        return pair
+
+    monkeypatch.setattr("fsqkd.session.loopback_pair", capturing)
+    return ends
+
+
+class TestDisclosureMeter:
+    """Each endpoint counts what its frames disclose as they pass."""
+
+    @pytest.mark.parametrize("case, keyed", [("nbar0.5-seed417", True),
+                                             ("dim-no-yield", False)])
+    def test_endpoint_count_matches_recount_and_report(self, monkeypatch, case, keyed):
+        ends = capture_endpoints(monkeypatch)
+        params, cfg, _digest, _secret = GOLDEN[case]
+        sim = run_simulation(params, cfg)
+        assert (sim.report.secret_len > 0) == keyed
+        for end, result in zip(ends, (sim.alice, sim.bob)):
+            report = result.report
+            assert end.disclosed_bits == recount_disclosure(end) == report.disclosed_bits
+            assert report.disclosed_bits == report.ec_disclosed_bits + report.sampled_bits
+            assert (report.ec_disclosed_bits > 0) == keyed
+            assert result.frames is end.frames
+
+
+class TestDeadArrays:
+    def test_sift_indices_freed_before_reconciliation(self, monkeypatch):
+        # each endpoint kept every decoded message, so Alice's decoded
+        # indices and Bob's ticks lived to the end of the session
+        import fsqkd.session as session
+
+        session_sift, session_bob_receive = session.sift, session.bob_receive
+        session_reconcile = session.reconcile
+        refs, alive = {}, {}
+
+        def sift(raw_bits, indices):
+            refs["alice"] = weakref.ref(indices)
+            return session_sift(raw_bits, indices)
+
+        def bob_receive(batch):
+            ticks, bits = session_bob_receive(batch)
+            refs["bob"] = weakref.ref(ticks)
+            return ticks, bits
+
+        def reconcile(key, endpoint, config, role, *args, **kwargs):
+            gc.collect()
+            alive[role] = refs[role]() is not None
+            return session_reconcile(key, endpoint, config, role, *args, **kwargs)
+
+        monkeypatch.setattr(session, "sift", sift)
+        monkeypatch.setattr(session, "bob_receive", bob_receive)
+        monkeypatch.setattr(session, "reconcile", reconcile)
+        params, cfg, digest, _secret = GOLDEN["nbar0.5-seed417"]
+        assert session_sha256(run_simulation(params, cfg)) == digest
+        assert alive == {"alice": False, "bob": False}
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
