@@ -19,7 +19,6 @@ from .privacy import (
 )
 from .protocol import alice_generate, bob_receive, sift
 from .reconciliation import (
-    ReconConfig,
     ReconOutcome,
     reconcile,
     shannon_leak_per_bit,

@@ -6,31 +6,41 @@ and its cause.  Randomness never lives inside the kernel: it consumes
 arrays of pre-drawn uniforms, so the tests check it gate for gate against
 a per-gate loop over the same uniforms.
 
-Outcome codes are detector bit masks: 1 bit0 (detector 0 alone), 2 bit1
-(detector 1 alone), 3 dual fire.
-Cause codes: 0 signal, 1 background, 2 dark, 3 mixed.
+The codes it writes are ``Outcome`` and ``Cause``, which ``channel``
+re-exports.
 """
 
 from __future__ import annotations
+
+import enum
 
 import numpy as np
 
 # recorded by the benchmark so results from different kernels are never compared
 ACTIVE_BACKEND = "numpy"
 
-OUTCOME_BIT0 = 1
-OUTCOME_BIT1 = 2
-OUTCOME_DUAL = 3
 
-CAUSE_SIGNAL = 0
-CAUSE_BACKGROUND = 1
-CAUSE_DARK = 2
-CAUSE_MIXED = 3
+class Outcome(enum.IntEnum):
+    """Detector bit masks: detector 0 alone, detector 1 alone, both."""
+
+    BIT0 = 1
+    BIT1 = 2
+    DUAL_FIRE = 3
+
+
+class Cause(enum.IntEnum):
+    """What fired a gate: signal, background or dark alone, or a mix."""
+
+    SIGNAL = 0
+    BACKGROUND = 1
+    DARK = 2
+    MIXED = 3
+
 
 # cause of a fired gate by the set of its firing sources (1 signal,
 # 2 background, 4 dark); the empty set cannot occur
-_CAUSE_OF_SOURCES = np.array([CAUSE_MIXED, CAUSE_SIGNAL, CAUSE_BACKGROUND, CAUSE_MIXED,
-                              CAUSE_DARK, CAUSE_MIXED, CAUSE_MIXED, CAUSE_MIXED],
+_CAUSE_OF_SOURCES = np.array([Cause.MIXED, Cause.SIGNAL, Cause.BACKGROUND, Cause.MIXED,
+                              Cause.DARK, Cause.MIXED, Cause.MIXED, Cause.MIXED],
                              dtype=np.uint8)
 
 
@@ -69,6 +79,7 @@ def channel_outcomes(bits, clicks, u_noise, u_flip, p_bg_half, p_dark, p_opt_err
 
     fired0 = sig0 | bg0 | dk0
     fired1 = sig1 | bg1 | dk1
-    outcomes = (fired0 * OUTCOME_BIT0 + fired1 * OUTCOME_BIT1).astype(np.uint8)
+    # plain ints: numpy multiplies by an IntEnum member more slowly
+    outcomes = (fired0 * Outcome.BIT0.value + fired1 * Outcome.BIT1.value).astype(np.uint8)
     sources = (sig0 | sig1) * 1 + (bg0 | bg1) * 2 + (dk0 | dk1) * 4
     return outcomes, _CAUSE_OF_SOURCES[sources]

@@ -37,28 +37,15 @@ so the detection log holds fired gates only.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _kernels
+from ._kernels import Cause, Outcome  # the kernel's codes, re-exported
 from .params import ProtocolParams
 from .rng import stream
-
-
-class Outcome(enum.IntEnum):
-    BIT0 = _kernels.OUTCOME_BIT0
-    BIT1 = _kernels.OUTCOME_BIT1
-    DUAL_FIRE = _kernels.OUTCOME_DUAL
-
-
-class Cause(enum.IntEnum):
-    SIGNAL = _kernels.CAUSE_SIGNAL
-    BACKGROUND = _kernels.CAUSE_BACKGROUND
-    DARK = _kernels.CAUSE_DARK
-    MIXED = _kernels.CAUSE_MIXED
 
 
 @dataclass

@@ -22,7 +22,6 @@ from typing import NamedTuple
 from .analytics import CSV_HEADER, default_grid, optimize_nbar, rate_curve_rows
 from .params import ProtocolParams
 from .privacy import write_secret_key
-from .reconciliation import ReconConfig
 from .session import SessionConfig, run_alice, run_bob, run_simulation
 from .transport import (
     ChannelTimeout,
@@ -38,6 +37,11 @@ EXIT_USAGE = 1
 EXIT_ABORT = 2
 EXIT_TRANSPORT = 3
 
+# the finest analysis grid: 99,000 points, each walked in Python at about
+# 9 us by optimize_nbar and rate_curve_rows (about 0.9 s in all); finer
+# steps ask for memory, time and CSV rows without bound
+GRID_STEP_MIN = 1e-5
+
 SESSION = ("simulate", "serve", "connect")
 ALL = SESSION + ("analyze",)
 
@@ -47,7 +51,7 @@ class Setting(NamedTuple):
     type: type
     commands: tuple[str, ...]
     help: str
-    lands: str  # "params.<field>", "session.<field>", "recon.<field>" or "cli.<name>"
+    lands: str  # "params.<field>", "session.<field>" or "cli.<name>"
     default: object = None  # for "cli." values; the others default in their dataclass
 
 
@@ -61,8 +65,8 @@ SETTINGS = (
     Setting("eta-system", float, ALL, "mean system efficiency", "params.eta_system_mean"),
     Setting("sigma", float, ALL, "system efficiency spread", "params.eta_system_sigma"),
     Setting("sample-fraction", float, SESSION,
-            "sifted fraction sacrificed to estimate the error rate", "recon.sample_fraction"),
-    Setting("passes", int, SESSION, "correction passes", "recon.passes"),
+            "sifted fraction sacrificed to estimate the error rate", "session.sample_fraction"),
+    Setting("passes", int, SESSION, "correction passes", "session.passes"),
     Setting("recon-efficiency", float, ("analyze",),
             "correction efficiency multiple of the Shannon limit", "cli.recon_efficiency", 1.0),
     Setting("out-dir", str, ALL, "artifact output directory", "cli.out_dir", "fsqkd-out"),
@@ -106,7 +110,7 @@ def load_settings(args) -> SimpleNamespace:
     Each value comes from its flag, else the config file, else its default.
     """
     from_file = load_config_file(args.config) if args.config else {}
-    landed = {"params": {}, "session": {}, "recon": {}, "cli": {}}
+    landed = {"params": {}, "session": {}, "cli": {}}
     for s in SETTINGS:
         if args.command in s.commands:
             value = getattr(args, s.key.replace("-", "_"))
@@ -115,9 +119,8 @@ def load_settings(args) -> SimpleNamespace:
             if value is not None:
                 group, name = s.lands.split(".")
                 landed[group][name] = value
-    recon = ReconConfig(**landed["recon"])
     return SimpleNamespace(params=ProtocolParams(**landed["params"]),
-                           session=SessionConfig(recon=recon, **landed["session"]),
+                           session=SessionConfig(**landed["session"]),
                            cli=SimpleNamespace(**landed["cli"]))
 
 
@@ -200,6 +203,8 @@ def cmd_analyze(settings: SimpleNamespace, step: float) -> int:
         raise ConfigError(f"recon efficiency must be finite and at least 1, got {c}")
     if not 0 < step <= 0.99:
         raise ConfigError(f"grid step must lie in (0, 0.99], got {step}")
+    if step < GRID_STEP_MIN:
+        raise ConfigError(f"grid step must be at least {GRID_STEP_MIN}, got {step}")
     # the last multiple of the step not above 0.99, counted in decimal:
     # float floor division undercounts (0.99 // 0.005 == 197.0)
     points = int(Decimal("0.99") // Decimal(repr(step)))

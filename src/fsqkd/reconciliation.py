@@ -57,24 +57,6 @@ BLOCK_SIZE_FACTOR = 0.73
 HASH_BITS = 128
 
 
-@dataclass(frozen=True)
-class ReconConfig:
-    """Estimation and correction schedule parameters."""
-
-    sample_fraction: float = 0.1
-    passes: int = 4
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.sample_fraction < 0.5:
-            raise ValueError("sample_fraction must lie in (0, 0.5)")
-        if self.passes < 2:
-            raise ValueError("passes must be at least 2")
-
-    def sample_size(self, sifted_len: int) -> int:
-        """Bits sampled for estimation from a sifted key of this length."""
-        return max(1, int(round(self.sample_fraction * sifted_len)))
-
-
 @dataclass
 class ReconOutcome:
     corrected_key: np.ndarray
@@ -85,8 +67,6 @@ class ReconOutcome:
     passes_run: int
     flips: int
     hash_rounds: int
-    est_num: int = 0
-    est_den: int = 1
 
 
 def shannon_leak_per_bit(eps: float) -> float:
@@ -339,26 +319,23 @@ class _AliceCorrector:
                                     bits=np.zeros(0, dtype=np.uint8)))
 
 
-def _outcome(bits: np.ndarray, disclosed: int, est_num: int, est_den: int,
+def _outcome(bits: np.ndarray, disclosed: int, est: float,
              verified: bool, passes_run: int, flips: int, hash_rounds: int) -> ReconOutcome:
     """Package the corrected key with the bits its exchange disclosed."""
-    est = est_num / est_den if est_den else 0.0
     f_est = shannon_leak_per_bit(est)
     efficiency = (disclosed / (f_est * len(bits))) if f_est > 0 else (
         0.0 if disclosed == 0 else math.inf)
     return ReconOutcome(corrected_key=bits, estimated_ber=est,
                         disclosed_bits=disclosed, efficiency=efficiency,
                         verified=verified, passes_run=passes_run,
-                        flips=flips, hash_rounds=hash_rounds,
-                        est_num=est_num, est_den=est_den)
+                        flips=flips, hash_rounds=hash_rounds)
 
 
-def _reconcile_alice(key: np.ndarray, endpoint: Endpoint, config: ReconConfig,
+def _reconcile_alice(key: np.ndarray, endpoint: Endpoint, passes: int, est: float,
                      first_message=None) -> ReconOutcome:
     bits = np.array(key, dtype=np.uint8)
-    corr = _AliceCorrector(bits, endpoint, config.passes)
+    corr = _AliceCorrector(bits, endpoint, passes)
     disclosed_before = endpoint.disclosed_bits
-    est_num, est_den = 0, 1
     passes_run = 0
     hash_rounds = 0
     verified = False
@@ -374,11 +351,9 @@ def _reconcile_alice(key: np.ndarray, endpoint: Endpoint, config: ReconConfig,
             announce = message.payload
             # Bob runs the agreed passes and at most one extra; each pass
             # costs Alice several key-sized arrays for a few bytes of frames
-            if announce.pass_no > config.passes + 1:
-                endpoint.fail(f"pass {announce.pass_no} beyond the {config.passes} "
+            if announce.pass_no > passes + 1:
+                endpoint.fail(f"pass {announce.pass_no} beyond the {passes} "
                               f"agreed passes and one extra")
-            if announce.pass_no == 1 and announce.est_den:
-                est_num, est_den = announce.est_num, announce.est_den
             parity_msg = endpoint.expect(Kind.BLOCK_PARITY).payload
             if parity_msg.pass_no != announce.pass_no:
                 endpoint.fail("parity pass number mismatch")
@@ -402,7 +377,7 @@ def _reconcile_alice(key: np.ndarray, endpoint: Endpoint, config: ReconConfig,
                 verified = True
                 break
             # Bob decides: one extra pass arrives next, or an abort.
-    return _outcome(bits, endpoint.disclosed_bits - disclosed_before, est_num, est_den,
+    return _outcome(bits, endpoint.disclosed_bits - disclosed_before, est,
                     verified, passes_run, corr.flips, hash_rounds)
 
 
@@ -412,8 +387,8 @@ def _bisection_answers(ids: np.ndarray, prefixes: np.ndarray) -> np.ndarray:
 
 
 def _serve_pass(endpoint: Endpoint, prefixes: np.ndarray, bits: np.ndarray,
-                pass_no: int, seed: int, block_size: int, est_num: int,
-                est_den: int) -> None:
+                pass_no: int, seed: int, block_size: int,
+                est_counts: tuple[int, int]) -> None:
     """Bob's side of one pass: announce, disclose parities, answer queries.
 
     ``prefixes`` is the table of every pass's prefix parities, entry
@@ -422,7 +397,7 @@ def _serve_pass(endpoint: Endpoint, prefixes: np.ndarray, bits: np.ndarray,
     """
     n = len(bits)
     endpoint.send(ShuffleSeed(pass_no=pass_no, seed=seed, block_size=block_size,
-                              est_num=est_num, est_den=est_den))
+                              est_num=est_counts[0], est_den=est_counts[1]))
     prefix = _shuffled_prefix(bits, _permutation(seed, pass_no, n))
     prefixes[(pass_no - 1) * n : pass_no * n] = prefix[:-1]
     starts, ends = _block_bounds(n, block_size)
@@ -439,12 +414,11 @@ def _serve_pass(endpoint: Endpoint, prefixes: np.ndarray, bits: np.ndarray,
         endpoint.send(Syndrome(pass_no=pass_no, blocks=query.blocks, bits=answers))
 
 
-def _reconcile_bob(key: np.ndarray, endpoint: Endpoint, config: ReconConfig,
-                   est_num: int, est_den: int, rng: np.random.Generator) -> ReconOutcome:
+def _reconcile_bob(key: np.ndarray, endpoint: Endpoint, passes: int, est: float,
+                   est_counts: tuple[int, int], rng: np.random.Generator) -> ReconOutcome:
     bits = np.array(key, dtype=np.uint8)
     disclosed_before = endpoint.disclosed_bits
-    est = est_num / est_den if est_den else 0.0
-    schedule = block_schedule(est, len(bits), config.passes)
+    schedule = block_schedule(est, len(bits), passes)
     # room for the scheduled passes and the one extra
     prefixes = np.zeros((len(schedule) + 1) * len(bits), dtype=np.uint8)
     passes_run = 0
@@ -452,7 +426,7 @@ def _reconcile_bob(key: np.ndarray, endpoint: Endpoint, config: ReconConfig,
     verified = False
     for pass_no, block_size in enumerate(schedule, start=1):
         _serve_pass(endpoint, prefixes, bits, pass_no, draw_seed(rng),
-                    block_size, est_num, est_den)
+                    block_size, est_counts)
         passes_run += 1
     extra_available = True
     while True:
@@ -476,61 +450,66 @@ def _reconcile_bob(key: np.ndarray, endpoint: Endpoint, config: ReconConfig,
         # doubling schedule was hiding in overloaded blocks
         extra_k = schedule[min(1, len(schedule) - 1)]
         _serve_pass(endpoint, prefixes, bits, pass_no, draw_seed(rng),
-                    extra_k, est_num, est_den)
+                    extra_k, est_counts)
         passes_run += 1
-    return _outcome(bits, endpoint.disclosed_bits - disclosed_before, est_num, est_den,
+    return _outcome(bits, endpoint.disclosed_bits - disclosed_before, est,
                     verified, passes_run, 0, hash_rounds)
 
 
-def reconcile(key: np.ndarray, endpoint: Endpoint, config: ReconConfig, role: str,
-              est_num: int, est_den: int,
+def reconcile(key: np.ndarray, endpoint: Endpoint, passes: int, role: str, est: float,
+              est_counts: tuple[int, int] = (0, 1),
               rng: np.random.Generator | None = None,
               first_message=None) -> ReconOutcome:
     """Run one side of the correction exchange; ``role`` is alice or bob.
 
-    Alice ends up with Bob's key (he is the reference); the estimate is
-    announced by Bob with the first pass.  The input key is left as it is;
-    the outcome carries a corrected copy.  ``first_message`` lets a caller
-    hand Alice a message it already pulled off the channel.
+    Alice ends up with Bob's key (he is the reference).  ``est`` is the
+    error estimate both parties agreed on; Bob announces it with each pass
+    as ``est_counts``, the sample's disagreements and size.  The input key
+    is left as it is; the outcome carries a corrected copy.
+    ``first_message`` lets a caller hand Alice a message it already pulled
+    off the channel.
     """
     if len(key) == 0:
         raise ValueError("cannot reconcile an empty key")
     if role == "alice":
-        return _reconcile_alice(key, endpoint, config, first_message=first_message)
+        return _reconcile_alice(key, endpoint, passes, est, first_message=first_message)
     if role == "bob":
         if rng is None:
             raise ValueError("bob needs an rng for shuffle and hash seeds")
-        return _reconcile_bob(key, endpoint, config, est_num, est_den, rng)
+        return _reconcile_bob(key, endpoint, passes, est, est_counts, rng)
     raise ValueError("role must be 'alice' or 'bob'")
 
 
-def estimate_ber_bob(key: np.ndarray, endpoint: Endpoint, config: ReconConfig,
-                     rng: np.random.Generator) -> tuple[int, int, np.ndarray]:
-    """Bob's half of estimation: sample, compare, drop the sample.
+def estimate_ber_bob(key: np.ndarray, endpoint: Endpoint, sample_size: int,
+                     rng: np.random.Generator) -> tuple[int, np.ndarray]:
+    """Bob's half of estimation: sample ``sample_size`` bits, compare, drop them.
 
-    Returns ``(disagreements, sample_size, remaining_key)``.
+    Returns ``(disagreements, remaining_key)``.
     """
     n = len(key)
     if n == 0:
         raise ValueError("cannot sample an empty key")
-    sample_size = config.sample_size(n)
     positions = np.sort(rng.choice(n, size=sample_size, replace=False)).astype(np.int64)
     endpoint.send(SampleRequest(positions=positions))
     reveal = endpoint.expect(Kind.SAMPLE_REVEAL).payload
     if len(reveal.bits) != sample_size:
         endpoint.fail("sample reveal size mismatch")
     disagreements = int(np.count_nonzero(reveal.bits != key[positions]))
-    return disagreements, sample_size, np.delete(key, positions)
+    return disagreements, np.delete(key, positions)
 
 
-def estimate_ber_alice(key: np.ndarray, endpoint: Endpoint,
+def estimate_ber_alice(key: np.ndarray, endpoint: Endpoint, sample_size: int,
                        first_message=None) -> np.ndarray:
-    """Alice's half: reveal the requested bits, drop the same positions."""
+    """Alice's half: reveal the requested bits, drop the same positions.
+
+    The request must name exactly the agreed ``sample_size`` positions,
+    at least one: a larger sample could reveal the whole key.
+    """
     if first_message is None:
         first_message = endpoint.expect(Kind.SAMPLE_REQUEST)
     positions = first_message.payload.positions
-    if len(positions) == 0:
-        endpoint.fail("empty sample request")
+    if len(positions) != sample_size:
+        endpoint.fail(f"sample request of {len(positions)} positions, agreed {sample_size}")
     if positions[-1] >= len(key):
         endpoint.fail("sample position out of range")
     endpoint.send(SampleReveal(bits=key[positions]))

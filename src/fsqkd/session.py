@@ -41,7 +41,7 @@ import hashlib
 import math
 import os
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -52,7 +52,6 @@ from .privacy import PaPlan, compress, plan_output_length
 from .protocol import alice_generate, bob_receive, sift
 from .reconciliation import (
     HASH_BITS,
-    ReconConfig,
     ReconOutcome,
     estimate_ber_alice,
     estimate_ber_bob,
@@ -69,7 +68,8 @@ class SessionConfig:
 
     pulses: int = 1_000_000
     block_size: int = 50_000
-    recon: ReconConfig = field(default_factory=ReconConfig)
+    sample_fraction: float = 0.1
+    passes: int = 4
     timeout_s: float = DEFAULT_TIMEOUT_S
 
     def __post_init__(self) -> None:
@@ -77,8 +77,20 @@ class SessionConfig:
             raise ValueError("pulses must be at least 1")
         if self.block_size < 1:
             raise ValueError("block_size must be at least 1")
+        if not 0.0 < self.sample_fraction < 0.5:
+            raise ValueError("sample_fraction must lie in (0, 0.5)")
+        # Both parties size their pass tables for every agreed pass before
+        # pass 1 (about 10 bytes per key bit and pass for Alice, 1 for Bob),
+        # yet the block size reaches its maximum by pass 10 at the latest;
+        # 32 leaves room to spare and caps that cost.
+        if not 2 <= self.passes <= 32:
+            raise ValueError("passes must lie in [2, 32]")
         if not 0.0 < self.timeout_s < math.inf:
             raise ValueError("timeout_s must be finite and positive")
+
+    def sample_size(self, sifted_len: int) -> int:
+        """Bits sampled for estimation from a sifted key of this length."""
+        return max(1, int(round(self.sample_fraction * sifted_len)))
 
 
 def session_digest(params: ProtocolParams, cfg: SessionConfig) -> bytes:
@@ -88,7 +100,7 @@ def session_digest(params: ProtocolParams, cfg: SessionConfig) -> bytes:
     canon = (
         params.digest().hex()
         + f";pulses={cfg.pulses};block={cfg.block_size}"
-        + f";sample={cfg.recon.sample_fraction!r};passes={cfg.recon.passes}"
+        + f";sample={cfg.sample_fraction!r};passes={cfg.passes}"
         + ";hash=128;pco=None;eso=None"
     )
     return hashlib.blake2s(canon.encode(), digest_size=16).digest()
@@ -327,34 +339,31 @@ def _expect_hello(endpoint: Endpoint) -> Hello:
     return hello
 
 
-def _yield_possible(corrected_len: int, nbar: float, est_num: int, est_den: int,
-                    sampled_bits: int) -> bool:
+def _yield_possible(corrected_len: int, nbar: float, est: float, sampled_bits: int) -> bool:
     """Could any secret bits survive even Shannon-limit correction?
 
     Checked before reconciliation: a hopeless operating point (the dim or
     noisy regimes) ends the session with an empty key instead of leaking
     correction traffic it can never pay back.
     """
-    est = est_num / est_den if est_den else 0.0
     return plan_output_length(corrected_len, nbar, est, 1.0, sampled_bits) > 0
 
 
-def _skipped_outcome(key: np.ndarray, est_num: int, est_den: int) -> ReconOutcome:
-    return ReconOutcome(corrected_key=key,
-                        estimated_ber=est_num / est_den if est_den else 0.0,
+def _skipped_outcome(key: np.ndarray, est: float) -> ReconOutcome:
+    return ReconOutcome(corrected_key=key, estimated_ber=est,
                         disclosed_bits=0, efficiency=0.0, verified=False,
-                        passes_run=0, flips=0, hash_rounds=0,
-                        est_num=est_num, est_den=est_den)
+                        passes_run=0, flips=0, hash_rounds=0)
 
 
 def _finish_report(report: SessionReport, endpoint: Endpoint, outcome: ReconOutcome,
-                   sampled_bits: int, sifted_len: int, secret_len: int) -> None:
+                   est_errors: int, sampled_bits: int, sifted_len: int,
+                   secret_len: int) -> None:
     report.sifted_len = sifted_len
-    report.sampled_bits = sampled_bits
+    # the estimate is over exactly the sampled bits
+    report.sampled_bits = report.est_sample = sampled_bits
     report.corrected_len = len(outcome.corrected_key)
     report.secret_len = secret_len
-    report.est_errors = outcome.est_num
-    report.est_sample = outcome.est_den
+    report.est_errors = est_errors
     report.est_ber = outcome.estimated_ber
     report.ec_disclosed_bits = outcome.disclosed_bits
     # the sample reveal is the only disclosure before correction
@@ -390,29 +399,31 @@ def run_bob(endpoint: Endpoint, params: ProtocolParams, cfg: SessionConfig) -> S
     _attach_truth(report, alice_bits, ticks, sifted, run.detections)
     del alice_bits, run, ticks
 
-    est_errors = est_sample = 0
+    est_errors = sampled_bits = 0
     trimmed = sifted
     if len(sifted):
-        est_errors, est_sample, trimmed = estimate_ber_bob(
-            sifted, endpoint, cfg.recon, stream(seed, "bob-sample"))
-    if _yield_possible(len(trimmed), params.mean_photon_number,
-                       est_errors, est_sample, est_sample):
-        outcome = reconcile(trimmed, endpoint, cfg.recon, "bob",
-                            est_errors, est_sample, rng=stream(seed, "bob-recon"))
-        output_len = _pa_output_length(outcome, params.mean_photon_number, est_sample)
+        sampled_bits = cfg.sample_size(len(sifted))
+        est_errors, trimmed = estimate_ber_bob(sifted, endpoint, sampled_bits,
+                                               stream(seed, "bob-sample"))
+    est = est_errors / sampled_bits if sampled_bits else 0.0
+    if _yield_possible(len(trimmed), params.mean_photon_number, est, sampled_bits):
+        outcome = reconcile(trimmed, endpoint, cfg.passes, "bob", est,
+                            (est_errors, sampled_bits), rng=stream(seed, "bob-recon"))
+        output_len = _pa_output_length(outcome, params.mean_photon_number, sampled_bits)
     else:
-        outcome = _skipped_outcome(trimmed, est_errors, est_sample)
+        outcome = _skipped_outcome(trimmed, est)
         output_len = 0
     pa_seed = draw_seed(stream(seed, "bob-pa"))
     endpoint.send(PaSeed(seed=pa_seed, output_length=output_len,
-                         est_num=est_errors, est_den=est_sample))
+                         est_num=est_errors, est_den=sampled_bits))
     secret_bits = compress(outcome.corrected_key,
                            PaPlan(input_length=len(trimmed),
                                   output_length=output_len, seed=pa_seed))
     endpoint.expect(Kind.DONE)
     endpoint.send(Done())
 
-    _finish_report(report, endpoint, outcome, est_sample, len(sifted), len(secret_bits))
+    _finish_report(report, endpoint, outcome, est_errors, sampled_bits, len(sifted),
+                   len(secret_bits))
     return SessionResult(report=report, secret_bits=secret_bits, frames=endpoint.frames,
                          duration_s=time.monotonic() - t0)
 
@@ -465,40 +476,36 @@ def run_alice(endpoint: Endpoint, params: ProtocolParams, cfg: SessionConfig) ->
     sampled_bits = 0
     message = endpoint.expect(Kind.SAMPLE_REQUEST, Kind.SHUFFLE_SEED, Kind.PA_SEED)
     if message.kind is Kind.SAMPLE_REQUEST:
-        # a larger sample than agreed could reveal the whole key
-        requested = len(message.payload.positions)
-        agreed = cfg.recon.sample_size(len(sifted))
-        if requested != agreed:
-            endpoint.fail(f"sample request of {requested} positions, agreed {agreed}")
-        trimmed = estimate_ber_alice(sifted, endpoint, first_message=message)
+        trimmed = estimate_ber_alice(sifted, endpoint, cfg.sample_size(len(sifted)),
+                                     first_message=message)
         sampled_bits = len(sifted) - len(trimmed)
         message = endpoint.expect(Kind.SHUFFLE_SEED, Kind.PA_SEED)
     elif len(sifted):
         endpoint.fail(f"no sample taken of {len(sifted)} sifted bits")
     # both parties price privacy amplification from this estimate, so it
     # must be over exactly the bits she revealed
-    est = message.payload
-    if est.est_den != sampled_bits:
-        endpoint.fail(f"estimate over {est.est_den} bits, {sampled_bits} sampled")
+    est_errors, est_den = message.payload.est_num, message.payload.est_den
+    if est_den != sampled_bits:
+        endpoint.fail(f"estimate over {est_den} bits, {sampled_bits} sampled")
+    est = est_errors / sampled_bits if sampled_bits else 0.0
     # the receiver opens correction exactly when some yield is possible,
     # which an empty key never allows
     correcting = message.kind is Kind.SHUFFLE_SEED
     if correcting != _yield_possible(len(trimmed), params.mean_photon_number,
-                                     est.est_num, est.est_den, sampled_bits):
+                                     est, sampled_bits):
         endpoint.fail("peer opened correction although no yield is possible"
                       if correcting else
                       "peer skipped correction despite a possible yield")
     if correcting:
-        outcome = reconcile(trimmed, endpoint, cfg.recon, "alice", 0, 1,
-                            first_message=message)
+        outcome = reconcile(trimmed, endpoint, cfg.passes, "alice", est, first_message=message)
         pa_msg = endpoint.expect(Kind.PA_SEED).payload
-        if (pa_msg.est_num, pa_msg.est_den) != (est.est_num, est.est_den):
+        if (pa_msg.est_num, pa_msg.est_den) != (est_errors, sampled_bits):
             endpoint.fail(f"privacy-amplification estimate {pa_msg.est_num}/{pa_msg.est_den} "
-                          f"differs from the correction estimate {est.est_num}/{est.est_den}")
+                          f"differs from the correction estimate {est_errors}/{sampled_bits}")
         expected_len = _pa_output_length(outcome, params.mean_photon_number, sampled_bits)
     else:
-        pa_msg = est
-        outcome = _skipped_outcome(trimmed, pa_msg.est_num, pa_msg.est_den)
+        pa_msg = message.payload
+        outcome = _skipped_outcome(trimmed, est)
         expected_len = 0
     if pa_msg.output_length != expected_len:
         endpoint.fail(f"privacy-amplification length disagreement: "
@@ -511,7 +518,8 @@ def run_alice(endpoint: Endpoint, params: ProtocolParams, cfg: SessionConfig) ->
 
     report = _base_report(params, cfg, seed, "alice")
     report.recon_flips = outcome.flips
-    _finish_report(report, endpoint, outcome, sampled_bits, len(sifted), len(secret))
+    _finish_report(report, endpoint, outcome, est_errors, sampled_bits, len(sifted),
+                   len(secret))
     return SessionResult(report=report, secret_bits=secret, frames=endpoint.frames,
                          duration_s=time.monotonic() - t0)
 

@@ -15,7 +15,7 @@ from fsqkd.channel import Cause, simulate_channel
 from fsqkd.params import ProtocolParams
 from fsqkd.privacy import PaPlan, compress
 from fsqkd.protocol import bob_receive
-from fsqkd.reconciliation import ReconConfig, reconcile, shannon_leak_per_bit
+from fsqkd.reconciliation import reconcile, shannon_leak_per_bit
 from fsqkd.rng import stream
 from fsqkd.session import SessionConfig, run_alice, run_bob
 from fsqkd.transport import connect, loopback_pair, serve_one
@@ -122,15 +122,16 @@ def test_criterion_5_key_sample_fixture():
     assert ok, line
 
 
-def _reconcile_pair(a_bits, b_bits, est_num, est_den, cfg, seed):
+def _reconcile_pair(a_bits, b_bits, est_num, est_den, passes, seed):
     a_end, b_end = loopback_pair(timeout_s=30.0)
     results = {}
 
     def alice():
-        results["a"] = reconcile(a_bits, a_end, cfg, "alice", 0, 1)
+        results["a"] = reconcile(a_bits, a_end, passes, "alice", est_num / est_den)
 
     def bob():
-        results["b"] = reconcile(b_bits, b_end, cfg, "bob", est_num, est_den,
+        results["b"] = reconcile(b_bits, b_end, passes, "bob", est_num / est_den,
+                                 (est_num, est_den),
                                  rng=stream(seed, "bob-recon"))
 
     threads = [threading.Thread(target=alice), threading.Thread(target=bob)]
@@ -144,7 +145,7 @@ def _reconcile_pair(a_bits, b_bits, est_num, est_den, cfg, seed):
 def test_criterion_6_reconciliation():
     # planted i.i.d. errors, twenty seeds per rate: every run must verify,
     # and the mean disclosure is held against 1.2 x the Shannon limit.
-    cfg = ReconConfig()
+    passes = SessionConfig().passes
     n = 10_000
     details = []
     verified_ok = True
@@ -156,7 +157,7 @@ def test_criterion_6_reconciliation():
             rng = np.random.default_rng(2000 + seed)
             b = rng.integers(0, 2, n).astype(np.uint8)
             a = (b ^ (rng.random(n) < eps)).astype(np.uint8)
-            ra, rb = _reconcile_pair(a, b, int(round(eps * n)), n, cfg, seed)
+            ra, rb = _reconcile_pair(a, b, int(round(eps * n)), n, passes, seed)
             if ra.verified and rb.verified and np.array_equal(
                     ra.corrected_key, rb.corrected_key):
                 verified += 1
@@ -264,7 +265,7 @@ def test_criterion_9_determinism(tmp_path):
     for seed in range(121, 140):
         params = ProtocolParams(mean_photon_number=0.4, rng_seed=seed)
         cfg = SessionConfig(pulses=600_000, block_size=100_000,
-                            recon=ReconConfig(sample_fraction=0.02))
+                            sample_fraction=0.02)
         alice, bob = _socket_session(params, cfg)
         if np.array_equal(alice.secret_bits, bob.secret_bits):
             matched += 1

@@ -5,9 +5,14 @@ globals their callers look them up through.  A refactor that renames one
 of those names, or stops calling it through its module, would otherwise
 only show when the benchmark runs.  This test loads the tracer from its
 source (without writing bytecode next to it), runs one traced session and
-checks that every wrapped layer recorded a span.
+checks that every wrapped layer recorded a span.  A second test runs the
+benchmark's worker on one workload, so a change to ``SessionConfig`` or to
+a signature the tracer wraps shows here too.
 """
 
+import json
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -23,7 +28,9 @@ import fsqkd.transport
 from fsqkd.params import ProtocolParams
 from fsqkd.session import SessionConfig, run_simulation
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACING = ROOT / "perfbench" / "tracing.py"
+WORKER = ROOT / "perfbench" / "worker.py"
 
 SESSION, RECON = fsqkd.session, fsqkd.reconciliation
 # every (owner, name) the tracer replaces
@@ -108,3 +115,18 @@ def test_every_traced_layer_records_a_span():
                      if span[1] == "reconciliation.reconcile" and span[2] == party]
         assert disclosed == [result.report.ec_disclosed_bits], party
         assert disclosed[0] > 0, party
+
+
+def test_worker_runs_the_default_workload():
+    # the benchmark's own worker in a fresh interpreter, as the benchmark
+    # starts it; -B keeps bytecode out of perfbench/
+    done = subprocess.run([sys.executable, "-B", str(WORKER), "--workload", "default_1m",
+                           "--seconds", "0"], capture_output=True, text=True,
+                          timeout=120, cwd=ROOT)
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout.splitlines()[-1])
+    assert len(result["sessions"]) == 20
+    assert all(session["ok"] for session in result["sessions"])
+    # the self-test flipped a key bit and saw the session fail
+    assert result["errors"] == []
+    assert [replay["ok"] for replay in result["replays"]] == [True]

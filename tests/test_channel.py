@@ -5,15 +5,6 @@ import numpy as np
 import pytest
 
 from fsqkd import _kernels
-from fsqkd._kernels import (
-    CAUSE_BACKGROUND,
-    CAUSE_DARK,
-    CAUSE_MIXED,
-    CAUSE_SIGNAL,
-    OUTCOME_BIT0,
-    OUTCOME_BIT1,
-    OUTCOME_DUAL,
-)
 from fsqkd.channel import Cause, Outcome, draw_eta_system, simulate_channel
 from fsqkd.params import ProtocolParams
 from fsqkd.rng import random_bits, stream
@@ -143,20 +134,20 @@ def _gate_outcome_py(bit, flips, u0, u1, p_bg_half, p_dark, p_opt_err):
     fired0 = sig[0] or bg0 or dk0
     fired1 = sig[1] or bg1 or dk1
     if fired0 and fired1:
-        outcome = OUTCOME_DUAL
+        outcome = Outcome.DUAL_FIRE
     elif fired1:
-        outcome = OUTCOME_BIT1
+        outcome = Outcome.BIT1
     else:
         assert fired0, "a fired gate must fire a detector"
-        outcome = OUTCOME_BIT0
+        outcome = Outcome.BIT0
     sources = set()
     if sig[0] or sig[1]:
-        sources.add(CAUSE_SIGNAL)
+        sources.add(Cause.SIGNAL)
     if bg0 or bg1:
-        sources.add(CAUSE_BACKGROUND)
+        sources.add(Cause.BACKGROUND)
     if dk0 or dk1:
-        sources.add(CAUSE_DARK)
-    return outcome, sources.pop() if len(sources) == 1 else CAUSE_MIXED
+        sources.add(Cause.DARK)
+    return outcome, sources.pop() if len(sources) == 1 else Cause.MIXED
 
 
 def _oracle(bits, clicks, u_noise, u_flip, p_bg_half, p_dark, p_opt_err):
@@ -250,7 +241,7 @@ def _cell_probabilities(params, eta, photon_count_override=None):
                     (True, True): 1.0 - no_right - no_wrong + none}
     p_bg_half = params.background_prob_per_gate / 2.0
     p_dark = params.dark_prob_per_gate
-    noise = {None: 1.0 - p_bg_half - p_dark, CAUSE_BACKGROUND: p_bg_half, CAUSE_DARK: p_dark}
+    noise = {None: 1.0 - p_bg_half - p_dark, Cause.BACKGROUND: p_bg_half, Cause.DARK: p_dark}
     cells = {}
     for bit in (0, 1):
         for (right, wrong), p_sig in p_clicks.items():
@@ -259,11 +250,11 @@ def _cell_probabilities(params, eta, photon_count_override=None):
                 for n1, p1 in noise.items():
                     fired0 = sig[0] or n0 is not None
                     fired1 = sig[1] or n1 is not None
-                    outcome = fired0 * OUTCOME_BIT0 + fired1 * OUTCOME_BIT1
+                    outcome = fired0 * Outcome.BIT0 + fired1 * Outcome.BIT1
                     sources = {n for n in (n0, n1) if n is not None}
                     if right or wrong:
-                        sources.add(CAUSE_SIGNAL)
-                    cause = sources.pop() if len(sources) == 1 else CAUSE_MIXED
+                        sources.add(Cause.SIGNAL)
+                    cause = sources.pop() if len(sources) == 1 else Cause.MIXED
                     key = (bit, outcome, cause if outcome else 0)
                     cells[key] = cells.get(key, 0.0) + 0.5 * p_sig * p0 * p1
     return cells

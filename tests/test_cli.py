@@ -128,6 +128,17 @@ class TestAnalyze:
         assert f"grid step must lie in (0, 0.99], got {float(value)}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", ["1e-9", "9.99e-6"])
+    def test_grid_step_below_the_floor_rejected_before_writing(
+            self, tmp_path, value, capsys, monkeypatch):
+        # 1e-9 asked default_grid for a 990M-point linspace (7.9 GB)
+        built = []
+        monkeypatch.setattr("fsqkd.cli.default_grid", lambda *args: built.append(args))
+        out = tmp_path / "x"
+        assert main(["analyze", "--grid-step", value, "--out-dir", str(out)]) == 1
+        assert f"grid step must be at least 1e-05, got {float(value)}" in capsys.readouterr().err
+        assert not out.exists() and not built
+
 
 class TestTwoProcess:
     def _run_pair(self, tmp_path, port, seed="11"):
@@ -301,8 +312,8 @@ class TestConfigFile:
         "seed": ("connect", "params.rng_seed", "5", "6"),
         "eta-system": ("simulate", "params.eta_system_mean", "0.2", "0.25"),
         "sigma": ("analyze", "params.eta_system_sigma", "0.01", "0.02"),
-        "sample-fraction": ("simulate", "session.recon.sample_fraction", "0.2", "0.3"),
-        "passes": ("serve", "session.recon.passes", "3", "5"),
+        "sample-fraction": ("simulate", "session.sample_fraction", "0.2", "0.3"),
+        "passes": ("serve", "session.passes", "3", "5"),
         "recon-efficiency": ("analyze", "cli.recon_efficiency", "1.1", "1.2"),
         "out-dir": ("connect", "cli.out_dir", "a", "b"),
         "addr": ("serve", "cli.addr", "h:1", "h:2"),
@@ -341,6 +352,18 @@ class TestBadValuesStoppedBeforeTheRun:
         assert main(["simulate", "--pulses", "1000", flag, value,
                      "--out-dir", str(out)]) == 1
         assert not out.exists()
+
+    def test_passes_above_the_cap(self, tmp_path, capsys, monkeypatch):
+        # each agreed pass sizes both parties' pass tables before pass 1,
+        # and nothing capped the count
+        built = []
+        monkeypatch.setattr("fsqkd.reconciliation.block_schedule",
+                            lambda *args: built.append(args))
+        out = tmp_path / "x"
+        assert main(["simulate", "--pulses", "1000", "--passes", "33",
+                     "--out-dir", str(out)]) == 1
+        assert "passes must lie in [2, 32]" in capsys.readouterr().err
+        assert not out.exists() and not built
 
     def test_nbar_far_above_the_ceiling(self, tmp_path):
         # unchecked, nbar 1e10 built a Poisson click table of about 3e8

@@ -19,7 +19,6 @@ from fsqkd.messages import (
 )
 from fsqkd.params import ProtocolParams
 from fsqkd.reconciliation import (
-    ReconConfig,
     _verify_hash_bits,
     block_schedule,
     estimate_ber_alice,
@@ -28,9 +27,13 @@ from fsqkd.reconciliation import (
     shannon_leak_per_bit,
 )
 from fsqkd.rng import stream
+from fsqkd.session import SessionConfig
 from fsqkd.transport import ProtocolError, SessionAborted, loopback_pair
 
 from fixtures import decoded
+
+# the agreed number of correction passes when none is set
+PASSES = SessionConfig().passes
 
 
 def run_pair(alice, bob):
@@ -50,20 +53,20 @@ def run_pair(alice, bob):
     return results["a"], results["b"], a_end, b_end
 
 
-def reconcile_pair(a_bits, b_bits, est_num, est_den, cfg=None, seed=0):
-    cfg = cfg or ReconConfig()
+def reconcile_pair(a_bits, b_bits, est_num, est_den, passes=PASSES, seed=0):
+    est = est_num / est_den
     return run_pair(
-        lambda end: reconcile(a_bits, end, cfg, "alice", 0, 1),
-        lambda end: reconcile(b_bits, end, cfg, "bob", est_num, est_den,
+        lambda end: reconcile(a_bits, end, passes, "alice", est),
+        lambda end: reconcile(b_bits, end, passes, "bob", est, (est_num, est_den),
                               rng=stream(seed, "bob-recon")))
 
 
-def estimate_pair(a_key, b_key, cfg, rng):
+def estimate_pair(a_key, b_key, sample_size, rng):
     """Both estimation halves; returns (estimate, Alice's rest, Bob's rest, Alice's end)."""
-    a_rest, (errors, sample, b_rest), a_end, _ = run_pair(
-        lambda end: estimate_ber_alice(a_key, end),
-        lambda end: estimate_ber_bob(b_key, end, cfg, rng))
-    return errors / sample, a_rest, b_rest, a_end
+    a_rest, (errors, b_rest), a_end, _ = run_pair(
+        lambda end: estimate_ber_alice(a_key, end, sample_size),
+        lambda end: estimate_ber_bob(b_key, end, sample_size, rng))
+    return errors / sample_size, a_rest, b_rest, a_end
 
 
 def expect_abort(endpoint, reason_part):
@@ -115,7 +118,7 @@ class TestEstimation:
         a_end, b_end = loopback_pair()
         positions = np.arange(1000, dtype=np.int64)
         b_end.send(SampleRequest(positions=positions))
-        trimmed_a = estimate_ber_alice(a, a_end)
+        trimmed_a = estimate_ber_alice(a, a_end, 1000)
         reveal = b_end.expect(Kind.SAMPLE_REVEAL).payload
         estimate = np.count_nonzero(reveal.bits != b) / 1000
         assert estimate == pytest.approx(0.032)
@@ -123,16 +126,14 @@ class TestEstimation:
 
     def test_identical_keys_estimate_zero(self):
         bits = np.zeros(500, dtype=np.uint8)
-        est, a_t, b_t, _ = estimate_pair(bits, bits.copy(), ReconConfig(), stream(1, "sample"))
+        est, a_t, b_t, _ = estimate_pair(bits, bits.copy(), 50, stream(1, "sample"))
         assert est == 0.0
         assert len(a_t) == len(b_t) == 450
 
     def test_sampled_positions_are_deleted_and_metered(self):
         rng = np.random.default_rng(2)
         bits = rng.integers(0, 2, 2000).astype(np.uint8)
-        est, a_t, b_t, a_end = estimate_pair(bits, bits.copy(),
-                                             ReconConfig(sample_fraction=0.25),
-                                             stream(2, "sample"))
+        est, a_t, b_t, a_end = estimate_pair(bits, bits.copy(), 500, stream(2, "sample"))
         positions = decoded(a_end)[0].payload.positions
         assert len(positions) == 500
         assert np.array_equal(a_t, np.delete(bits, positions))
@@ -154,23 +155,23 @@ class TestEstimation:
             ticks, sifted = bob_receive(run.detections)
             alice_bits = bits[ticks]
             truth = np.count_nonzero(alice_bits != sifted) / len(sifted)
-            est, *_ = estimate_pair(alice_bits, sifted, ReconConfig(),
+            est, *_ = estimate_pair(alice_bits, sifted, SessionConfig().sample_size(len(sifted)),
                                     stream(200 + trial, "sample"))
             assert abs(est - truth) < 0.015
 
     def test_empty_sample_rejected(self):
         a_end, b_end = loopback_pair(timeout_s=5.0)
         b_end.send(SampleRequest(positions=np.zeros(0, dtype=np.int64)))
-        with pytest.raises(SessionAborted, match="empty sample request"):
-            estimate_ber_alice(np.zeros(10, dtype=np.uint8), a_end)
-        expect_abort(b_end, "empty sample request")
+        with pytest.raises(SessionAborted, match="sample request of 0 positions, agreed 1"):
+            estimate_ber_alice(np.zeros(10, dtype=np.uint8), a_end, 1)
+        expect_abort(b_end, "sample request of 0 positions, agreed 1")
 
     def test_out_of_range_sample_request_aborts(self):
         # a hostile reference: Alice answers with an Abort, not silence
         a_end, b_end = loopback_pair(timeout_s=5.0)
         b_end.send(SampleRequest(positions=np.array([3, 10], dtype=np.int64)))
         with pytest.raises(SessionAborted, match="out of range"):
-            estimate_ber_alice(np.zeros(10, dtype=np.uint8), a_end)
+            estimate_ber_alice(np.zeros(10, dtype=np.uint8), a_end, 2)
         expect_abort(b_end, "out of range")
 
     def test_short_sample_reveal_aborts(self):
@@ -180,8 +181,7 @@ class TestEstimation:
 
         def bob():
             try:
-                estimate_ber_bob(np.zeros(100, dtype=np.uint8), b_end, ReconConfig(),
-                                 stream(1, "sample"))
+                estimate_ber_bob(np.zeros(100, dtype=np.uint8), b_end, 10, stream(1, "sample"))
             except SessionAborted as exc:
                 errors["b"] = exc
 
@@ -208,12 +208,11 @@ class TestReconcile:
     def test_seven_bit_block_single_error_exhaustive(self):
         # bisection pins the planted position, wherever it is, with at most
         # ceil(log2 7) = 3 answered bits
-        cfg = ReconConfig(passes=2)
         base = stream(4, "k").integers(0, 2, 7).astype(np.uint8)
         for position in range(7):
             corrupted = base.copy()
             corrupted[position] ^= 1
-            ra, rb, a_end, _ = reconcile_pair(corrupted, base, 1, 7, cfg=cfg,
+            ra, rb, a_end, _ = reconcile_pair(corrupted, base, 1, 7, passes=2,
                                               seed=position)
             assert ra.verified and rb.verified
             assert np.array_equal(ra.corrected_key, base)
@@ -278,9 +277,9 @@ class TestReconcile:
 
         threads = [
             threading.Thread(target=side, args=("a", lambda: reconcile(
-                a, a_end, ReconConfig(), "alice", 0, 1))),
+                a, a_end, PASSES, "alice", 300 / n))),
             threading.Thread(target=side, args=("b", lambda: reconcile(
-                b, b_end, ReconConfig(), "bob", 300, n,
+                b, b_end, PASSES, "bob", 300 / n, (300, n),
                 rng=stream(5, "bob-recon")))),
         ]
         start = time.monotonic()
@@ -302,7 +301,7 @@ class TestReconcile:
 
         def bob():
             try:
-                reconcile(bits, b_end, ReconConfig(), "bob", 2, n,
+                reconcile(bits, b_end, PASSES, "bob", 2 / n, (2, n),
                           rng=stream(6, "bob-recon"))
             except SessionAborted as exc:
                 errors["b"] = exc
@@ -323,7 +322,6 @@ class TestReconcile:
         # Bob runs the agreed passes and one extra at most; a reference
         # that keeps announcing one-parity passes would cost Alice several
         # key-sized arrays per pass for a few bytes of frames
-        cfg = ReconConfig()
         n = 64
         bits = stream(8, "k").integers(0, 2, n).astype(np.uint8)
         parity = np.bitwise_xor.reduce(bits, keepdims=True)
@@ -332,24 +330,24 @@ class TestReconcile:
 
         def alice():
             try:
-                reconcile(bits, a_end, cfg, "alice", 0, 1)
+                reconcile(bits, a_end, PASSES, "alice", 0.0)
             except SessionAborted as exc:
                 errors["a"] = exc
 
         thread = threading.Thread(target=alice)
         thread.start()
-        for pass_no in range(1, cfg.passes + 3):
+        for pass_no in range(1, PASSES + 3):
             b_end.send(ShuffleSeed(pass_no=pass_no, seed=pass_no, block_size=n))
-            if pass_no > cfg.passes + 1:
+            if pass_no > PASSES + 1:
                 break
             b_end.send(BlockParity(pass_no=pass_no, parities=parity))
             # the parity agrees, so Alice closes the pass with an empty query
             closing = b_end.expect(Kind.SYNDROME).payload
             assert closing.pass_no == pass_no and len(closing.blocks) == 0
-        expect_abort(b_end, f"pass {cfg.passes + 2} beyond")
+        expect_abort(b_end, f"pass {PASSES + 2} beyond")
         thread.join(timeout=10.0)
         assert not thread.is_alive()
-        assert errors["a"].local and f"pass {cfg.passes + 2} beyond" in errors["a"].reason
+        assert errors["a"].local and f"pass {PASSES + 2} beyond" in errors["a"].reason
 
     @pytest.mark.parametrize("passes_first", [0, 1], ids=["at-start", "after-a-hash"])
     def test_verify_hash_without_a_pass_aborts(self, passes_first):
@@ -364,7 +362,7 @@ class TestReconcile:
 
         def alice():
             try:
-                reconcile(bits, a_end, ReconConfig(), "alice", 0, 1)
+                reconcile(bits, a_end, PASSES, "alice", 0.0)
             except SessionAborted as exc:
                 errors["a"] = exc
 
@@ -395,7 +393,7 @@ class TestReconcile:
 
         def alice():
             try:
-                reconcile(bits, a_end, ReconConfig(), "alice", 0, 1)
+                reconcile(bits, a_end, PASSES, "alice", 0.0)
             except SessionAborted as exc:
                 errors["a"] = exc
 
@@ -418,7 +416,7 @@ class TestReconcile:
         a_end, b_end = loopback_pair(timeout_s=5.0)
         b_end.send(VerifyHash(seed=1, digest=bytes(16), nbits=2**20))
         with pytest.raises(SessionAborted, match="agreed 128"):
-            reconcile(bits, a_end, ReconConfig(), "alice", 0, 1)
+            reconcile(bits, a_end, PASSES, "alice", 0.0)
         expect_abort(b_end, "agreed 128")
 
     def test_verify_hash_echo_of_another_seed_aborts(self):
@@ -432,7 +430,7 @@ class TestReconcile:
 
         def bob():
             try:
-                reconcile(bits, b_end, ReconConfig(), "bob", 2, n,
+                reconcile(bits, b_end, PASSES, "bob", 2 / n, (2, n),
                           rng=stream(9, "bob-recon"))
             except SessionAborted as exc:
                 errors["b"] = exc
@@ -460,7 +458,7 @@ class TestReconcile:
         a_end, b_end = loopback_pair(timeout_s=5.0)
         b_end.send(BlockParity(pass_no=1, parities=np.zeros(8, dtype=np.uint8)))
         with pytest.raises(ProtocolError, match="got BlockParity"):
-            reconcile(bits, a_end, ReconConfig(), "alice", 0, 1)
+            reconcile(bits, a_end, PASSES, "alice", 0.0)
         expect_abort(b_end, "got BlockParity")
 
     def test_input_key_left_unchanged(self):
@@ -476,7 +474,7 @@ class TestReconcile:
     def test_empty_key_rejected(self):
         a_end, _ = loopback_pair()
         with pytest.raises(ValueError):
-            reconcile(np.zeros(0, dtype=np.uint8), a_end, ReconConfig(), "alice", 0, 1)
+            reconcile(np.zeros(0, dtype=np.uint8), a_end, PASSES, "alice", 0.0)
 
 
 def planted_keys(seed, n, eps):
@@ -502,24 +500,24 @@ class TestPinnedTranscripts:
     CASES = {
         # two scheduled passes leave an error: hash mismatch, extra pass,
         # second hash round
-        "extra-pass": (lambda: planted_keys(2, 2000, 0.05), 100, 2000, ReconConfig(passes=2),
+        "extra-pass": (lambda: planted_keys(2, 2000, 0.05), 100, 2000, 2,
                        2, (3, 2),
                        "9cd972c1d9cc0aaf09c5acca2dcd71d44e49e5cdcb9b482859e419f5e52447c1"),
-        "key-shorter-than-block": (short_key_pair, 1, 6, ReconConfig(), 9, (4, 1),
+        "key-shorter-than-block": (short_key_pair, 1, 6, PASSES, 9, (4, 1),
                                    "34975ae078b0fda4143d1ab61710773c"
                                    "2032a2d32fc83bfb9effa1b8e7eaf9a1"),
         # pass 2's held half of odd blocks is still odd once the first
         # half and its backtracking have settled, so it is bisected too
-        "held-half-drained": (lambda: planted_keys(1, 300, 0.05), 15, 300, ReconConfig(),
+        "held-half-drained": (lambda: planted_keys(1, 300, 0.05), 15, 300, PASSES,
                               1, (4, 1),
                               "c32cf7def1bce122587b24e10421d430f9ded686a4a8f1acdbc0af725dd9bd03"),
     }
 
     @pytest.mark.parametrize("case", CASES)
     def test_transcript_and_key_bytes(self, case):
-        keys, est_num, est_den, cfg, seed, (passes, hash_rounds), expected = self.CASES[case]
+        keys, est_num, est_den, agreed, seed, (passes, hash_rounds), expected = self.CASES[case]
         a, b = keys()
-        ra, rb, a_end, _ = reconcile_pair(a, b, est_num, est_den, cfg=cfg, seed=seed)
+        ra, rb, a_end, _ = reconcile_pair(a, b, est_num, est_den, passes=agreed, seed=seed)
         assert ra.verified and rb.verified and np.array_equal(ra.corrected_key, b)
         assert (ra.passes_run, ra.hash_rounds) == (passes, hash_rounds)
         digest = hashlib.sha256(b"".join(a_end.frames))
@@ -568,14 +566,3 @@ class TestVerifyHash:
         key = stream(3, "key").integers(0, 2, 300).astype(np.uint8)
         assert len(_verify_hash_bits(key, 1, nbits)) == math.ceil(nbits / 8)
 
-
-class TestReconConfig:
-    def test_sample_fraction_bounds(self):
-        with pytest.raises(ValueError):
-            ReconConfig(sample_fraction=0.6)
-        with pytest.raises(ValueError):
-            ReconConfig(sample_fraction=0.0)
-
-    def test_minimum_passes(self):
-        with pytest.raises(ValueError):
-            ReconConfig(passes=1)

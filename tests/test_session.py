@@ -9,6 +9,7 @@ import threading
 import time
 import tracemalloc
 import weakref
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -24,7 +25,6 @@ from fsqkd.messages import (
     SiftIndices,
 )
 from fsqkd.params import ProtocolParams
-from fsqkd.reconciliation import ReconConfig
 from fsqkd.rng import random_bits, stream
 from fsqkd.session import (
     _GATHER_CHUNK,
@@ -48,8 +48,25 @@ from fixtures import decoded
 def small_run():
     params = ProtocolParams(mean_photon_number=0.5, rng_seed=31)
     cfg = SessionConfig(pulses=300_000, block_size=50_000,
-                        recon=ReconConfig(sample_fraction=0.05))
+                        sample_fraction=0.05)
     return params, cfg, run_simulation(params, cfg)
+
+
+@pytest.fixture(scope="module")
+def clean_run():
+    """A noiseless link: sampling finds no error."""
+    params = ProtocolParams(mean_photon_number=0.5, rng_seed=77,
+                            background_prob_per_gate=0.0,
+                            dark_count_rate_hz=0.0,
+                            optical_error_prob=0.0)
+    return run_simulation(params, SessionConfig(pulses=200_000, block_size=50_000))
+
+
+@pytest.fixture(scope="module")
+def no_yield_run():
+    """A source too dim for any secret yield."""
+    params = ProtocolParams(mean_photon_number=0.02, rng_seed=5)
+    return run_simulation(params, SessionConfig(pulses=400_000, block_size=100_000))
 
 
 @pytest.fixture(scope="module")
@@ -135,13 +152,16 @@ class TestPipeline:
         r = sim.report
         assert r.secret_len <= r.corrected_len <= r.sifted_len <= r.pulses
 
-    def test_parties_agree(self, small_run):
-        _params, _cfg, sim = small_run
-        assert np.array_equal(sim.alice.secret_bits, sim.bob.secret_bits)
-        assert sim.alice.frames == sim.bob.frames
-        assert sim.alice.report.disclosed_bits == sim.bob.report.disclosed_bits
-        assert sim.alice.report.corrected_len == sim.bob.report.corrected_len
-        assert sim.alice.report.est_ber == sim.bob.report.est_ber
+    def test_parties_agree(self, small_run, clean_run, no_yield_run):
+        # -1 marks the fields only one party fills: Bob's simulation truth
+        # and Alice's flip count; every other field each party computes
+        # from its own session, the estimate and the sample included
+        one_party = {f.name for f in fields(SessionReport) if f.default == -1}
+        for sim in (small_run[2], clean_run, no_yield_run):
+            assert np.array_equal(sim.alice.secret_bits, sim.bob.secret_bits)
+            assert sim.alice.frames == sim.bob.frames
+            for name in {f.name for f in fields(SessionReport)} - one_party - {"role"}:
+                assert getattr(sim.alice.report, name) == getattr(sim.bob.report, name), name
 
     def test_replay_reproduces_every_count(self, small_run):
         params, cfg, sim = small_run
@@ -178,16 +198,11 @@ class TestPipeline:
 
 
 class TestCleanChannelPath:
-    def test_zero_estimate_runs_screening_pass(self):
+    def test_zero_estimate_runs_screening_pass(self, clean_run):
         # noiseless link: sampling finds nothing, one cheap parity pass
         # screens the whole key, and the report's infinite efficiency
         # ratio survives serialization
-        params = ProtocolParams(mean_photon_number=0.5, rng_seed=77,
-                                background_prob_per_gate=0.0,
-                                dark_count_rate_hz=0.0,
-                                optical_error_prob=0.0)
-        cfg = SessionConfig(pulses=200_000, block_size=50_000)
-        sim = run_simulation(params, cfg)
+        sim = clean_run
         r = sim.report
         assert r.est_errors == 0
         assert r.verified
@@ -200,10 +215,8 @@ class TestCleanChannelPath:
 
 
 class TestNoYieldPath:
-    def test_dim_source_produces_empty_secret(self):
-        params = ProtocolParams(mean_photon_number=0.02, rng_seed=5)
-        cfg = SessionConfig(pulses=400_000, block_size=100_000)
-        sim = run_simulation(params, cfg)
+    def test_dim_source_produces_empty_secret(self, no_yield_run):
+        sim = no_yield_run
         assert sim.report.no_yield
         assert sim.report.secret_len == 0
         assert len(sim.alice.secret_bits) == 0
@@ -211,6 +224,24 @@ class TestNoYieldPath:
         # beyond the estimation sample
         assert sim.report.ec_disclosed_bits == 0
         assert sim.report.recon_passes == 0
+
+
+class TestSessionConfig:
+    def test_sample_fraction_bounds(self):
+        with pytest.raises(ValueError):
+            SessionConfig(sample_fraction=0.6)
+        with pytest.raises(ValueError):
+            SessionConfig(sample_fraction=0.0)
+
+    def test_minimum_passes(self):
+        with pytest.raises(ValueError):
+            SessionConfig(passes=1)
+
+    def test_maximum_passes(self):
+        # each agreed pass sizes both parties' pass tables before pass 1
+        assert SessionConfig(passes=32).passes == 32
+        with pytest.raises(ValueError, match=r"\[2, 32\]"):
+            SessionConfig(passes=33)
 
 
 class TestReportSerialization:
@@ -343,7 +374,7 @@ class TestHostilePeer:
             **{**kw, "est_den": kw["est_den"] + 1}))
         params = ProtocolParams(mean_photon_number=0.5, rng_seed=417)
         cfg = SessionConfig(pulses=200_000, block_size=50_000, timeout_s=5.0,
-                            recon=ReconConfig(sample_fraction=0.05))
+                            sample_fraction=0.05)
         with pytest.raises(SessionAborted, match="differs from the correction estimate"):
             run_simulation(params, cfg)
 
@@ -359,7 +390,7 @@ class TestFaultInjection:
         party's exception."""
         params = ProtocolParams(mean_photon_number=0.5, rng_seed=417)
         cfg = SessionConfig(pulses=200_000, block_size=50_000, timeout_s=5.0,
-                            recon=ReconConfig(sample_fraction=0.05))
+                            sample_fraction=0.05)
         a_end, b_end = loopback_pair(timeout_s=cfg.timeout_s)
         damaged_end = {"alice": a_end, "bob": b_end}[sender]
         send_frame, sent = damaged_end._send_frame, itertools.count()
@@ -421,7 +452,7 @@ class TestFaultInjection:
 GOLDEN_CASES = [
     pytest.param(ProtocolParams(mean_photon_number=0.5, rng_seed=417),
                  SessionConfig(pulses=200_000, block_size=50_000,
-                               recon=ReconConfig(sample_fraction=0.05)),
+                               sample_fraction=0.05),
                  "d8ea3d69b68c47922836332e615b221503c199a05d14c3db62678f896a525221",
                  "4c6083e9ec8e0be17dd5c1272fea5bc94230910605e9309604153fa2a3faafa8",
                  id="nbar0.5-seed417"),
@@ -559,10 +590,10 @@ class TestDeadArrays:
             refs["bob"] = weakref.ref(ticks)
             return ticks, bits
 
-        def reconcile(key, endpoint, config, role, *args, **kwargs):
+        def reconcile(key, endpoint, passes, role, *args, **kwargs):
             gc.collect()
             alive[role] = refs[role]() is not None
-            return session_reconcile(key, endpoint, config, role, *args, **kwargs)
+            return session_reconcile(key, endpoint, passes, role, *args, **kwargs)
 
         monkeypatch.setattr(session, "sift", sift)
         monkeypatch.setattr(session, "bob_receive", bob_receive)
