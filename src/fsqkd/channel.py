@@ -117,17 +117,17 @@ def _click_cdf(p_click: float, nbar: float, photon_count_override: int | None) -
     return np.cumsum(w) / w.sum()
 
 
-def simulate_block(alice_bits: np.ndarray, first_tick: int, params: ProtocolParams,
+def simulate_block(alice_bits: np.ndarray, first_tick: int, n: int, params: ProtocolParams,
                    eta_system_now: float, rng: np.random.Generator,
                    photon_count_override: int | None = None) -> DetectionBatch:
-    """Simulate one block of gates with a fixed system efficiency.
+    """Simulate the n gates from tick ``first_tick`` on at a fixed system efficiency.
 
     Draw order is fixed: the number of fired gates, their positions, three
     uniforms per fired gate (signal, detector 0 noise, detector 1 noise),
     one click-count uniform per signal gate, then one flip uniform per
-    click, so a block is fully determined by its stream.
+    click, so a block is fully determined by its stream.  ``alice_bits``
+    is read only at the fired ticks.
     """
-    n = len(alice_bits)
     p_click = params.eta_q * eta_system_now
     if photon_count_override is None:
         p_signal = -math.expm1(-params.mean_photon_number * p_click)
@@ -147,12 +147,12 @@ def simulate_block(alice_bits: np.ndarray, first_tick: int, params: ProtocolPara
         picks = np.searchsorted(cdf, rng.random(int(signal.sum())), side="right")
         clicks[signal] = 1 + np.minimum(picks, len(cdf) - 1)
     u_flip = rng.random(int(clicks.sum()))
+    ticks = fired + first_tick
     outcomes, causes = _kernels.channel_outcomes(
-        np.ascontiguousarray(alice_bits[fired], dtype=np.uint8), clicks, u[1:], u_flip,
+        np.ascontiguousarray(alice_bits[ticks], dtype=np.uint8), clicks, u[1:], u_flip,
         p_bg_half, p_dark, params.optical_error_prob,
     )
-    return DetectionBatch(ticks=fired + first_tick,
-                          outcomes=outcomes, causes=causes)
+    return DetectionBatch(ticks=ticks, outcomes=outcomes, causes=causes)
 
 
 @dataclass
@@ -170,9 +170,9 @@ def simulate_channel(alice_bits: np.ndarray, params: ProtocolParams, seed: int,
                      block_size: int, photon_count_override: int | None = None) -> ChannelRun:
     """Run the full channel in blocks, redrawing eta_system per block.
 
-    ``alice_bits`` is read only through ``len`` and one slice per block,
-    ``alice_bits[start : start + block_size]``, so it may be a bit array
-    or the session's packed raw bits.  For a fixed efficiency set
+    ``alice_bits`` is read only through ``len`` and one index array of
+    fired ticks per block, so it may be a bit array or the session's
+    packed raw bits.  For a fixed efficiency set
     ``eta_system_sigma=0``: every block then runs at ``eta_system_mean``.
     Efficiency and gate draws come from separate streams, so fixing the
     efficiency leaves the gate stream as it is.
@@ -183,6 +183,6 @@ def simulate_channel(alice_bits: np.ndarray, params: ProtocolParams, seed: int,
     batches = []
     for b, start in enumerate(range(0, n, block_size)):
         eta_now = draw_eta_system(params, stream(seed, f"eta/{b}"))
-        batches.append(simulate_block(alice_bits[start : start + block_size], start, params,
+        batches.append(simulate_block(alice_bits, start, min(block_size, n - start), params,
                                       eta_now, stream(seed, f"gates/{b}"), photon_count_override))
     return ChannelRun(detections=DetectionBatch.concatenate(batches))

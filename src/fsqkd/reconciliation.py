@@ -23,7 +23,10 @@ A seeded Toeplitz hash of the corrected key closes the exchange: the
 universal family privacy amplification also uses, drawn as n + 127 bits
 for a digest of ``HASH_BITS`` = 128 bits, a protocol constant, so a
 wrong key passes a round with probability 2^-128.  On mismatch one extra
-pass runs before the session aborts.  Keys are uint8 arrays of 0/1 bits.
+pass runs before the session aborts.  What both parties agreed (the
+estimate, the key length and ``passes``) fixes every pass and hash of
+that exchange (``correction_plan``); both follow it in one loop
+(``_follow_plan``), and Alice aborts any announcement off it.  Keys are uint8 arrays of 0/1 bits.
 Disclosure is what the endpoint's ``disclosed_bits`` grows by over the
 exchange (``leak_meter``, counted as frames pass): block parities plus
 one bit per bisection answer, never queries, seeds or indices.
@@ -94,6 +97,17 @@ def block_schedule(est: float, n: int, passes: int) -> list[int]:
     k1 = int(round(BLOCK_SIZE_FACTOR / est))
     k1 = max(BLOCK_SIZE_MIN, min(BLOCK_SIZE_MAX, k1))
     return [min(k1 << (p - 1), BLOCK_SIZE_MAX, max(n, BLOCK_SIZE_MIN)) for p in range(1, passes + 1)]
+
+
+def correction_plan(est: float, n: int, passes: int) -> list[int]:
+    """Block size of every pass Bob may run: the schedule, then the extra pass.
+
+    The extra pass runs only when the hash after the schedule differs.  It
+    restarts near the bottom of the ladder: whatever survived the doubling
+    schedule was hiding in overloaded blocks.
+    """
+    schedule = block_schedule(est, n, passes)
+    return schedule + [schedule[min(1, len(schedule) - 1)]]
 
 
 # No session calls this since Cascade replaced Hamming correction; it stays
@@ -177,22 +191,21 @@ class _AliceCorrector:
     position, ``inv[p]`` maps a key position to its g in pass p,
     ``known`` marks the g whose prefix parity Bob has disclosed and
     ``bob_prefix`` holds it.  A block is named by the g of its start,
-    and the wire id of g is g - g // (n + 1).  The table holds room for
-    the agreed passes and the one extra from the start, so building a
-    pass copies none of the others; the extra pass's room stays untouched
-    unless that pass runs.  ``perm`` and ``inv`` hold int32 whenever
-    every g fits, which is any key a session can carry: 10 bytes per key
-    bit and pass, against 18 with int64.
+    and the wire id of g is g - g // (n + 1).  The table holds a row for
+    every pass of the plan from the start, so building a pass copies none
+    of the others; the extra pass's row stays untouched unless that pass
+    runs.  ``perm`` and ``inv`` hold int32 whenever every g fits, which is
+    any key a session can carry: 10 bytes per key bit and pass, against
+    18 with int64.
     """
 
-    def __init__(self, bits: np.ndarray, endpoint: Endpoint, passes: int):
+    def __init__(self, bits: np.ndarray, endpoint: Endpoint, rows: int):
         n = len(bits)
         self.bits = bits
         self.endpoint = endpoint
         self.stride = n + 1
         self.built = 0
-        # the agreed passes and the one extra; int32 when every g fits
-        rows = passes + 1
+        # int32 when every g fits
         index = np.int32 if rows * self.stride <= 2**31 else np.int64
         self.block_sizes = np.zeros(rows, dtype=np.int64)
         self.perm = np.empty(rows * self.stride, dtype=index)
@@ -201,15 +214,11 @@ class _AliceCorrector:
         self.bob_prefix = np.zeros(rows * self.stride, dtype=np.uint8)
         self.flips = 0
 
-    def begin_pass(self, announce: ShuffleSeed, bob_parities: np.ndarray) -> np.ndarray:
-        """Build the announced pass; return its blocks that disagree with Bob."""
-        if announce.pass_no != self.built + 1:
-            self.endpoint.fail(f"pass {announce.pass_no} announced out of order")
-        if announce.block_size < 1:
-            self.endpoint.fail("block size must be positive")
+    def begin_pass(self, seed: int, block_size: int, bob_parities: np.ndarray) -> np.ndarray:
+        """Build the next pass; return its blocks that disagree with Bob."""
         n = len(self.bits)
         # a block longer than the key is the whole key
-        block_size = min(announce.block_size, n)
+        block_size = min(block_size, n)
         starts, ends = _block_bounds(n, block_size)
         if len(bob_parities) != len(starts):
             self.endpoint.fail("block parity count mismatch")
@@ -217,7 +226,7 @@ class _AliceCorrector:
         p, base = self.built, self.built * self.stride
         self.block_sizes[p] = block_size
         perm = self.perm[base : base + n]
-        perm[:] = _permutation(announce.seed, announce.pass_no, n)
+        perm[:] = _permutation(seed, p + 1, n)
         self.inv[p, perm] = np.arange(base, base + n, dtype=self.inv.dtype)
         self.known[base + starts] = True
         self.known[base + n] = True
@@ -320,65 +329,71 @@ class _AliceCorrector:
 
 
 def _outcome(bits: np.ndarray, disclosed: int, est: float,
-             verified: bool, passes_run: int, flips: int, hash_rounds: int) -> ReconOutcome:
-    """Package the corrected key with the bits its exchange disclosed."""
+             passes_run: int, hash_rounds: int, flips: int) -> ReconOutcome:
+    """Package the verified key with the bits its exchange disclosed."""
     f_est = shannon_leak_per_bit(est)
     efficiency = (disclosed / (f_est * len(bits))) if f_est > 0 else (
         0.0 if disclosed == 0 else math.inf)
     return ReconOutcome(corrected_key=bits, estimated_ber=est,
                         disclosed_bits=disclosed, efficiency=efficiency,
-                        verified=verified, passes_run=passes_run,
+                        verified=True, passes_run=passes_run,
                         flips=flips, hash_rounds=hash_rounds)
+
+
+def _follow_plan(plan: list[int], run_pass, hash_round) -> tuple[int, int] | None:
+    """The loop both parties run: the scheduled passes, a hash, and on a
+    mismatch the extra pass and a last hash.
+
+    ``run_pass(pass_no, block_size)`` runs one pass of the plan and
+    ``hash_round()`` one hash round, true when the digests match.  Returns
+    the passes and hash rounds run up to the matching hash, or None when
+    the last hash differs too.
+    """
+    for pass_no, block_size in enumerate(plan, start=1):
+        run_pass(pass_no, block_size)
+        if pass_no >= len(plan) - 1 and hash_round():
+            return pass_no, pass_no + 2 - len(plan)
+    return None
 
 
 def _reconcile_alice(key: np.ndarray, endpoint: Endpoint, passes: int, est: float,
                      first_message=None) -> ReconOutcome:
     bits = np.array(key, dtype=np.uint8)
-    corr = _AliceCorrector(bits, endpoint, passes)
+    plan = correction_plan(est, len(bits), passes)
+    corr = _AliceCorrector(bits, endpoint, len(plan))
     disclosed_before = endpoint.disclosed_bits
-    passes_run = 0
-    hash_rounds = 0
-    verified = False
-    # Bob hashes once after the agreed passes and once after the extra
-    # one; each digest is a key-sized product that discloses HASH_BITS more
-    pass_since_hash = False
-    while True:
-        if first_message is not None:
-            message, first_message = first_message, None
-        else:
-            message = endpoint.expect(Kind.SHUFFLE_SEED, Kind.VERIFY_HASH)
-        if message.kind is Kind.SHUFFLE_SEED:
-            announce = message.payload
-            # Bob runs the agreed passes and at most one extra; each pass
-            # costs Alice several key-sized arrays for a few bytes of frames
-            if announce.pass_no > passes + 1:
-                endpoint.fail(f"pass {announce.pass_no} beyond the {passes} "
-                              f"agreed passes and one extra")
-            parity_msg = endpoint.expect(Kind.BLOCK_PARITY).payload
-            if parity_msg.pass_no != announce.pass_no:
-                endpoint.fail("parity pass number mismatch")
-            odd_blocks = corr.begin_pass(announce, parity_msg.parities)
-            corr.drain(odd_blocks)
-            passes_run += 1
-            pass_since_hash = True
-        else:
-            theirs = message.payload
-            # the length is fixed by the protocol; hashing a length the
-            # peer picks would cost a key-sized row per bit
-            if theirs.nbits != HASH_BITS:
-                endpoint.fail(f"verify hash of {theirs.nbits} bits, agreed {HASH_BITS}")
-            if not pass_since_hash:
-                endpoint.fail("verify hash with no pass since the start or the last hash")
-            pass_since_hash = False
-            hash_rounds += 1
-            mine = _verify_hash_bits(bits, theirs.seed, HASH_BITS)
-            endpoint.send(VerifyHash(seed=theirs.seed, digest=mine, nbits=HASH_BITS))
-            if mine == theirs.digest:
-                verified = True
-                break
-            # Bob decides: one extra pass arrives next, or an abort.
-    return _outcome(bits, endpoint.disclosed_bits - disclosed_before, est,
-                    verified, passes_run, corr.flips, hash_rounds)
+    first = first_message or endpoint.expect(Kind.SHUFFLE_SEED)
+    est_counts = (first.payload.est_num, first.payload.est_den)
+
+    def run_pass(pass_no: int, block_size: int) -> None:
+        announce = (first if pass_no == 1 else endpoint.expect(Kind.SHUFFLE_SEED)).payload
+        # each pass costs Alice several key-sized arrays, so Bob may run
+        # only the plan both parties derive, under pass 1's estimate
+        announced = (announce.pass_no, announce.block_size, announce.est_num, announce.est_den)
+        planned = (pass_no, block_size, *est_counts)
+        if announced != planned:
+            endpoint.fail(f"pass, block size and estimate {announced} off the plan {planned}")
+        parity_msg = endpoint.expect(Kind.BLOCK_PARITY).payload
+        if parity_msg.pass_no != pass_no:
+            endpoint.fail("parity pass number mismatch")
+        corr.drain(corr.begin_pass(announce.seed, block_size, parity_msg.parities))
+
+    def hash_round() -> bool:
+        theirs = endpoint.expect(Kind.VERIFY_HASH).payload
+        # the length is fixed by the protocol; hashing a length the
+        # peer picks would cost a key-sized row per bit
+        if theirs.nbits != HASH_BITS:
+            endpoint.fail(f"verify hash of {theirs.nbits} bits, agreed {HASH_BITS}")
+        mine = _verify_hash_bits(bits, theirs.seed, HASH_BITS)
+        endpoint.send(VerifyHash(seed=theirs.seed, digest=mine, nbits=HASH_BITS))
+        return mine == theirs.digest
+
+    run = _follow_plan(plan, run_pass, hash_round)
+    if run is None:
+        # Bob ends the session after the last mismatch: his Abort raises
+        # here, and anything else is out of turn
+        endpoint.expect(Kind.ABORT)
+    return _outcome(bits, endpoint.disclosed_bits - disclosed_before, est, *run, corr.flips)
 
 
 def _bisection_answers(ids: np.ndarray, prefixes: np.ndarray) -> np.ndarray:
@@ -418,42 +433,27 @@ def _reconcile_bob(key: np.ndarray, endpoint: Endpoint, passes: int, est: float,
                    est_counts: tuple[int, int], rng: np.random.Generator) -> ReconOutcome:
     bits = np.array(key, dtype=np.uint8)
     disclosed_before = endpoint.disclosed_bits
-    schedule = block_schedule(est, len(bits), passes)
-    # room for the scheduled passes and the one extra
-    prefixes = np.zeros((len(schedule) + 1) * len(bits), dtype=np.uint8)
-    passes_run = 0
-    hash_rounds = 0
-    verified = False
-    for pass_no, block_size in enumerate(schedule, start=1):
-        _serve_pass(endpoint, prefixes, bits, pass_no, draw_seed(rng),
-                    block_size, est_counts)
-        passes_run += 1
-    extra_available = True
-    while True:
+    plan = correction_plan(est, len(bits), passes)
+    prefixes = np.zeros(len(plan) * len(bits), dtype=np.uint8)
+
+    def run_pass(pass_no: int, block_size: int) -> None:
+        _serve_pass(endpoint, prefixes, bits, pass_no, draw_seed(rng), block_size, est_counts)
+
+    def hash_round() -> bool:
         hash_seed = draw_seed(rng)
         mine = _verify_hash_bits(bits, hash_seed, HASH_BITS)
         endpoint.send(VerifyHash(seed=hash_seed, digest=mine, nbits=HASH_BITS))
-        hash_rounds += 1
         theirs = endpoint.expect(Kind.VERIFY_HASH).payload
         # a digest under another seed or length says nothing about the keys
         if theirs.seed != hash_seed or theirs.nbits != HASH_BITS:
             endpoint.fail(f"verify hash echo of seed {theirs.seed} and {theirs.nbits} bits, "
                           f"sent seed {hash_seed} and {HASH_BITS} bits")
-        if theirs.digest == mine:
-            verified = True
-            break
-        if not extra_available:
-            endpoint.fail("corrected keys still differ after extra pass")
-        extra_available = False
-        pass_no = passes_run + 1
-        # restart near the bottom of the ladder: whatever survived the
-        # doubling schedule was hiding in overloaded blocks
-        extra_k = schedule[min(1, len(schedule) - 1)]
-        _serve_pass(endpoint, prefixes, bits, pass_no, draw_seed(rng),
-                    extra_k, est_counts)
-        passes_run += 1
-    return _outcome(bits, endpoint.disclosed_bits - disclosed_before, est,
-                    verified, passes_run, 0, hash_rounds)
+        return theirs.digest == mine
+
+    run = _follow_plan(plan, run_pass, hash_round)
+    if run is None:
+        endpoint.fail("corrected keys still differ after extra pass")
+    return _outcome(bits, endpoint.disclosed_bits - disclosed_before, est, *run, 0)
 
 
 def reconcile(key: np.ndarray, endpoint: Endpoint, passes: int, role: str, est: float,
@@ -463,11 +463,13 @@ def reconcile(key: np.ndarray, endpoint: Endpoint, passes: int, role: str, est: 
     """Run one side of the correction exchange; ``role`` is alice or bob.
 
     Alice ends up with Bob's key (he is the reference).  ``est`` is the
-    error estimate both parties agreed on; Bob announces it with each pass
-    as ``est_counts``, the sample's disagreements and size.  The input key
-    is left as it is; the outcome carries a corrected copy.
-    ``first_message`` lets a caller hand Alice a message it already pulled
-    off the channel.
+    error estimate both parties agreed on, and with the key length and
+    ``passes`` it fixes the plan of passes (``correction_plan``).  Bob
+    announces the estimate with each pass as ``est_counts``, the sample's
+    disagreements and size; Alice aborts any pass that differs from the
+    plan or from pass 1's estimate.  The input key is left as it is; the
+    outcome carries a corrected copy.  ``first_message`` lets a caller
+    hand Alice pass 1's ``ShuffleSeed`` it already pulled off the channel.
     """
     if len(key) == 0:
         raise ValueError("cannot reconcile an empty key")
@@ -498,16 +500,13 @@ def estimate_ber_bob(key: np.ndarray, endpoint: Endpoint, sample_size: int,
     return disagreements, np.delete(key, positions)
 
 
-def estimate_ber_alice(key: np.ndarray, endpoint: Endpoint, sample_size: int,
-                       first_message=None) -> np.ndarray:
+def estimate_ber_alice(key: np.ndarray, endpoint: Endpoint, sample_size: int) -> np.ndarray:
     """Alice's half: reveal the requested bits, drop the same positions.
 
     The request must name exactly the agreed ``sample_size`` positions,
     at least one: a larger sample could reveal the whole key.
     """
-    if first_message is None:
-        first_message = endpoint.expect(Kind.SAMPLE_REQUEST)
-    positions = first_message.payload.positions
+    positions = endpoint.expect(Kind.SAMPLE_REQUEST).payload.positions
     if len(positions) != sample_size:
         endpoint.fail(f"sample request of {len(positions)} positions, agreed {sample_size}")
     if positions[-1] >= len(key):

@@ -7,7 +7,7 @@ error-correction reference, and chooses the privacy-amplification plan.
 Alice mirrors each phase and independently recomputes the plan; any
 disagreement aborts the session.  Both engines keep Alice's raw bits
 packed as they are drawn, eight to a byte (``PackedBits``), and unpack
-only the channel's current block and the bits at the detection ticks,
+only the bits at the channel's fired gates and at the detection ticks,
 gathered a fixed number of ticks at a time.  Each engine drops its
 per-pulse arrays and the sift indices as soon as the protocol is done
 with them: Alice her raw bits and the decoded indices right after
@@ -79,10 +79,10 @@ class SessionConfig:
             raise ValueError("block_size must be at least 1")
         if not 0.0 < self.sample_fraction < 0.5:
             raise ValueError("sample_fraction must lie in (0, 0.5)")
-        # Both parties size their pass tables for every agreed pass before
-        # pass 1 (about 10 bytes per key bit and pass for Alice, 1 for Bob),
-        # yet the block size reaches its maximum by pass 10 at the latest;
-        # 32 leaves room to spare and caps that cost.
+        # Both parties size their pass tables for the plan, the agreed passes
+        # and one extra, before pass 1 (about 10 bytes per key bit and pass
+        # for Alice, 1 for Bob), yet the block size reaches its maximum by
+        # pass 10 at the latest; 32 leaves room to spare and caps that cost.
         if not 2 <= self.passes <= 32:
             raise ValueError("passes must lie in [2, 32]")
         if not 0.0 < self.timeout_s < math.inf:
@@ -122,10 +122,10 @@ _GATHER_CHUNK = 1 << 14
 class PackedBits:
     """Alice's raw bits as they are drawn: ceil(n / 8) bytes per pulse block.
 
-    Reads like a read-only bit array where the engines use one: ``len``, a
-    slice of one whole block (the channel, block by block) and an index
-    array (sifting and the truth report, at the detection ticks).  Both
-    give unpacked uint8 bits, so no array of one byte per pulse exists.
+    Reads like a read-only bit array where the engines use one: ``len``
+    and an index array (the channel at its fired gates, sifting and the
+    truth report at the detection ticks), which gives unpacked uint8 bits,
+    so no array of one byte per pulse exists.
     """
 
     def __init__(self, n: int, block_size: int):
@@ -145,19 +145,17 @@ class PackedBits:
         return self.data[at : at + (min(self.block_size, self.n - start) + 7) // 8]
 
     def __getitem__(self, key) -> np.ndarray:
-        if isinstance(key, slice):
-            start, stop, step = key.indices(self.n)
-            if (step != 1 or start % self.block_size
-                    or stop != min(start + self.block_size, self.n)):
-                raise IndexError("packed bits are sliced one whole block at a time")
-            return np.unpackbits(self.block(start), count=stop - start)
         key = np.asarray(key, dtype=np.int64)
         bits = np.empty(len(key), dtype=np.uint8)
+        # every block before a tick's own ends in this many unused bits
+        pad = 8 * self.block_bytes - self.block_size
         for start in range(0, len(key), _GATHER_CHUNK):
-            block, offset = np.divmod(key[start : start + _GATHER_CHUNK], self.block_size)
-            packed = self.data[block * self.block_bytes + (offset >> 3)]
+            at = key[start : start + _GATHER_CHUNK]
+            if pad:
+                at = at + at // self.block_size * pad
+            packed = self.data[at >> 3]
             # the bit at MSB-first position p is the top bit of byte << p
-            packed <<= (offset & 7).astype(np.uint8)
+            packed <<= (at & 7).astype(np.uint8)
             np.right_shift(packed, 7, out=bits[start : start + _GATHER_CHUNK])
         return bits
 
@@ -470,18 +468,14 @@ def run_alice(endpoint: Endpoint, params: ProtocolParams, cfg: SessionConfig) ->
     # the raw bits and the indices are dead once sifted
     del alice_bits, indices
 
-    # the receiver samples a non-empty key; an empty one goes straight to
-    # the zero-length plan that declares the run hopeless
+    # the receiver samples exactly a non-empty key; an empty one goes
+    # straight to the zero-length plan that declares the run hopeless
     trimmed = sifted
     sampled_bits = 0
-    message = endpoint.expect(Kind.SAMPLE_REQUEST, Kind.SHUFFLE_SEED, Kind.PA_SEED)
-    if message.kind is Kind.SAMPLE_REQUEST:
-        trimmed = estimate_ber_alice(sifted, endpoint, cfg.sample_size(len(sifted)),
-                                     first_message=message)
+    if len(sifted):
+        trimmed = estimate_ber_alice(sifted, endpoint, cfg.sample_size(len(sifted)))
         sampled_bits = len(sifted) - len(trimmed)
-        message = endpoint.expect(Kind.SHUFFLE_SEED, Kind.PA_SEED)
-    elif len(sifted):
-        endpoint.fail(f"no sample taken of {len(sifted)} sifted bits")
+    message = endpoint.expect(Kind.SHUFFLE_SEED, Kind.PA_SEED)
     # both parties price privacy amplification from this estimate, so it
     # must be over exactly the bits she revealed
     est_errors, est_den = message.payload.est_num, message.payload.est_den

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from fsqkd.messages import (
-    Abort,
     BlockParity,
     Kind,
     SampleRequest,
@@ -318,10 +317,34 @@ class TestReconcile:
         assert not thread.is_alive()
         assert errors["b"].local and "not yet built" in errors["b"].reason
 
-    def test_pass_beyond_agreed_and_extra_aborts(self):
-        # Bob runs the agreed passes and one extra at most; a reference
-        # that keeps announcing one-parity passes would cost Alice several
-        # key-sized arrays per pass for a few bytes of frames
+    # Alice's plan for a 64-bit key at estimate 0: one screening pass of
+    # the whole key, a hash, then the extra pass of the same size and a
+    # last hash.  Each case plays the plan's steps in order, P a pass whose
+    # parity agrees and H a hash whose digest differs, before one message
+    # off the plan.
+    @pytest.mark.parametrize("steps, payload, error, reason", [
+        ("", ShuffleSeed(pass_no=2, seed=2, block_size=64), SessionAborted, "off the plan"),
+        ("PHPH", ShuffleSeed(pass_no=3, seed=3, block_size=64), ProtocolError,
+         "expected Abort, got ShuffleSeed"),
+        ("", VerifyHash(seed=2, digest=bytes(16), nbits=128), ProtocolError,
+         "expected ShuffleSeed, got VerifyHash"),
+        ("PH", VerifyHash(seed=2, digest=bytes(16), nbits=128), ProtocolError,
+         "expected ShuffleSeed, got VerifyHash"),
+        ("P", ShuffleSeed(pass_no=2, seed=2, block_size=64), ProtocolError,
+         "expected VerifyHash, got ShuffleSeed"),
+        # block sizes arrive as unbounded varints
+        ("", ShuffleSeed(pass_no=1, seed=1, block_size=65), SessionAborted, "off the plan"),
+        ("", ShuffleSeed(pass_no=1, seed=1, block_size=2**64 - 1), SessionAborted,
+         "off the plan"),
+        ("PH", ShuffleSeed(pass_no=2, seed=2, block_size=64, est_num=1, est_den=1),
+         SessionAborted, "off the plan"),
+    ], ids=["pass-out-of-order", "pass-beyond-the-plan", "hash-at-start", "hash-after-a-hash",
+            "pass-where-a-hash-is-due", "block-size-65", "block-size-2**64-1",
+            "later-estimate-differs"])
+    def test_announcement_off_the_plan_aborts(self, steps, payload, error, reason):
+        # each pass costs Alice several key-sized arrays and each hash a
+        # key-sized product and 128 disclosed bits, so she follows Bob only
+        # along the plan both derive from what they agreed
         n = 64
         bits = stream(8, "k").integers(0, 2, n).astype(np.uint8)
         parity = np.bitwise_xor.reduce(bits, keepdims=True)
@@ -331,92 +354,44 @@ class TestReconcile:
         def alice():
             try:
                 reconcile(bits, a_end, PASSES, "alice", 0.0)
-            except SessionAborted as exc:
+            except (SessionAborted, ProtocolError) as exc:
                 errors["a"] = exc
 
         thread = threading.Thread(target=alice)
         thread.start()
-        for pass_no in range(1, PASSES + 3):
-            b_end.send(ShuffleSeed(pass_no=pass_no, seed=pass_no, block_size=n))
-            if pass_no > PASSES + 1:
-                break
-            b_end.send(BlockParity(pass_no=pass_no, parities=parity))
-            # the parity agrees, so Alice closes the pass with an empty query
-            closing = b_end.expect(Kind.SYNDROME).payload
-            assert closing.pass_no == pass_no and len(closing.blocks) == 0
-        expect_abort(b_end, f"pass {PASSES + 2} beyond")
+        pass_no = 0
+        for step in steps:
+            if step == "P":
+                pass_no += 1
+                b_end.send(ShuffleSeed(pass_no=pass_no, seed=pass_no, block_size=n))
+                b_end.send(BlockParity(pass_no=pass_no, parities=parity))
+                # the parity agrees, so Alice closes the pass with an empty query
+                closing = b_end.expect(Kind.SYNDROME).payload
+                assert closing.pass_no == pass_no and len(closing.blocks) == 0
+            else:
+                # a wrong digest: Alice answers with hers and waits for Bob
+                b_end.send(VerifyHash(seed=1, digest=bytes(16), nbits=128))
+                assert b_end.expect(Kind.VERIFY_HASH).payload.nbits == 128
+        b_end.send(payload)
+        expect_abort(b_end, reason)
         thread.join(timeout=10.0)
         assert not thread.is_alive()
-        assert errors["a"].local and f"pass {PASSES + 2} beyond" in errors["a"].reason
-
-    @pytest.mark.parametrize("passes_first", [0, 1], ids=["at-start", "after-a-hash"])
-    def test_verify_hash_without_a_pass_aborts(self, passes_first):
-        # an honest reference hashes once after the agreed passes and once
-        # after the extra pass; back-to-back hash rounds would each cost
-        # Alice a key-sized product and disclose 128 more bits
-        n = 64
-        bits = stream(8, "k").integers(0, 2, n).astype(np.uint8)
-        parity = np.bitwise_xor.reduce(bits, keepdims=True)
-        a_end, b_end = loopback_pair(timeout_s=5.0)
-        errors = {}
-
-        def alice():
-            try:
-                reconcile(bits, a_end, PASSES, "alice", 0.0)
-            except SessionAborted as exc:
-                errors["a"] = exc
-
-        thread = threading.Thread(target=alice)
-        thread.start()
-        if passes_first:
-            b_end.send(ShuffleSeed(pass_no=1, seed=1, block_size=n))
-            b_end.send(BlockParity(pass_no=1, parities=parity))
-            assert len(b_end.expect(Kind.SYNDROME).payload.blocks) == 0
-            # a wrong digest: Alice answers with hers and waits for Bob
-            b_end.send(VerifyHash(seed=1, digest=bytes(16), nbits=128))
-            assert b_end.expect(Kind.VERIFY_HASH).payload.nbits == 128
-        b_end.send(VerifyHash(seed=2, digest=bytes(16), nbits=128))
-        expect_abort(b_end, "verify hash with no pass")
-        thread.join(timeout=10.0)
-        assert not thread.is_alive()
-        assert errors["a"].local and "verify hash with no pass" in errors["a"].reason
-
-    @pytest.mark.parametrize("block_size", [65, 2**64 - 1])
-    def test_block_longer_than_key_is_the_whole_key(self, block_size):
-        # block sizes arrive as unbounded varints; one past the key, or
-        # beyond any int64, is one block of the whole key
-        n = 64
-        bits = stream(8, "k").integers(0, 2, n).astype(np.uint8)
-        parity = np.bitwise_xor.reduce(bits, keepdims=True)
-        a_end, b_end = loopback_pair(timeout_s=5.0)
-        errors = {}
-
-        def alice():
-            try:
-                reconcile(bits, a_end, PASSES, "alice", 0.0)
-            except SessionAborted as exc:
-                errors["a"] = exc
-
-        thread = threading.Thread(target=alice)
-        thread.start()
-        b_end.send(ShuffleSeed(pass_no=1, seed=1, block_size=block_size))
-        b_end.send(BlockParity(pass_no=1, parities=parity ^ 1))
-        # the whole-key block disagrees: Alice bisects it
-        query = b_end.expect(Kind.SYNDROME).payload
-        assert query.blocks.tolist() == [n // 2]
-        b_end.send(Abort(reason="enough"))
-        thread.join(timeout=10.0)
-        assert not thread.is_alive()
-        assert not errors["a"].local and errors["a"].reason == "enough"
+        assert type(errors["a"]) is error and reason in str(errors["a"])
+        if error is SessionAborted:
+            assert errors["a"].local
 
     def test_verify_hash_of_unagreed_length_aborts(self):
         # the hash length is fixed by the protocol; a reference that asks
-        # for a longer hash gets an Abort and no digest
-        bits = stream(7, "k").integers(0, 2, 64).astype(np.uint8)
+        # for a longer hash after the planned pass gets an Abort and no digest
+        n = 64
+        bits = stream(7, "k").integers(0, 2, n).astype(np.uint8)
         a_end, b_end = loopback_pair(timeout_s=5.0)
+        b_end.send(ShuffleSeed(pass_no=1, seed=1, block_size=n))
+        b_end.send(BlockParity(pass_no=1, parities=np.bitwise_xor.reduce(bits, keepdims=True)))
         b_end.send(VerifyHash(seed=1, digest=bytes(16), nbits=2**20))
         with pytest.raises(SessionAborted, match="agreed 128"):
             reconcile(bits, a_end, PASSES, "alice", 0.0)
+        assert len(b_end.expect(Kind.SYNDROME).payload.blocks) == 0
         expect_abort(b_end, "agreed 128")
 
     def test_verify_hash_echo_of_another_seed_aborts(self):

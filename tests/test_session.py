@@ -28,7 +28,6 @@ from fsqkd.params import ProtocolParams
 from fsqkd.rng import random_bits, stream
 from fsqkd.session import (
     _GATHER_CHUNK,
-    PackedBits,
     SessionConfig,
     SessionReport,
     _caller_cpu,
@@ -99,9 +98,10 @@ class TestPackedBits:
         assert bits.data.nbytes == sum((min(block_size, pulses - start) + 7) // 8
                                        for start in range(0, pulses, block_size))
         for start in range(0, pulses, block_size):
-            got = bits[start : start + block_size]
+            block = np.arange(start, min(start + block_size, pulses))
+            got = bits[block]
             assert got.dtype == np.uint8
-            assert np.array_equal(got, expected[start : start + block_size])
+            assert np.array_equal(got, expected[block])
         ticks = np.sort(stream(9, "ticks").choice(pulses, min(pulses, 500), replace=False))
         gathered = bits[ticks]
         assert gathered.dtype == np.uint8
@@ -118,12 +118,6 @@ class TestPackedBits:
         bits = _derive_alice_bits(SessionConfig(pulses=pulses, block_size=block_size), 9)
         ticks = np.sort(stream(count, "ticks").choice(pulses, count, replace=False))
         assert np.array_equal(bits[ticks], expected[ticks])
-
-    @pytest.mark.parametrize("key", [slice(1, 11), slice(0, 5), slice(0, 10, 2)])
-    def test_slices_only_whole_blocks(self, key):
-        bits = PackedBits(25, 10)
-        with pytest.raises(IndexError):
-            bits[key]
 
     def test_traced_memory_per_pulse(self, traced_bytes_per_pulse):
         # Alice's raw bits take one bit per pulse; a byte per pulse, and the
@@ -334,13 +328,13 @@ class TestHostilePeer:
         self._expect_abort(b_end, thread, "no yield is possible")
         assert isinstance(errors["a"], SessionAborted)
 
-    @pytest.mark.parametrize("sample, reason", [
+    @pytest.mark.parametrize("sample, error, reason", [
         # 100 sifted bits, 10 of them revealed, an estimate over 1000
-        (np.arange(10), "estimate over 1000 bits, 10 sampled"),
+        (np.arange(10), SessionAborted, "estimate over 1000 bits, 10 sampled"),
         # the same estimate with no sample taken at all
-        (None, "no sample taken of 100 sifted bits"),
+        (None, ProtocolError, "expected SampleRequest, got ShuffleSeed"),
     ], ids=["unchecked-sample-size", "no-sample"])
-    def test_estimate_not_over_the_revealed_sample_aborts(self, sample, reason):
+    def test_estimate_not_over_the_revealed_sample_aborts(self, sample, error, reason):
         # both parties price privacy amplification from the estimate, so it
         # must be over exactly the bits Alice revealed
         b_end, _a_end, thread, errors = self._alice_against_fake_bob(np.arange(0, 1000, 10))
@@ -350,7 +344,7 @@ class TestHostilePeer:
         b_end.send(ShuffleSeed(pass_no=1, seed=1, block_size=2**20, est_num=0, est_den=1000))
         b_end.send(BlockParity(pass_no=1, parities=np.zeros(1, dtype=np.uint8)))
         self._expect_abort(b_end, thread, reason)
-        assert isinstance(errors["a"], SessionAborted)
+        assert isinstance(errors["a"], error)
 
     def test_sift_tick_out_of_range_aborts(self):
         # tick 1000 of a 1000-pulse session names no pulse Alice sent
@@ -526,6 +520,53 @@ class TestGoldenReplay:
         sim = golden_run(params, cfg)
         assert np.array_equal(sim.alice.secret_bits, sim.bob.secret_bits)
         assert key_sha256(sim) == secret
+
+
+def party_outcomes(params, cfg) -> list[bytes]:
+    """Run both engines over loopback; return each party's frames, then its
+    report and packed key, or the reason its session aborted."""
+    ends = dict(zip(("alice", "bob"), loopback_pair(timeout_s=cfg.timeout_s)))
+    outcomes = {}
+
+    def party(name, engine):
+        try:
+            result = engine(ends[name], params, cfg)
+            outcomes[name] = (result.report.to_kv().encode()
+                              + np.packbits(result.secret_bits).tobytes())
+        except SessionAborted as exc:
+            outcomes[name] = f"abort local={exc.local}: {exc.reason}".encode()
+
+    threads = [threading.Thread(target=party, args=("alice", run_alice)),
+               threading.Thread(target=party, args=("bob", run_bob))]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=2 * cfg.timeout_s)
+    return [part for name in ends for part in (b"".join(ends[name].frames), outcomes[name])]
+
+
+class TestShortSessions:
+    """300 default sessions of 50k pulses (seeds 1000-1299) replay to fixed
+    bytes: sha256 over both parties' frames with their report and key, or
+    their abort reason.
+
+    22 of them end in the extra-pass abort ("corrected keys still differ
+    after extra pass"), the short-session aborts a FOUND line of CHANGES.md
+    names; no golden session reaches that path.  ROADMAP item 1 changes
+    the plan those sessions correct under and mends the aborts, and then
+    re-records this digest on purpose.
+    """
+
+    def test_both_parties_bytes(self):
+        digest, aborts = hashlib.sha256(), 0
+        for seed in range(1000, 1300):
+            parts = party_outcomes(ProtocolParams(rng_seed=seed), SessionConfig(pulses=50_000))
+            aborts += parts[-1].startswith(b"abort")
+            for part in parts:
+                digest.update(part)
+        assert aborts == 22
+        assert digest.hexdigest() == (
+            "0546d980e7c71f709860d1581e7d9bde15cb907555b7ac7aa83d961c7fc5a568")
 
 
 def recount_disclosure(endpoint) -> int:
