@@ -398,7 +398,7 @@ def _reconcile_alice(key: np.ndarray, endpoint: Endpoint, passes: int, est: floa
 
 def _bisection_answers(ids: np.ndarray, prefixes: np.ndarray) -> np.ndarray:
     """Bob's parity of the first ``mid`` shuffled bits of pass p, for each id p * n + mid."""
-    return prefixes[ids]
+    return prefixes[ids] & 1
 
 
 def _serve_pass(endpoint: Endpoint, prefixes: np.ndarray, bits: np.ndarray,
@@ -406,9 +406,11 @@ def _serve_pass(endpoint: Endpoint, prefixes: np.ndarray, bits: np.ndarray,
                 est_counts: tuple[int, int]) -> None:
     """Bob's side of one pass: announce, disclose parities, answer queries.
 
-    ``prefixes`` is the table of every pass's prefix parities, entry
-    p * n + i the parity of the first i shuffled bits of pass p; this pass
-    fills its slice.
+    ``prefixes`` is the table of every pass's prefix parities: bit 0 of
+    entry p * n + i is the parity of the first i shuffled bits of pass p,
+    and bit 1 marks an entry already answered.  This pass fills its slice.
+    An honest peer keeps every answer, so a query that names an answered
+    id again ends the session instead of running without limit.
     """
     n = len(bits)
     endpoint.send(ShuffleSeed(pass_no=pass_no, seed=seed, block_size=block_size,
@@ -425,7 +427,10 @@ def _serve_pass(endpoint: Endpoint, prefixes: np.ndarray, bits: np.ndarray,
             return
         if query.blocks[-1] >= pass_no * n:
             endpoint.fail("bisection query names a pass not yet built")
+        if np.count_nonzero(prefixes[query.blocks] & 2):
+            endpoint.fail("bisection query repeats an answered position")
         answers = _bisection_answers(query.blocks, prefixes)
+        prefixes[query.blocks] |= 2
         endpoint.send(Syndrome(pass_no=pass_no, blocks=query.blocks, bits=answers))
 
 

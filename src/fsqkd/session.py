@@ -329,11 +329,14 @@ def _pa_output_length(outcome: ReconOutcome, nbar: float, sampled_bits: int) -> 
                               outcome.estimated_ber, c_eff, extra)
 
 
-def _expect_hello(endpoint: Endpoint) -> Hello:
+def _expect_hello(endpoint: Endpoint, params: ProtocolParams, cfg: SessionConfig) -> Hello:
+    """The peer's Hello; either party aborts on another version or configuration."""
     hello = endpoint.expect(Kind.HELLO).payload
     if hello.version != PROTOCOL_VERSION:
         endpoint.fail(f"protocol version mismatch: peer {hello.version}, "
                       f"local {PROTOCOL_VERSION}")
+    if hello.params_digest != session_digest(params, cfg):
+        endpoint.fail("session configuration mismatch")
     return hello
 
 
@@ -382,9 +385,7 @@ def run_bob(endpoint: Endpoint, params: ProtocolParams, cfg: SessionConfig) -> S
     """Receiver engine: channel host, reference key, plan chooser."""
     t0 = time.monotonic()
     seed = params.rng_seed
-    hello = _expect_hello(endpoint)
-    if hello.params_digest != session_digest(params, cfg):
-        endpoint.fail("session configuration mismatch")
+    _expect_hello(endpoint, params, cfg)
     endpoint.send(Hello(version=PROTOCOL_VERSION,
                         params_digest=session_digest(params, cfg), seed=seed))
 
@@ -430,20 +431,17 @@ def _attach_truth(report: SessionReport, alice_bits: PackedBits, ticks: np.ndarr
                   sifted: np.ndarray, detections: DetectionBatch) -> None:
     """Simulation-truth error decomposition, available on the channel host."""
     causes = detections.causes[detections.conclusive_mask()]
-    errors = sifted != alice_bits[ticks]
-    report.true_errors = int(np.count_nonzero(errors))
+    errors = sifted ^ alice_bits[ticks]
+    # entry 2 * cause + error: the sifted bits of each cause, right and wrong
+    counts = np.bincount(2 * causes + errors, minlength=8)
+    report.true_errors = int(counts[1::2].sum())
     report.true_ber = report.true_errors / len(sifted) if len(sifted) else 0.0
-    for cause, err_name, tot_name, comp_name in (
-        (Cause.SIGNAL, "errors_signal", "sifted_signal", "ber_signal_component"),
-        (Cause.BACKGROUND, "errors_background", "sifted_background", "ber_background_component"),
-        (Cause.DARK, "errors_dark", "sifted_dark", "ber_dark_component"),
-        (Cause.MIXED, "errors_mixed", "sifted_mixed", "ber_mixed_component"),
-    ):
-        sel = causes == cause
-        setattr(report, tot_name, int(np.count_nonzero(sel)))
-        err = int(np.count_nonzero(errors & sel))
-        setattr(report, err_name, err)
-        setattr(report, comp_name, err / len(sifted) if len(sifted) else 0.0)
+    for cause, name in ((Cause.SIGNAL, "signal"), (Cause.BACKGROUND, "background"),
+                        (Cause.DARK, "dark"), (Cause.MIXED, "mixed")):
+        err = int(counts[2 * cause + 1])
+        setattr(report, f"sifted_{name}", int(counts[2 * cause]) + err)
+        setattr(report, f"errors_{name}", err)
+        setattr(report, f"ber_{name}_component", err / len(sifted) if len(sifted) else 0.0)
     duals = detections.dual_fire_count()
     report.dual_fires = duals
     report.dual_per_gate = duals / report.pulses if report.pulses else 0.0
@@ -456,7 +454,7 @@ def run_alice(endpoint: Endpoint, params: ProtocolParams, cfg: SessionConfig) ->
     t0 = time.monotonic()
     endpoint.send(Hello(version=PROTOCOL_VERSION,
                         params_digest=session_digest(params, cfg), seed=0))
-    seed = _expect_hello(endpoint).seed
+    seed = _expect_hello(endpoint, params, cfg).seed
 
     alice_bits = _derive_alice_bits(cfg, seed)
     # the index codec admits only strictly increasing, non-negative ticks,

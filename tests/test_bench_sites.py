@@ -6,7 +6,7 @@ of those names, or stops calling it through its module, would otherwise
 only show when the benchmark runs.  This test loads the tracer from its
 source (without writing bytecode next to it), runs one traced session and
 checks that every wrapped layer recorded a span.  A second test runs the
-benchmark's worker on one workload, so a change to ``SessionConfig`` or to
+benchmark's worker on two workloads, so a change to ``SessionConfig`` or to
 a signature the tracer wraps shows here too.
 """
 
@@ -117,16 +117,26 @@ def test_every_traced_layer_records_a_span():
         assert disclosed[0] > 0, party
 
 
-def test_worker_runs_the_default_workload():
-    # the benchmark's own worker in a fresh interpreter, as the benchmark
-    # starts it; -B keeps bytecode out of perfbench/
-    done = subprocess.run([sys.executable, "-B", str(WORKER), "--workload", "default_1m",
+def run_worker(workload: str, sessions: int) -> None:
+    """The benchmark's own worker on one pass of ``workload``, checked."""
+    # a fresh interpreter, as the benchmark starts it; -B keeps bytecode
+    # out of perfbench/
+    done = subprocess.run([sys.executable, "-B", str(WORKER), "--workload", workload,
                            "--seconds", "0"], capture_output=True, text=True,
                           timeout=120, cwd=ROOT)
     assert done.returncode == 0, done.stderr
     result = json.loads(done.stdout.splitlines()[-1])
-    assert len(result["sessions"]) == 20
+    assert len(result["sessions"]) == sessions
     assert all(session["ok"] for session in result["sessions"])
     # the self-test flipped a key bit and saw the session fail
     assert result["errors"] == []
     assert [replay["ok"] for replay in result["replays"]] == [True]
+
+
+def test_worker_runs_the_default_workload():
+    run_worker("default_1m", 20)
+
+
+def test_worker_runs_the_bright_workload():
+    # one 32M-pulse session: a 640-block channel through many kernel batches
+    run_worker("bright_32m", 1)

@@ -1,11 +1,12 @@
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
 from fsqkd import _kernels
-from fsqkd.channel import Cause, Outcome, draw_eta_system, simulate_channel
+from fsqkd.channel import _KERNEL_CHUNK, Cause, Outcome, draw_eta_system, simulate_channel
 from fsqkd.params import ProtocolParams
 from fsqkd.rng import random_bits, stream
 
@@ -374,3 +375,55 @@ class TestChannelStatistics:
         p = 1.0 - math.exp(-nbar * eta_q * eta) * quiet ** 2
         z = (len(run.detections) - n * p) / math.sqrt(n * p * (1.0 - p))
         assert abs(z) < 5.0, z
+
+
+def _log_sha256(run):
+    det = run.detections
+    digest = hashlib.sha256()
+    for column in (det.ticks, det.outcomes, det.causes):
+        digest.update(np.ascontiguousarray(column).tobytes())
+    return digest.hexdigest()
+
+
+class TestKernelBatches:
+    """Blocks are drawn one by one and the kernel runs over batches of them.
+
+    The digests pin the detection log (ticks, outcomes, causes) at batch
+    edges: they were recorded while the kernel still ran once per block,
+    so batching must leave every outcome as it was.
+    """
+
+    @pytest.mark.parametrize("overrides, n, block_size, pco, seed, fired, digest", [
+        # 143 blocks of 7 pulses, nearly all empty, the last one too
+        (dict(mean_photon_number=0.5), 1_000, 7, None, 41, 12,
+         "9bc2aa8bec7929543bfdebb141a938e3ea7dc9460f5d30accb7a525192b23e2d"),
+        # one block whose fired gates exceed a kernel batch
+        (dict(mean_photon_number=5.0), 400_000, 400_000, None, 42, 20_556,
+         "3d7edd74ba323be08a0554a9518e37eec421d7169c2fa1ba472620a2b72af604"),
+        (dict(), 300_000, 50_000, 3, 43, 23_409,
+         "45a6b8a61b24ff425343ccc2efa6ec3d5728f0ac47e9ccbfa93779c6087cb453"),
+        (dict(mean_photon_number=0.5, eta_system_sigma=0.0), 300_000, 50_000, None, 44, 5_010,
+         "9e43da7e835616b887899b89dfda1505ca4980de0add125b0a2b9d0f38fdd345"),
+    ], ids=["tiny-blocks", "one-wide-block", "three-photons", "fixed-eta"])
+    def test_log_is_pinned(self, overrides, n, block_size, pco, seed, fired, digest):
+        bits = random_bits(stream(seed, "pin-bits"), n)
+        run = simulate_channel(bits, ProtocolParams(**overrides), seed=seed,
+                               block_size=block_size, photon_count_override=pco)
+        assert len(run.detections) == fired
+        assert run.detections.ticks.dtype == np.int64
+        assert _log_sha256(run) == digest
+
+    def test_tiny_blocks_end_in_an_empty_block(self):
+        bits = random_bits(stream(41, "pin-bits"), 1_000)
+        run = simulate_channel(bits, ProtocolParams(mean_photon_number=0.5), seed=41,
+                               block_size=7)
+        assert run.detections.ticks[-1] < 1_000 // 7 * 7
+
+    def test_one_kernel_call_per_batch(self, monkeypatch):
+        params = ProtocolParams(mean_photon_number=0.5)
+        calls = _recorded_kernel_calls(monkeypatch, params, 32 * 50_000, 7)
+        fired = sum(len(args[0]) for args, _ in calls)
+        assert fired > 2 * _KERNEL_CHUNK
+        assert len(calls) <= -(-fired // _KERNEL_CHUNK) + 1
+        # every batch but the last holds at least a full chunk
+        assert all(len(args[0]) >= _KERNEL_CHUNK for args, _ in calls[:-1])

@@ -18,6 +18,8 @@ from fsqkd.messages import (
 )
 from fsqkd.params import ProtocolParams
 from fsqkd.reconciliation import (
+    _permutation,
+    _shuffled_prefix,
     _verify_hash_bits,
     block_schedule,
     estimate_ber_alice,
@@ -316,6 +318,39 @@ class TestReconcile:
         thread.join(timeout=10.0)
         assert not thread.is_alive()
         assert errors["b"].local and "not yet built" in errors["b"].reason
+
+    @pytest.mark.parametrize("repeat", [[3, 10], [10, 20]], ids=["same-query", "one-id"])
+    def test_repeated_bisection_query_aborts(self, repeat):
+        # an honest peer keeps each answer; one that asks again would get
+        # answers without limit, so Bob ends the session at the first repeat
+        n = 64
+        bits = stream(6, "k").integers(0, 2, n).astype(np.uint8)
+        a_end, b_end = loopback_pair(timeout_s=5.0)
+        errors = {}
+
+        def bob():
+            try:
+                reconcile(bits, b_end, PASSES, "bob", 2 / n, (2, n),
+                          rng=stream(6, "bob-recon"))
+            except SessionAborted as exc:
+                errors["b"] = exc
+
+        start = time.monotonic()
+        thread = threading.Thread(target=bob)
+        thread.start()
+        seed = a_end.expect(Kind.SHUFFLE_SEED).payload.seed
+        a_end.expect(Kind.BLOCK_PARITY)
+        prefix = _shuffled_prefix(bits, _permutation(seed, 1, n))
+        for ids in ([3, 10], [5], repeat):
+            a_end.send(Syndrome(pass_no=1, blocks=np.array(ids, dtype=np.int64),
+                                bits=np.zeros(0, dtype=np.uint8)))
+            if ids is not repeat:
+                assert a_end.expect(Kind.SYNDROME).payload.bits.tolist() == prefix[ids].tolist()
+        expect_abort(a_end, "repeats an answered position")
+        thread.join(timeout=10.0)
+        assert not thread.is_alive()
+        assert errors["b"].local
+        assert time.monotonic() - start < 2.0
 
     # Alice's plan for a 64-bit key at estimate 0: one screening pass of
     # the whole key, a hash, then the extra pass of the same size and a

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fsqkd.rng import _DIAGONAL_CHUNK, stream, toeplitz_diagonal
+from fsqkd.rng import _DIAGONAL_CHUNK, random_bytes, stream, toeplitz_diagonal
 
 
 class TestSeededStreams:
@@ -30,3 +30,21 @@ class TestToeplitzDiagonal:
         got = toeplitz_diagonal(stream(9, "diagonal"), count)
         assert got.dtype == np.uint8
         assert np.array_equal(got, expected)
+
+
+class TestRandomBytes:
+    @pytest.mark.parametrize("k", [*range(21), 6_250])
+    def test_equals_uint8_integers(self, k):
+        # the raw 64-bit outputs, little-endian, are the bytes integers()
+        # draws from a fresh stream
+        expected = stream(8, "bytes").integers(0, 256, size=k, dtype=np.uint8)
+        got = random_bytes(stream(8, "bytes"), 8 * k)
+        assert got.dtype == np.uint8
+        assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("n", [1, 7, 9, 63, 65])
+    def test_rounds_up_to_whole_bytes(self, n):
+        got = random_bytes(stream(8, "bytes"), n)
+        assert len(got) == (n + 7) // 8
+        assert np.array_equal(got, stream(8, "bytes").integers(0, 256, size=len(got),
+                                                                 dtype=np.uint8))

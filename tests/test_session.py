@@ -264,28 +264,34 @@ class TestReportSerialization:
 class TestHostilePeer:
     """A receiver that breaks the protocol's rules gets an Abort from Alice."""
 
-    @staticmethod
-    def _alice_against_fake_bob(ticks):
-        """Start Alice, play Bob's Hello and SiftIndices; returns Bob's end,
-        Alice's end, her thread and the dict her exception lands in."""
-        params = ProtocolParams(rng_seed=4)
-        cfg = SessionConfig(pulses=1000, block_size=500, timeout_s=5.0)
+    PARAMS = ProtocolParams(rng_seed=4)
+    CFG = SessionConfig(pulses=1000, block_size=500, timeout_s=5.0)
+
+    @classmethod
+    def _start_alice(cls, digest):
+        """Start Alice and answer her Hello with ``digest``; returns Bob's
+        end, Alice's end, her thread and the dict her exception lands in."""
         a_end, b_end = loopback_pair(timeout_s=5.0)
         errors = {}
 
         def alice():
             try:
-                run_alice(a_end, params, cfg)
+                run_alice(a_end, cls.PARAMS, cls.CFG)
             except Exception as exc:
                 errors["a"] = exc
 
         thread = threading.Thread(target=alice)
         thread.start()
         b_end.expect(Kind.HELLO)
-        b_end.send(Hello(version=PROTOCOL_VERSION,
-                         params_digest=session_digest(params, cfg), seed=4))
-        b_end.send(SiftIndices(indices=np.asarray(ticks, dtype=np.int64)))
+        b_end.send(Hello(version=PROTOCOL_VERSION, params_digest=digest, seed=4))
         return b_end, a_end, thread, errors
+
+    @classmethod
+    def _alice_against_fake_bob(cls, ticks):
+        """Start Alice, play Bob's Hello and SiftIndices."""
+        started = cls._start_alice(session_digest(cls.PARAMS, cls.CFG))
+        started[0].send(SiftIndices(indices=np.asarray(ticks, dtype=np.int64)))
+        return started
 
     @staticmethod
     def _expect_abort(b_end, thread, reason_part):
@@ -294,6 +300,17 @@ class TestHostilePeer:
         assert not info.value.local
         thread.join(timeout=5.0)
         assert not thread.is_alive()
+
+    def test_hello_with_another_digest_aborts(self):
+        # a peer configured differently would derive other raw bits and
+        # price the key differently: Alice ends the session at its Hello
+        digest = bytearray(session_digest(self.PARAMS, self.CFG))
+        digest[5] ^= 0x10
+        b_end, a_end, thread, errors = self._start_alice(bytes(digest))
+        self._expect_abort(b_end, thread, "session configuration mismatch")
+        assert isinstance(errors["a"], SessionAborted)
+        # her Hello, the peer's and her Abort: nothing after the mismatch
+        assert [m.kind for m in decoded(a_end)] == [Kind.HELLO, Kind.HELLO, Kind.ABORT]
 
     @pytest.mark.parametrize("payload", [
         PaSeed(seed=1, output_length=0, est_num=5, est_den=1),
