@@ -34,7 +34,9 @@ zero-truncated click count, each click's detector and each detector's
 noise.  About 98% of gates never fire at the paper's operating points,
 so the detection log holds fired gates only.
 
-Blocks are drawn one by one, each from its own labelled streams, but the
+Blocks are drawn one by one, each from its own labelled streams
+(``eta/<b>`` and ``gates/<b>``, seeded for all blocks in one
+``rng.streams`` pass and built as each block is reached), but the
 per-gate arithmetic (``_kernels.channel_outcomes``) runs over batches of
 about 8k fired gates gathered from consecutive blocks.  The kernel works
 gate by gate with constants that do not change between blocks, so the
@@ -51,7 +53,7 @@ import numpy as np
 from . import _kernels
 from ._kernels import Cause, Outcome  # the kernel's codes, re-exported
 from .params import ProtocolParams
-from .rng import stream
+from .rng import stream, streams  # stream is unused here; the benchmark's tracer wraps it
 
 
 @dataclass
@@ -207,11 +209,15 @@ def simulate_channel(alice_bits: np.ndarray, params: ProtocolParams, seed: int,
     n = len(alice_bits)
     if block_size <= 0:
         raise ValueError("block_size must be positive")
+    starts = range(0, n, block_size)
+    rngs = streams(seed, [label for b in range(len(starts))
+                          for label in (f"eta/{b}", f"gates/{b}")])
     batches, drawn, pending = [], [], 0
-    for b, start in enumerate(range(0, n, block_size)):
-        eta_now = draw_eta_system(params, stream(seed, f"eta/{b}"))
+    # zip takes block b's two streams from ``rngs`` in turn: eta, then gates
+    for start, eta_rng, gates_rng in zip(starts, rngs, rngs):
+        eta_now = draw_eta_system(params, eta_rng)
         block = _draw_block(start, min(block_size, n - start), params, eta_now,
-                            stream(seed, f"gates/{b}"), photon_count_override)
+                            gates_rng, photon_count_override)
         if block is not None:
             drawn.append(block)
             pending += len(block[0])

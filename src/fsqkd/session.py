@@ -5,8 +5,9 @@ bits from the session seed exchanged at Hello, so no key material crosses
 the public channel), receives detections, drives estimation, acts as the
 error-correction reference, and chooses the privacy-amplification plan.
 Alice mirrors each phase and independently recomputes the plan; any
-disagreement aborts the session.  Both engines keep Alice's raw bits
-packed as they are drawn, eight to a byte (``PackedBits``), and unpack
+disagreement aborts the session.  Each engine seeds the ``alice-bits/<b>``
+streams of all blocks in one ``rng.streams`` pass and keeps Alice's raw
+bits packed as they are drawn, eight to a byte (``PackedBits``), and unpacks
 only the bits at the channel's fired gates and at the detection ticks,
 gathered a fixed number of ticks at a time.  Each engine drops its
 per-pulse arrays and the sift indices as soon as the protocol is done
@@ -58,7 +59,7 @@ from .reconciliation import (
     reconcile,
     shannon_leak_per_bit,
 )
-from .rng import draw_seed, stream
+from .rng import draw_seed, stream, streams
 from .transport import DEFAULT_TIMEOUT_S, Endpoint, loopback_pair
 
 
@@ -162,9 +163,11 @@ class PackedBits:
 
 def _derive_alice_bits(cfg: SessionConfig, seed: int) -> PackedBits:
     bits = PackedBits(cfg.pulses, cfg.block_size)
-    for b, start in enumerate(range(0, cfg.pulses, cfg.block_size)):
+    starts = range(0, cfg.pulses, cfg.block_size)
+    rngs = streams(seed, [f"alice-bits/{b}" for b in range(len(starts))])
+    for start, rng in zip(starts, rngs):
         n = min(cfg.block_size, cfg.pulses - start)
-        bits.block(start)[:] = alice_generate(n, stream(seed, f"alice-bits/{b}"))
+        bits.block(start)[:] = alice_generate(n, rng)
     return bits
 
 

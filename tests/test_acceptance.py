@@ -100,8 +100,8 @@ def test_criterion_4_ber_decomposition():
         errors = sifted != truth
         causes = run.detections.causes[run.detections.conclusive_mask()]
         total = errors.mean()
-        background = np.count_nonzero(errors & (causes == Cause.BACKGROUND)) / len(sifted)
-        dark = np.count_nonzero(errors & (causes == Cause.DARK)) / len(sifted)
+        background = np.count_nonzero(errors & (causes == Cause.BACKGROUND.value)) / len(sifted)
+        dark = np.count_nonzero(errors & (causes == Cause.DARK.value)) / len(sifted)
         ok = (abs(total - total_target) < 0.015
               and abs(background - background_target) < 0.015
               and dark < 0.001)

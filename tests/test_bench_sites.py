@@ -102,7 +102,9 @@ def test_every_traced_layer_records_a_span():
     names = {span[0]: span[1] for span in tracer.spans}
     stream_modules = {STREAM_CALLERS.get(names.get(span[5]))
                       for span in tracer.spans if span[1] == "rng.stream"}
-    assert {"session", "channel", "privacy", "reconciliation"} <= stream_modules
+    assert {"session", "privacy", "reconciliation"} <= stream_modules
+    # the channel seeds its per-block streams in one ``rng.streams`` pass
+    assert "channel" not in stream_modules
     # the per-layer verify-hash time is the sum of these spans, one per hash
     # each party computes
     for party, result in (("alice", sim.alice), ("bob", sim.bob)):

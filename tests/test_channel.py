@@ -103,7 +103,7 @@ class TestTransmitPulse:
         run = simulate_channel(np.ones(100_000, dtype=np.uint8), params, seed=2,
                                block_size=50_000, photon_count_override=1)
         assert len(run.detections) > 20_000
-        assert np.all(run.detections.outcomes == Outcome.BIT1)
+        assert np.all(run.detections.outcomes == Outcome.BIT1.value)
 
     def test_matching_analyzer_fires_and_assigns_bit(self):
         outcome, cause = _one_gate(1, [0.9], (0.99, 0.99))

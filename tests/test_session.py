@@ -391,8 +391,13 @@ class TestHostilePeer:
 
 
 class TestFaultInjection:
-    """A frame damaged in transit ends the session with a ProtocolError on
-    the receiving side and an Abort to the sender, within the timeout."""
+    """A frame that the codec or the transport sees damaged (duplicated,
+    truncated or reordered) ends the session with a ProtocolError on the
+    receiving side and an Abort to the sender, within the timeout.
+
+    A field changed in transit and canonically re-encoded, such as
+    ``PaSeed.seed``, decodes cleanly and goes undetected until the
+    parties close on a transcript digest (ROADMAP item 7b)."""
 
     @staticmethod
     def _session_with_damage(sender, damage):
