@@ -15,9 +15,19 @@ Wire conventions used throughout the public-channel payloads:
 Short index lists take a per-byte loop; long ones an array path that works
 through fixed-size chunks, ``_CHUNK`` ids at a time when encoding and
 ``_CHUNK`` payload bytes at a time when decoding, carrying the running
-index from one chunk to the next.  Its scratch is bounded by the chunk, so
-decoding peaks at its output, 8 bytes per id, plus under a megabyte,
-however long the list; each check applies to every chunk.
+index from one chunk to the next.  Within a chunk it works one varint byte
+column at a time, and column j holds only the rows long enough to have a
+byte j.  Encoding finds those rows by successive filters, each keeping the
+rows of the last whose delta reaches 2**(7j), until the chunk's largest
+delta; one cumulative sum of the lengths gives each varint's offset, and
+each column is scattered into its rows' bytes.  Decoding finds every
+terminator byte (below 0x80) at once, which gives each varint's end and
+length, then builds the deltas from the last group down, gathering column
+j for the rows that long, and sums them into indices.  The scratch is
+bounded by the chunk, however long the list: decoding peaks at its output,
+8 bytes per id, plus under a megabyte, and encoding at its output twice
+(the bytearray it fills and the bytes it returns) plus under a megabyte.
+Each check applies to every chunk.
 """
 
 from __future__ import annotations
@@ -64,12 +74,14 @@ def decode_varint(data: bytes, offset: int) -> tuple[int, int]:
 
 
 # Lists up to this long take the per-byte loop, longer ones the array
-# code.  The loop costs about 0.15 us per index to encode and 0.25 us to
-# decode; the array code 20-30 us per call plus about 0.05 us per index
-# (2-vCPU VM, numpy 2.4.6).  For bisection ids, whose gaps mostly take
-# two bytes, the two cross near 128 ids when decoding and later when
-# encoding; half of a session's lists are bisection queries and replies
-# of five ids or fewer.
+# code.  On bisection ids, whose gaps mostly take two bytes, the loop
+# costs about 0.07 us per index to encode and 0.14 us to decode; the array
+# code about 14 us per call to encode and 12 us to decode, plus 0.01 us
+# per index either way (2-vCPU VM, numpy 2.4.6).  The two cross near 90
+# ids when decoding and near 220 when encoding.  A 32M-pulse session at
+# nbar 0.5 codes 392 lists, 114 of five ids or fewer; 22 hold 91-128 ids
+# and 18 hold 129-220, so a threshold at either crossover, or one for each
+# direction, would save about 0.1 ms of it.
 _SCALAR_MAX = 128
 # Longer lists take the array code, this many ids per chunk when encoding
 # and this many payload bytes per chunk when decoding
@@ -77,9 +89,6 @@ _CHUNK = 1 << 14
 # decode_varint reads up to eleven bytes before it gives up; an index below
 # 2**63 needs at most nine
 _MAX_VARINT_BYTES = 11
-_GROUP_LIMITS = np.array([1 << (7 * j) for j in range(1, 10)], dtype=np.uint64)
-_SHIFTS = np.arange(0, 64, 7, dtype=np.uint64)
-_COLUMNS = np.arange(_MAX_VARINT_BYTES)
 _NOT_INCREASING = "indices must be non-negative and strictly increasing"
 
 
@@ -112,16 +121,29 @@ def encode_index_list(indices: np.ndarray) -> bytes:
             raise ValueError(_NOT_INCREASING)
         prev = int(chunk[-1])
         least = prev + 1
-        # one row of 7-bit groups per delta, cut to its varint length
-        deltas = deltas.view(np.uint64)
-        continued = np.searchsorted(_GROUP_LIMITS, deltas, side="right")
-        width = int(continued[continued.argmax()]) + 1
-        groups = (deltas[:, None] >> _SHIFTS[:width]).astype(np.uint8)
-        groups &= 0x7F
-        keep = _COLUMNS[:width] <= continued[:, None]
-        # a group is continued exactly when the next one is kept
-        groups[:, :-1] |= keep[:, 1:].view(np.uint8) << 7
-        out += memoryview(groups[keep])
+        # column j holds group j of every delta that reaches 2**(7j): its
+        # rows are filtered from those of column j - 1, and the filters stop
+        # after the chunk's longest varint
+        lengths = np.ones(len(deltas), dtype=np.intp)
+        tails, continued, rows = [deltas], [], None
+        while True:
+            more = (tails[-1] > 0x7F).nonzero()[0]
+            continued.append(more)
+            if not len(more):
+                break
+            rows = more if rows is None else rows[more]
+            lengths[rows] += 1
+            tails.append(tails[-1][more] >> 7)
+        ends = np.cumsum(lengths)
+        encoded = np.empty(int(ends[-1]), dtype=np.uint8)
+        at = ends - lengths
+        for tail, more in zip(tails, continued):
+            column = tail.astype(np.uint8)
+            column &= 0x7F
+            column[more] |= 0x80
+            encoded[at] = column
+            at = at[more] + 1
+        out += memoryview(encoded)
     return bytes(out)
 
 
@@ -169,20 +191,27 @@ def decode_index_list(data: bytes, offset: int) -> tuple[np.ndarray, int]:
             raise ValueError("varint too long" if len(window) >= _MAX_VARINT_BYTES
                              else "truncated varint")
         size = int(ends[-1]) + 1
-        lengths = np.empty(len(ends), dtype=np.int64)
+        lengths = np.empty(len(ends), dtype=np.intp)
         lengths[0] = ends[0] + 1
         np.subtract(ends[1:], ends[:-1], out=lengths[1:])
-        if lengths[lengths.argmax()] > _MAX_VARINT_BYTES:
+        width = int(lengths.max())
+        if width > _MAX_VARINT_BYTES:
             raise ValueError("varint too long")
-        if np.count_nonzero((window[ends] == 0) & (lengths > 1)):
+        last = window[ends]
+        rows = (lengths > 1).nonzero()[0]
+        if np.count_nonzero(last[rows] == 0):
             raise ValueError("overlong varint")
-        starts = ends + 1 - lengths
-        column = np.arange(size) - starts.repeat(lengths)
-        groups = window[:size] & np.uint8(0x7F)
-        if np.count_nonzero(groups[column >= 9]):
+        # without a zero last group, a varint of ten or more bytes has a
+        # non-zero group at bit 63 or above
+        if width > 9:
             raise ValueError("index beyond 2**63")
-        deltas = np.add.reduceat(groups.astype(np.uint64) << _SHIFTS[np.minimum(column, 9)],
-                                 starts)
+        # Horner's rule from each varint's last group down: step j takes in
+        # the group j bytes before the last, for the rows that long
+        deltas = last.astype(np.uint64)
+        for j in range(1, width):
+            groups = window[ends[rows] - j] & np.uint8(0x7F)
+            deltas[rows] = deltas[rows] << np.uint64(7) | groups
+            rows = rows[lengths[rows] > j + 1]
         # only the list's first delta may be zero
         if np.count_nonzero(deltas[not done:]) < len(deltas) - (not done):
             raise ValueError("decoded indices are not strictly increasing")

@@ -26,7 +26,8 @@ wrong key passes a round with probability 2^-128.  On mismatch one extra
 pass runs before the session aborts.  What both parties agreed (the
 estimate, the key length and ``passes``) fixes every pass and hash of
 that exchange (``correction_plan``); both follow it in one loop
-(``_follow_plan``), and Alice aborts any announcement off it.  Keys are uint8 arrays of 0/1 bits.
+(``_follow_plan``), and Alice aborts any announcement off it.  Keys are
+uint8 arrays of 0/1 bits.
 Disclosure is what the endpoint's ``disclosed_bits`` grows by over the
 exchange (``leak_meter``, counted as frames pass): block parities plus
 one bit per bisection answer, never queries, seeds or indices.

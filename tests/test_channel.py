@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from fsqkd import _kernels
-from fsqkd.channel import _KERNEL_CHUNK, Cause, Outcome, draw_eta_system, simulate_channel
-from fsqkd.params import ProtocolParams
+from fsqkd.channel import (_KERNEL_CHUNK, Cause, Outcome, _click_cdf, draw_eta_system,
+                           simulate_channel)
+from fsqkd.params import MAX_MEAN_PHOTON_NUMBER, ProtocolParams
 from fsqkd.rng import random_bits, stream
 
 QUIET = dict(background_prob_per_gate=0.0, dark_count_rate_hz=0.0)
@@ -211,6 +212,31 @@ class TestKernelOracle:
         assert set(np.unique(causes)) == set(Cause)
         clicks = np.concatenate([args[1] for args, _ in calls])
         assert clicks.max() >= 3 and np.count_nonzero(clicks == 0) > 0
+
+
+def _click_cdf_reference(p_click, nbar):
+    """The Poisson click CDF with one ``math.lgamma`` call per count."""
+    lam = nbar * p_click
+    kmax = int(lam + 12.0 * math.sqrt(lam) + 24)
+    log_w = [k * math.log(lam) - math.lgamma(k + 1) for k in range(1, kmax + 1)]
+    w = np.exp(np.array(log_w) - max(log_w))
+    return np.cumsum(w) / w.sum()
+
+
+class TestClickCdf:
+    """The Poisson click CDF, read from a log-factorial table, equals the
+    per-count formula bit for bit at every click mean the parameters allow."""
+
+    def test_table_matches_formula(self):
+        # the grid ends at nbar's ceiling with a click probability of 1,
+        # where the CDF takes all 71 entries of the table
+        means = np.concatenate([np.linspace(0.0, MAX_MEAN_PHOTON_NUMBER, 2001)[1:],
+                                stream(3, "click-means").uniform(0.0, 10.0, 500),
+                                [5e-324, 1e-300, 1e-9]])
+        for lam in means.tolist():
+            assert _click_cdf(1.0, lam, None).tobytes() == \
+                _click_cdf_reference(1.0, lam).tobytes(), lam
+        assert len(_click_cdf(1.0, MAX_MEAN_PHOTON_NUMBER, None)) == 71
 
 
 def _cell_probabilities(params, eta, photon_count_override=None):

@@ -177,6 +177,23 @@ class TestRoundTrip:
         assert np.array_equal(decoded.indices, np.arange(count))
         assert peak <= 8 * count + 2 * 2**20
 
+    def test_encode_peak_is_its_output(self):
+        # 1M one-byte ids: the encoder's peak is its output twice, once in
+        # the bytearray it fills and once as the bytes it returns, plus
+        # scratch of fixed size per chunk
+        count = 1_000_000
+        indices = np.arange(count)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            encoded = encode_index_list(indices)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert len(encoded) == count + 3
+        assert peak <= 2 * len(encoded) + 2**20
+
 
 PROTOCOL_MD = (Path(__file__).resolve().parents[1] / "PROTOCOL.md").read_text()
 
@@ -503,13 +520,41 @@ class TestIndexCodecChunks:
         rng = stream(n, "chunk-deltas")
         if gaps == "one-byte":
             deltas = rng.integers(1, 128, n)
-        else:
+        elif gaps == "mixed":
             # widths of 1 to 7 bytes, so varints straddle the chunk edges
             deltas = rng.integers(1, 2 ** rng.integers(1, 49, n), dtype=np.int64)
+        else:
+            return TestIndexCodecChunks._wide_deltas(rng, n)
         deltas[0] = 0
         return deltas
 
-    @pytest.mark.parametrize("gaps", ["one-byte", "mixed"])
+    @staticmethod
+    def _wide_deltas(rng, n):
+        """One-byte gaps, but 8- and 9-byte ones around every chunk edge.
+
+        The sum must stay below 2**63, so the wide varints sit where the
+        chunks meet: the ids within four of a multiple of ``_CHUNK`` (encode
+        chunks), and the bytes from 40 below to 24 above a multiple of
+        ``_CHUNK`` (decode chunks: each ends at most eight bytes short of its
+        window, so edge k lies at most 8k bytes below ``k * _CHUNK``).  Their
+        last columns and continuation bits then fall on both sides of the
+        edges.
+        """
+        deltas = rng.integers(1, 128, n)
+        at = 0
+        for i in range(n):
+            if (at + 40) % _CHUNK < 64 or (i + 4) % _CHUNK < 8:
+                nine = rng.random() < 0.5
+                deltas[i] = rng.integers(2**56, 2**57) if nine else rng.integers(2**49, 2**56)
+                at += 9 if nine else 8
+            else:
+                at += 1
+        deltas[0] = 0
+        # the last delta takes the list to the largest index there is
+        deltas[-1] = 2**63 - 1 - int(deltas[:-1].sum())
+        return deltas
+
+    @pytest.mark.parametrize("gaps", ["one-byte", "mixed", "wide"])
     @pytest.mark.parametrize("n", [_CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 5])
     def test_bytes_match_reference_and_decode_inverts(self, n, gaps):
         deltas = self._deltas(n, gaps)
@@ -526,8 +571,9 @@ class TestIndexCodecChunks:
         (b"\x80", "truncated varint"),
         (b"\x81\x00", "overlong varint"),
         (b"\x80" * 11 + b"\x01", "varint too long"),
+        (b"\xff" * 9 + b"\x01", "beyond 2\\*\\*63"),
         (b"\x00", "not strictly increasing"),
-    ], ids=["truncated", "overlong", "too-long", "zero-delta"])
+    ], ids=["truncated", "overlong", "too-long", "beyond-int64", "zero-delta"])
     def test_reject_at_first_varint_of_a_later_chunk(self, chunk, spelling, message):
         at = chunk * _CHUNK
         tail = b"" if message == "truncated varint" else b"\x01" * 7
