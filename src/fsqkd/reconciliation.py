@@ -16,8 +16,13 @@ never with the error count.
 Each party keeps all built passes in one flat table, so a round trip
 costs a fixed handful of array operations however many passes are open.
 Alice lays pass p's shuffled positions 0..n at p * (n + 1) + i, the last
-slot of each pass standing for its end; Bob lays his prefix parities at
-p * n + i, which is the id a bisection query carries on the wire.
+slot of each pass standing for its end, and keeps there both her own key
+in that pass's order and the prefix parities Bob disclosed; Bob lays his
+prefix parities at p * n + i, which is the id a bisection query carries
+on the wire.  A round reads only what it changed: a segment split at a
+new midpoint keeps whichever half disagrees, which reading its first
+half settles, and only the blocks holding a flipped bit are scanned
+whole.
 
 A seeded Toeplitz hash of the corrected key closes the exchange: the
 universal family privacy amplification also uses, drawn as n + 127 bits
@@ -173,6 +178,18 @@ def _sorted_unique(values: np.ndarray) -> np.ndarray:
     return values[keep]
 
 
+def _runs(starts: np.ndarray, lens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Positions of the runs ``[starts, starts + lens)`` laid end to end, and
+    the offset of each run's first position in that layout; every run is
+    non-empty."""
+    offsets = np.add.accumulate(lens)
+    total = int(offsets[-1])
+    offsets -= lens
+    at = (starts - offsets).repeat(lens)
+    at += np.arange(total, dtype=np.int64)
+    return at, offsets
+
+
 class _AliceCorrector:
     """Alice's view: bisects odd blocks toward Bob's reference key.
 
@@ -189,15 +206,19 @@ class _AliceCorrector:
     All passes share one position space: shuffled position i of pass p
     is g = p * (n + 1) + i, and slot i = n marks the pass's end, so no
     segment or block ever spans two passes.  ``perm`` maps g to its key
-    position, ``inv[p]`` maps a key position to its g in pass p,
-    ``known`` marks the g whose prefix parity Bob has disclosed and
-    ``bob_prefix`` holds it.  A block is named by the g of its start,
+    position, ``inv[p]`` maps a key position to its g in pass p, and
+    ``shuffled`` holds Alice's current bit at g, so a segment's parity is
+    read from one contiguous run; a flip toggles the bit's entry in every
+    built pass.  ``bob_prefix`` holds ``2 | parity`` at every g whose
+    prefix parity Bob has disclosed and 0 elsewhere; the 2s cancel in the
+    XOR of two known entries.  A block is named by the g of its start,
     and the wire id of g is g - g // (n + 1).  The table holds a row for
     every pass of the plan from the start, so building a pass copies none
-    of the others; the extra pass's row stays untouched unless that pass
-    runs.  ``perm`` and ``inv`` hold int32 whenever every g fits, which is
-    any key a session can carry: 10 bytes per key bit and pass, against
-    18 with int64.
+    of the others; every row starts out unwritten (``np.empty`` or
+    ``np.zeros``), so the extra pass's row stays untouched unless that
+    pass runs.  ``perm`` and ``inv`` hold int32 whenever every g fits,
+    which is any key a session can carry: 10 bytes per key bit and pass,
+    against 18 with int64.
     """
 
     def __init__(self, bits: np.ndarray, endpoint: Endpoint, rows: int):
@@ -211,7 +232,7 @@ class _AliceCorrector:
         self.block_sizes = np.zeros(rows, dtype=np.int64)
         self.perm = np.empty(rows * self.stride, dtype=index)
         self.inv = np.empty((rows, n), dtype=index)
-        self.known = np.zeros(rows * self.stride, dtype=bool)
+        self.shuffled = np.empty(rows * self.stride, dtype=np.uint8)
         self.bob_prefix = np.zeros(rows * self.stride, dtype=np.uint8)
         self.flips = 0
 
@@ -227,19 +248,32 @@ class _AliceCorrector:
         p, base = self.built, self.built * self.stride
         self.block_sizes[p] = block_size
         perm = self.perm[base : base + n]
-        perm[:] = _permutation(seed, p + 1, n)
+        order = _permutation(seed, p + 1, n)
+        perm[:] = order
+        row = self.shuffled[base : base + n]
+        # Take by the int64 permutation itself, as an int32 index would be
+        # copied to int64, and unchecked ("clip"), as a permutation is in
+        # range and the check buffers a key-sized copy.  Free it before
+        # the inverse's arange: a session's memory peaks in this call.
+        np.take(self.bits, order, out=row, mode="clip")
+        del order
         self.inv[p, perm] = np.arange(base, base + n, dtype=self.inv.dtype)
-        self.known[base + starts] = True
-        self.known[base + n] = True
-        self.bob_prefix[base + ends] = np.bitwise_xor.accumulate(bob_parities)
+        # the pass starts at parity 0, and every block end is disclosed
+        self.bob_prefix[base] = 2
+        self.bob_prefix[base + ends] = np.bitwise_xor.accumulate(bob_parities) | 2
         self.built += 1
-        prefix = _shuffled_prefix(self.bits, perm)
-        return base + starts[(prefix[ends] ^ prefix[starts] ^ bob_parities).nonzero()[0]]
+        odd = np.bitwise_xor.reduceat(row, starts)
+        odd ^= bob_parities
+        return base + starts[odd.nonzero()[0]]
+
+    def _block_of(self, g: np.ndarray) -> np.ndarray:
+        """The start of the block holding each position g."""
+        p, i = np.divmod(g, self.stride)
+        return g - i % self.block_sizes[p]
 
     def _block_starts(self, g: np.ndarray) -> np.ndarray:
         """The distinct blocks holding positions g, in ascending order."""
-        p, i = np.divmod(g, self.stride)
-        return _sorted_unique(g - i % self.block_sizes[p])
+        return _sorted_unique(self._block_of(g))
 
     def _odd_segments(self, blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Segments ``[lo, hi)`` of the given blocks whose parity differs from Bob's."""
@@ -248,25 +282,39 @@ class _AliceCorrector:
         p, i = np.divmod(blocks, self.stride)
         # the last block of a pass ends at its slot n
         lens = np.minimum(self.block_sizes[p], (self.stride - 1) - i)
-        offsets = np.add.accumulate(lens)
-        total = int(offsets[-1])
-        offsets -= lens
-        # the blocks' positions laid end to end
-        at = (blocks - offsets).repeat(lens)
-        at += np.arange(total, dtype=np.int64)
+        at, _ = _runs(blocks, lens)
         # every block start is known, so no segment crosses a block boundary
-        cuts = self.known[at].nonzero()[0]
+        cuts = (self.bob_prefix[at] > 1).nonzero()[0]
         ends = np.empty_like(cuts)
         ends[:-1] = cuts[1:]
-        ends[-1] = total
+        ends[-1] = len(at)
         lo = at[cuts]
         hi = lo + (ends - cuts)
         # Alice's parity of each segment against Bob's
-        odd = np.bitwise_xor.reduceat(self.bits[self.perm[at]], cuts)
+        odd = np.bitwise_xor.reduceat(self.shuffled[at], cuts)
         odd ^= self.bob_prefix[lo]
         odd ^= self.bob_prefix[hi]
         odd = odd.view(bool)
         return lo[odd], hi[odd]
+
+    def _odd_halves(self, lo: np.ndarray, mid: np.ndarray,
+                    hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The half of each odd segment ``[lo, hi)`` that disagrees with Bob
+        once his prefix parity at ``mid`` is known.
+
+        Bob's parity at ``mid`` enters both halves and cancels, so exactly
+        one half is odd whatever he answered, as long as none of Alice's
+        bits in the segment changed since it was found odd: reading the
+        first half settles which.
+        """
+        if not len(lo):
+            return lo, hi
+        at, offsets = _runs(lo, mid - lo)
+        first = np.bitwise_xor.reduceat(self.shuffled[at], offsets)
+        first ^= self.bob_prefix[lo]
+        first ^= self.bob_prefix[mid]
+        first = first.view(bool)
+        return np.where(first, lo, mid), np.where(first, mid, hi)
 
     def _ask(self, mid: np.ndarray) -> None:
         """One round trip: learn Bob's prefix parity at every midpoint."""
@@ -277,21 +325,56 @@ class _AliceCorrector:
         if (reply.pass_no != self.built or len(reply.blocks) != len(ids)
                 or np.count_nonzero(reply.blocks != ids) or len(reply.bits) != len(ids)):
             self.endpoint.fail("bisection reply does not match its query")
-        self.known[mid] = True
-        self.bob_prefix[mid] = reply.bits
+        self.bob_prefix[mid] = reply.bits | 2
+
+    def _round(self, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """One bisection round over the odd segments ``[lo, hi)``, ascending.
+
+        Asks Bob for the midpoint of every segment longer than one bit and
+        flips the bits that single-bit segments pin down.  Returns the odd
+        segments of every block the round touched, in ascending order: a
+        block holding a flipped bit is scanned whole, and any other keeps
+        the odd half of each segment it split.  With an honest reference
+        every flip removes one disagreement, so the flips never outnumber
+        the key bits; more means the peer's answers are inconsistent, and
+        the session aborts before they are made.
+        """
+        wide = hi - lo > 1
+        lo, hi, single = lo[wide], hi[wide], lo[~wide]
+        mid = lo + (hi - lo) // 2
+        if len(mid):
+            self._ask(mid)
+        # about half the rounds pin down no single bit
+        if not len(single):
+            return self._odd_halves(lo, mid, hi)
+        positions = _sorted_unique(self.perm[single])
+        if self.flips + len(positions) > len(self.bits):
+            self.endpoint.fail("bisection flipped more bits than the key holds")
+        self.flips += len(positions)
+        self.bits[positions] ^= 1
+        flipped = self.inv[:self.built, positions].ravel()
+        self.shuffled[flipped] ^= 1
+        # each single-bit segment's block holds its flip, so it is rescanned
+        rescan = self._block_starts(flipped)
+        blocks = self._block_of(lo)
+        where = np.minimum(np.searchsorted(rescan, blocks), len(rescan) - 1)
+        kept = rescan[where] != blocks
+        lo, hi = self._odd_halves(lo[kept], mid[kept], hi[kept])
+        found_lo, found_hi = self._odd_segments(rescan)
+        lo = np.concatenate([lo, found_lo])
+        hi = np.concatenate([hi, found_hi])
+        order = lo.argsort(kind="stable")
+        return lo[order], hi[order]
 
     def drain(self, odd_blocks: np.ndarray) -> None:
         """Bisect until no segment of any built pass disagrees, then end the pass.
 
-        Each round bisects every disagreeing segment of every pass at once
-        and flips the bits that single-bit segments pin down; the next
-        round looks again only at the blocks those segments and flips
-        touched.  With an honest reference every flip removes one
-        disagreement, so the flips never outnumber the key bits; more
-        means the peer's answers are inconsistent, and the session aborts.
-        The same budget bounds the rounds: without a flip the disagreeing
-        segments only narrow, so at most log2(largest block) + 1 rounds
-        pass between two flips.
+        Each round (``_round``) bisects every disagreeing segment of every
+        pass at once; the next round looks again only at the halves it
+        split and the blocks its flips touched.  The flip budget also
+        bounds the rounds: without a flip the disagreeing segments only
+        narrow, so at most log2(largest block) + 1 rounds pass between two
+        flips.
         """
         n = len(self.bits)
         # From the second pass on, half the disagreeing blocks wait until the
@@ -303,27 +386,17 @@ class _AliceCorrector:
             todo, held = odd_blocks[0::2], odd_blocks[1::2]
         else:
             todo, held = odd_blocks, odd_blocks[:0]
-        while True:
-            lo, hi = self._odd_segments(todo)
-            if not len(lo):
-                if not len(held):
-                    break
-                todo, held = held, held[:0]
-                continue
-            wide = hi - lo > 1
-            asked = np.count_nonzero(wide)
-            if asked:
-                self._ask((lo + (hi - lo) // 2)[wide])
-            touched = lo
-            # about half the rounds pin down no single bit
-            if asked < len(lo):
-                positions = _sorted_unique(self.perm[lo[~wide]])
-                self.bits[positions] ^= 1
-                self.flips += len(positions)
-                if self.flips > n:
-                    self.endpoint.fail("bisection flipped more bits than the key holds")
-                touched = np.concatenate([lo, self.inv[:self.built, positions].ravel()])
-            todo = self._block_starts(touched)
+        # a fresh pass has no cut inside a block: its odd blocks are its odd
+        # segments
+        end = (self.built - 1) * self.stride + n
+        lo, hi = todo, np.minimum(todo + self.block_sizes[self.built - 1], end)
+        while len(lo) or len(held):
+            if len(lo):
+                lo, hi = self._round(lo, hi)
+            else:
+                # backtracking may have cut or settled a held block
+                lo, hi = self._odd_segments(held)
+                held = held[:0]
         self.endpoint.send(Syndrome(pass_no=self.built,
                                     blocks=np.zeros(0, dtype=np.int64),
                                     bits=np.zeros(0, dtype=np.uint8)))

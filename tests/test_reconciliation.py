@@ -2,10 +2,12 @@ import hashlib
 import math
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import fsqkd.reconciliation as recon
 from fsqkd.messages import (
     BlockParity,
     Kind,
@@ -18,10 +20,12 @@ from fsqkd.messages import (
 )
 from fsqkd.params import ProtocolParams
 from fsqkd.reconciliation import (
+    _AliceCorrector,
     _permutation,
     _shuffled_prefix,
     _verify_hash_bits,
     block_schedule,
+    correction_plan,
     estimate_ber_alice,
     estimate_ber_bob,
     reconcile,
@@ -60,6 +64,55 @@ def reconcile_pair(a_bits, b_bits, est_num, est_den, passes=PASSES, seed=0):
         lambda end: reconcile(a_bits, end, passes, "alice", est),
         lambda end: reconcile(b_bits, end, passes, "bob", est, (est_num, est_den),
                               rng=stream(seed, "bob-recon")))
+
+
+def settle_pair(a_bits, b_bits, est_num, seed, timeout_s=5.0):
+    """Both halves of a correction exchange over loopback threads; returns
+    each side's outcome or the SessionAborted that ended it, and Alice's end."""
+    n = len(b_bits)
+    a_end, b_end = loopback_pair(timeout_s=timeout_s)
+    ends = {}
+
+    def side(name, call):
+        try:
+            ends[name] = call()
+        except SessionAborted as exc:
+            ends[name] = exc
+
+    threads = [
+        threading.Thread(target=side, args=("a", lambda: reconcile(
+            a_bits, a_end, PASSES, "alice", est_num / n))),
+        threading.Thread(target=side, args=("b", lambda: reconcile(
+            b_bits, b_end, PASSES, "bob", est_num / n, (est_num, n),
+            rng=stream(seed, "bob-recon")))),
+    ]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=2 * timeout_s)
+    assert not any(t.is_alive() for t in threads)
+    return ends["a"], ends["b"], a_end
+
+
+def lie_on(monkeypatch, lie):
+    """Make Bob XOR each bisection answer with ``lie(ids)``."""
+    honest = recon._bisection_answers
+    monkeypatch.setattr(recon, "_bisection_answers",
+                        lambda ids, prefixes: honest(ids, prefixes) ^ lie(ids))
+
+
+@pytest.fixture
+def correctors(monkeypatch):
+    """Alice's correctors, recorded as ``reconcile`` builds them."""
+    built = []
+
+    class Recorded(_AliceCorrector):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    monkeypatch.setattr(recon, "_AliceCorrector", Recorded)
+    return built
 
 
 def estimate_pair(a_key, b_key, sample_size, rng):
@@ -259,40 +312,37 @@ class TestReconcile:
         # a reference that inverts every answer steers each bisection to a
         # bit that already agrees; the flip budget must end the exchange
         # with an Abort on the wire, well inside the transport timeout
-        import fsqkd.reconciliation as recon
-
-        honest = recon._bisection_answers
-        monkeypatch.setattr(recon, "_bisection_answers", lambda *args: honest(*args) ^ 1)
+        lie_on(monkeypatch, lambda ids: 1)
         n = 10_000
         rng = np.random.default_rng(5)
         b = rng.integers(0, 2, n).astype(np.uint8)
         a = (b ^ (rng.random(n) < 0.03)).astype(np.uint8)
-        a_end, b_end = loopback_pair(timeout_s=5.0)
-        errors = {}
-
-        def side(name, call):
-            try:
-                call()
-            except SessionAborted as exc:
-                errors[name] = exc
-
-        threads = [
-            threading.Thread(target=side, args=("a", lambda: reconcile(
-                a, a_end, PASSES, "alice", 300 / n))),
-            threading.Thread(target=side, args=("b", lambda: reconcile(
-                b, b_end, PASSES, "bob", 300 / n, (300, n),
-                rng=stream(5, "bob-recon")))),
-        ]
         start = time.monotonic()
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=10.0)
-        assert not any(t.is_alive() for t in threads)
+        ra, rb, a_end = settle_pair(a, b, 300, seed=5)
         assert time.monotonic() - start < 5.0
-        assert errors["a"].local and "flipped more bits" in errors["a"].reason
-        assert not errors["b"].local and errors["b"].reason == errors["a"].reason
+        assert ra.local and "flipped more bits" in ra.reason
+        assert not rb.local and rb.reason == ra.reason
         assert decoded(a_end)[-1].kind is Kind.ABORT
+
+    def test_partly_lying_reference_aborts_cleanly(self, monkeypatch, correctors):
+        # a reference that inverts a third of the answers from pass 2 on
+        # sends those bisections down the even half to a bit that agrees;
+        # the earlier passes flip it back, the later pass's block turns odd
+        # again and is cut at the same false answer, round after round.
+        # Each round still keeps exactly one odd half of every segment it
+        # splits, so only the flip budget ends the exchange: Alice aborts
+        # before flipping more bits than the key holds.
+        n = 10_000
+        lie_on(monkeypatch, lambda ids: (ids >= n) & (ids % 3 == 0))
+        a, b = planted_keys(5, n, 0.03)
+        start = time.monotonic()
+        ra, rb, a_end = settle_pair(a, b, 300, seed=5)
+        assert time.monotonic() - start < 2.0
+        assert isinstance(ra, SessionAborted) and isinstance(rb, SessionAborted)
+        assert ra.local and ra.reason == "bisection flipped more bits than the key holds"
+        assert not rb.local and rb.reason == ra.reason
+        assert decoded(a_end)[-1].kind is Kind.ABORT
+        assert n // 2 < correctors[-1].flips <= n
 
     def test_query_beyond_built_passes_aborts(self):
         n = 64
@@ -502,6 +552,12 @@ def short_key_pair():
     return a, b
 
 
+def one_bit_key_pair():
+    """A 1-bit key with its one bit wrong."""
+    b = stream(11, "k").integers(0, 2, 1).astype(np.uint8)
+    return b ^ 1, b
+
+
 class TestPinnedTranscripts:
     """sha256 of Alice's whole correction transcript and corrected key on
     paths the session goldens do not reach; a faster corrector must replay
@@ -521,6 +577,18 @@ class TestPinnedTranscripts:
         "held-half-drained": (lambda: planted_keys(1, 300, 0.05), 15, 300, PASSES,
                               1, (4, 1),
                               "c32cf7def1bce122587b24e10421d430f9ded686a4a8f1acdbc0af725dd9bd03"),
+        # blocks of 8 bits at 12% errors: 324 frames of bisection and
+        # backtracking
+        "heavy-backtracking": (lambda: planted_keys(3, 20_000, 0.12), 2400, 20_000, PASSES,
+                               3, (4, 1),
+                               "cbe0e3a926be91312f445fcbed2acd032c3fea0c29af774ec5069bae451fbc23"),
+        # blocks of 15 bits and a last block of 11
+        "short-last-block": (lambda: planted_keys(5, 1_001, 0.05), 50, 1_001, PASSES,
+                             5, (4, 1),
+                             "9b018b784b6725410182c70c13bf7bca2df6843fb98a18093078d353a8689952"),
+        # every pass is one 1-bit block, odd in pass 1 only
+        "one-bit-key": (one_bit_key_pair, 1, 1, PASSES, 1, (4, 1),
+                        "31bb88763a35519955a3b1f6c9ea0aab50669979afa8d9842d67bdfb802b55c3"),
     }
 
     @pytest.mark.parametrize("case", CASES)
@@ -533,6 +601,90 @@ class TestPinnedTranscripts:
         digest = hashlib.sha256(b"".join(a_end.frames))
         digest.update(np.packbits(ra.corrected_key).tobytes())
         assert digest.hexdigest() == expected
+
+
+class TestAliceCorrector:
+    # (keys, disagreements in the estimate); the estimate is over the key
+    KEYS = {
+        "1 bit": (one_bit_key_pair, 1),
+        "7 bits at 0.2": (lambda: planted_keys(1, 7, 0.2), 1),
+        "300 bits at 0.05": (lambda: planted_keys(1, 300, 0.05), 15),
+        "1,001 bits at 0.05": (lambda: planted_keys(5, 1_001, 0.05), 50),
+        "5,000 bits at 0.005": (lambda: planted_keys(2, 5_000, 0.005), 25),
+        "5,000 bits at 0.2": (lambda: planted_keys(4, 5_000, 0.2), 1_000),
+        "20,000 bits at 0.12": (lambda: planted_keys(3, 20_000, 0.12), 2_400),
+    }
+
+    def test_round_finds_what_a_full_rescan_finds(self, monkeypatch):
+        # A round rescans only the blocks holding a flipped bit and keeps
+        # the odd half of every other segment it splits.  Its result must
+        # equal the odd segments of every block the round touched, the
+        # blocks of its segments and of its flips, scanned whole; and each
+        # built pass's row of Alice's key must follow her flips.  Run
+        # against an honest reference and one that inverts a third of the
+        # answers from pass 2 on.
+        whole_round = _AliceCorrector._round
+        seen = {"rounds": 0, "merged": 0, "wrong": []}
+
+        def checked(corr, lo, hi):
+            # every round starts from all odd segments of their blocks,
+            # the first round of a pass from its odd blocks whole
+            given = corr._odd_segments(corr._block_starts(lo))
+            if not (np.array_equal(lo, given[0]) and np.array_equal(hi, given[1])):
+                seen["wrong"].append(("given", corr.built, len(lo)))
+            before = corr.bits.copy()
+            lo_next, hi_next = whole_round(corr, lo, hi)
+            flipped = corr.inv[:corr.built, (corr.bits != before).nonzero()[0]].ravel()
+            touched = corr._block_starts(np.concatenate([lo, flipped]))
+            full_lo, full_hi = corr._odd_segments(touched)
+            g = np.arange(corr.built * corr.stride).reshape(corr.built, -1)[:, :-1]
+            if not (np.array_equal(lo_next, full_lo) and np.array_equal(hi_next, full_hi)
+                    and np.array_equal(corr.shuffled[g], corr.bits[corr.perm[g]])):
+                seen["wrong"].append(("found", corr.built, len(lo)))
+            # a flip in a block that also holds an asked segment: that block's
+            # rescan is merged with the halves of the others
+            asked = corr._block_starts(lo[hi - lo > 1])
+            seen["merged"] += bool(np.isin(asked, corr._block_starts(flipped)).any())
+            seen["rounds"] += 1
+            return lo_next, hi_next
+
+        monkeypatch.setattr(_AliceCorrector, "_round", checked)
+        outcomes = []
+        for lying in (False, True):
+            for seed, (keys, est_num) in enumerate(self.KEYS.values()):
+                a, b = keys()
+                n = len(b)
+                if lying:
+                    lie_on(monkeypatch, lambda ids, n=n: (ids >= n) & (ids % 3 == 0))
+                ra, rb, _ = settle_pair(a, b, est_num, seed)
+                outcomes.append(type(ra).__name__)
+                if not lying:
+                    assert ra.verified and np.array_equal(ra.corrected_key, b)
+        assert seen["wrong"] == []
+        assert seen["merged"] > 0 and seen["rounds"] > 100
+        # the lies end some exchanges early
+        assert "SessionAborted" in outcomes
+
+    def test_tables_hold_ten_bytes_per_key_bit_and_pass(self):
+        # the key length of a 32M-pulse session at nbar 0.5; each pass's
+        # row has one slot past the key for the pass's end.  SessionConfig
+        # caps the passes on "about 10 bytes per key bit and pass for Alice"
+        n = 486_000
+        rows = len(correction_plan(0.02, n, PASSES))
+        corr = _AliceCorrector(np.zeros(n, dtype=np.uint8), None, rows)
+        tables = (corr.perm, corr.inv, corr.bob_prefix, corr.shuffled)
+        assert sum(t.nbytes for t in tables) <= 10 * rows * (n + 1)
+        # a session's memory peaks while a pass is built: beyond the tables
+        # it may hold only the int64 permutation it draws and the int64
+        # bounds of its blocks
+        blocks = -(-n // 30)
+        tracemalloc.start()
+        try:
+            corr.begin_pass(1, 30, np.zeros(blocks, dtype=np.uint8))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * n + 16 * blocks + 2**16
 
 
 def toeplitz_diagonal(seed, n, nbits):
