@@ -25,8 +25,8 @@ terminator byte (below 0x80) at once, which gives each varint's end and
 length, then builds the deltas from the last group down, gathering column
 j for the rows that long, and sums them into indices.  The scratch is
 bounded by the chunk, however long the list: decoding peaks at its output,
-8 bytes per id, plus under a megabyte, and encoding at its output twice
-(the bytearray it fills and the bytes it returns) plus under a megabyte.
+8 bytes per id, plus under a megabyte, and encoding at its output, the
+bytearray it appends to, plus under a megabyte.
 Each check applies to every chunk.
 """
 
@@ -92,10 +92,10 @@ _MAX_VARINT_BYTES = 11
 _NOT_INCREASING = "indices must be non-negative and strictly increasing"
 
 
-def encode_index_list(indices: np.ndarray) -> bytes:
-    """Delta+varint encoding of a strictly increasing index sequence."""
+def encode_index_list(indices: np.ndarray, out: bytearray) -> bytearray:
+    """Delta+varint encoding of a strictly increasing index sequence,
+    appended to ``out`` and returned."""
     indices = np.asarray(indices, dtype=np.int64)
-    out = bytearray()
     encode_varint(len(indices), out)
     if len(indices) <= _SCALAR_MAX:
         prev = least = 0
@@ -108,7 +108,7 @@ def encode_index_list(indices: np.ndarray) -> bytes:
                 delta >>= 7
             out.append(delta)
             prev, least = value, value + 1
-        return bytes(out)
+        return out
     prev = least = 0
     for start in range(0, len(indices), _CHUNK):
         chunk = indices[start : start + _CHUNK]
@@ -144,7 +144,7 @@ def encode_index_list(indices: np.ndarray) -> bytes:
             encoded[at] = column
             at = at[more] + 1
         out += memoryview(encoded)
-    return bytes(out)
+    return out
 
 
 def decode_index_list(data: bytes, offset: int) -> tuple[np.ndarray, int]:

@@ -15,16 +15,23 @@ count, and digests (Hello's parameter digest, VerifyHash's 128-bit hash)
 as 16 raw bytes.  ``encode`` then ``decode`` is the identity for every
 valid message.
 
-``leak_meter`` implements the session's disclosure accounting: block
-parities cost one bit each, bisection replies one bit per answered id,
-sample reveals their bit count.  Indices, seeds and structure parameters
-are key-value-independent and cost nothing; the verification hash is
-counted separately in the session report.
+A frame is decoded where it lies: the header is matched inside the frame
+and the payload's base64 read through a view of it, and the base64 is
+held to its one spelling from its length and its last group rather than
+by encoding the payload again.  Encoding packs every field into one
+buffer and frees it once its base64 is taken.
+
+``leak_meter`` implements the session's disclosure accounting: each kind
+names the one field it meters (``METERED``), so block parities cost one
+bit each, bisection replies one bit per answered id, sample reveals their
+bit count.  Indices, seeds and structure parameters are
+key-value-independent and cost nothing; the verification hash is counted
+separately in the session report.
 """
 
 from __future__ import annotations
 
-import base64
+import binascii
 import enum
 import re
 from dataclasses import dataclass
@@ -41,7 +48,7 @@ from .bitpack import (
     encode_varint,
 )
 
-PROTOCOL_VERSION = 4
+PROTOCOL_VERSION = 5
 MAX_PAYLOAD_BYTES = 2**24
 
 
@@ -58,8 +65,8 @@ class Kind(enum.Enum):
     SIFT_INDICES = "SiftIndices"
     SAMPLE_REQUEST = "SampleRequest"
     SAMPLE_REVEAL = "SampleReveal"
-    SHUFFLE_SEED = "ShuffleSeed"
-    BLOCK_PARITY = "BlockParity"
+    SCHEDULE = "Schedule"
+    EXTRA_PASS = "ExtraPass"
     SYNDROME = "Syndrome"
     VERIFY_HASH = "VerifyHash"
     PA_SEED = "PaSeed"
@@ -102,14 +109,31 @@ def _put_digest16(out: bytearray, value: bytes) -> None:
     out += value
 
 
+def _put_u64_list(out: bytearray, values) -> None:
+    encode_varint(len(values), out)
+    for value in values:
+        out += int(value).to_bytes(8, "big")
+
+
+def _get_u64_list(data: bytes, offset: int) -> tuple[tuple[int, ...], int]:
+    count, offset = decode_varint(data, offset)
+    # bound the untrusted count by the bytes left before reading any
+    end = offset + 8 * count
+    if end > len(data):
+        raise MessageFormatError("truncated payload body")
+    return tuple(int.from_bytes(data[at : at + 8], "big")
+                 for at in range(offset, end, 8)), end
+
+
 # The codec functions are looked up when a field is packed, not bound here,
 # so a wrapper installed on this module's names (the benchmark's tracer
 # wraps the index codec) sees every call.
 VARINT = _Encoding(lambda out, value: encode_varint(value, out),
                    lambda data, offset: decode_varint(data, offset))
 U64 = _Encoding(lambda out, value: out.extend(int(value).to_bytes(8, "big")), _get_u64)
+U64_LIST = _Encoding(_put_u64_list, _get_u64_list)
 DIGEST16 = _Encoding(_put_digest16, lambda data, offset: _take(data, offset, 16))
-INDEX_LIST = _Encoding(lambda out, value: out.extend(encode_index_list(value)),
+INDEX_LIST = _Encoding(lambda out, value: encode_index_list(value, out),
                        lambda data, offset: decode_index_list(data, offset))
 BIT_LIST = _Encoding(lambda out, value: out.extend(encode_bit_list(value)),
                      lambda data, offset: decode_bit_list(data, offset))
@@ -128,17 +152,18 @@ class _Payload:
 
     ``WIRE`` pairs each field name with its encoding (the table in
     ``PROTOCOL.md``); bytes after the last field make the body malformed.
-    Equality compares numpy array fields by content.
+    ``METERED`` names the bit-list field whose length the payload
+    discloses, if any.  Equality compares numpy array fields by content.
     """
 
     WIRE: tuple[tuple[str, _Encoding], ...] = ()
+    METERED: str | None = None
 
-    def pack(self) -> bytes:
-        fields = vars(self)
+    def pack(self) -> bytearray:
         out = bytearray()
         for name, encoding in self.WIRE:
-            encoding.put(out, fields[name])
-        return bytes(out)
+            encoding.put(out, getattr(self, name))
+        return out
 
     @classmethod
     def unpack(cls, data: bytes):
@@ -148,7 +173,7 @@ class _Payload:
         if offset != len(data):
             raise MessageFormatError(
                 f"{len(data) - offset} bytes after the last field of {cls.__name__}")
-        # the sampled error rate of ShuffleSeed and PaSeed is at most one;
+        # the sampled error rate of Schedule and PaSeed is at most one;
         # 0/0 is legal: it stands for an empty sample
         if "est_den" in fields and fields["est_num"] > fields["est_den"]:
             raise MessageFormatError(
@@ -192,42 +217,50 @@ class SampleReveal(_Payload):
     bits: np.ndarray
 
     WIRE = (("bits", BIT_LIST),)
+    METERED = "bits"
 
 
 @dataclass(frozen=True, eq=False)
-class ShuffleSeed(_Payload):
-    """Pass structure announcement: permutation seed, block size, estimate.
+class Schedule(_Payload):
+    """Every scheduled pass of the correction plan, announced at once.
 
-    The error estimate rides along as an exact rational so both parties
-    derive identical block schedules and yield arithmetic.
+    The error estimate the plan was sized from rides along once, as an
+    exact rational, so both parties derive identical block sizes and
+    yield arithmetic; the block sizes themselves follow from the plan.
+    ``seeds`` holds each pass's permutation seed, and ``parities`` Bob's
+    parity of every block, pass after pass, each in block order.
     """
 
-    pass_no: int
-    seed: int
-    block_size: int
-    est_num: int = 0
-    est_den: int = 1
+    est_num: int
+    est_den: int
+    seeds: tuple[int, ...]
+    parities: np.ndarray
 
-    WIRE = (("pass_no", VARINT), ("seed", U64), ("block_size", VARINT),
-            ("est_num", VARINT), ("est_den", VARINT))
+    WIRE = (("est_num", VARINT), ("est_den", VARINT), ("seeds", U64_LIST),
+            ("parities", BIT_LIST))
+    METERED = "parities"
 
 
 @dataclass(frozen=True, eq=False)
-class BlockParity(_Payload):
-    pass_no: int
+class ExtraPass(_Payload):
+    """The plan's extra pass, sent after a hash mismatch: its permutation
+    seed and Bob's parity of each of its blocks."""
+
+    seed: int
     parities: np.ndarray
 
-    WIRE = (("pass_no", VARINT), ("parities", BIT_LIST))
+    WIRE = (("seed", U64), ("parities", BIT_LIST))
+    METERED = "parities"
 
 
 @dataclass(frozen=True, eq=False)
 class Syndrome(_Payload):
     """Cascade bisection query or reply, sent while pass ``pass_no`` runs.
 
-    An empty bit list is a query: each listed id ``(p - 1) * n + i`` asks
-    for the parity of the first ``i`` bits of the n-bit key in pass p's
-    shuffled order.  The reply lists the same ids and one parity bit per
-    id, in id order.  A query listing no ids ends the pass.
+    A query lists ids and no bits: each id ``(p - 1) * n + i`` asks for
+    the parity of the first ``i`` bits of the n-bit key in pass p's
+    shuffled order.  The reply lists no ids and one parity bit per id of
+    the query, in id order.  A query listing no ids ends correction.
     """
 
     pass_no: int
@@ -235,6 +268,7 @@ class Syndrome(_Payload):
     bits: np.ndarray
 
     WIRE = (("pass_no", VARINT), ("blocks", INDEX_LIST), ("bits", BIT_LIST))
+    METERED = "bits"
 
     @property
     def is_query(self) -> bool:
@@ -254,7 +288,7 @@ class VerifyHash(_Payload):
 class PaSeed(_Payload):
     """Privacy-amplification plan: shared seed, agreed output length, and
     the error estimate it was derived from, echoed for cross-checking: it
-    must equal the estimate ``ShuffleSeed`` announced for correction."""
+    must equal the estimate ``Schedule`` announced for correction."""
 
     seed: int
     output_length: int
@@ -280,6 +314,9 @@ class Done(_Payload):
 # each kind's value is the name of its payload class
 _PAYLOAD_TYPES = {Kind(cls.__name__): cls for cls in _Payload.__subclasses__()}
 _KIND_FOR_TYPE = {cls: kind for kind, cls in _PAYLOAD_TYPES.items()}
+# a header's kind token: its kind and payload class, in one lookup
+_KINDS = {kind.value.encode("ascii"): (kind, cls) for kind, cls in _PAYLOAD_TYPES.items()}
+_SID_MASK = 0xFFFF_FFFF_FFFF_FFFF
 
 
 @dataclass(frozen=True)
@@ -307,13 +344,12 @@ def encode(message: Message) -> bytes:
     raw = message.payload.pack()
     if len(raw) > MAX_PAYLOAD_BYTES:
         raise PayloadTooLarge(f"payload of {len(raw)} bytes exceeds {MAX_PAYLOAD_BYTES}")
-    body = "sid={:016x} seq={} kind={} payload={}".format(
-        message.session_id & 0xFFFFFFFFFFFFFFFF,
-        message.seq,
-        message.kind.value,
-        base64.b64encode(raw).decode("ascii"),
-    ).encode("ascii")
-    return len(body).to_bytes(4, "big") + body
+    text = binascii.b2a_base64(raw, newline=False)
+    # the packed payload is dead once its base64 is taken
+    del raw
+    header = b"sid=%016x seq=%d kind=%s payload=" % (
+        message.session_id & _SID_MASK, message.seq, message.kind.value.encode("ascii"))
+    return b"".join(((len(header) + len(text)).to_bytes(4, "big"), header, text))
 
 
 def decode(frame: bytes) -> Message:
@@ -324,7 +360,11 @@ def decode(frame: bytes) -> Message:
         raise MessageFormatError(f"frame body of {body_len} bytes exceeds {MAX_BODY_BYTES}")
     if len(frame) != 4 + body_len:
         raise MessageFormatError("frame length prefix does not match body")
-    return decode_body(frame[4:])
+    return _decode_at(frame, 4)
+
+
+def decode_body(body: bytes) -> Message:
+    return _decode_at(body, 0)
 
 
 # The header in its one canonical spelling: tokens in this order, ``sid``
@@ -335,35 +375,48 @@ _HEADER = re.compile(
     rb"sid=([0-9a-f]{16}) seq=(0|[1-9][0-9]{0,19}) kind=([A-Za-z]+) payload=")
 
 
-def decode_body(body: bytes) -> Message:
-    header = _HEADER.match(body)
+def canonical_base64(text) -> bytes:
+    """The bytes that ``text`` spells in standard base64, provided it is
+    their one spelling: exactly what ``b64encode`` of them gives.
+
+    Strict decoding admits only the alphabet, with padding at the end
+    alone.  What it still lets through is padding beyond what the byte
+    count needs, which the length rules out, and set bits in the unused
+    low bits of a last group that pads, which encoding the last one or two
+    bytes again rules out: every earlier group spells its three bytes in
+    one way only.
+    """
+    raw = binascii.a2b_base64(text, strict_mode=True)
+    tail = len(raw) % 3
+    if len(text) != 4 * ((len(raw) + 2) // 3) or (
+            tail and binascii.b2a_base64(raw[-tail:], newline=False) != bytes(text[-4:])):
+        raise ValueError("payload is not canonical base64")
+    return raw
+
+
+def _decode_at(data: bytes, start: int) -> Message:
+    """Decode the body that starts at ``data[start]`` and runs to the end."""
+    header = _HEADER.match(data, start)
     if header is None:
         raise MessageFormatError(
             "malformed header: expected 'sid=<16 lowercase hex> "
             "seq=<decimal, at most 20 digits, no leading zeros> kind=<name> payload='")
-    text = body[header.end():]
+    entry = _KINDS.get(header[3])
+    if entry is None:
+        raise MessageFormatError(f"invalid body: unknown kind {header[3].decode('ascii')!r}")
+    kind, payload_type = entry
     try:
-        kind = Kind(header[3].decode("ascii"))
-        raw = base64.b64decode(text, validate=True)
-        # b64decode ignores the unused bits of a last group and accepts
-        # extra padding; only the encoder's own spelling is a valid payload
-        if base64.b64encode(raw) != text:
-            raise ValueError("payload is not canonical base64")
-        payload = _PAYLOAD_TYPES[kind].unpack(raw)
+        payload = payload_type.unpack(canonical_base64(memoryview(data)[header.end():]))
     except ValueError as exc:
         raise MessageFormatError(f"invalid body: {exc}") from exc
-    return Message(session_id=int(header[1], 16), seq=int(header[2]), kind=kind,
-                   payload=payload)
+    return Message(int(header[1], 16), int(header[2]), kind, payload)
 
 
 def leak_meter(messages) -> int:
     """Count disclosed key-correlated bits over a message transcript."""
     total = 0
     for message in messages:
-        if message.kind is Kind.BLOCK_PARITY:
-            total += len(message.payload.parities)
-        elif message.kind is Kind.SYNDROME:
-            total += len(message.payload.bits)
-        elif message.kind is Kind.SAMPLE_REVEAL:
-            total += len(message.payload.bits)
+        metered = message.payload.METERED
+        if metered is not None:
+            total += len(getattr(message.payload, metered))
     return total

@@ -31,8 +31,14 @@ wrong key passes a round with probability 2^-128.  On mismatch one extra
 pass runs before the session aborts.  What both parties agreed (the
 estimate, the key length and ``passes``) fixes every pass and hash of
 that exchange (``correction_plan``); both follow it in one loop
-(``_follow_plan``), and Alice aborts any announcement off it.  Keys are
-uint8 arrays of 0/1 bits.
+(``_follow_plan``), and Alice aborts any announcement off it.  Bob's key
+never changes, so every scheduled pass is fixed before the first: he
+builds them all and announces their seeds and block parities in one
+``Schedule``, and the extra pass, when a hash differs, in one
+``ExtraPass``.  Alice drains the announced passes in order, each query
+naming the pass she is draining, and ends with one query that lists no
+ids; Bob's replies carry his answer bits alone.  Keys are uint8 arrays of
+0/1 bits.
 Disclosure is what the endpoint's ``disclosed_bits`` grows by over the
 exchange (``leak_meter``, counted as frames pass): block parities plus
 one bit per bisection answer, never queries, seeds or indices.
@@ -49,13 +55,14 @@ import numpy as np
 
 from .bitpack import pack_bits
 from .messages import (
-    BlockParity,
+    ExtraPass,
     Kind,
     SampleRequest,
     SampleReveal,
-    ShuffleSeed,
+    Schedule,
     Syndrome,
     VerifyHash,
+    leak_meter,
 )
 from .rng import draw_seed, stream, toeplitz_diagonal
 from .transport import Endpoint
@@ -64,6 +71,9 @@ BLOCK_SIZE_MIN = 8
 BLOCK_SIZE_MAX = 4096
 BLOCK_SIZE_FACTOR = 0.73
 HASH_BITS = 128
+# a bisection reply lists no ids, and a query no bits
+_NO_IDS = np.zeros(0, dtype=np.int64)
+_NO_BITS = np.zeros(0, dtype=np.uint8)
 
 
 @dataclass
@@ -127,9 +137,15 @@ def _permutation(seed: int, pass_no: int, n: int) -> np.ndarray:
     return stream(seed, f"recon-perm-{pass_no}").permutation(n)
 
 
+def _block_count(n: int, block_size: int) -> int:
+    """How many blocks a pass cuts an n-bit key into; the last may be short."""
+    return -(-n // block_size)
+
+
 def _block_bounds(n: int, block_size: int) -> tuple[np.ndarray, np.ndarray]:
     """Start and end of each block of a pass, in shuffled positions."""
-    starts = np.arange(0, n, block_size, dtype=np.int64)
+    starts = np.arange(_block_count(n, block_size), dtype=np.int64)
+    starts *= block_size
     return starts, np.minimum(starts + block_size, n)
 
 
@@ -244,7 +260,6 @@ class _AliceCorrector:
         starts, ends = _block_bounds(n, block_size)
         if len(bob_parities) != len(starts):
             self.endpoint.fail("block parity count mismatch")
-        bob_parities = np.asarray(bob_parities, dtype=np.uint8)
         p, base = self.built, self.built * self.stride
         self.block_sizes[p] = block_size
         perm = self.perm[base : base + n]
@@ -317,14 +332,17 @@ class _AliceCorrector:
         return np.where(first, lo, mid), np.where(first, mid, hi)
 
     def _ask(self, mid: np.ndarray) -> None:
-        """One round trip: learn Bob's prefix parity at every midpoint."""
-        ids = mid - mid // self.stride
-        self.endpoint.send(Syndrome(pass_no=self.built, blocks=ids,
-                                    bits=np.zeros(0, dtype=np.uint8)))
+        """One round trip: learn Bob's prefix parity at every midpoint.
+
+        The reply carries his answers alone, one bit per id in id order.
+        """
+        self.endpoint.send(Syndrome(pass_no=self.built, blocks=mid - mid // self.stride,
+                                    bits=_NO_BITS))
         reply = self.endpoint.expect(Kind.SYNDROME).payload
-        if (reply.pass_no != self.built or len(reply.blocks) != len(ids)
-                or np.count_nonzero(reply.blocks != ids) or len(reply.bits) != len(ids)):
-            self.endpoint.fail("bisection reply does not match its query")
+        if reply.pass_no != self.built or len(reply.blocks) or len(reply.bits) != len(mid):
+            self.endpoint.fail(f"bisection reply of {len(reply.bits)} bits and "
+                               f"{len(reply.blocks)} ids for pass {reply.pass_no} to a query "
+                               f"of {len(mid)} ids for pass {self.built}")
         self.bob_prefix[mid] = reply.bits | 2
 
     def _round(self, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -367,7 +385,7 @@ class _AliceCorrector:
         return lo[order], hi[order]
 
     def drain(self, odd_blocks: np.ndarray) -> None:
-        """Bisect until no segment of any built pass disagrees, then end the pass.
+        """Bisect until no segment of any built pass disagrees.
 
         Each round (``_round``) bisects every disagreeing segment of every
         pass at once; the next round looks again only at the halves it
@@ -397,9 +415,6 @@ class _AliceCorrector:
                 # backtracking may have cut or settled a held block
                 lo, hi = self._odd_segments(held)
                 held = held[:0]
-        self.endpoint.send(Syndrome(pass_no=self.built,
-                                    blocks=np.zeros(0, dtype=np.int64),
-                                    bits=np.zeros(0, dtype=np.uint8)))
 
 
 def _outcome(bits: np.ndarray, disclosed: int, est: float,
@@ -414,43 +429,59 @@ def _outcome(bits: np.ndarray, disclosed: int, est: float,
                         flips=flips, hash_rounds=hash_rounds)
 
 
-def _follow_plan(plan: list[int], run_pass, hash_round) -> tuple[int, int] | None:
-    """The loop both parties run: the scheduled passes, a hash, and on a
+def _follow_plan(plan: list[int], run_passes, hash_round) -> tuple[int, int] | None:
+    """The loop both parties run: the scheduled passes and a hash, then on a
     mismatch the extra pass and a last hash.
 
-    ``run_pass(pass_no, block_size)`` runs one pass of the plan and
-    ``hash_round()`` one hash round, true when the digests match.  Returns
-    the passes and hash rounds run up to the matching hash, or None when
-    the last hash differs too.
+    ``run_passes(first, last)`` runs passes ``first`` to ``last`` of the
+    plan, announced in one frame, and ``hash_round()`` one hash round, true
+    when the digests match.  Returns the passes and hash rounds run up to
+    the matching hash, or None when the last hash differs too.
     """
-    for pass_no, block_size in enumerate(plan, start=1):
-        run_pass(pass_no, block_size)
-        if pass_no >= len(plan) - 1 and hash_round():
-            return pass_no, pass_no + 2 - len(plan)
+    scheduled = len(plan) - 1
+    for rounds, (first, last) in enumerate(((1, scheduled), (len(plan), len(plan))), start=1):
+        run_passes(first, last)
+        if hash_round():
+            return last, rounds
     return None
 
 
 def _reconcile_alice(key: np.ndarray, endpoint: Endpoint, passes: int, est: float,
                      first_message=None) -> ReconOutcome:
     bits = np.array(key, dtype=np.uint8)
-    plan = correction_plan(est, len(bits), passes)
+    n = len(bits)
+    plan = correction_plan(est, n, passes)
     corr = _AliceCorrector(bits, endpoint, len(plan))
     disclosed_before = endpoint.disclosed_bits
-    first = first_message or endpoint.expect(Kind.SHUFFLE_SEED)
-    est_counts = (first.payload.est_num, first.payload.est_den)
+    if first_message is not None:
+        # the Schedule taken off the channel already is counted
+        disclosed_before -= leak_meter([first_message])
 
-    def run_pass(pass_no: int, block_size: int) -> None:
-        announce = (first if pass_no == 1 else endpoint.expect(Kind.SHUFFLE_SEED)).payload
+    def run_passes(first: int, last: int) -> None:
+        if first == 1:
+            announce = (first_message or endpoint.expect(Kind.SCHEDULE)).payload
+            seeds = announce.seeds
+            # the plan is sized from this estimate, so it must be the agreed one
+            num, den = announce.est_num, announce.est_den
+            if (num / den if den else 0.0) != est:
+                endpoint.fail(f"schedule estimate {num}/{den} off the agreed estimate {est!r}")
+        else:
+            announce = endpoint.expect(Kind.EXTRA_PASS).payload
+            seeds = (announce.seed,)
         # each pass costs Alice several key-sized arrays, so Bob may run
-        # only the plan both parties derive, under pass 1's estimate
-        announced = (announce.pass_no, announce.block_size, announce.est_num, announce.est_den)
-        planned = (pass_no, block_size, *est_counts)
-        if announced != planned:
-            endpoint.fail(f"pass, block size and estimate {announced} off the plan {planned}")
-        parity_msg = endpoint.expect(Kind.BLOCK_PARITY).payload
-        if parity_msg.pass_no != pass_no:
-            endpoint.fail("parity pass number mismatch")
-        corr.drain(corr.begin_pass(announce.seed, block_size, parity_msg.parities))
+        # only the passes of the plan both parties derive
+        counts = [_block_count(n, block_size) for block_size in plan[first - 1 : last]]
+        announced = (len(seeds), len(announce.parities))
+        if announced != (len(counts), sum(counts)):
+            endpoint.fail(f"passes and block parities {announced} off the plan "
+                          f"{(len(counts), sum(counts))}")
+        at = 0
+        for pass_no, seed, count in zip(range(first, last + 1), seeds, counts):
+            corr.drain(corr.begin_pass(seed, plan[pass_no - 1],
+                                       announce.parities[at : at + count]))
+            at += count
+        # correction ends with a query that lists no ids
+        endpoint.send(Syndrome(pass_no=last, blocks=_NO_IDS, bits=_NO_BITS))
 
     def hash_round() -> bool:
         theirs = endpoint.expect(Kind.VERIFY_HASH).payload
@@ -462,7 +493,7 @@ def _reconcile_alice(key: np.ndarray, endpoint: Endpoint, passes: int, est: floa
         endpoint.send(VerifyHash(seed=theirs.seed, digest=mine, nbits=HASH_BITS))
         return mine == theirs.digest
 
-    run = _follow_plan(plan, run_pass, hash_round)
+    run = _follow_plan(plan, run_passes, hash_round)
     if run is None:
         # Bob ends the session after the last mismatch: his Abort raises
         # here, and anything else is out of turn
@@ -470,53 +501,82 @@ def _reconcile_alice(key: np.ndarray, endpoint: Endpoint, passes: int, est: floa
     return _outcome(bits, endpoint.disclosed_bits - disclosed_before, est, *run, corr.flips)
 
 
-def _bisection_answers(ids: np.ndarray, prefixes: np.ndarray) -> np.ndarray:
-    """Bob's parity of the first ``mid`` shuffled bits of pass p, for each id p * n + mid."""
-    return prefixes[ids] & 1
+def _bisection_answers(ids: np.ndarray, entries: np.ndarray) -> np.ndarray:
+    """Bob's answers to the ids p * n + mid: bit 0 of their ``entries`` in
+    his prefix table, the parity of the first ``mid`` shuffled bits of pass p."""
+    return entries & 1
 
 
-def _serve_pass(endpoint: Endpoint, prefixes: np.ndarray, bits: np.ndarray,
-                pass_no: int, seed: int, block_size: int,
-                est_counts: tuple[int, int]) -> None:
-    """Bob's side of one pass: announce, disclose parities, answer queries.
-
-    ``prefixes`` is the table of every pass's prefix parities: bit 0 of
-    entry p * n + i is the parity of the first i shuffled bits of pass p,
-    and bit 1 marks an entry already answered.  This pass fills its slice.
-    An honest peer keeps every answer, so a query that names an answered
-    id again ends the session instead of running without limit.
-    """
+def _build_pass(prefixes: np.ndarray, bits: np.ndarray, pass_no: int, seed: int,
+                block_size: int) -> np.ndarray:
+    """Fill pass ``pass_no``'s slice of Bob's prefix table; return his
+    parity of each of its blocks."""
     n = len(bits)
-    endpoint.send(ShuffleSeed(pass_no=pass_no, seed=seed, block_size=block_size,
-                              est_num=est_counts[0], est_den=est_counts[1]))
     prefix = _shuffled_prefix(bits, _permutation(seed, pass_no, n))
     prefixes[(pass_no - 1) * n : pass_no * n] = prefix[:-1]
     starts, ends = _block_bounds(n, block_size)
-    endpoint.send(BlockParity(pass_no=pass_no, parities=prefix[ends] ^ prefix[starts]))
+    return prefix[ends] ^ prefix[starts]
+
+
+def _serve_queries(endpoint: Endpoint, prefixes: np.ndarray, n: int,
+                   first: int, last: int) -> None:
+    """Bob's side of passes ``first`` to ``last``: answer bisection queries
+    until one lists no ids.
+
+    ``prefixes`` is the table of every pass's prefix parities: bit 0 of
+    entry p * n + i is the parity of the first i shuffled bits of pass p,
+    and bit 1 marks an entry already answered.  A query names the pass
+    Alice is draining, from ``first`` to ``last`` and never going back, and
+    ids in the passes up to it; the one that lists no ids names ``last``.
+    An honest peer keeps every answer, so a
+    query that names an answered id again ends the session instead of
+    running without limit.
+    """
+    current = first
     while True:
         query = endpoint.expect(Kind.SYNDROME).payload
-        if not query.is_query or query.pass_no != pass_no:
-            endpoint.fail(f"expected a bisection query for pass {pass_no}")
-        if len(query.blocks) == 0:
+        if not query.is_query:
+            endpoint.fail("expected a bisection query")
+        if query.pass_no > last:
+            endpoint.fail(f"bisection query for pass {query.pass_no}, beyond pass {last}")
+        if query.pass_no < current:
+            endpoint.fail(f"bisection query for pass {query.pass_no} after pass {current}")
+        current = query.pass_no
+        ids = query.blocks
+        if not len(ids):
+            if current != last:
+                endpoint.fail(f"correction ends at pass {current}, not at pass {last}")
             return
-        if query.blocks[-1] >= pass_no * n:
+        if ids[-1] >= current * n:
             endpoint.fail("bisection query names a pass not yet built")
-        if np.count_nonzero(prefixes[query.blocks] & 2):
+        # one gather gives the repeat check, the answers and the marks
+        entries = prefixes[ids]
+        if np.count_nonzero(entries > 1):
             endpoint.fail("bisection query repeats an answered position")
-        answers = _bisection_answers(query.blocks, prefixes)
-        prefixes[query.blocks] |= 2
-        endpoint.send(Syndrome(pass_no=pass_no, blocks=query.blocks, bits=answers))
+        prefixes[ids] = entries | 2
+        endpoint.send(Syndrome(pass_no=current, blocks=_NO_IDS,
+                               bits=_bisection_answers(ids, entries)))
 
 
 def _reconcile_bob(key: np.ndarray, endpoint: Endpoint, passes: int, est: float,
                    est_counts: tuple[int, int], rng: np.random.Generator) -> ReconOutcome:
     bits = np.array(key, dtype=np.uint8)
+    n = len(bits)
     disclosed_before = endpoint.disclosed_bits
-    plan = correction_plan(est, len(bits), passes)
-    prefixes = np.zeros(len(plan) * len(bits), dtype=np.uint8)
+    plan = correction_plan(est, n, passes)
+    prefixes = np.zeros(len(plan) * n, dtype=np.uint8)
 
-    def run_pass(pass_no: int, block_size: int) -> None:
-        _serve_pass(endpoint, prefixes, bits, pass_no, draw_seed(rng), block_size, est_counts)
+    def run_passes(first: int, last: int) -> None:
+        seeds = tuple(draw_seed(rng) for _ in range(first, last + 1))
+        parities = np.concatenate([
+            _build_pass(prefixes, bits, pass_no, seed, plan[pass_no - 1])
+            for pass_no, seed in zip(range(first, last + 1), seeds)])
+        if first == 1:
+            endpoint.send(Schedule(est_num=est_counts[0], est_den=est_counts[1],
+                                   seeds=seeds, parities=parities))
+        else:
+            endpoint.send(ExtraPass(seed=seeds[0], parities=parities))
+        _serve_queries(endpoint, prefixes, n, first, last)
 
     def hash_round() -> bool:
         hash_seed = draw_seed(rng)
@@ -529,7 +589,7 @@ def _reconcile_bob(key: np.ndarray, endpoint: Endpoint, passes: int, est: float,
                           f"sent seed {hash_seed} and {HASH_BITS} bits")
         return theirs.digest == mine
 
-    run = _follow_plan(plan, run_pass, hash_round)
+    run = _follow_plan(plan, run_passes, hash_round)
     if run is None:
         endpoint.fail("corrected keys still differ after extra pass")
     return _outcome(bits, endpoint.disclosed_bits - disclosed_before, est, *run, 0)
@@ -544,11 +604,12 @@ def reconcile(key: np.ndarray, endpoint: Endpoint, passes: int, role: str, est: 
     Alice ends up with Bob's key (he is the reference).  ``est`` is the
     error estimate both parties agreed on, and with the key length and
     ``passes`` it fixes the plan of passes (``correction_plan``).  Bob
-    announces the estimate with each pass as ``est_counts``, the sample's
-    disagreements and size; Alice aborts any pass that differs from the
-    plan or from pass 1's estimate.  The input key is left as it is; the
-    outcome carries a corrected copy.  ``first_message`` lets a caller
-    hand Alice pass 1's ``ShuffleSeed`` it already pulled off the channel.
+    announces the estimate once, in the ``Schedule``, as ``est_counts``:
+    the sample's disagreements and size.  Alice aborts a ``Schedule`` or
+    ``ExtraPass`` whose passes, parity counts or estimate differ from the
+    plan.  The input key is left as it is; the outcome carries a corrected
+    copy.  ``first_message`` lets a caller hand Alice the ``Schedule`` it
+    already pulled off the channel.
     """
     if len(key) == 0:
         raise ValueError("cannot reconcile an empty key")

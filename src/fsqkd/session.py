@@ -21,10 +21,11 @@ Per-phase message flow (strictly turn-based)::
     A->B Hello           B->A Hello(seed)
     B->A SiftIndices
     B->A SampleRequest   A->B SampleReveal
-    per pass: B->A ShuffleSeed, BlockParity
-              A->B Syndrome (bisection query)   B->A Syndrome (parities)
-              ... until A sends a query with no ids
+    B->A Schedule (every scheduled pass's seed and block parities)
+    A->B Syndrome (bisection query)   B->A Syndrome (answer bits)
+    ... until A sends a query with no ids
     B->A VerifyHash      A->B VerifyHash
+    on a mismatch: B->A ExtraPass, its queries and a last VerifyHash pair
     B->A PaSeed (Toeplitz seed)   A->B Done   B->A Done
 
 ``run_simulation`` runs the two engines on two threads of one process.
@@ -476,7 +477,7 @@ def run_alice(endpoint: Endpoint, params: ProtocolParams, cfg: SessionConfig) ->
     if len(sifted):
         trimmed = estimate_ber_alice(sifted, endpoint, cfg.sample_size(len(sifted)))
         sampled_bits = len(sifted) - len(trimmed)
-    message = endpoint.expect(Kind.SHUFFLE_SEED, Kind.PA_SEED)
+    message = endpoint.expect(Kind.SCHEDULE, Kind.PA_SEED)
     # both parties price privacy amplification from this estimate, so it
     # must be over exactly the bits she revealed
     est_errors, est_den = message.payload.est_num, message.payload.est_den
@@ -485,7 +486,7 @@ def run_alice(endpoint: Endpoint, params: ProtocolParams, cfg: SessionConfig) ->
     est = est_errors / sampled_bits if sampled_bits else 0.0
     # the receiver opens correction exactly when some yield is possible,
     # which an empty key never allows
-    correcting = message.kind is Kind.SHUFFLE_SEED
+    correcting = message.kind is Kind.SCHEDULE
     if correcting != _yield_possible(len(trimmed), params.mean_photon_number,
                                      est, sampled_bits):
         endpoint.fail("peer opened correction although no yield is possible"

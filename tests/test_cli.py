@@ -215,6 +215,14 @@ class TestTwoProcess:
         assert code == 2
         assert "version" in err
 
+    def test_version_4_peer_aborts(self, tmp_path):
+        # version 4 announced each pass in its own frames and echoed ids in
+        # bisection replies; such a peer ends at its Hello
+        hello = Hello(version=4, params_digest=bytes(16), seed=0)
+        code, err = self._serve_fake_peer(tmp_path, encode(message_for(0, 0, hello)))
+        assert code == 2
+        assert "protocol version mismatch: peer 4, local 5" in err
+
     def test_malformed_first_frame_aborts(self, tmp_path):
         body = b"this is not a protocol message"
         code, err = self._serve_fake_peer(tmp_path, len(body).to_bytes(4, "big") + body)

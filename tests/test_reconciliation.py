@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import math
 import threading
@@ -9,11 +10,11 @@ import pytest
 
 import fsqkd.reconciliation as recon
 from fsqkd.messages import (
-    BlockParity,
+    ExtraPass,
     Kind,
     SampleRequest,
     SampleReveal,
-    ShuffleSeed,
+    Schedule,
     Syndrome,
     VerifyHash,
     leak_meter,
@@ -35,7 +36,7 @@ from fsqkd.rng import stream
 from fsqkd.session import SessionConfig
 from fsqkd.transport import ProtocolError, SessionAborted, loopback_pair
 
-from fixtures import decoded
+from fixtures import bisection_sha256, decoded
 
 # the agreed number of correction passes when none is set
 PASSES = SessionConfig().passes
@@ -301,7 +302,7 @@ class TestReconcile:
         # independent recount: parities + syndrome payload bits, nothing else
         manual = 0
         for message in decoded(a_end):
-            if message.kind is Kind.BLOCK_PARITY:
+            if message.kind in (Kind.SCHEDULE, Kind.EXTRA_PASS):
                 manual += len(message.payload.parities)
             elif message.kind is Kind.SYNDROME:
                 manual += len(message.payload.bits)
@@ -359,8 +360,7 @@ class TestReconcile:
 
         thread = threading.Thread(target=bob)
         thread.start()
-        a_end.expect(Kind.SHUFFLE_SEED)
-        a_end.expect(Kind.BLOCK_PARITY)
+        a_end.expect(Kind.SCHEDULE)
         a_end.send(Syndrome(pass_no=1, blocks=np.array([n], dtype=np.int64),
                             bits=np.zeros(0, dtype=np.uint8)))
         with pytest.raises(SessionAborted):
@@ -388,8 +388,7 @@ class TestReconcile:
         start = time.monotonic()
         thread = threading.Thread(target=bob)
         thread.start()
-        seed = a_end.expect(Kind.SHUFFLE_SEED).payload.seed
-        a_end.expect(Kind.BLOCK_PARITY)
+        seed = a_end.expect(Kind.SCHEDULE).payload.seeds[0]
         prefix = _shuffled_prefix(bits, _permutation(seed, 1, n))
         for ids in ([3, 10], [5], repeat):
             a_end.send(Syndrome(pass_no=1, blocks=np.array(ids, dtype=np.int64),
@@ -402,30 +401,74 @@ class TestReconcile:
         assert errors["b"].local
         assert time.monotonic() - start < 2.0
 
+    @pytest.mark.parametrize("queries, reason", [
+        ([(5, [3])], "for pass 5, beyond pass 4"),
+        ([(2, [3]), (1, [5])], "for pass 1 after pass 2"),
+        ([(2, [3]), (1, [])], "for pass 1 after pass 2"),
+        ([(1, [3]), (2, [])], "ends at pass 2, not at pass 4"),
+    ], ids=["beyond-the-schedule", "pass-goes-back", "closing-pass-goes-back",
+            "correction-ends-early"])
+    def test_query_off_the_schedule_aborts(self, queries, reason):
+        # a query names the pass Alice is draining: one of the four the
+        # Schedule announced, never going back
+        n = 64
+        bits = stream(6, "k").integers(0, 2, n).astype(np.uint8)
+        a_end, b_end = loopback_pair(timeout_s=5.0)
+        errors = {}
+
+        def bob():
+            try:
+                reconcile(bits, b_end, PASSES, "bob", 2 / n, (2, n),
+                          rng=stream(6, "bob-recon"))
+            except SessionAborted as exc:
+                errors["b"] = exc
+
+        thread = threading.Thread(target=bob)
+        thread.start()
+        assert len(a_end.expect(Kind.SCHEDULE).payload.seeds) == 4
+        for i, (pass_no, ids) in enumerate(queries):
+            a_end.send(Syndrome(pass_no=pass_no, blocks=np.array(ids, dtype=np.int64),
+                                bits=np.zeros(0, dtype=np.uint8)))
+            if i < len(queries) - 1:
+                assert len(a_end.expect(Kind.SYNDROME).payload.bits) == len(ids)
+        expect_abort(a_end, reason)
+        thread.join(timeout=10.0)
+        assert not thread.is_alive()
+        assert errors["b"].local and reason in errors["b"].reason
+
     # Alice's plan for a 64-bit key at estimate 0: one screening pass of
     # the whole key, a hash, then the extra pass of the same size and a
-    # last hash.  Each case plays the plan's steps in order, P a pass whose
-    # parity agrees and H a hash whose digest differs, before one message
-    # off the plan.
+    # last hash.  Each case plays the plan's steps in order, P the pass
+    # that is due (the Schedule, then the ExtraPass) with a parity that
+    # agrees and H a hash whose digest differs, before one message off the
+    # plan.
     @pytest.mark.parametrize("steps, payload, error, reason", [
-        ("", ShuffleSeed(pass_no=2, seed=2, block_size=64), SessionAborted, "off the plan"),
-        ("PHPH", ShuffleSeed(pass_no=3, seed=3, block_size=64), ProtocolError,
-         "expected Abort, got ShuffleSeed"),
+        ("", ExtraPass(seed=2, parities=np.zeros(1, dtype=np.uint8)), ProtocolError,
+         "expected Schedule, got ExtraPass"),
+        ("PHPH", ExtraPass(seed=3, parities=np.zeros(1, dtype=np.uint8)), ProtocolError,
+         "expected Abort, got ExtraPass"),
         ("", VerifyHash(seed=2, digest=bytes(16), nbits=128), ProtocolError,
-         "expected ShuffleSeed, got VerifyHash"),
+         "expected Schedule, got VerifyHash"),
         ("PH", VerifyHash(seed=2, digest=bytes(16), nbits=128), ProtocolError,
-         "expected ShuffleSeed, got VerifyHash"),
-        ("P", ShuffleSeed(pass_no=2, seed=2, block_size=64), ProtocolError,
-         "expected VerifyHash, got ShuffleSeed"),
-        # block sizes arrive as unbounded varints
-        ("", ShuffleSeed(pass_no=1, seed=1, block_size=65), SessionAborted, "off the plan"),
-        ("", ShuffleSeed(pass_no=1, seed=1, block_size=2**64 - 1), SessionAborted,
-         "off the plan"),
-        ("PH", ShuffleSeed(pass_no=2, seed=2, block_size=64, est_num=1, est_den=1),
+         "expected ExtraPass, got VerifyHash"),
+        # an extra pass that no hash mismatch preceded
+        ("P", ExtraPass(seed=2, parities=np.zeros(1, dtype=np.uint8)), ProtocolError,
+         "expected VerifyHash, got ExtraPass"),
+        ("P", Schedule(est_num=0, est_den=1, seeds=(2,), parities=np.zeros(1, dtype=np.uint8)),
+         ProtocolError, "expected VerifyHash, got Schedule"),
+        ("", Schedule(est_num=0, est_den=1, seeds=(1, 2),
+                      parities=np.zeros(2, dtype=np.uint8)), SessionAborted, "off the plan"),
+        ("", Schedule(est_num=0, est_den=1, seeds=(), parities=np.zeros(0, dtype=np.uint8)),
          SessionAborted, "off the plan"),
+        ("", Schedule(est_num=0, est_den=1, seeds=(1,), parities=np.zeros(65, dtype=np.uint8)),
+         SessionAborted, "off the plan"),
+        ("PH", ExtraPass(seed=2, parities=np.zeros(2, dtype=np.uint8)), SessionAborted,
+         "off the plan"),
+        ("", Schedule(est_num=1, est_den=1, seeds=(1,), parities=np.zeros(1, dtype=np.uint8)),
+         SessionAborted, "off the agreed estimate"),
     ], ids=["pass-out-of-order", "pass-beyond-the-plan", "hash-at-start", "hash-after-a-hash",
-            "pass-where-a-hash-is-due", "block-size-65", "block-size-2**64-1",
-            "later-estimate-differs"])
+            "pass-where-a-hash-is-due", "schedule-where-a-hash-is-due", "two-passes",
+            "no-pass", "65-parities", "extra-pass-of-2-parities", "estimate-off-the-plan"])
     def test_announcement_off_the_plan_aborts(self, steps, payload, error, reason):
         # each pass costs Alice several key-sized arrays and each hash a
         # key-sized product and 128 disclosed bits, so she follows Bob only
@@ -448,9 +491,9 @@ class TestReconcile:
         for step in steps:
             if step == "P":
                 pass_no += 1
-                b_end.send(ShuffleSeed(pass_no=pass_no, seed=pass_no, block_size=n))
-                b_end.send(BlockParity(pass_no=pass_no, parities=parity))
-                # the parity agrees, so Alice closes the pass with an empty query
+                b_end.send(Schedule(est_num=0, est_den=1, seeds=(1,), parities=parity)
+                           if pass_no == 1 else ExtraPass(seed=pass_no, parities=parity))
+                # the parity agrees, so Alice ends correction with an empty query
                 closing = b_end.expect(Kind.SYNDROME).payload
                 assert closing.pass_no == pass_no and len(closing.blocks) == 0
             else:
@@ -465,14 +508,39 @@ class TestReconcile:
         if error is SessionAborted:
             assert errors["a"].local
 
+    @pytest.mark.parametrize("reply, reason", [
+        (Syndrome(pass_no=1, blocks=np.array([32], dtype=np.int64),
+                  bits=np.ones(1, dtype=np.uint8)), "1 bits and 1 ids"),
+        (Syndrome(pass_no=1, blocks=np.zeros(0, dtype=np.int64),
+                  bits=np.ones(2, dtype=np.uint8)), "2 bits and 0 ids"),
+        (Syndrome(pass_no=1, blocks=np.zeros(0, dtype=np.int64),
+                  bits=np.zeros(0, dtype=np.uint8)), "0 bits and 0 ids"),
+        (Syndrome(pass_no=2, blocks=np.zeros(0, dtype=np.int64),
+                  bits=np.ones(1, dtype=np.uint8)), "for pass 2"),
+    ], ids=["echoes-ids", "two-bits", "no-bits", "other-pass"])
+    def test_reply_off_its_query_aborts(self, reply, reason):
+        # a reply carries one answer bit per id of the query and no ids
+        n = 64
+        bits = stream(8, "k").integers(0, 2, n).astype(np.uint8)
+        odd = np.bitwise_xor.reduce(bits, keepdims=True) ^ 1
+        a_end, b_end = loopback_pair(timeout_s=5.0)
+        b_end.send(Schedule(est_num=0, est_den=1, seeds=(1,), parities=odd))
+        b_end.send(reply)
+        with pytest.raises(SessionAborted, match="does not match|bits and") as info:
+            reconcile(bits, a_end, PASSES, "alice", 0.0)
+        assert info.value.local and reason in info.value.reason
+        # the one block disagrees: Alice asked for its midpoint
+        assert b_end.expect(Kind.SYNDROME).payload.blocks.tolist() == [32]
+        expect_abort(b_end, reason)
+
     def test_verify_hash_of_unagreed_length_aborts(self):
         # the hash length is fixed by the protocol; a reference that asks
         # for a longer hash after the planned pass gets an Abort and no digest
         n = 64
         bits = stream(7, "k").integers(0, 2, n).astype(np.uint8)
         a_end, b_end = loopback_pair(timeout_s=5.0)
-        b_end.send(ShuffleSeed(pass_no=1, seed=1, block_size=n))
-        b_end.send(BlockParity(pass_no=1, parities=np.bitwise_xor.reduce(bits, keepdims=True)))
+        b_end.send(Schedule(est_num=0, est_den=1, seeds=(1,),
+                            parities=np.bitwise_xor.reduce(bits, keepdims=True)))
         b_end.send(VerifyHash(seed=1, digest=bytes(16), nbits=2**20))
         with pytest.raises(SessionAborted, match="agreed 128"):
             reconcile(bits, a_end, PASSES, "alice", 0.0)
@@ -497,13 +565,11 @@ class TestReconcile:
 
         thread = threading.Thread(target=bob)
         thread.start()
-        while (message := a_end.expect(Kind.SHUFFLE_SEED, Kind.VERIFY_HASH)).kind \
-                is Kind.SHUFFLE_SEED:
-            # every parity taken to agree: close the pass with an empty query
-            pass_no = a_end.expect(Kind.BLOCK_PARITY).payload.pass_no
-            a_end.send(Syndrome(pass_no=pass_no, blocks=np.zeros(0, dtype=np.int64),
-                                bits=np.zeros(0, dtype=np.uint8)))
-        seed = message.payload.seed + 1
+        passes = len(a_end.expect(Kind.SCHEDULE).payload.seeds)
+        # every parity taken to agree: end correction with an empty query
+        a_end.send(Syndrome(pass_no=passes, blocks=np.zeros(0, dtype=np.int64),
+                            bits=np.zeros(0, dtype=np.uint8)))
+        seed = a_end.expect(Kind.VERIFY_HASH).payload.seed + 1
         a_end.send(VerifyHash(seed=seed, digest=_verify_hash_bits(bits, seed, 128),
                               nbits=128))
         expect_abort(a_end, "verify hash echo")
@@ -512,14 +578,14 @@ class TestReconcile:
         assert errors["b"].local and "verify hash echo" in errors["b"].reason
 
     def test_block_parity_out_of_turn_aborts(self):
-        # a pass opens with ShuffleSeed; Alice's expect answers a BlockParity
-        # in its place with an Abort
+        # correction opens with the Schedule; Alice's expect answers block
+        # parities that arrive in an ExtraPass in its place with an Abort
         bits = stream(7, "k").integers(0, 2, 64).astype(np.uint8)
         a_end, b_end = loopback_pair(timeout_s=5.0)
-        b_end.send(BlockParity(pass_no=1, parities=np.zeros(8, dtype=np.uint8)))
-        with pytest.raises(ProtocolError, match="got BlockParity"):
+        b_end.send(ExtraPass(seed=1, parities=np.zeros(8, dtype=np.uint8)))
+        with pytest.raises(ProtocolError, match="got ExtraPass"):
             reconcile(bits, a_end, PASSES, "alice", 0.0)
-        expect_abort(b_end, "got BlockParity")
+        expect_abort(b_end, "got ExtraPass")
 
     def test_input_key_left_unchanged(self):
         n = 4_000
@@ -559,48 +625,73 @@ def one_bit_key_pair():
 
 
 class TestPinnedTranscripts:
-    """sha256 of Alice's whole correction transcript and corrected key on
-    paths the session goldens do not reach; a faster corrector must replay
-    them byte for byte."""
+    """Alice's whole correction transcript, her corrected key and the
+    bisection exchange (each query's pass and ids and Bob's answers, apart
+    from any wire layout), each pinned by sha256, on paths the session
+    goldens do not reach; a faster corrector must replay them byte for byte."""
 
     CASES = {
         # two scheduled passes leave an error: hash mismatch, extra pass,
         # second hash round
-        "extra-pass": (lambda: planted_keys(2, 2000, 0.05), 100, 2000, 2,
-                       2, (3, 2),
-                       "9cd972c1d9cc0aaf09c5acca2dcd71d44e49e5cdcb9b482859e419f5e52447c1"),
-        "key-shorter-than-block": (short_key_pair, 1, 6, PASSES, 9, (4, 1),
-                                   "34975ae078b0fda4143d1ab61710773c"
-                                   "2032a2d32fc83bfb9effa1b8e7eaf9a1"),
+        "extra-pass": (lambda: planted_keys(2, 2000, 0.05), 100, 2000, 2, 2, (3, 2), {
+            "transcript": "abe1d504c9cae7441a25472ca27070a567fd61c41280686425bd6a1a9f90ae8f",
+            "key": "182148fe13a55f3dc81417fe46be2c449436a820e6a028323b384aa1effbcdf7",
+            "bisection": "0eee15207045992b9c94e150177ba86c7a4f8b198dce80dfbe445f49202f15e4"}),
+        "key-shorter-than-block": (short_key_pair, 1, 6, PASSES, 9, (4, 1), {
+            "transcript": "0e9e9d9fdd156d3f0d2aad41d862f85c6abcd7e292508c60695ef5a4f35b4251",
+            "key": "4b68ab3847feda7d6c62c1fbcbeebfa35eab7351ed5e78f4ddadea5df64b8015",
+            "bisection": "9680b85ffb65857c13a06035f4412ef33ab71b85b8de306a99f56a9ce1a35163"}),
         # pass 2's held half of odd blocks is still odd once the first
         # half and its backtracking have settled, so it is bisected too
-        "held-half-drained": (lambda: planted_keys(1, 300, 0.05), 15, 300, PASSES,
-                              1, (4, 1),
-                              "c32cf7def1bce122587b24e10421d430f9ded686a4a8f1acdbc0af725dd9bd03"),
-        # blocks of 8 bits at 12% errors: 324 frames of bisection and
+        "held-half-drained": (lambda: planted_keys(1, 300, 0.05), 15, 300, PASSES, 1, (4, 1), {
+            "transcript": "cf1c5f9d08df8b15969625daefbeda570192c79665161adb30d758965be11620",
+            "key": "e0c457b7cf6f0c6f1176b6dfcf7c58f43c965ba3c2578f1ae613b341d2527b93",
+            "bisection": "f8e027bc12011cb5ded0e5517ba479a7f793d0553ad6496f28131022e36e6628"}),
+        # blocks of 8 bits at 12% errors: 314 frames of bisection and
         # backtracking
         "heavy-backtracking": (lambda: planted_keys(3, 20_000, 0.12), 2400, 20_000, PASSES,
-                               3, (4, 1),
-                               "cbe0e3a926be91312f445fcbed2acd032c3fea0c29af774ec5069bae451fbc23"),
+                               3, (4, 1), {
+            "transcript": "842ea27c56d6f283f0155c52575a5073ec896772a41b408f798eba4d81faa39a",
+            "key": "380372df9bd289c3d1f3bf88390c54ec2150f9dbfeecf62d6510514cfe40b005",
+            "bisection": "ef9e3b67300aa949bb311991baacb0a0a90c9cd87eefefb07dc59f6958992b55"}),
         # blocks of 15 bits and a last block of 11
         "short-last-block": (lambda: planted_keys(5, 1_001, 0.05), 50, 1_001, PASSES,
-                             5, (4, 1),
-                             "9b018b784b6725410182c70c13bf7bca2df6843fb98a18093078d353a8689952"),
-        # every pass is one 1-bit block, odd in pass 1 only
-        "one-bit-key": (one_bit_key_pair, 1, 1, PASSES, 1, (4, 1),
-                        "31bb88763a35519955a3b1f6c9ea0aab50669979afa8d9842d67bdfb802b55c3"),
+                             5, (4, 1), {
+            "transcript": "5e63821f9ff0483f8959167bd70e84bef5f4595bd3b21e018292995a3781c666",
+            "key": "46254e49b676578f94bbc2b3e7ed095481daebc2f30dac5832244247c1191114",
+            "bisection": "fda9961652970bc2dbcb5b9dd5aa2f1452c8963833d3b69e918a203b86c70a7c"}),
+        # every pass is one 1-bit block, odd in pass 1 only: its flip needs
+        # no query
+        "one-bit-key": (one_bit_key_pair, 1, 1, PASSES, 1, (4, 1), {
+            "transcript": "e20fd74dc0766485837f700130137c85d70589f2bb81ada4f8393391a5570cef",
+            "key": "76be8b528d0075f7aae98d6fa57a6d3c83ae480a8469e668d7b0af968995ac71",
+            "bisection": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"}),
     }
 
     @pytest.mark.parametrize("case", CASES)
     def test_transcript_and_key_bytes(self, case):
-        keys, est_num, est_den, agreed, seed, (passes, hash_rounds), expected = self.CASES[case]
-        a, b = keys()
-        ra, rb, a_end, _ = reconcile_pair(a, b, est_num, est_den, passes=agreed, seed=seed)
-        assert ra.verified and rb.verified and np.array_equal(ra.corrected_key, b)
-        assert (ra.passes_run, ra.hash_rounds) == (passes, hash_rounds)
-        digest = hashlib.sha256(b"".join(a_end.frames))
-        digest.update(np.packbits(ra.corrected_key).tobytes())
-        assert digest.hexdigest() == expected
+        ra, a_end = pinned_run(case)
+        got = {"transcript": hashlib.sha256(b"".join(a_end.frames)).hexdigest(),
+               "key": hashlib.sha256(np.packbits(ra.corrected_key).tobytes()).hexdigest()}
+        expected = self.CASES[case][-1]
+        assert got == {name: expected[name] for name in got}
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_bisection_exchange(self, case):
+        _ra, a_end = pinned_run(case)
+        assert bisection_sha256(decoded(a_end)) == self.CASES[case][-1]["bisection"]
+
+
+@functools.lru_cache(maxsize=None)
+def pinned_run(case):
+    """Alice's outcome and end of one pinned case, run once per process."""
+    keys, est_num, est_den, agreed, seed, (passes, hash_rounds), _ = \
+        TestPinnedTranscripts.CASES[case]
+    a, b = keys()
+    ra, rb, a_end, _ = reconcile_pair(a, b, est_num, est_den, passes=agreed, seed=seed)
+    assert ra.verified and rb.verified and np.array_equal(ra.corrected_key, b)
+    assert (ra.passes_run, ra.hash_rounds) == (passes, hash_rounds)
+    return ra, a_end
 
 
 class TestAliceCorrector:

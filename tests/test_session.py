@@ -16,13 +16,14 @@ import pytest
 
 from fsqkd.messages import (
     PROTOCOL_VERSION,
-    BlockParity,
+    ExtraPass,
     Hello,
     Kind,
     PaSeed,
     SampleRequest,
-    ShuffleSeed,
+    Schedule,
     SiftIndices,
+    decode,
 )
 from fsqkd.params import ProtocolParams
 from fsqkd.rng import random_bits, stream
@@ -40,7 +41,7 @@ from fsqkd.session import (
 )
 from fsqkd.transport import ProtocolError, SessionAborted, loopback_pair
 
-from fixtures import decoded
+from fixtures import bisection_sha256, decoded
 
 
 @pytest.fixture(scope="module")
@@ -312,10 +313,38 @@ class TestHostilePeer:
         # her Hello, the peer's and her Abort: nothing after the mismatch
         assert [m.kind for m in decoded(a_end)] == [Kind.HELLO, Kind.HELLO, Kind.ABORT]
 
+    def test_version_4_hello_aborts(self):
+        # version 4 announced each pass in its own frames; a peer still
+        # speaking it ends at its Hello
+        a_end, b_end = loopback_pair(timeout_s=5.0)
+        errors = {}
+
+        def bob():
+            try:
+                run_bob(b_end, self.PARAMS, self.CFG)
+            except SessionAborted as exc:
+                errors["b"] = exc
+
+        thread = threading.Thread(target=bob)
+        thread.start()
+        a_end.send(Hello(version=4, params_digest=session_digest(self.PARAMS, self.CFG)))
+        self._expect_abort(a_end, thread, "protocol version mismatch: peer 4, local 5")
+        assert errors["b"].local
+        assert PROTOCOL_VERSION == 5
+
+    def test_extra_pass_after_a_matching_hash_aborts(self, monkeypatch):
+        # the hash matched, so the plan has no extra pass: an ExtraPass in
+        # the place of the PaSeed ends the session
+        monkeypatch.setattr("fsqkd.session.PaSeed", lambda **kw: ExtraPass(
+            seed=kw["seed"], parities=np.zeros(1, dtype=np.uint8)))
+        params, cfg, _digests = GOLDEN["nbar0.5-seed417"]
+        with pytest.raises(SessionAborted, match="expected PaSeed, got ExtraPass"):
+            run_simulation(params, cfg)
+
     @pytest.mark.parametrize("payload", [
         PaSeed(seed=1, output_length=0, est_num=5, est_den=1),
-        ShuffleSeed(pass_no=1, seed=1, block_size=8, est_num=3, est_den=2),
-    ], ids=["PaSeed", "ShuffleSeed"])
+        Schedule(est_num=3, est_den=2, seeds=(1,), parities=np.zeros(1, dtype=np.uint8)),
+    ], ids=["PaSeed", "Schedule"])
     def test_estimate_above_one_aborts(self, payload):
         b_end, _a_end, thread, errors = self._alice_against_fake_bob(np.arange(0, 1000, 10))
         b_end.send(payload)
@@ -340,8 +369,8 @@ class TestHostilePeer:
         b_end, _a_end, thread, errors = self._alice_against_fake_bob(ticks)
         b_end.send(SampleRequest(positions=np.asarray(sample, dtype=np.int64)))
         b_end.expect(Kind.SAMPLE_REVEAL)
-        b_end.send(ShuffleSeed(pass_no=1, seed=1, block_size=8,
-                               est_num=est_num, est_den=est_den))
+        b_end.send(Schedule(est_num=est_num, est_den=est_den, seeds=(1,),
+                            parities=np.zeros(1, dtype=np.uint8)))
         self._expect_abort(b_end, thread, "no yield is possible")
         assert isinstance(errors["a"], SessionAborted)
 
@@ -349,7 +378,7 @@ class TestHostilePeer:
         # 100 sifted bits, 10 of them revealed, an estimate over 1000
         (np.arange(10), SessionAborted, "estimate over 1000 bits, 10 sampled"),
         # the same estimate with no sample taken at all
-        (None, ProtocolError, "expected SampleRequest, got ShuffleSeed"),
+        (None, ProtocolError, "expected SampleRequest, got Schedule"),
     ], ids=["unchecked-sample-size", "no-sample"])
     def test_estimate_not_over_the_revealed_sample_aborts(self, sample, error, reason):
         # both parties price privacy amplification from the estimate, so it
@@ -358,8 +387,8 @@ class TestHostilePeer:
         if sample is not None:
             b_end.send(SampleRequest(positions=sample.astype(np.int64)))
             b_end.expect(Kind.SAMPLE_REVEAL)
-        b_end.send(ShuffleSeed(pass_no=1, seed=1, block_size=2**20, est_num=0, est_den=1000))
-        b_end.send(BlockParity(pass_no=1, parities=np.zeros(1, dtype=np.uint8)))
+        b_end.send(Schedule(est_num=0, est_den=1000, seeds=(1,),
+                            parities=np.zeros(1, dtype=np.uint8)))
         self._expect_abort(b_end, thread, reason)
         assert isinstance(errors["a"], error)
 
@@ -441,7 +470,7 @@ class TestFaultInjection:
         assert isinstance(errors[sender], SessionAborted)
         assert not errors[sender].local and reason in errors[sender].reason
 
-    # frame 4 is mid-session: Bob's BlockParity of pass 1, or Alice's third
+    # frame 4 is mid-session: Bob's first bisection reply, or Alice's third
     # bisection query
     @pytest.mark.parametrize("sender", ["alice", "bob"])
     @pytest.mark.parametrize("damage, reason", [
@@ -452,40 +481,49 @@ class TestFaultInjection:
         self._expect_receiver_error(sender, damage, reason)
 
     def test_reordered_frames_abort(self):
-        # Bob's ShuffleSeed (frame 3) arrives after his BlockParity; only Bob
-        # ever sends two frames in a row, so only his can be swapped
+        # Bob's SiftIndices (frame 1) arrives after his SampleRequest; only
+        # Bob ever sends two frames in a row (his Hello, SiftIndices and
+        # SampleRequest), so only his can be swapped
         held = []
 
         def swap(i, frame):
-            if i == 3:
+            if i == 1:
                 held.append(frame)
                 return []
-            return [frame, *held] if i == 4 else [frame]
+            return [frame, *held] if i == 2 else [frame]
 
-        self._expect_receiver_error("bob", swap, "got BlockParity")
+        self._expect_receiver_error("bob", swap, "got SampleRequest")
 
 
 GOLDEN_CASES = [
     pytest.param(ProtocolParams(mean_photon_number=0.5, rng_seed=417),
                  SessionConfig(pulses=200_000, block_size=50_000,
                                sample_fraction=0.05),
-                 "d8ea3d69b68c47922836332e615b221503c199a05d14c3db62678f896a525221",
-                 "4c6083e9ec8e0be17dd5c1272fea5bc94230910605e9309604153fa2a3faafa8",
+                 {"frames": "5b77d27a2c2b44231b8a77e56e39bf034057f5dae05c61398036e39d3c1f456a",
+                  "report": "fe197543315464da2a3f49eeeed49270b2c81caa5573559f79d60e2906a21775",
+                  "key": "4c6083e9ec8e0be17dd5c1272fea5bc94230910605e9309604153fa2a3faafa8",
+                  "bisection": "54bd29eca87b0eda052a51b778724c6f5b34dbb29816336dd45ad417a7788d09"},
                  id="nbar0.5-seed417"),
     pytest.param(ProtocolParams(), SessionConfig(),
-                 "d455b5516a527104db0dd40e640c89f133cab6d953a020dcbbee003628b68ba7",
-                 "6412558b8cba53ae93e10c4bbc94ef065ceafeb7439f3ca5dd8c224ed4609219",
+                 {"frames": "3075112410b0babdc73c8d8a7cb31ba7a0f7aae4e4f548daf116c042fe883034",
+                  "report": "bcdaaedc025fa06dcd0b73851352a7a68270d9ceb913ed46a502401cf0d48f77",
+                  "key": "6412558b8cba53ae93e10c4bbc94ef065ceafeb7439f3ca5dd8c224ed4609219",
+                  "bisection": "a15ff95d9b741a0c42cd03966161eac1cf5ded561c66044faac063b20c9f5997"},
                  id="defaults"),
     pytest.param(ProtocolParams(mean_photon_number=0.02, rng_seed=3),
                  SessionConfig(pulses=200_000),
-                 "b15a81c5df843fc670829367deb19be4962eae98872b0c872077ff3281ff48f0",
-                 "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+                 {"frames": "a9650d2510a2672bccc056c833784ea4c8f55f3970134e724419f5a39665b4e3",
+                  "report": "3555bf422c42ccfa45b542d0866e3170e1bddce2f8b9650c81944ad6d80e9884",
+                  "key": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+                  "bisection": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"},
                  id="dim-no-yield"),
     pytest.param(ProtocolParams(mean_photon_number=0.35, eta_system_mean=0.5,
                                 eta_system_sigma=0.0, rng_seed=1),
                  SessionConfig(pulses=200_000),
-                 "0bf59947ce4ec075575e2c7f2fb31e8c54897b2eb860a0a6d24c431998d94d20",
-                 "1bf731e293ae533be827147734cc2ce917531b719bcc143599f22f2ffcff8f73",
+                 {"frames": "91c29502317e6dc1a6601780f23d216799732a823bc9d4d044d40eee1f5429c6",
+                  "report": "9800eb735d50958b162af2ac00b2baaa9b479100dcebc8305d0fc9cd7fc67aeb",
+                  "key": "1bf731e293ae533be827147734cc2ce917531b719bcc143599f22f2ffcff8f73",
+                  "bisection": "dfaa98a60e5d5b0c75b667b70ff53cfbde3bc77d251cfd5a97ca81d35e088e51"},
                  id="efficient-link-with-key"),
 ]
 
@@ -498,64 +536,97 @@ def golden_run(params, cfg):
     return run_simulation(params, cfg)
 
 
-def session_sha256(sim):
-    """sha256 over the report, every frame of Bob's transcript and his packed key."""
-    h = hashlib.sha256(sim.report.to_kv().encode())
-    for frame in sim.bob.frames:
-        h.update(frame)
-    h.update(np.packbits(sim.bob.secret_bits).tobytes())
-    return h.hexdigest()
+def sha256(*parts: bytes) -> str:
+    digest = hashlib.sha256()
+    for part in parts:
+        digest.update(part)
+    return digest.hexdigest()
+
+
+def session_digests(sim) -> dict:
+    """sha256 of Bob's transcript frames, of the report and of his packed key."""
+    return {"frames": sha256(*sim.bob.frames),
+            "report": sha256(sim.report.to_kv().encode()),
+            "key": key_sha256(sim)}
 
 
 def key_sha256(sim):
-    return hashlib.sha256(np.packbits(sim.bob.secret_bits).tobytes()).hexdigest()
+    return sha256(np.packbits(sim.bob.secret_bits).tobytes())
+
+
+def replays(sim, digests) -> bool:
+    """The session's frames, report and key are the pinned ones."""
+    return session_digests(sim) == {name: digests[name] for name in ("frames", "report", "key")}
 
 
 class TestGoldenReplay:
-    """Sessions replay to fixed bytes: report, transcript frames and key.
+    """Sessions replay to fixed bytes: transcript frames, report and key.
 
-    Each digest is sha256 over ``report.to_kv()``, then every frame of
-    Bob's transcript, then his packed secret key; the last case yields
-    1866 secret bits and the defaults 1176, so privacy amplification is
-    covered.  The digests were recorded with numpy 2.4.6, whose generators
-    fix the draws, at ``PROTOCOL_VERSION`` 4 (fired-gate channel draws,
-    Alice's bits unpacked from random bytes, Toeplitz verify hash).  A
-    change that deliberately alters keys or frames (for example a new
-    privacy-amplification hash with a ``PROTOCOL_VERSION`` bump) updates
-    these digests in that same change.  The secret-key digests are kept
-    apart: the move from version 3 to 4 changed only the ``Hello`` and
-    ``VerifyHash`` frames and the report's ``protocol_version``, and left
-    them as they were.
+    Each is pinned apart: sha256 over every frame of Bob's transcript, over
+    ``report.to_kv()`` and over his packed secret key, so a change shows
+    which of the three it moved.  The last case yields 1866 secret bits and
+    the defaults 1176, so privacy amplification is covered.  The digests
+    were recorded with numpy 2.4.6, whose generators fix the draws.  The
+    keys date from ``PROTOCOL_VERSION`` 4 (fired-gate channel draws,
+    Alice's bits unpacked from random bytes, Toeplitz verify hash); the
+    frames and reports from version 5, whose one ``Schedule`` frame and
+    bare bisection replies moved the frame digests, and the report
+    digests only through the report's ``protocol_version`` line.  A change
+    that deliberately alters keys or frames updates these digests in that
+    same change.  The key digests and the bisection exchange (each query's
+    pass and ids and Bob's answers, pinned apart from any wire layout)
+    move only with the keys or the Cascade decisions.
     """
 
-    @pytest.mark.parametrize("params, cfg, digest, _secret", GOLDEN_CASES)
-    def test_session_bytes(self, params, cfg, digest, _secret):
+    @pytest.mark.parametrize("params, cfg, digests", GOLDEN_CASES)
+    def test_session_bytes(self, params, cfg, digests):
         sim = golden_run(params, cfg)
         assert sim.alice.frames == sim.bob.frames
-        assert session_sha256(sim) == digest
+        got = session_digests(sim)
+        assert {name: got[name] for name in ("frames", "report")} == \
+            {name: digests[name] for name in ("frames", "report")}
 
-    @pytest.mark.parametrize("params, cfg, _digest, secret", GOLDEN_CASES)
-    def test_secret_key_bytes(self, params, cfg, _digest, secret):
+    @pytest.mark.parametrize("params, cfg, digests", GOLDEN_CASES)
+    def test_secret_key_bytes(self, params, cfg, digests):
         """sha256 of the packed secret key alone.  A change to the wire
         format or the report leaves these digests as they are; only a
         change to the keys themselves may move them."""
         sim = golden_run(params, cfg)
         assert np.array_equal(sim.alice.secret_bits, sim.bob.secret_bits)
-        assert key_sha256(sim) == secret
+        assert key_sha256(sim) == digests["key"]
+
+    @pytest.mark.parametrize("params, cfg, digests", GOLDEN_CASES)
+    def test_bisection_exchange(self, params, cfg, digests):
+        """Every query's pass and ids and Bob's answer bits, in order: the
+        Cascade decisions, whatever frames carry them."""
+        sim = golden_run(params, cfg)
+        assert bisection_sha256(decode(frame) for frame in sim.bob.frames) == \
+            digests["bisection"]
+
+    def test_defaults_round_trips(self):
+        # a change that adds a frame or a round trip to a default session
+        # fails here before it shows in the benchmark
+        params, cfg, _digests = GOLDEN["defaults"]
+        messages = [decode(frame) for frame in golden_run(params, cfg).bob.frames]
+        queries = [m for m in messages if m.kind is Kind.SYNDROME
+                   and m.payload.is_query and len(m.payload.blocks)]
+        assert (len(messages), len(queries)) == (336, 162)
 
 
-def party_outcomes(params, cfg) -> list[bytes]:
-    """Run both engines over loopback; return each party's frames, then its
-    report and packed key, or the reason its session aborted."""
+def party_outcomes(params, cfg) -> dict:
+    """Run both engines over loopback; return each party's frames, its
+    report, and its packed key or the reason its session aborted (an
+    aborted party has no report)."""
     ends = dict(zip(("alice", "bob"), loopback_pair(timeout_s=cfg.timeout_s)))
-    outcomes = {}
+    reports, outcomes = {}, {}
 
     def party(name, engine):
         try:
             result = engine(ends[name], params, cfg)
-            outcomes[name] = (result.report.to_kv().encode()
-                              + np.packbits(result.secret_bits).tobytes())
+            reports[name] = result.report.to_kv().encode()
+            outcomes[name] = np.packbits(result.secret_bits).tobytes()
         except SessionAborted as exc:
+            reports[name] = b""
             outcomes[name] = f"abort local={exc.local}: {exc.reason}".encode()
 
     threads = [threading.Thread(target=party, args=("alice", run_alice)),
@@ -564,38 +635,47 @@ def party_outcomes(params, cfg) -> list[bytes]:
         thread.start()
     for thread in threads:
         thread.join(timeout=2 * cfg.timeout_s)
-    return [part for name in ends for part in (b"".join(ends[name].frames), outcomes[name])]
+    return {"frames": [b"".join(ends[name].frames) for name in ends],
+            "reports": [reports[name] for name in ends],
+            "outcomes": [outcomes[name] for name in ends]}
 
 
 class TestShortSessions:
     """300 default sessions of 50k pulses (seeds 1000-1299) replay to fixed
-    bytes: sha256 over both parties' frames with their report and key, or
-    their abort reason.
+    bytes: sha256 over both parties' frames, over their reports, and over
+    their keys or abort reasons, each pinned apart.
 
     22 of them end in the extra-pass abort ("corrected keys still differ
     after extra pass"), the short-session aborts a FOUND line of CHANGES.md
     names; no golden session reaches that path.  ROADMAP item 1 changes
     the plan those sessions correct under and mends the aborts, and then
-    re-records this digest on purpose.
+    re-records these digests on purpose.  A change to the wire alone moves
+    the frame digest, and the report digest only through the reports'
+    ``protocol_version`` line.
     """
 
     def test_both_parties_bytes(self):
-        digest, aborts = hashlib.sha256(), 0
+        digests = {part: hashlib.sha256() for part in ("frames", "reports", "outcomes")}
+        aborts = 0
         for seed in range(1000, 1300):
             parts = party_outcomes(ProtocolParams(rng_seed=seed), SessionConfig(pulses=50_000))
-            aborts += parts[-1].startswith(b"abort")
-            for part in parts:
-                digest.update(part)
+            aborts += parts["outcomes"][-1].startswith(b"abort")
+            for part, values in parts.items():
+                for value in values:
+                    digests[part].update(value)
         assert aborts == 22
-        assert digest.hexdigest() == (
-            "0546d980e7c71f709860d1581e7d9bde15cb907555b7ac7aa83d961c7fc5a568")
+        assert {part: digest.hexdigest() for part, digest in digests.items()} == {
+            "frames": "5fcb07cb18cc6bd0f18dee5fca9658096d8f7c0c7d7bf7b903103e5a83a5eaf4",
+            "reports": "909041f4ec7335b6e11f0173f1c3590fdf13d119f3ed32d4a252cfed9f83c20d",
+            "outcomes": "3da25f0775a6656f4c7cb0624c0119413b71bd24f36a7a0924170b381a096e81",
+        }
 
 
 def recount_disclosure(endpoint) -> int:
     """Bits an endpoint's frames disclose, counted apart from ``leak_meter``."""
     total = 0
     for message in decoded(endpoint):
-        if message.kind is Kind.BLOCK_PARITY:
+        if message.kind in (Kind.SCHEDULE, Kind.EXTRA_PASS):
             total += len(message.payload.parities)
         elif message.kind in (Kind.SYNDROME, Kind.SAMPLE_REVEAL):
             total += len(message.payload.bits)
@@ -623,7 +703,7 @@ class TestDisclosureMeter:
                                              ("dim-no-yield", False)])
     def test_endpoint_count_matches_recount_and_report(self, monkeypatch, case, keyed):
         ends = capture_endpoints(monkeypatch)
-        params, cfg, _digest, _secret = GOLDEN[case]
+        params, cfg, _digests = GOLDEN[case]
         sim = run_simulation(params, cfg)
         assert (sim.report.secret_len > 0) == keyed
         for end, result in zip(ends, (sim.alice, sim.bob)):
@@ -661,8 +741,8 @@ class TestDeadArrays:
         monkeypatch.setattr(session, "sift", sift)
         monkeypatch.setattr(session, "bob_receive", bob_receive)
         monkeypatch.setattr(session, "reconcile", reconcile)
-        params, cfg, digest, _secret = GOLDEN["nbar0.5-seed417"]
-        assert session_sha256(run_simulation(params, cfg)) == digest
+        params, cfg, digests = GOLDEN["nbar0.5-seed417"]
+        assert replays(run_simulation(params, cfg), digests)
         assert alive == {"alice": False, "bob": False}
 
 
@@ -683,14 +763,14 @@ class TestEnginePlacement:
 
         monkeypatch.setattr("fsqkd.session.run_alice", recording("alice", run_alice))
         monkeypatch.setattr("fsqkd.session.run_bob", recording("bob", run_bob))
-        params, cfg, digest, _secret = GOLDEN["nbar0.5-seed417"]
-        assert session_sha256(run_simulation(params, cfg)) == digest
+        params, cfg, digests = GOLDEN["nbar0.5-seed417"]
+        assert replays(run_simulation(params, cfg), digests)
         assert len(seen["alice"]) == 1 and seen["alice"] == seen["bob"]
         assert seen["alice"] <= os.sched_getaffinity(0)
 
     def test_caller_affinity_unchanged(self, monkeypatch):
         before = os.sched_getaffinity(0)
-        params, cfg, _digest, _secret = GOLDEN["nbar0.5-seed417"]
+        params, cfg, _digests = GOLDEN["nbar0.5-seed417"]
         assert run_simulation(params, cfg).report.secret_len > 0
         assert os.sched_getaffinity(0) == before
         # an aborting session: Bob's PaSeed names an estimate he did not use
@@ -708,10 +788,10 @@ class TestEnginePlacement:
             raise OSError("pinning refused")
 
         monkeypatch.setattr(os, "sched_setaffinity", refuse)
-        params, cfg, digest, secret = GOLDEN["defaults"]
+        params, cfg, digests = GOLDEN["defaults"]
         sim = run_simulation(params, cfg)
         assert len(calls) == 2
-        assert session_sha256(sim) == digest and key_sha256(sim) == secret
+        assert replays(sim, digests)
 
     @pytest.mark.parametrize("stat, cpu", [
         (OSError("no such file"), None),
@@ -738,7 +818,7 @@ class TestEnginePlacement:
             results[i] = run_simulation(params, cfg)
 
         threads = [threading.Thread(target=caller, args=(i, params, cfg))
-                   for i, (params, cfg, _digest, _secret) in enumerate(cases)]
+                   for i, (params, cfg, _digests) in enumerate(cases)]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-4)
         try:
@@ -749,6 +829,5 @@ class TestEnginePlacement:
         finally:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
-        for i, (_params, _cfg, digest, secret) in enumerate(cases):
-            assert session_sha256(results[i]) == digest
-            assert key_sha256(results[i]) == secret
+        for i, (_params, _cfg, digests) in enumerate(cases):
+            assert replays(results[i], digests)
