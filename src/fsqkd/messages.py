@@ -48,7 +48,7 @@ from .bitpack import (
     encode_varint,
 )
 
-PROTOCOL_VERSION = 5
+PROTOCOL_VERSION = 6
 MAX_PAYLOAD_BYTES = 2**24
 
 

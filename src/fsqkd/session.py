@@ -5,9 +5,9 @@ bits from the session seed exchanged at Hello, so no key material crosses
 the public channel), receives detections, drives estimation, acts as the
 error-correction reference, and chooses the privacy-amplification plan.
 Alice mirrors each phase and independently recomputes the plan; any
-disagreement aborts the session.  Each engine seeds the ``alice-bits/<b>``
-streams of all blocks in one ``rng.streams`` pass and keeps Alice's raw
-bits packed as they are drawn, eight to a byte (``PackedBits``), and unpacks
+disagreement aborts the session.  Each engine draws Alice's raw bits for
+the whole session in one call from the ``alice-bits`` stream and keeps
+them packed as they are drawn, eight to a byte (``PackedBits``), and unpacks
 only the bits at the channel's fired gates and at the detection ticks,
 gathered a fixed number of ticks at a time.  Each engine drops its
 per-pulse arrays and the sift indices as soon as the protocol is done
@@ -60,7 +60,7 @@ from .reconciliation import (
     reconcile,
     shannon_leak_per_bit,
 )
-from .rng import draw_seed, stream, streams
+from .rng import draw_seed, stream
 from .transport import DEFAULT_TIMEOUT_S, Endpoint, loopback_pair
 
 
@@ -96,14 +96,10 @@ class SessionConfig:
 
 
 def session_digest(params: ProtocolParams, cfg: SessionConfig) -> bytes:
-    # the hash/pco/eso tail names settings sessions no longer offer (the
-    # hash length is the protocol's HASH_BITS); it stays so digests,
-    # session ids and keys match earlier releases
     canon = (
         params.digest().hex()
         + f";pulses={cfg.pulses};block={cfg.block_size}"
         + f";sample={cfg.sample_fraction!r};passes={cfg.passes}"
-        + ";hash=128;pco=None;eso=None"
     )
     return hashlib.blake2s(canon.encode(), digest_size=16).digest()
 
@@ -122,7 +118,7 @@ _GATHER_CHUNK = 1 << 14
 
 
 class PackedBits:
-    """Alice's raw bits as they are drawn: ceil(n / 8) bytes per pulse block.
+    """Alice's raw bits as they are drawn: ceil(n / 8) bytes, MSB first.
 
     Reads like a read-only bit array where the engines use one: ``len``
     and an index array (the channel at its fired gates, sifting and the
@@ -130,31 +126,18 @@ class PackedBits:
     so no array of one byte per pulse exists.
     """
 
-    def __init__(self, n: int, block_size: int):
+    def __init__(self, data: np.ndarray, n: int):
+        self.data = data
         self.n = n
-        self.block_size = block_size
-        self.block_bytes = (block_size + 7) // 8
-        last_start = (n - 1) // block_size * block_size
-        self.data = np.empty(last_start // block_size * self.block_bytes
-                             + (n - last_start + 7) // 8, dtype=np.uint8)
 
     def __len__(self) -> int:
         return self.n
 
-    def block(self, start: int) -> np.ndarray:
-        """Where the packed bits of the block starting at tick ``start`` go."""
-        at = start // self.block_size * self.block_bytes
-        return self.data[at : at + (min(self.block_size, self.n - start) + 7) // 8]
-
     def __getitem__(self, key) -> np.ndarray:
         key = np.asarray(key, dtype=np.int64)
         bits = np.empty(len(key), dtype=np.uint8)
-        # every block before a tick's own ends in this many unused bits
-        pad = 8 * self.block_bytes - self.block_size
         for start in range(0, len(key), _GATHER_CHUNK):
             at = key[start : start + _GATHER_CHUNK]
-            if pad:
-                at = at + at // self.block_size * pad
             packed = self.data[at >> 3]
             # the bit at MSB-first position p is the top bit of byte << p
             packed <<= (at & 7).astype(np.uint8)
@@ -163,13 +146,7 @@ class PackedBits:
 
 
 def _derive_alice_bits(cfg: SessionConfig, seed: int) -> PackedBits:
-    bits = PackedBits(cfg.pulses, cfg.block_size)
-    starts = range(0, cfg.pulses, cfg.block_size)
-    rngs = streams(seed, [f"alice-bits/{b}" for b in range(len(starts))])
-    for start, rng in zip(starts, rngs):
-        n = min(cfg.block_size, cfg.pulses - start)
-        bits.block(start)[:] = alice_generate(n, rng)
-    return bits
+    return PackedBits(alice_generate(cfg.pulses, stream(seed, "alice-bits")), cfg.pulses)
 
 
 @dataclass
@@ -207,7 +184,6 @@ class SessionReport:
     hash_bits: int = 0
     hash_rounds: int = 0
     hash_disclosed_bits: int = 0
-    verified: bool = False
     true_ber: float = -1.0
     true_errors: int = -1
     errors_signal: int = -1
@@ -289,8 +265,7 @@ class SessionReport:
                    f"hash {self.hash_disclosed_bits} counted separately)")
         eff = self.recon_efficiency
         eff_text = f"{eff:.3f}" if np.isfinite(eff) else "n/a"
-        out.append(f"  reconciliation       {self.recon_passes} passes, efficiency {eff_text}, "
-                   f"verified {'yes' if self.verified else 'NO'}")
+        out.append(f"  reconciliation       {self.recon_passes} passes, efficiency {eff_text}")
         out.append(f"  yield                {self.secret_per_sifted:.4f} of sifted, "
                    f"{self.secret_per_pulse:.6f} of transmitted"
                    + ("  [no secret yield]" if self.no_yield else ""))
@@ -378,7 +353,6 @@ def _finish_report(report: SessionReport, endpoint: Endpoint, outcome: ReconOutc
     report.hash_bits = HASH_BITS
     report.hash_rounds = outcome.hash_rounds
     report.hash_disclosed_bits = HASH_BITS * outcome.hash_rounds
-    report.verified = outcome.verified
     report.secret_per_sifted = secret_len / sifted_len if sifted_len else 0.0
     report.secret_per_pulse = secret_len / report.pulses if report.pulses else 0.0
     report.no_yield = secret_len == 0

@@ -76,6 +76,11 @@ def load_tracing():
     return module
 
 
+# a link bright and clean enough that a 200k-pulse session yields a key
+LINK = ProtocolParams(mean_photon_number=0.35, eta_system_mean=0.5, eta_system_sigma=0.0,
+                      rng_seed=1)
+
+
 def test_every_traced_layer_records_a_span():
     tracing = load_tracing()
     originals = [getattr(owner, name) for owner, name in SITES]
@@ -84,9 +89,7 @@ def test_every_traced_layer_records_a_span():
     try:
         replaced = [getattr(owner, name) is not original
                     for (owner, name), original in zip(SITES, originals)]
-        params = ProtocolParams(mean_photon_number=0.35, eta_system_mean=0.5,
-                                eta_system_sigma=0.0, rng_seed=1)
-        sim = run_simulation(params, SessionConfig(pulses=200_000))
+        sim = run_simulation(LINK, SessionConfig(pulses=200_000))
     finally:
         patches.restore()
     assert all(replaced), [name for (_, name), ok in zip(SITES, replaced) if not ok]
@@ -103,8 +106,7 @@ def test_every_traced_layer_records_a_span():
     stream_modules = {STREAM_CALLERS.get(names.get(span[5]))
                       for span in tracer.spans if span[1] == "rng.stream"}
     assert {"session", "privacy", "reconciliation"} <= stream_modules
-    # the channel seeds its per-block streams in one ``rng.streams`` pass
-    assert "channel" not in stream_modules
+    assert "channel" in stream_modules
     # the per-layer verify-hash time is the sum of these spans, one per hash
     # each party computes
     for party, result in (("alice", sim.alice), ("bob", sim.bob)):
@@ -117,6 +119,36 @@ def test_every_traced_layer_records_a_span():
                      if span[1] == "reconciliation.reconcile" and span[2] == party]
         assert disclosed == [result.report.ec_disclosed_bits], party
         assert disclosed[0] > 0, party
+
+
+def test_streams_do_not_grow_with_the_pulse_count(monkeypatch):
+    # each random family reads one stream for the whole session: the
+    # channel builds ``eta`` and ``gates`` and nothing per block, and a
+    # session builds as many streams at 2M pulses as at 200k
+    labels = []
+    channel_stream = fsqkd.channel.stream
+
+    def recording(seed, label):
+        labels.append(label)
+        return channel_stream(seed, label)
+
+    monkeypatch.setattr(fsqkd.channel, "stream", recording)
+    tracing = load_tracing()
+    counts = []
+    for pulses in (200_000, 2_000_000):
+        labels.clear()
+        tracer, patches = tracing.Tracer(), tracing.Patches()
+        tracing.install(tracer, patches)
+        try:
+            sim = run_simulation(LINK, SessionConfig(pulses=pulses))
+        finally:
+            patches.restore()
+        assert labels == ["eta", "gates"], pulses
+        # both sessions take the same path: four passes and one hash
+        report = sim.report
+        assert (report.recon_passes, report.hash_rounds, report.no_yield) == (4, 1, False)
+        counts.append(sum(1 for span in tracer.spans if span[1] == "rng.stream"))
+    assert counts[0] == counts[1]
 
 
 def run_worker(workload: str, sessions: int) -> None:

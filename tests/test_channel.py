@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from fsqkd import _kernels
-from fsqkd.channel import (_KERNEL_CHUNK, Cause, Outcome, _click_cdf, draw_eta_system,
+from fsqkd import _kernels, channel
+from fsqkd.channel import (_KERNEL_CHUNK, Cause, Outcome, _click_cdfs, draw_eta_system,
                            simulate_channel)
 from fsqkd.params import MAX_MEAN_PHOTON_NUMBER, ProtocolParams
 from fsqkd.rng import random_bits, stream
@@ -60,19 +60,19 @@ class TestEtaSystem:
     def test_zero_sigma_is_degenerate(self):
         params = ProtocolParams(eta_system_sigma=0.0)
         rng = stream(7, "eta")
-        assert all(draw_eta_system(params, rng) == 0.13 for _ in range(10))
+        assert np.all(draw_eta_system(params, rng, 10) == 0.13)
 
     def test_moments(self):
         params = ProtocolParams()
         rng = stream(8, "eta")
-        draws = np.array([draw_eta_system(params, rng) for _ in range(10_000)])
+        draws = draw_eta_system(params, rng, 10_000)
         assert abs(draws.mean() - 0.13) < 0.005
         assert abs(draws.std() - 0.04) < 0.01
 
     def test_clamped_to_unit_interval(self):
         params = ProtocolParams(eta_system_mean=0.05, eta_system_sigma=0.5)
         rng = stream(9, "eta")
-        draws = np.array([draw_eta_system(params, rng) for _ in range(2_000)])
+        draws = draw_eta_system(params, rng, 2_000)
         assert draws.min() >= 0.0 and draws.max() <= 1.0
 
 
@@ -218,9 +218,9 @@ def _click_cdf_reference(p_click, nbar):
     """The Poisson click CDF with one ``math.lgamma`` call per count."""
     lam = nbar * p_click
     kmax = int(lam + 12.0 * math.sqrt(lam) + 24)
-    log_w = [k * math.log(lam) - math.lgamma(k + 1) for k in range(1, kmax + 1)]
-    w = np.exp(np.array(log_w) - max(log_w))
-    return np.cumsum(w) / w.sum()
+    log_w = [k * np.log(lam) - math.lgamma(k + 1) for k in range(1, kmax + 1)]
+    cdf = np.cumsum(np.exp(np.array(log_w) - max(log_w)))
+    return cdf / cdf[-1]
 
 
 class TestClickCdf:
@@ -233,10 +233,14 @@ class TestClickCdf:
         means = np.concatenate([np.linspace(0.0, MAX_MEAN_PHOTON_NUMBER, 2001)[1:],
                                 stream(3, "click-means").uniform(0.0, 10.0, 500),
                                 [5e-324, 1e-300, 1e-9]])
-        for lam in means.tolist():
-            assert _click_cdf(1.0, lam, None).tobytes() == \
-                _click_cdf_reference(1.0, lam).tobytes(), lam
-        assert len(_click_cdf(1.0, MAX_MEAN_PHOTON_NUMBER, None)) == 71
+        cdfs, counts = _click_cdfs(np.ones(len(means)), means, None)
+        for lam, cdf, count in zip(means.tolist(), cdfs, counts):
+            reference = _click_cdf_reference(1.0, lam)
+            assert count == len(reference), lam
+            assert cdf[:count].tobytes() == reference.tobytes(), lam
+            assert np.all(cdf[count:] == 1.0), lam
+        cdf, counts = _click_cdfs(np.ones(1), MAX_MEAN_PHOTON_NUMBER, None)
+        assert cdf.shape == (1, 71) and counts.tolist() == [71]
 
 
 def _cell_probabilities(params, eta, photon_count_override=None):
@@ -412,24 +416,24 @@ def _log_sha256(run):
 
 
 class TestKernelBatches:
-    """Blocks are drawn one by one and the kernel runs over batches of them.
+    """Consecutive blocks are drawn and run through the kernel in batches.
 
     The digests pin the detection log (ticks, outcomes, causes) at batch
-    edges: they were recorded while the kernel still ran once per block,
-    so batching must leave every outcome as it was.
+    edges, as ``PROTOCOL_VERSION`` 6 draws it: one ``eta`` and one
+    ``gates`` stream for the whole run.
     """
 
     @pytest.mark.parametrize("overrides, n, block_size, pco, seed, fired, digest", [
         # 143 blocks of 7 pulses, nearly all empty, the last one too
-        (dict(mean_photon_number=0.5), 1_000, 7, None, 41, 12,
-         "9bc2aa8bec7929543bfdebb141a938e3ea7dc9460f5d30accb7a525192b23e2d"),
+        (dict(mean_photon_number=0.5), 1_000, 7, None, 41, 16,
+         "bf7d35eaa44d75dcdf5ccc401da70aa5cf8350776b01ce11f9e5f4d454e1fe6b"),
         # one block whose fired gates exceed a kernel batch
-        (dict(mean_photon_number=5.0), 400_000, 400_000, None, 42, 20_556,
-         "3d7edd74ba323be08a0554a9518e37eec421d7169c2fa1ba472620a2b72af604"),
-        (dict(), 300_000, 50_000, 3, 43, 23_409,
-         "45a6b8a61b24ff425343ccc2efa6ec3d5728f0ac47e9ccbfa93779c6087cb453"),
-        (dict(mean_photon_number=0.5, eta_system_sigma=0.0), 300_000, 50_000, None, 44, 5_010,
-         "9e43da7e835616b887899b89dfda1505ca4980de0add125b0a2b9d0f38fdd345"),
+        (dict(mean_photon_number=5.0), 400_000, 400_000, None, 42, 68_631,
+         "01239537f2a2c7afdf08adbb975a25b1d1717de265559e6ac6a8bd8de3a80d95"),
+        (dict(), 300_000, 50_000, 3, 43, 25_933,
+         "f5fb94a42613979737856207ff0dc84b9a0fc57960d7b0a4c964ab661647477d"),
+        (dict(mean_photon_number=0.5, eta_system_sigma=0.0), 300_000, 50_000, None, 44, 5_076,
+         "48ca41e59980a7af66c9227a6087364978bc097dd94e644e26a2b9871da4c4fe"),
     ], ids=["tiny-blocks", "one-wide-block", "three-photons", "fixed-eta"])
     def test_log_is_pinned(self, overrides, n, block_size, pco, seed, fired, digest):
         bits = random_bits(stream(seed, "pin-bits"), n)
@@ -440,6 +444,8 @@ class TestKernelBatches:
         assert _log_sha256(run) == digest
 
     def test_tiny_blocks_end_in_an_empty_block(self):
+        # seed 41 still leaves the last block, ticks 994-999, dark: its last
+        # fired tick is 963
         bits = random_bits(stream(41, "pin-bits"), 1_000)
         run = simulate_channel(bits, ProtocolParams(mean_photon_number=0.5), seed=41,
                                block_size=7)
@@ -453,3 +459,135 @@ class TestKernelBatches:
         assert len(calls) <= -(-fired // _KERNEL_CHUNK) + 1
         # every batch but the last holds at least a full chunk
         assert all(len(args[0]) >= _KERNEL_CHUNK for args, _ in calls[:-1])
+
+
+class _RecordingStream:
+    """A generator that records what its ``binomial`` calls return."""
+
+    def __init__(self, rng):
+        self._rng = rng
+        self.binomials = []
+
+    def binomial(self, *args, **kwargs):
+        self.binomials.append(self._rng.binomial(*args, **kwargs))
+        return self.binomials[-1]
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+
+def _recorded_fired_counts(monkeypatch, params, n, block_size, seed):
+    """Run the channel; return its detections and each block's fired count."""
+    recorded = {}
+
+    def recording(seed, label):
+        recorded[label] = _RecordingStream(stream(seed, label))
+        return recorded[label]
+
+    monkeypatch.setattr(channel, "stream", recording)
+    run = simulate_channel(random_bits(stream(seed, "draw-bits"), n), params, seed=seed,
+                           block_size=block_size)
+    assert sorted(recorded) == ["eta", "gates"]
+    (fired,) = recorded["gates"].binomials
+    return run.detections, fired
+
+
+def _offset_z(offsets, block_size, bins):
+    """z-score of the chi-square statistic of in-block offsets over equal bins."""
+    counts = np.bincount(offsets * bins // block_size, minlength=bins)
+    expected = len(offsets) / bins
+    chi2 = float(((counts - expected) ** 2 / expected).sum())
+    return (chi2 - (bins - 1)) / math.sqrt(2 * (bins - 1))
+
+
+class TestGateDraws:
+    """Each block's fired gates are a uniform subset of its fired count.
+
+    Bounds fixed before running: the in-block offsets' chi-square statistic
+    over 50 equal bins lies within 5 standard deviations of its mean.
+    """
+
+    @pytest.mark.parametrize("overrides, block_size", [
+        (dict(mean_photon_number=0.5), 50_000),
+        # odd block and session lengths: a short last block in a batch
+        (dict(mean_photon_number=2.0, **HEAVY_NOISE), 7_001),
+    ], ids=["sparse", "noisy-odd-blocks"])
+    def test_ticks_are_a_uniform_subset_of_each_block(self, monkeypatch, overrides, block_size):
+        n = 2_000_003
+        det, fired = _recorded_fired_counts(monkeypatch, ProtocolParams(**overrides), n,
+                                            block_size, 51)
+        assert np.all(np.diff(det.ticks) > 0)
+        assert det.ticks[0] >= 0 and det.ticks[-1] < n
+        assert np.array_equal(np.bincount(det.ticks // block_size, minlength=len(fired)), fired)
+        full = det.ticks < n // block_size * block_size
+        assert abs(_offset_z(det.ticks[full] % block_size, block_size, 50)) < 5.0
+
+    def test_dense_blocks_draw_the_dark_gates(self, monkeypatch):
+        # nbar 10 at full efficiency: more than half of every block fires,
+        # so the positions drawn are those of the gates that stay dark
+        params = ProtocolParams(mean_photon_number=10.0, **fixed_eta(1.0))
+        drawn = []
+        distinct = channel._distinct_ticks
+
+        def recording(rng, first, span):
+            drawn.append(len(first))
+            return distinct(rng, first, span)
+
+        monkeypatch.setattr(channel, "_distinct_ticks", recording)
+        n, block_size = 100_000, 10_000
+        det, fired = _recorded_fired_counts(monkeypatch, params, n, block_size, 52)
+        assert np.all(2 * fired > block_size)
+        assert sum(drawn) == n - fired.sum()
+        assert np.all(np.diff(det.ticks) > 0)
+        assert np.array_equal(np.bincount(det.ticks // block_size, minlength=len(fired)), fired)
+        dark = np.setdiff1d(np.arange(n), det.ticks)
+        assert abs(_offset_z(dark % block_size, block_size, 50)) < 5.0
+
+    def test_every_gate_fires(self):
+        # noise fires every detector in every gate: each block is dense and
+        # draws no dark gate at all
+        params = ProtocolParams(background_prob_per_gate=1.0, dark_count_rate_hz=0.5,
+                                gate_width_s=1.0)
+        run = simulate_channel(random_bits(stream(54, "draw-bits"), 30_001), params, seed=54,
+                               block_size=1_000)
+        assert np.array_equal(run.detections.ticks, np.arange(30_001))
+        assert np.all(run.detections.outcomes == Outcome.DUAL_FIRE.value)
+
+    def test_certain_clicks_raise_no_warning(self):
+        # three photons that all click: the binomial click CDF puts all its
+        # weight on three clicks, with log(1 - 1) never multiplied out
+        params = ProtocolParams(eta_q=1.0, optical_error_prob=0.0, **fixed_eta(1.0), **QUIET)
+        bits = random_bits(stream(55, "draw-bits"), 10_000)
+        with np.errstate(all="raise"):
+            run = simulate_channel(bits, params, seed=55, block_size=1_000,
+                                   photon_count_override=3)
+        assert np.array_equal(run.detections.ticks, np.arange(10_000))
+        assert np.array_equal(run.detections.conclusive_bits(), bits)
+
+    @pytest.mark.parametrize("overrides", [
+        # about 46% of blocks clamp to eta 0; without noise such a block
+        # cannot fire
+        dict(eta_system_mean=0.05, eta_system_sigma=0.5, **QUIET),
+        dict(eta_system_mean=0.05, eta_system_sigma=0.5),
+        # nothing can fire anywhere
+        dict(mean_photon_number=0.0, **QUIET),
+    ], ids=["clamped-quiet", "clamped-noisy", "dark"])
+    def test_blocks_that_cannot_fire_raise_no_warning(self, overrides):
+        params = ProtocolParams(**overrides)
+        n, block_size = 1_000_000, 10_000
+        eta = draw_eta_system(params, stream(53, "eta"), n // block_size)
+        if params.eta_system_sigma == 0.5:
+            assert np.count_nonzero(eta == 0.0) > 10
+        bits = random_bits(stream(53, "draw-bits"), n)
+        with np.errstate(all="raise"):
+            run = simulate_channel(bits, params, seed=53, block_size=block_size)
+        det = run.detections
+        assert set(np.unique(det.outcomes)) <= {o.value for o in Outcome}
+        if params.mean_photon_number == 0.0:
+            assert len(det) == 0
+        else:
+            # eta-0 blocks of a quiet link stay dark
+            lit = np.unique(det.ticks // block_size)
+            assert len(lit) > 0
+            if params.background_prob_per_gate == 0.0:
+                assert np.all(eta[lit] > 0.0)

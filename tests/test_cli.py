@@ -166,8 +166,7 @@ class TestTwoProcess:
         alice = SessionReport.from_kv((conn_dir / "alice-report.kv").read_text())
         for field in ("session", "seed", "pulses", "sifted_len", "sampled_bits",
                       "corrected_len", "secret_len", "est_errors", "est_sample",
-                      "disclosed_bits", "ec_disclosed_bits", "hash_rounds",
-                      "verified"):
+                      "disclosed_bits", "ec_disclosed_bits", "hash_rounds"):
             assert getattr(bob, field) == getattr(alice, field), field
 
     def test_reference_run_sifted_length(self, tmp_path):
@@ -221,7 +220,15 @@ class TestTwoProcess:
         hello = Hello(version=4, params_digest=bytes(16), seed=0)
         code, err = self._serve_fake_peer(tmp_path, encode(message_for(0, 0, hello)))
         assert code == 2
-        assert "protocol version mismatch: peer 4, local 5" in err
+        assert "protocol version mismatch: peer 4, local 6" in err
+
+    def test_version_5_peer_aborts(self, tmp_path):
+        # version 5 drew Alice's raw bits from one stream per pulse block;
+        # such a peer ends at its Hello with exit code 2
+        hello = Hello(version=5, params_digest=bytes(16), seed=0)
+        code, err = self._serve_fake_peer(tmp_path, encode(message_for(0, 0, hello)))
+        assert code == 2
+        assert "protocol version mismatch: peer 5, local 6" in err
 
     def test_malformed_first_frame_aborts(self, tmp_path):
         body = b"this is not a protocol message"

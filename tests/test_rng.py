@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fsqkd.rng import _DIAGONAL_CHUNK, random_bytes, stream, streams, toeplitz_diagonal
+from fsqkd.rng import _DIAGONAL_CHUNK, random_bytes, stream, toeplitz_diagonal
 
 
 class TestSeededStreams:
@@ -19,25 +19,6 @@ class TestSeededStreams:
         a = stream(42, "alice-bits").integers(0, 2, 64)
         b = stream(43, "alice-bits").integers(0, 2, 64)
         assert not np.array_equal(a, b)
-
-
-class TestBulkStreams:
-    # the session's per-block families, one non-ASCII label
-    LABELS = [f"{family}/{b}" for family in ("eta", "gates", "alice-bits")
-              for b in range(701)] + ["Bob's Übertragung/π"]
-
-    # one and two 32-bit seed words, 0 among them; -1 and 2^64 + 5 are masked
-    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**63 - 1, -1, 2**64 + 5])
-    def test_equals_one_stream_per_label(self, seed):
-        bulk = list(streams(seed, self.LABELS))
-        assert len(bulk) == len(self.LABELS)
-        for rng, label in zip(bulk, self.LABELS):
-            reference = stream(seed, label)
-            assert rng.bit_generator.state == reference.bit_generator.state, label
-            assert np.array_equal(rng.random(4), reference.random(4)), label
-
-    def test_no_labels(self):
-        assert list(streams(7, [])) == []
 
 
 class TestToeplitzDiagonal:

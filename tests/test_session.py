@@ -86,23 +86,18 @@ def traced_bytes_per_pulse():
 
 
 class TestPackedBits:
-    # the bits a byte-per-pulse derivation gives: each block's stream
-    # unpacked, blocks laid end to end
+    # the bits a byte-per-pulse derivation gives: the session's one
+    # ``alice-bits`` stream unpacked, whatever the block size
     @pytest.mark.parametrize("pulses, block_size", [(100_000, 30_000), (1_001, 333), (5, 8)])
     def test_reads_like_the_unpacked_bits(self, pulses, block_size):
         cfg = SessionConfig(pulses=pulses, block_size=block_size)
-        expected = np.concatenate([
-            random_bits(stream(9, f"alice-bits/{b}"), min(block_size, pulses - start))
-            for b, start in enumerate(range(0, pulses, block_size))])
+        expected = random_bits(stream(9, "alice-bits"), pulses)
         bits = _derive_alice_bits(cfg, 9)
         assert len(bits) == pulses
-        assert bits.data.nbytes == sum((min(block_size, pulses - start) + 7) // 8
-                                       for start in range(0, pulses, block_size))
-        for start in range(0, pulses, block_size):
-            block = np.arange(start, min(start + block_size, pulses))
-            got = bits[block]
-            assert got.dtype == np.uint8
-            assert np.array_equal(got, expected[block])
+        assert bits.data.nbytes == (pulses + 7) // 8
+        got = bits[np.arange(pulses)]
+        assert got.dtype == np.uint8
+        assert np.array_equal(got, expected)
         ticks = np.sort(stream(9, "ticks").choice(pulses, min(pulses, 500), replace=False))
         gathered = bits[ticks]
         assert gathered.dtype == np.uint8
@@ -112,11 +107,9 @@ class TestPackedBits:
     @pytest.mark.parametrize("count", [_GATHER_CHUNK - 1, _GATHER_CHUNK, _GATHER_CHUNK + 1,
                                        3 * _GATHER_CHUNK + 5])
     def test_gather_across_chunks(self, count):
-        pulses, block_size = 100_000, 30_000
-        expected = np.concatenate([
-            random_bits(stream(9, f"alice-bits/{b}"), min(block_size, pulses - start))
-            for b, start in enumerate(range(0, pulses, block_size))])
-        bits = _derive_alice_bits(SessionConfig(pulses=pulses, block_size=block_size), 9)
+        pulses = 100_000
+        expected = random_bits(stream(9, "alice-bits"), pulses)
+        bits = _derive_alice_bits(SessionConfig(pulses=pulses, block_size=30_000), 9)
         ticks = np.sort(stream(count, "ticks").choice(pulses, count, replace=False))
         assert np.array_equal(bits[ticks], expected[ticks])
 
@@ -175,9 +168,10 @@ class TestPipeline:
         assert r.true_ber == pytest.approx(r.true_errors / r.sifted_len)
 
     def test_verified_session(self, small_run):
+        # the verify hash ran and both parties hold the same key
         _params, _cfg, sim = small_run
-        assert sim.report.verified
         assert sim.report.hash_rounds >= 1
+        assert np.array_equal(sim.alice.secret_bits, sim.bob.secret_bits)
 
     def test_sifting_phase_reveals_no_bit_values(self, small_run):
         # up to and including the index exchange the transcript holds only
@@ -200,7 +194,7 @@ class TestCleanChannelPath:
         sim = clean_run
         r = sim.report
         assert r.est_errors == 0
-        assert r.verified
+        assert r.hash_rounds == 1
         assert r.recon_passes == 1
         assert r.secret_len > 0
         assert not np.isfinite(r.recon_efficiency)
@@ -247,7 +241,6 @@ class TestReportSerialization:
         assert parsed.to_kv() == text
         assert parsed.sifted_len == sim.report.sifted_len
         assert parsed.est_ber == sim.report.est_ber
-        assert parsed.verified == sim.report.verified
 
     def test_kv_ignores_comments_and_blanks(self):
         report = SessionReport(session="ff" * 16, pulses=10, sifted_len=5)
@@ -313,9 +306,7 @@ class TestHostilePeer:
         # her Hello, the peer's and her Abort: nothing after the mismatch
         assert [m.kind for m in decoded(a_end)] == [Kind.HELLO, Kind.HELLO, Kind.ABORT]
 
-    def test_version_4_hello_aborts(self):
-        # version 4 announced each pass in its own frames; a peer still
-        # speaking it ends at its Hello
+    def _older_hello_aborts(self, version):
         a_end, b_end = loopback_pair(timeout_s=5.0)
         errors = {}
 
@@ -327,10 +318,21 @@ class TestHostilePeer:
 
         thread = threading.Thread(target=bob)
         thread.start()
-        a_end.send(Hello(version=4, params_digest=session_digest(self.PARAMS, self.CFG)))
-        self._expect_abort(a_end, thread, "protocol version mismatch: peer 4, local 5")
+        a_end.send(Hello(version=version, params_digest=session_digest(self.PARAMS, self.CFG)))
+        self._expect_abort(a_end, thread,
+                           f"protocol version mismatch: peer {version}, local 6")
         assert errors["b"].local
-        assert PROTOCOL_VERSION == 5
+        assert PROTOCOL_VERSION == 6
+
+    def test_version_4_hello_aborts(self):
+        # version 4 announced each pass in its own frames; a peer still
+        # speaking it ends at its Hello
+        self._older_hello_aborts(4)
+
+    def test_version_5_hello_aborts(self):
+        # version 5 drew Alice's raw bits from one stream per pulse block,
+        # so its raw bits differ; such a peer ends at its Hello
+        self._older_hello_aborts(5)
 
     def test_extra_pass_after_a_matching_hash_aborts(self, monkeypatch):
         # the hash matched, so the plan has no extra pass: an ExtraPass in
@@ -499,31 +501,31 @@ GOLDEN_CASES = [
     pytest.param(ProtocolParams(mean_photon_number=0.5, rng_seed=417),
                  SessionConfig(pulses=200_000, block_size=50_000,
                                sample_fraction=0.05),
-                 {"frames": "5b77d27a2c2b44231b8a77e56e39bf034057f5dae05c61398036e39d3c1f456a",
-                  "report": "fe197543315464da2a3f49eeeed49270b2c81caa5573559f79d60e2906a21775",
-                  "key": "4c6083e9ec8e0be17dd5c1272fea5bc94230910605e9309604153fa2a3faafa8",
-                  "bisection": "54bd29eca87b0eda052a51b778724c6f5b34dbb29816336dd45ad417a7788d09"},
+                 {"frames": "95317cd8f376b066c509f0a79b6300672c5f8a96c67526f626204b0295779ad7",
+                  "report": "b3a41ff70ca279b536ee6f13e79143e51adeaa6efffa2804f8a55d0b43ce2070",
+                  "key": "c1e960430b2bf51323d098da1d443d86329401a656bcacb2b8af9c7a34e0cf65",
+                  "bisection": "b69aba4349c4524d45bd832ea391a5125d2cfc7e7764507d4ee668ab62b36bf5"},
                  id="nbar0.5-seed417"),
     pytest.param(ProtocolParams(), SessionConfig(),
-                 {"frames": "3075112410b0babdc73c8d8a7cb31ba7a0f7aae4e4f548daf116c042fe883034",
-                  "report": "bcdaaedc025fa06dcd0b73851352a7a68270d9ceb913ed46a502401cf0d48f77",
-                  "key": "6412558b8cba53ae93e10c4bbc94ef065ceafeb7439f3ca5dd8c224ed4609219",
-                  "bisection": "a15ff95d9b741a0c42cd03966161eac1cf5ded561c66044faac063b20c9f5997"},
+                 {"frames": "cd37e0ea3c05393ae55872075a8770bb063771bef9b0abd324c5a95d95b7807c",
+                  "report": "d5abff35897049de43ce12809cdc769ed0e1333ac21707e4f61ad0e642da21f5",
+                  "key": "66c3ad8fd08b6bd933050222fe19c0bc7839b481c1aa1b0f499a734e7f0d356b",
+                  "bisection": "ab2cea053eb4624e660c297ef0100a1c320ef24437930eb2757359c6634a2f63"},
                  id="defaults"),
     pytest.param(ProtocolParams(mean_photon_number=0.02, rng_seed=3),
                  SessionConfig(pulses=200_000),
-                 {"frames": "a9650d2510a2672bccc056c833784ea4c8f55f3970134e724419f5a39665b4e3",
-                  "report": "3555bf422c42ccfa45b542d0866e3170e1bddce2f8b9650c81944ad6d80e9884",
+                 {"frames": "1b5806adf68faaaf9f04c2d652add25506bcc530078826645f6b70205dd007aa",
+                  "report": "aa0f5e9f329600c1dad461814f3ad7b5d7c54c83340f92c21749f5b5eedec881",
                   "key": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
                   "bisection": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"},
                  id="dim-no-yield"),
     pytest.param(ProtocolParams(mean_photon_number=0.35, eta_system_mean=0.5,
                                 eta_system_sigma=0.0, rng_seed=1),
                  SessionConfig(pulses=200_000),
-                 {"frames": "91c29502317e6dc1a6601780f23d216799732a823bc9d4d044d40eee1f5429c6",
-                  "report": "9800eb735d50958b162af2ac00b2baaa9b479100dcebc8305d0fc9cd7fc67aeb",
-                  "key": "1bf731e293ae533be827147734cc2ce917531b719bcc143599f22f2ffcff8f73",
-                  "bisection": "dfaa98a60e5d5b0c75b667b70ff53cfbde3bc77d251cfd5a97ca81d35e088e51"},
+                 {"frames": "b61bdf5648c9feab9495b5150943fbcc4c125289553b029684fa8b128ca232f8",
+                  "report": "64dc8a21a8370251e1486c533dd88d79be1fdbce17607674983981a2a4627de8",
+                  "key": "300a5e6f7e2e5af31abc30de743535327f8f33936c4f74f02767c70e384ca924",
+                  "bisection": "510d1e12c8bfca4a1ae1a17632370013cc09ba3f1ff9e37cbc789f872840e0f9"},
                  id="efficient-link-with-key"),
 ]
 
@@ -564,14 +566,12 @@ class TestGoldenReplay:
 
     Each is pinned apart: sha256 over every frame of Bob's transcript, over
     ``report.to_kv()`` and over his packed secret key, so a change shows
-    which of the three it moved.  The last case yields 1866 secret bits and
-    the defaults 1176, so privacy amplification is covered.  The digests
-    were recorded with numpy 2.4.6, whose generators fix the draws.  The
-    keys date from ``PROTOCOL_VERSION`` 4 (fired-gate channel draws,
-    Alice's bits unpacked from random bytes, Toeplitz verify hash); the
-    frames and reports from version 5, whose one ``Schedule`` frame and
-    bare bisection replies moved the frame digests, and the report
-    digests only through the report's ``protocol_version`` line.  A change
+    which of the three it moved.  The last case yields 1903 secret bits and
+    the defaults 1267, so privacy amplification is covered.  The digests
+    were recorded with numpy 2.4.6, whose generators fix the draws, at
+    ``PROTOCOL_VERSION`` 6: each random family (channel efficiencies,
+    gate draws, Alice's raw bits) reads one stream for the whole session,
+    which moved every digest.  A change
     that deliberately alters keys or frames updates these digests in that
     same change.  The key digests and the bisection exchange (each query's
     pass and ids and Bob's answers, pinned apart from any wire layout)
@@ -610,7 +610,7 @@ class TestGoldenReplay:
         messages = [decode(frame) for frame in golden_run(params, cfg).bob.frames]
         queries = [m for m in messages if m.kind is Kind.SYNDROME
                    and m.payload.is_query and len(m.payload.blocks)]
-        assert (len(messages), len(queries)) == (336, 162)
+        assert (len(messages), len(queries)) == (138, 63)
 
 
 def party_outcomes(params, cfg) -> dict:
@@ -645,9 +645,10 @@ class TestShortSessions:
     bytes: sha256 over both parties' frames, over their reports, and over
     their keys or abort reasons, each pinned apart.
 
-    22 of them end in the extra-pass abort ("corrected keys still differ
+    17 of them end in the extra-pass abort ("corrected keys still differ
     after extra pass"), the short-session aborts a FOUND line of CHANGES.md
-    names; no golden session reaches that path.  ROADMAP item 1 changes
+    names (22 at ``PROTOCOL_VERSION`` 5, whose draws differed); no golden
+    session reaches that path.  ROADMAP item 1 changes
     the plan those sessions correct under and mends the aborts, and then
     re-records these digests on purpose.  A change to the wire alone moves
     the frame digest, and the report digest only through the reports'
@@ -663,11 +664,11 @@ class TestShortSessions:
             for part, values in parts.items():
                 for value in values:
                     digests[part].update(value)
-        assert aborts == 22
+        assert aborts == 17
         assert {part: digest.hexdigest() for part, digest in digests.items()} == {
-            "frames": "5fcb07cb18cc6bd0f18dee5fca9658096d8f7c0c7d7bf7b903103e5a83a5eaf4",
-            "reports": "909041f4ec7335b6e11f0173f1c3590fdf13d119f3ed32d4a252cfed9f83c20d",
-            "outcomes": "3da25f0775a6656f4c7cb0624c0119413b71bd24f36a7a0924170b381a096e81",
+            "frames": "4a6bbd8495e992647901b5d88248429c424f9e11645c1b1a66eaf38023996318",
+            "reports": "349b65cff359907be65a13cd034e1fe34820ca46a491e79f92fba5be7c85ca34",
+            "outcomes": "1e0cc364d9f388e95e73816b267bd5cf3727dcf013cafb96eb89a1d48a6befcf",
         }
 
 
