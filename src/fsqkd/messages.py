@@ -1,11 +1,11 @@
 """Typed public-channel messages and their byte-exact wire encoding.
 
-Frame: 4-byte big-endian body length, then the body.  The body is one
-ASCII line of a flat key=value record::
+Frame: 4-byte big-endian body length, then the body::
 
-    sid=<hex16> seq=<dec> kind=<NAME> payload=<base64>
+    kind (1 byte) || varint(seq) || payload
 
-where the base64 payload wraps a kind-specific packed binary body (see
+where the kind byte is the kind's position in ``Kind`` (``Hello`` = 1 …
+``Done`` = 11) and the payload is a kind-specific packed binary body (see
 ``PROTOCOL.md`` for the normative layouts and worked hex examples).  Each
 payload class lists its body's fields in wire order (``WIRE``), and one
 ``pack``/``unpack`` pair encodes every kind; bytes after the last field
@@ -13,13 +13,12 @@ make a body malformed.  Every field decodes on its own: index lists
 travel delta+varint encoded, bit lists as packed bits behind a 32-bit bit
 count, and digests (Hello's parameter digest, VerifyHash's 128-bit hash)
 as 16 raw bytes.  ``encode`` then ``decode`` is the identity for every
-valid message.
+valid message, and a frame that ``decode`` accepts is the one ``encode``
+gives for its message: every message has one spelling.
 
-A frame is decoded where it lies: the header is matched inside the frame
-and the payload's base64 read through a view of it, and the base64 is
-held to its one spelling from its length and its last group rather than
-by encoding the payload again.  Encoding packs every field into one
-buffer and frees it once its base64 is taken.
+``encode`` writes the length, the kind, the seq and the payload into one
+buffer, and ``decode`` reads the payload's fields in place inside the
+frame.
 
 ``leak_meter`` implements the session's disclosure accounting: each kind
 names the one field it meters (``METERED``), so block parities cost one
@@ -31,9 +30,7 @@ separately in the session report.
 
 from __future__ import annotations
 
-import binascii
 import enum
-import re
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -48,7 +45,7 @@ from .bitpack import (
     encode_varint,
 )
 
-PROTOCOL_VERSION = 6
+PROTOCOL_VERSION = 7
 MAX_PAYLOAD_BYTES = 2**24
 
 
@@ -74,11 +71,9 @@ class Kind(enum.Enum):
     DONE = "Done"
 
 
-# the longest body ``encode`` emits: its header tokens, with a sequence
-# number of at most 20 digits, and the base64 of a largest payload
-MAX_BODY_BYTES = (len("sid= seq= kind= payload=") + 16 + 20
-                  + max(len(kind.value) for kind in Kind)
-                  + 4 * ((MAX_PAYLOAD_BYTES + 2) // 3))
+# the longest body ``encode`` emits: the kind byte, a seq below 2**64 in
+# at most ten varint bytes, and a largest payload
+MAX_BODY_BYTES = 1 + 10 + MAX_PAYLOAD_BYTES
 
 
 def _take(data: bytes, offset: int, count: int) -> tuple[bytes, int]:
@@ -159,15 +154,16 @@ class _Payload:
     WIRE: tuple[tuple[str, _Encoding], ...] = ()
     METERED: str | None = None
 
-    def pack(self) -> bytearray:
-        out = bytearray()
+    def pack(self, out: bytearray) -> bytearray:
+        """Append the body to ``out`` and return it."""
         for name, encoding in self.WIRE:
             encoding.put(out, getattr(self, name))
         return out
 
     @classmethod
-    def unpack(cls, data: bytes):
-        fields, offset = {}, 0
+    def unpack(cls, data: bytes, offset: int = 0):
+        """Decode the body that runs from ``data[offset]`` to the end."""
+        fields = {}
         for name, encoding in cls.WIRE:
             fields[name], offset = encoding.get(data, offset)
         if offset != len(data):
@@ -311,17 +307,17 @@ class Done(_Payload):
     pass
 
 
-# each kind's value is the name of its payload class
+# each kind's value is the name of its payload class, and its wire code
+# its position in ``Kind``, from 1
 _PAYLOAD_TYPES = {Kind(cls.__name__): cls for cls in _Payload.__subclasses__()}
 _KIND_FOR_TYPE = {cls: kind for kind, cls in _PAYLOAD_TYPES.items()}
-# a header's kind token: its kind and payload class, in one lookup
-_KINDS = {kind.value.encode("ascii"): (kind, cls) for kind, cls in _PAYLOAD_TYPES.items()}
-_SID_MASK = 0xFFFF_FFFF_FFFF_FFFF
+_CODES = {kind: code for code, kind in enumerate(Kind, 1)}
+# a kind byte's kind and payload class, in one lookup
+_KINDS = {code: (kind, _PAYLOAD_TYPES[kind]) for kind, code in _CODES.items()}
 
 
 @dataclass(frozen=True)
 class Message:
-    session_id: int
     seq: int
     kind: Kind
     payload: object
@@ -332,24 +328,28 @@ class Message:
             raise MessageFormatError(
                 f"payload for {self.kind.value} must be {expected.__name__}"
             )
-        if not 0 <= self.seq < 10**20:
-            raise MessageFormatError(f"seq {self.seq} is not a decimal of at most 20 digits")
+        if not 0 <= self.seq < 2**64:
+            raise MessageFormatError(f"seq {self.seq} is not below 2**64")
 
 
-def message_for(session_id: int, seq: int, payload) -> Message:
-    return Message(session_id, seq, _KIND_FOR_TYPE[type(payload)], payload)
+def message_for(seq: int, payload) -> Message:
+    return Message(seq, _KIND_FOR_TYPE[type(payload)], payload)
+
+
+def _check_payload_size(size: int) -> None:
+    if size > MAX_PAYLOAD_BYTES:
+        raise PayloadTooLarge(f"payload of {size} bytes exceeds {MAX_PAYLOAD_BYTES}")
 
 
 def encode(message: Message) -> bytes:
-    raw = message.payload.pack()
-    if len(raw) > MAX_PAYLOAD_BYTES:
-        raise PayloadTooLarge(f"payload of {len(raw)} bytes exceeds {MAX_PAYLOAD_BYTES}")
-    text = binascii.b2a_base64(raw, newline=False)
-    # the packed payload is dead once its base64 is taken
-    del raw
-    header = b"sid=%016x seq=%d kind=%s payload=" % (
-        message.session_id & _SID_MASK, message.seq, message.kind.value.encode("ascii"))
-    return b"".join(((len(header) + len(text)).to_bytes(4, "big"), header, text))
+    out = bytearray(4)
+    out.append(_CODES[message.kind])
+    encode_varint(message.seq, out)
+    start = len(out)
+    message.payload.pack(out)
+    _check_payload_size(len(out) - start)
+    out[:4] = (len(out) - 4).to_bytes(4, "big")
+    return bytes(out)
 
 
 def decode(frame: bytes) -> Message:
@@ -360,56 +360,19 @@ def decode(frame: bytes) -> Message:
         raise MessageFormatError(f"frame body of {body_len} bytes exceeds {MAX_BODY_BYTES}")
     if len(frame) != 4 + body_len:
         raise MessageFormatError("frame length prefix does not match body")
-    return _decode_at(frame, 4)
-
-
-def decode_body(body: bytes) -> Message:
-    return _decode_at(body, 0)
-
-
-# The header in its one canonical spelling: tokens in this order, ``sid``
-# as 16 lowercase hex digits and ``seq`` as a decimal of at most 20 digits
-# without sign, underscores or leading zeros.  The payload is the rest of
-# the body, so base64 validation rejects any further token.
-_HEADER = re.compile(
-    rb"sid=([0-9a-f]{16}) seq=(0|[1-9][0-9]{0,19}) kind=([A-Za-z]+) payload=")
-
-
-def canonical_base64(text) -> bytes:
-    """The bytes that ``text`` spells in standard base64, provided it is
-    their one spelling: exactly what ``b64encode`` of them gives.
-
-    Strict decoding admits only the alphabet, with padding at the end
-    alone.  What it still lets through is padding beyond what the byte
-    count needs, which the length rules out, and set bits in the unused
-    low bits of a last group that pads, which encoding the last one or two
-    bytes again rules out: every earlier group spells its three bytes in
-    one way only.
-    """
-    raw = binascii.a2b_base64(text, strict_mode=True)
-    tail = len(raw) % 3
-    if len(text) != 4 * ((len(raw) + 2) // 3) or (
-            tail and binascii.b2a_base64(raw[-tail:], newline=False) != bytes(text[-4:])):
-        raise ValueError("payload is not canonical base64")
-    return raw
-
-
-def _decode_at(data: bytes, start: int) -> Message:
-    """Decode the body that starts at ``data[start]`` and runs to the end."""
-    header = _HEADER.match(data, start)
-    if header is None:
-        raise MessageFormatError(
-            "malformed header: expected 'sid=<16 lowercase hex> "
-            "seq=<decimal, at most 20 digits, no leading zeros> kind=<name> payload='")
-    entry = _KINDS.get(header[3])
+    if not body_len:
+        raise MessageFormatError("frame body shorter than its kind byte")
+    entry = _KINDS.get(frame[4])
     if entry is None:
-        raise MessageFormatError(f"invalid body: unknown kind {header[3].decode('ascii')!r}")
+        raise MessageFormatError(f"unknown kind code {frame[4]}")
     kind, payload_type = entry
     try:
-        payload = payload_type.unpack(canonical_base64(memoryview(data)[header.end():]))
+        seq, offset = decode_varint(frame, 5)
+        _check_payload_size(len(frame) - offset)
+        payload = payload_type.unpack(frame, offset)
     except ValueError as exc:
         raise MessageFormatError(f"invalid body: {exc}") from exc
-    return Message(int(header[1], 16), int(header[2]), kind, payload)
+    return Message(seq, kind, payload)
 
 
 def leak_meter(messages) -> int:

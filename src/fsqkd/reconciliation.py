@@ -501,12 +501,6 @@ def _reconcile_alice(key: np.ndarray, endpoint: Endpoint, passes: int, est: floa
     return _outcome(bits, endpoint.disclosed_bits - disclosed_before, est, *run, corr.flips)
 
 
-def _bisection_answers(ids: np.ndarray, entries: np.ndarray) -> np.ndarray:
-    """Bob's answers to the ids p * n + mid: bit 0 of their ``entries`` in
-    his prefix table, the parity of the first ``mid`` shuffled bits of pass p."""
-    return entries & 1
-
-
 def _build_pass(prefixes: np.ndarray, bits: np.ndarray, pass_no: int, seed: int,
                 block_size: int) -> np.ndarray:
     """Fill pass ``pass_no``'s slice of Bob's prefix table; return his
@@ -554,8 +548,7 @@ def _serve_queries(endpoint: Endpoint, prefixes: np.ndarray, n: int,
         if np.count_nonzero(entries > 1):
             endpoint.fail("bisection query repeats an answered position")
         prefixes[ids] = entries | 2
-        endpoint.send(Syndrome(pass_no=current, blocks=_NO_IDS,
-                               bits=_bisection_answers(ids, entries)))
+        endpoint.send(Syndrome(pass_no=current, blocks=_NO_IDS, bits=entries & 1))
 
 
 def _reconcile_bob(key: np.ndarray, endpoint: Endpoint, passes: int, est: float,

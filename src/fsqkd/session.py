@@ -174,16 +174,13 @@ class SessionReport:
     corrected_len: int = 0
     secret_len: int = 0
     est_errors: int = 0
-    est_sample: int = 0
     est_ber: float = 0.0
     ec_disclosed_bits: int = 0
     disclosed_bits: int = 0
     recon_efficiency: float = 0.0
     recon_passes: int = 0
     recon_flips: int = -1
-    hash_bits: int = 0
     hash_rounds: int = 0
-    hash_disclosed_bits: int = 0
     true_ber: float = -1.0
     true_errors: int = -1
     errors_signal: int = -1
@@ -251,7 +248,7 @@ class SessionReport:
         out.append(f"  nbar / eta_system    {self.mean_photon_number} / "
                    f"{self.eta_system_mean} +- {self.eta_system_sigma}")
         out.append(f"  sifted / corrected / secret  {self.sifted_len} / {self.corrected_len} / {self.secret_len}")
-        out.append(f"  estimated BER        {self.est_ber:.4f} ({self.est_errors}/{self.est_sample} sampled)")
+        out.append(f"  estimated BER        {self.est_ber:.4f} ({self.est_errors}/{self.sampled_bits} sampled)")
         if self.true_ber >= 0:
             out.append(f"  simulation-truth BER {self.true_ber:.4f} "
                        f"(background {self.ber_background_component:.4f}, "
@@ -262,7 +259,7 @@ class SessionReport:
                        f"({self.dual_per_gate:.3g}/gate, {self.dual_per_detection:.3g}/detection)")
         out.append(f"  disclosed bits       {self.disclosed_bits} "
                    f"(correction {self.ec_disclosed_bits}, sampling {self.sampled_bits}; "
-                   f"hash {self.hash_disclosed_bits} counted separately)")
+                   f"hash {HASH_BITS * self.hash_rounds} counted separately)")
         eff = self.recon_efficiency
         eff_text = f"{eff:.3f}" if np.isfinite(eff) else "n/a"
         out.append(f"  reconciliation       {self.recon_passes} passes, efficiency {eff_text}")
@@ -340,7 +337,7 @@ def _finish_report(report: SessionReport, endpoint: Endpoint, outcome: ReconOutc
                    secret_len: int) -> None:
     report.sifted_len = sifted_len
     # the estimate is over exactly the sampled bits
-    report.sampled_bits = report.est_sample = sampled_bits
+    report.sampled_bits = sampled_bits
     report.corrected_len = len(outcome.corrected_key)
     report.secret_len = secret_len
     report.est_errors = est_errors
@@ -350,9 +347,7 @@ def _finish_report(report: SessionReport, endpoint: Endpoint, outcome: ReconOutc
     report.disclosed_bits = endpoint.disclosed_bits
     report.recon_efficiency = outcome.efficiency
     report.recon_passes = outcome.passes_run
-    report.hash_bits = HASH_BITS
     report.hash_rounds = outcome.hash_rounds
-    report.hash_disclosed_bits = HASH_BITS * outcome.hash_rounds
     report.secret_per_sifted = secret_len / sifted_len if sifted_len else 0.0
     report.secret_per_pulse = secret_len / report.pulses if report.pulses else 0.0
     report.no_yield = secret_len == 0

@@ -3,11 +3,11 @@
 Both transports move the exact frames produced by ``messages.encode``, so
 a session transcript is byte-identical whichever carrier it ran over.
 Endpoints enforce strictly increasing sequence numbers per sender and
-surface peer aborts as exceptions.  Every frame they send carries session
-id 0, and the ``sid`` of a received frame is not checked: the ``Hello``
-exchange alone fixes which session a connection runs.  Each receive waits
-at most the endpoint's ``timeout_s``.  An endpoint keeps its frames and
-counts the bits they disclose as each passes, never a decoded message.
+surface peer aborts as exceptions.  Frames carry no session id: the
+``Hello`` exchange alone fixes which session a connection runs.  Each
+receive waits at most the endpoint's ``timeout_s``.  An endpoint keeps its
+frames and counts the bits they disclose as each passes, never a decoded
+message.
 """
 
 from __future__ import annotations
@@ -74,7 +74,7 @@ class Endpoint:
         raise NotImplementedError
 
     def send(self, payload) -> Message:
-        message = message_for(0, self._next_seq, payload)
+        message = message_for(self._next_seq, payload)
         self._next_seq += 1
         frame = encode(message)
         self.frames.append(frame)

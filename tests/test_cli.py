@@ -1,3 +1,4 @@
+import base64
 import operator
 import re
 import shlex
@@ -165,8 +166,8 @@ class TestTwoProcess:
         bob = SessionReport.from_kv((serve_dir / "bob-report.kv").read_text())
         alice = SessionReport.from_kv((conn_dir / "alice-report.kv").read_text())
         for field in ("session", "seed", "pulses", "sifted_len", "sampled_bits",
-                      "corrected_len", "secret_len", "est_errors", "est_sample",
-                      "disclosed_bits", "ec_disclosed_bits", "hash_rounds"):
+                      "corrected_len", "secret_len", "est_errors", "disclosed_bits",
+                      "ec_disclosed_bits", "hash_rounds"):
             assert getattr(bob, field) == getattr(alice, field), field
 
     def test_reference_run_sifted_length(self, tmp_path):
@@ -210,7 +211,7 @@ class TestTwoProcess:
 
     def test_version_mismatch_aborts(self, tmp_path):
         hello = Hello(version=99, params_digest=bytes(16), seed=0)
-        code, err = self._serve_fake_peer(tmp_path, encode(message_for(0, 0, hello)))
+        code, err = self._serve_fake_peer(tmp_path, encode(message_for(0, hello)))
         assert code == 2
         assert "version" in err
 
@@ -218,17 +219,27 @@ class TestTwoProcess:
         # version 4 announced each pass in its own frames and echoed ids in
         # bisection replies; such a peer ends at its Hello
         hello = Hello(version=4, params_digest=bytes(16), seed=0)
-        code, err = self._serve_fake_peer(tmp_path, encode(message_for(0, 0, hello)))
+        code, err = self._serve_fake_peer(tmp_path, encode(message_for(0, hello)))
         assert code == 2
-        assert "protocol version mismatch: peer 4, local 6" in err
+        assert "protocol version mismatch: peer 4, local 7" in err
 
     def test_version_5_peer_aborts(self, tmp_path):
         # version 5 drew Alice's raw bits from one stream per pulse block;
         # such a peer ends at its Hello with exit code 2
         hello = Hello(version=5, params_digest=bytes(16), seed=0)
-        code, err = self._serve_fake_peer(tmp_path, encode(message_for(0, 0, hello)))
+        code, err = self._serve_fake_peer(tmp_path, encode(message_for(0, hello)))
         assert code == 2
-        assert "protocol version mismatch: peer 5, local 6" in err
+        assert "protocol version mismatch: peer 5, local 7" in err
+
+    def test_version_6_text_hello_aborts(self, tmp_path):
+        # version 6 framed a body as the text "sid=<hex16> seq=<dec>
+        # kind=<NAME> payload=<base64>"; its first byte, "s", is no kind code
+        hello = Hello(version=6, params_digest=bytes(16), seed=0)
+        body = (b"sid=0000000000000000 seq=0 kind=Hello payload="
+                + base64.b64encode(hello.pack(bytearray())))
+        code, err = self._serve_fake_peer(tmp_path, len(body).to_bytes(4, "big") + body)
+        assert code == 2, err
+        assert "unknown kind code 115" in err
 
     def test_malformed_first_frame_aborts(self, tmp_path):
         body = b"this is not a protocol message"
@@ -236,18 +247,19 @@ class TestTwoProcess:
         assert code == 2, err
 
     def test_noncanonical_header_aborts(self, tmp_path):
-        # parses as session 1, seq 10 under int(); the header has one spelling
-        body = b"sid=0x1 seq=+1_0 kind=Done payload="
+        # a Hello whose seq 0 is spelled in two varint bytes; the header
+        # has one spelling
+        body = b"\x01\x80\x00" + Hello(version=7, params_digest=bytes(16)).pack(bytearray())
         code, err = self._serve_fake_peer(tmp_path, len(body).to_bytes(4, "big") + body)
         assert code == 2, err
-        assert "malformed header" in err
+        assert "overlong varint" in err
 
     def test_noncanonical_payload_aborts(self, tmp_path):
-        # one revealed bit, with a set bit the base64 decoder would ignore
-        body = b"sid=0000000000000000 seq=0 kind=SampleReveal payload=AAAAAYB="
+        # a SampleReveal of one bit whose padding bits are not all zero
+        body = b"\x04\x00" + b"\x00\x00\x00\x01\x81"
         code, err = self._serve_fake_peer(tmp_path, len(body).to_bytes(4, "big") + body)
         assert code == 2, err
-        assert "canonical" in err
+        assert "padding bits" in err
 
     def test_oversized_length_prefix_aborts(self, tmp_path):
         code, err = self._serve_fake_peer(tmp_path, b"\xff\xff\xff\xff")

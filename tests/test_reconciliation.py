@@ -96,10 +96,19 @@ def settle_pair(a_bits, b_bits, est_num, seed, timeout_s=5.0):
 
 
 def lie_on(monkeypatch, lie):
-    """Make Bob XOR each bisection answer with ``lie(ids)``."""
-    honest = recon._bisection_answers
-    monkeypatch.setattr(recon, "_bisection_answers",
-                        lambda ids, prefixes: honest(ids, prefixes) ^ lie(ids))
+    """Make Bob XOR each bisection answer with ``lie(ids)``, the ids of the
+    query it answers.  Alice builds each query and Bob its reply through
+    ``reconciliation.Syndrome``, one after the other."""
+    asked = {}
+
+    def syndrome(pass_no, blocks, bits):
+        if len(blocks):
+            asked["ids"] = blocks
+        elif len(bits):
+            bits = bits ^ lie(asked["ids"])
+        return Syndrome(pass_no=pass_no, blocks=blocks, bits=bits)
+
+    monkeypatch.setattr(recon, "Syndrome", syndrome)
 
 
 @pytest.fixture
@@ -634,36 +643,36 @@ class TestPinnedTranscripts:
         # two scheduled passes leave an error: hash mismatch, extra pass,
         # second hash round
         "extra-pass": (lambda: planted_keys(2, 2000, 0.05), 100, 2000, 2, 2, (3, 2), {
-            "transcript": "abe1d504c9cae7441a25472ca27070a567fd61c41280686425bd6a1a9f90ae8f",
+            "transcript": "c8ba747323c8f9ff76fedcf57b112110205e947e8add29c645ad59f909ef980a",
             "key": "182148fe13a55f3dc81417fe46be2c449436a820e6a028323b384aa1effbcdf7",
             "bisection": "0eee15207045992b9c94e150177ba86c7a4f8b198dce80dfbe445f49202f15e4"}),
         "key-shorter-than-block": (short_key_pair, 1, 6, PASSES, 9, (4, 1), {
-            "transcript": "0e9e9d9fdd156d3f0d2aad41d862f85c6abcd7e292508c60695ef5a4f35b4251",
+            "transcript": "c1f55372a8337271a34cbc803fe7316a04d48a84b13bbbe152275710c7942d8f",
             "key": "4b68ab3847feda7d6c62c1fbcbeebfa35eab7351ed5e78f4ddadea5df64b8015",
             "bisection": "9680b85ffb65857c13a06035f4412ef33ab71b85b8de306a99f56a9ce1a35163"}),
         # pass 2's held half of odd blocks is still odd once the first
         # half and its backtracking have settled, so it is bisected too
         "held-half-drained": (lambda: planted_keys(1, 300, 0.05), 15, 300, PASSES, 1, (4, 1), {
-            "transcript": "cf1c5f9d08df8b15969625daefbeda570192c79665161adb30d758965be11620",
+            "transcript": "1afcbaacebfde1d8126c58ea0b204a78dca6f2b2fe03c4bdbfe0387857c565a2",
             "key": "e0c457b7cf6f0c6f1176b6dfcf7c58f43c965ba3c2578f1ae613b341d2527b93",
             "bisection": "f8e027bc12011cb5ded0e5517ba479a7f793d0553ad6496f28131022e36e6628"}),
         # blocks of 8 bits at 12% errors: 314 frames of bisection and
         # backtracking
         "heavy-backtracking": (lambda: planted_keys(3, 20_000, 0.12), 2400, 20_000, PASSES,
                                3, (4, 1), {
-            "transcript": "842ea27c56d6f283f0155c52575a5073ec896772a41b408f798eba4d81faa39a",
+            "transcript": "4271eb19ce116a82b5fd01167595087b9c1f1fdb233637ea22402380d7b05423",
             "key": "380372df9bd289c3d1f3bf88390c54ec2150f9dbfeecf62d6510514cfe40b005",
             "bisection": "ef9e3b67300aa949bb311991baacb0a0a90c9cd87eefefb07dc59f6958992b55"}),
         # blocks of 15 bits and a last block of 11
         "short-last-block": (lambda: planted_keys(5, 1_001, 0.05), 50, 1_001, PASSES,
                              5, (4, 1), {
-            "transcript": "5e63821f9ff0483f8959167bd70e84bef5f4595bd3b21e018292995a3781c666",
+            "transcript": "8bb0f0014f10ebfbeb5acf99f43d3b7bf1bcea5666e9bcf71a1f662ac7a9dc31",
             "key": "46254e49b676578f94bbc2b3e7ed095481daebc2f30dac5832244247c1191114",
             "bisection": "fda9961652970bc2dbcb5b9dd5aa2f1452c8963833d3b69e918a203b86c70a7c"}),
         # every pass is one 1-bit block, odd in pass 1 only: its flip needs
         # no query
         "one-bit-key": (one_bit_key_pair, 1, 1, PASSES, 1, (4, 1), {
-            "transcript": "e20fd74dc0766485837f700130137c85d70589f2bb81ada4f8393391a5570cef",
+            "transcript": "e271a4184be816f89e5c61a0dd2656c162cd6146700b1d32be0b854ca07e2b29",
             "key": "76be8b528d0075f7aae98d6fa57a6d3c83ae480a8469e668d7b0af968995ac71",
             "bisection": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"}),
     }

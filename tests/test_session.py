@@ -242,6 +242,13 @@ class TestReportSerialization:
         assert parsed.sifted_len == sim.report.sifted_len
         assert parsed.est_ber == sim.report.est_ber
 
+    def test_text_derives_sample_and_hash_figures(self):
+        # the estimate is over the sampled bits, and each hash round
+        # discloses HASH_BITS
+        text = SessionReport(est_errors=3, sampled_bits=40, hash_rounds=2).to_text()
+        assert "(3/40 sampled)" in text
+        assert "hash 256 counted separately" in text
+
     def test_kv_ignores_comments_and_blanks(self):
         report = SessionReport(session="ff" * 16, pulses=10, sifted_len=5)
         text = "# comment\n\n" + report.to_kv()
@@ -320,9 +327,9 @@ class TestHostilePeer:
         thread.start()
         a_end.send(Hello(version=version, params_digest=session_digest(self.PARAMS, self.CFG)))
         self._expect_abort(a_end, thread,
-                           f"protocol version mismatch: peer {version}, local 6")
+                           f"protocol version mismatch: peer {version}, local 7")
         assert errors["b"].local
-        assert PROTOCOL_VERSION == 6
+        assert PROTOCOL_VERSION == 7
 
     def test_version_4_hello_aborts(self):
         # version 4 announced each pass in its own frames; a peer still
@@ -501,29 +508,29 @@ GOLDEN_CASES = [
     pytest.param(ProtocolParams(mean_photon_number=0.5, rng_seed=417),
                  SessionConfig(pulses=200_000, block_size=50_000,
                                sample_fraction=0.05),
-                 {"frames": "95317cd8f376b066c509f0a79b6300672c5f8a96c67526f626204b0295779ad7",
-                  "report": "b3a41ff70ca279b536ee6f13e79143e51adeaa6efffa2804f8a55d0b43ce2070",
+                 {"frames": "b4cd68a98d76e1b8eff7c2c3bc14a969a4aee76b4217dd8c498b9b19b03bc14f",
+                  "report": "51de9fea56403d36d0d7cc6b71b33aac4efc8cab7acb0d9d0c6a33847c382569",
                   "key": "c1e960430b2bf51323d098da1d443d86329401a656bcacb2b8af9c7a34e0cf65",
                   "bisection": "b69aba4349c4524d45bd832ea391a5125d2cfc7e7764507d4ee668ab62b36bf5"},
                  id="nbar0.5-seed417"),
     pytest.param(ProtocolParams(), SessionConfig(),
-                 {"frames": "cd37e0ea3c05393ae55872075a8770bb063771bef9b0abd324c5a95d95b7807c",
-                  "report": "d5abff35897049de43ce12809cdc769ed0e1333ac21707e4f61ad0e642da21f5",
+                 {"frames": "2f4566024f4cb25704fd525661e51a68ca59b0e4c419c12860ed412997a1163b",
+                  "report": "df403f7766f960e89a0c1395f91eff1a5ed7bbaece034f5a49086ea4a8c24788",
                   "key": "66c3ad8fd08b6bd933050222fe19c0bc7839b481c1aa1b0f499a734e7f0d356b",
                   "bisection": "ab2cea053eb4624e660c297ef0100a1c320ef24437930eb2757359c6634a2f63"},
                  id="defaults"),
     pytest.param(ProtocolParams(mean_photon_number=0.02, rng_seed=3),
                  SessionConfig(pulses=200_000),
-                 {"frames": "1b5806adf68faaaf9f04c2d652add25506bcc530078826645f6b70205dd007aa",
-                  "report": "aa0f5e9f329600c1dad461814f3ad7b5d7c54c83340f92c21749f5b5eedec881",
+                 {"frames": "d271845ca96addff5146b34a79150ecaeb62b2747d594827ed6a8435b1df0971",
+                  "report": "443a027c1e473277799cd14e054eb6f3e5d7e67527864b3b64dccea2dcfe6587",
                   "key": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
                   "bisection": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"},
                  id="dim-no-yield"),
     pytest.param(ProtocolParams(mean_photon_number=0.35, eta_system_mean=0.5,
                                 eta_system_sigma=0.0, rng_seed=1),
                  SessionConfig(pulses=200_000),
-                 {"frames": "b61bdf5648c9feab9495b5150943fbcc4c125289553b029684fa8b128ca232f8",
-                  "report": "64dc8a21a8370251e1486c533dd88d79be1fdbce17607674983981a2a4627de8",
+                 {"frames": "18d92928a0faaebc0f3fc3789a24a3dccf175200cb0a186fefa6634b6ca96f3c",
+                  "report": "0ef54b4e8291185e59dfe49e86d293179b0a74dadd15d52aa9f4c83a0c9f58d5",
                   "key": "300a5e6f7e2e5af31abc30de743535327f8f33936c4f74f02767c70e384ca924",
                   "bisection": "510d1e12c8bfca4a1ae1a17632370013cc09ba3f1ff9e37cbc789f872840e0f9"},
                  id="efficient-link-with-key"),
@@ -568,10 +575,11 @@ class TestGoldenReplay:
     ``report.to_kv()`` and over his packed secret key, so a change shows
     which of the three it moved.  The last case yields 1903 secret bits and
     the defaults 1267, so privacy amplification is covered.  The digests
-    were recorded with numpy 2.4.6, whose generators fix the draws, at
-    ``PROTOCOL_VERSION`` 6: each random family (channel efficiencies,
-    gate draws, Alice's raw bits) reads one stream for the whole session,
-    which moved every digest.  A change
+    were recorded with numpy 2.4.6, whose generators fix the draws.  At
+    ``PROTOCOL_VERSION`` 6 each random family (channel efficiencies, gate
+    draws, Alice's raw bits) came to read one stream for the whole
+    session, which moved every digest; version 7's binary frame header
+    moved the frame and report digests alone.  A change
     that deliberately alters keys or frames updates these digests in that
     same change.  The key digests and the bisection exchange (each query's
     pass and ids and Bob's answers, pinned apart from any wire layout)
@@ -666,8 +674,8 @@ class TestShortSessions:
                     digests[part].update(value)
         assert aborts == 17
         assert {part: digest.hexdigest() for part, digest in digests.items()} == {
-            "frames": "4a6bbd8495e992647901b5d88248429c424f9e11645c1b1a66eaf38023996318",
-            "reports": "349b65cff359907be65a13cd034e1fe34820ca46a491e79f92fba5be7c85ca34",
+            "frames": "cb57644a76e5d505c82305a74cd2ce4f024fa9fab56ff01f9327eb66039a3ba3",
+            "reports": "932ca6ef9fd8e545fb64919f774c2047c39cdb9963ba16d927ca7a579807c355",
             "outcomes": "1e0cc364d9f388e95e73816b267bd5cf3727dcf013cafb96eb89a1d48a6befcf",
         }
 

@@ -33,7 +33,6 @@ class TestLoopback:
         got = b.recv()
         assert got.kind is Kind.HELLO
         assert got.payload == payload
-        assert got.session_id == 0
 
     def test_fifo_order(self):
         a, b = loopback_pair()
@@ -49,8 +48,8 @@ class TestLoopback:
 
     def test_sequence_regression_detected(self):
         a, b = loopback_pair()
-        b._inbox.put(encode(message_for(0, 5, Done())))
-        b._inbox.put(encode(message_for(0, 3, Done())))
+        b._inbox.put(encode(message_for(5, Done())))
+        b._inbox.put(encode(message_for(3, Done())))
         b.recv()
         with pytest.raises(ProtocolError):
             b.recv()
@@ -64,7 +63,7 @@ class TestLoopback:
     @pytest.mark.parametrize("body", [
         b"not a protocol frame",
         # well-formed body whose SiftIndices payload declares 2**33 indices
-        b"sid=0000000000000000 seq=0 kind=SiftIndices payload=gICAgCA=",
+        b"\x02\x00\x80\x80\x80\x80\x20",
     ], ids=["garbage", "index-count"])
     def test_malformed_frame_aborts(self, body):
         a, b = loopback_pair()
