@@ -41,6 +41,10 @@ def pack_bits(bits: np.ndarray) -> bytes:
 
 
 def encode_varint(value: int, out: bytearray) -> None:
+    # most varints on the wire (seqs, pass numbers, short counts) take one byte
+    if 0 <= value < 0x80:
+        out.append(value)
+        return
     if value < 0:
         raise ValueError("varints are unsigned")
     while True:
@@ -55,6 +59,8 @@ def encode_varint(value: int, out: bytearray) -> None:
 
 def decode_varint(data: bytes, offset: int) -> tuple[int, int]:
     """Decode one varint, returning ``(value, next_offset)``."""
+    if offset < len(data) and data[offset] < 0x80:
+        return data[offset], offset + 1
     value = 0
     shift = 0
     while True:
@@ -90,11 +96,21 @@ _CHUNK = 1 << 14
 # 2**63 needs at most nine
 _MAX_VARINT_BYTES = 11
 _NOT_INCREASING = "indices must be non-negative and strictly increasing"
+# An empty list decodes to one of these, shared and read-only: a bisection
+# reply lists no ids, and a query no bits
+NO_INDICES = np.zeros(0, dtype=np.int64)
+NO_INDICES.flags.writeable = False
+NO_BITS = np.zeros(0, dtype=np.uint8)
+NO_BITS.flags.writeable = False
+_NO_BITS_ENCODED = bytes(4)
 
 
 def encode_index_list(indices: np.ndarray, out: bytearray) -> bytearray:
     """Delta+varint encoding of a strictly increasing index sequence,
     appended to ``out`` and returned."""
+    if not len(indices):
+        out.append(0)
+        return out
     indices = np.asarray(indices, dtype=np.int64)
     encode_varint(len(indices), out)
     if len(indices) <= _SCALAR_MAX:
@@ -149,32 +165,36 @@ def encode_index_list(indices: np.ndarray, out: bytearray) -> bytearray:
 
 def decode_index_list(data: bytes, offset: int) -> tuple[np.ndarray, int]:
     count, offset = decode_varint(data, offset)
+    if not count:
+        return NO_INDICES, offset
     # every index takes at least one byte: bound the untrusted count first
     if count > len(data) - offset:
         raise ValueError(f"index count {count} exceeds the {len(data) - offset} bytes left")
     if count <= _SCALAR_MAX:
-        # decode_varint inlined: the same checks in the same order
-        values, value, size = [], 0, len(data)
-        for i in range(count):
-            delta = shift = 0
-            while True:
-                if offset >= size:
-                    raise ValueError("truncated varint")
-                byte = data[offset]
-                offset += 1
-                delta |= (byte & 0x7F) << shift
-                if byte < 0x80:
-                    break
+        # decode_varint inlined: the same checks in the same order.  No
+        # varint runs past _MAX_VARINT_BYTES without failing "too long",
+        # so the list lies within that many bytes per index
+        values, value, delta, shift = [], 0, 0, 0
+        for byte in data[offset : offset + _MAX_VARINT_BYTES * count]:
+            offset += 1
+            delta |= (byte & 0x7F) << shift
+            if byte > 0x7F:
                 shift += 7
                 if shift > 70:
                     raise ValueError("varint too long")
+                continue
             # a zero last group after the first spells a shorter varint
             if shift and not byte:
                 raise ValueError("overlong varint")
-            if i and not delta:
+            if values and not delta:
                 raise ValueError("decoded indices are not strictly increasing")
             value += delta
             values.append(value)
+            if len(values) == count:
+                break
+            delta = shift = 0
+        else:
+            raise ValueError("truncated varint")
         if value >= 2**63:
             raise ValueError("index beyond 2**63")
         return np.array(values, dtype=np.int64), offset
@@ -229,6 +249,8 @@ def decode_index_list(data: bytes, offset: int) -> tuple[np.ndarray, int]:
 
 
 def encode_bit_list(bits: np.ndarray) -> bytes:
+    if not len(bits):
+        return _NO_BITS_ENCODED
     bits = np.asarray(bits, dtype=np.uint8)
     return len(bits).to_bytes(4, "big") + pack_bits(bits)
 
@@ -238,6 +260,8 @@ def decode_bit_list(data: bytes, offset: int) -> tuple[np.ndarray, int]:
         raise ValueError("truncated bit list header")
     nbits = int.from_bytes(data[offset : offset + 4], "big")
     offset += 4
+    if not nbits:
+        return NO_BITS, offset
     nbytes = (nbits + 7) // 8
     if offset + nbytes > len(data):
         raise ValueError("truncated bit list body")

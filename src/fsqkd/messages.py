@@ -308,12 +308,13 @@ class Done(_Payload):
 
 
 # each kind's value is the name of its payload class, and its wire code
-# its position in ``Kind``, from 1
+# its position in ``Kind``, from 1.  The per-frame lookups go by payload
+# class or code: an enum member hashes in Python.
 _PAYLOAD_TYPES = {Kind(cls.__name__): cls for cls in _Payload.__subclasses__()}
 _KIND_FOR_TYPE = {cls: kind for kind, cls in _PAYLOAD_TYPES.items()}
-_CODES = {kind: code for code, kind in enumerate(Kind, 1)}
+_CODE_FOR_TYPE = {_PAYLOAD_TYPES[kind]: code for code, kind in enumerate(Kind, 1)}
 # a kind byte's kind and payload class, in one lookup
-_KINDS = {code: (kind, _PAYLOAD_TYPES[kind]) for kind, code in _CODES.items()}
+_KINDS = {code: (_KIND_FOR_TYPE[cls], cls) for cls, code in _CODE_FOR_TYPE.items()}
 
 
 @dataclass(frozen=True)
@@ -323,10 +324,9 @@ class Message:
     payload: object
 
     def __post_init__(self) -> None:
-        expected = _PAYLOAD_TYPES[self.kind]
-        if not isinstance(self.payload, expected):
+        if _KIND_FOR_TYPE.get(type(self.payload)) is not self.kind:
             raise MessageFormatError(
-                f"payload for {self.kind.value} must be {expected.__name__}"
+                f"payload for {self.kind.value} must be {_PAYLOAD_TYPES[self.kind].__name__}"
             )
         if not 0 <= self.seq < 2**64:
             raise MessageFormatError(f"seq {self.seq} is not below 2**64")
@@ -343,7 +343,7 @@ def _check_payload_size(size: int) -> None:
 
 def encode(message: Message) -> bytes:
     out = bytearray(4)
-    out.append(_CODES[message.kind])
+    out.append(_CODE_FOR_TYPE[type(message.payload)])
     encode_varint(message.seq, out)
     start = len(out)
     message.payload.pack(out)

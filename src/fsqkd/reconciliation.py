@@ -156,6 +156,19 @@ def _shuffled_prefix(key_bits: np.ndarray, perm: np.ndarray) -> np.ndarray:
     return out
 
 
+# key words per step of ``_verify_hash_bits``: its two (64, _HASH_CHUNK)
+# word arrays take 256 KiB each, so a step stays in cache
+_HASH_CHUNK = 512
+
+
+def _words(bits: np.ndarray, count: int) -> np.ndarray:
+    """Bits packed MSB first into ``count`` 64-bit words, zero-padded:
+    bit j is bit ``63 - j % 64`` of word ``j // 64``."""
+    packed = np.zeros(8 * count, dtype=np.uint8)
+    packed[: (len(bits) + 7) // 8] = np.packbits(bits)
+    return packed.view(">u8").astype(np.uint64)
+
+
 def _verify_hash_bits(key_bits: np.ndarray, seed: int, nbits: int) -> bytes:
     """Toeplitz (universal family) hash of a key, as packed bytes.
 
@@ -164,21 +177,42 @@ def _verify_hash_bits(key_bits: np.ndarray, seed: int, nbits: int) -> bytes:
     ``verify-hash`` of the seed (``rng.toeplitz_diagonal``); entry (i, j)
     is diagonal bit ``i - j + n - 1``, the convention of
     ``privacy.compress``.  With the diagonal reversed, row i is the
-    contiguous slice starting at ``nbits - 1 - i``, so digest bit i is the
-    parity of that slice ANDed with the key: exact integer counts at any
-    key length, including keys shorter than the digest.
+    contiguous slice starting at ``s = nbits - 1 - i``, so digest bit i is
+    the parity of that slice ANDed with the key: exact at any key length,
+    including keys shorter than the digest.
+
+    Both are packed into 64-bit words, and ``s = 64 q + r``.  The slice
+    ANDed with the key has the parity of the reversed diagonal from word q
+    on ANDed with the key moved r bits along, which is one array of key
+    words per r whatever q: the rows that share r share it, and the rows
+    that share q read the same run of diagonal words.  A row's parity is
+    that of the XOR of its words.
     """
     n = len(key_bits)
     diagonal = toeplitz_diagonal(stream(seed, "verify-hash"), n + nbits - 1)
-    reversed_diagonal = diagonal[::-1].view(bool).copy()
-    key = key_bits.astype(bool)
-    row = np.empty(n, dtype=bool)
-    digest = np.empty(nbits, dtype=np.uint8)
-    for i in range(nbits):
-        start = nbits - 1 - i
-        np.logical_and(reversed_diagonal[start : start + n], key, out=row)
-        digest[i] = np.count_nonzero(row) & 1
-    return pack_bits(digest)
+    count = -(-n // 64)
+    groups = -(-nbits // 64)
+    # the key moved r bits along spans count + 1 words; word v - 1 of the
+    # key is word v of ``key``, after one zero word
+    key = np.zeros(count + 2, dtype=np.uint64)
+    key[1 : count + 1] = _words(key_bits, count)
+    reversed_diagonal = _words(np.ascontiguousarray(diagonal[::-1]), count + groups)
+    r = np.arange(64, dtype=np.uint64)[:, None]
+    parity = np.zeros((groups, 64), dtype=np.uint64)
+    for v in range(0, count + 1, _HASH_CHUNK):
+        width = min(_HASH_CHUNK, count + 1 - v)
+        # word v of the key moved r bits along; the left shift by 64 - r
+        # goes in two steps, so r = 0 brings in nothing
+        moved = key[v + 1 : v + 1 + width] >> r
+        moved |= (key[v : v + width] << np.uint64(1)) << (np.uint64(63) - r)
+        for q in range(groups):
+            parity[q] ^= np.bitwise_xor.reduce(moved & reversed_diagonal[q + v : q + v + width],
+                                               axis=1)
+    parity = parity.ravel()
+    for shift in (32, 16, 8, 4, 2, 1):
+        parity ^= parity >> np.uint64(shift)
+    # digest bit i is the row starting at s = nbits - 1 - i
+    return pack_bits((parity[nbits - 1 :: -1] & np.uint64(1)).astype(np.uint8))
 
 
 def _sorted_unique(values: np.ndarray) -> np.ndarray:
@@ -281,14 +315,12 @@ class _AliceCorrector:
         odd ^= bob_parities
         return base + starts[odd.nonzero()[0]]
 
-    def _block_of(self, g: np.ndarray) -> np.ndarray:
-        """The start of the block holding each position g."""
-        p, i = np.divmod(g, self.stride)
-        return g - i % self.block_sizes[p]
-
     def _block_starts(self, g: np.ndarray) -> np.ndarray:
         """The distinct blocks holding positions g, in ascending order."""
-        return _sorted_unique(self._block_of(g))
+        p, i = np.divmod(g, self.stride)
+        i %= self.block_sizes[p]
+        g = g - i
+        return _sorted_unique(g)
 
     def _odd_segments(self, blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Segments ``[lo, hi)`` of the given blocks whose parity differs from Bob's."""
@@ -312,30 +344,20 @@ class _AliceCorrector:
         odd = odd.view(bool)
         return lo[odd], hi[odd]
 
-    def _odd_halves(self, lo: np.ndarray, mid: np.ndarray,
-                    hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The half of each odd segment ``[lo, hi)`` that disagrees with Bob
-        once his prefix parity at ``mid`` is known.
-
-        Bob's parity at ``mid`` enters both halves and cancels, so exactly
-        one half is odd whatever he answered, as long as none of Alice's
-        bits in the segment changed since it was found odd: reading the
-        first half settles which.
-        """
-        if not len(lo):
-            return lo, hi
-        at, offsets = _runs(lo, mid - lo)
-        first = np.bitwise_xor.reduceat(self.shuffled[at], offsets)
-        first ^= self.bob_prefix[lo]
-        first ^= self.bob_prefix[mid]
-        first = first.view(bool)
-        return np.where(first, lo, mid), np.where(first, mid, hi)
-
-    def _ask(self, mid: np.ndarray) -> None:
-        """One round trip: learn Bob's prefix parity at every midpoint.
+    def _ask(self, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """One round trip: learn Bob's prefix parity at the midpoint of
+        every odd segment ``[lo, hi)``, ascending and longer than one bit;
+        return the half of each that disagrees with Bob.
 
         The reply carries his answers alone, one bit per id in id order.
+        Bob's parity at a midpoint enters both halves and cancels, so
+        exactly one half is odd whatever he answered, as long as none of
+        Alice's bits in the segment changed since it was found odd: reading
+        the first half settles which.
         """
+        half = hi - lo
+        half >>= 1
+        mid = lo + half
         self.endpoint.send(Syndrome(pass_no=self.built, blocks=mid - mid // self.stride,
                                     bits=_NO_BITS))
         reply = self.endpoint.expect(Kind.SYNDROME).payload
@@ -343,46 +365,56 @@ class _AliceCorrector:
             self.endpoint.fail(f"bisection reply of {len(reply.bits)} bits and "
                                f"{len(reply.blocks)} ids for pass {reply.pass_no} to a query "
                                f"of {len(mid)} ids for pass {self.built}")
-        self.bob_prefix[mid] = reply.bits | 2
+        answers = reply.bits | 2
+        self.bob_prefix[mid] = answers
+        at, offsets = _runs(lo, half)
+        first = np.bitwise_xor.reduceat(self.shuffled[at], offsets)
+        first ^= self.bob_prefix[lo]
+        first ^= answers
+        first = first.view(bool)
+        return np.where(first, lo, mid), np.where(first, mid, hi)
+
+    def _flip(self, single: np.ndarray) -> np.ndarray:
+        """Flip the key bits that the single-bit segments ``single`` pin
+        down; return their positions g in every built pass.
+
+        With an honest reference every flip removes one disagreement, so
+        the flips never outnumber the key bits; more means the peer's
+        answers are inconsistent, and the session aborts before they are
+        made.
+        """
+        # int64 indices: an int32 index array is converted on every use.
+        # Segments of two passes may pin down the same bit.
+        positions = self.perm[single].astype(np.int64)
+        if len(positions) > 1:
+            positions = _sorted_unique(positions)
+        if self.flips + len(positions) > len(self.bits):
+            self.endpoint.fail("bisection flipped more bits than the key holds")
+        self.flips += len(positions)
+        self.bits[positions] ^= 1
+        flipped = self.inv[:self.built].take(positions, axis=1).astype(np.int64).ravel()
+        self.shuffled[flipped] ^= 1
+        return flipped
 
     def _round(self, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """One bisection round over the odd segments ``[lo, hi)``, ascending.
 
         Asks Bob for the midpoint of every segment longer than one bit and
         flips the bits that single-bit segments pin down.  Returns the odd
-        segments of every block the round touched, in ascending order: a
-        block holding a flipped bit is scanned whole, and any other keeps
-        the odd half of each segment it split.  With an honest reference
-        every flip removes one disagreement, so the flips never outnumber
-        the key bits; more means the peer's answers are inconsistent, and
-        the session aborts before they are made.
+        segments of every block the round touched, in ascending order: the
+        odd half of each segment it split, and when it flipped a bit, its
+        blocks and those of the flips scanned whole.
         """
         wide = hi - lo > 1
-        lo, hi, single = lo[wide], hi[wide], lo[~wide]
-        mid = lo + (hi - lo) // 2
-        if len(mid):
-            self._ask(mid)
         # about half the rounds pin down no single bit
-        if not len(single):
-            return self._odd_halves(lo, mid, hi)
-        positions = _sorted_unique(self.perm[single])
-        if self.flips + len(positions) > len(self.bits):
-            self.endpoint.fail("bisection flipped more bits than the key holds")
-        self.flips += len(positions)
-        self.bits[positions] ^= 1
-        flipped = self.inv[:self.built, positions].ravel()
-        self.shuffled[flipped] ^= 1
-        # each single-bit segment's block holds its flip, so it is rescanned
-        rescan = self._block_starts(flipped)
-        blocks = self._block_of(lo)
-        where = np.minimum(np.searchsorted(rescan, blocks), len(rescan) - 1)
-        kept = rescan[where] != blocks
-        lo, hi = self._odd_halves(lo[kept], mid[kept], hi[kept])
-        found_lo, found_hi = self._odd_segments(rescan)
-        lo = np.concatenate([lo, found_lo])
-        hi = np.concatenate([hi, found_hi])
-        order = lo.argsort(kind="stable")
-        return lo[order], hi[order]
+        if np.count_nonzero(wide) == len(lo):
+            return self._ask(lo, hi)
+        single = lo[~wide]
+        lo, hi = lo[wide], hi[wide]
+        if len(lo):
+            self._ask(lo, hi)
+        flipped = self._flip(single)
+        return self._odd_segments(self._block_starts(np.concatenate((lo, flipped))))
 
     def drain(self, odd_blocks: np.ndarray) -> None:
         """Bisect until no segment of any built pass disagrees.
@@ -543,12 +575,13 @@ def _serve_queries(endpoint: Endpoint, prefixes: np.ndarray, n: int,
             return
         if ids[-1] >= current * n:
             endpoint.fail("bisection query names a pass not yet built")
-        # one gather gives the repeat check, the answers and the marks
+        # one gather gives the repeat check, the marks and, once no entry
+        # is marked, the answers themselves
         entries = prefixes[ids]
         if np.count_nonzero(entries > 1):
             endpoint.fail("bisection query repeats an answered position")
         prefixes[ids] = entries | 2
-        endpoint.send(Syndrome(pass_no=current, blocks=_NO_IDS, bits=entries & 1))
+        endpoint.send(Syndrome(pass_no=current, blocks=_NO_IDS, bits=entries))
 
 
 def _reconcile_bob(key: np.ndarray, endpoint: Endpoint, passes: int, est: float,

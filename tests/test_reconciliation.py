@@ -765,6 +765,17 @@ class TestAliceCorrector:
         # the lies end some exchanges early
         assert "SessionAborted" in outcomes
 
+    @pytest.mark.parametrize("case", KEYS)
+    def test_flips_equal_the_planted_errors(self, correctors, case):
+        # with an honest reference each flip removes one disagreement, so
+        # Alice flips each wrong bit once and no right bit: no bit is
+        # flipped twice, however the round orders its flips and queries
+        keys, est_num = self.KEYS[case]
+        a, b = keys()
+        ra, rb, _ = settle_pair(a, b, est_num, seed=1)
+        assert ra.verified and np.array_equal(ra.corrected_key, b)
+        assert correctors[-1].flips == np.count_nonzero(a != b)
+
     def test_tables_hold_ten_bytes_per_key_bit_and_pass(self):
         # the key length of a 32M-pulse session at nbar 0.5; each pass's
         # row has one slot past the key for the pass's end.  SessionConfig
@@ -795,7 +806,7 @@ def toeplitz_diagonal(seed, n, nbits):
 class TestVerifyHash:
     """The key-confirmation digest is an nbits x n Toeplitz matrix times the key."""
 
-    @pytest.mark.parametrize("n", [1, 7, 127, 128, 129, 1000])
+    @pytest.mark.parametrize("n", [1, 7, 63, 64, 65, 127, 128, 129, 1000, 4097])
     def test_equals_dense_toeplitz_product(self, n):
         nbits, seed = 128, 12
         key = stream(n, "key").integers(0, 2, n).astype(np.uint8)

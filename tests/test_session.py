@@ -611,14 +611,19 @@ class TestGoldenReplay:
         assert bisection_sha256(decode(frame) for frame in sim.bob.frames) == \
             digests["bisection"]
 
-    def test_defaults_round_trips(self):
-        # a change that adds a frame or a round trip to a default session
+    # (messages, bisection queries) of each golden session
+    ROUND_TRIPS = {"nbar0.5-seed417": (256, 122), "defaults": (138, 63),
+                   "dim-no-yield": (8, 0), "efficient-link-with-key": (122, 55)}
+
+    @pytest.mark.parametrize("case", ROUND_TRIPS)
+    def test_round_trips(self, case):
+        # a change that adds a frame or a round trip to a golden session
         # fails here before it shows in the benchmark
-        params, cfg, _digests = GOLDEN["defaults"]
+        params, cfg, _digests = GOLDEN[case]
         messages = [decode(frame) for frame in golden_run(params, cfg).bob.frames]
         queries = [m for m in messages if m.kind is Kind.SYNDROME
                    and m.payload.is_query and len(m.payload.blocks)]
-        assert (len(messages), len(queries)) == (138, 63)
+        assert (len(messages), len(queries)) == self.ROUND_TRIPS[case]
 
 
 def party_outcomes(params, cfg) -> dict:
