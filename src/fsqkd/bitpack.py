@@ -96,8 +96,8 @@ _CHUNK = 1 << 14
 # 2**63 needs at most nine
 _MAX_VARINT_BYTES = 11
 _NOT_INCREASING = "indices must be non-negative and strictly increasing"
-# An empty list decodes to one of these, shared and read-only: a bisection
-# reply lists no ids, and a query no bits
+# An empty list decodes to one of these, shared and read-only, and the
+# corrector sends them: a bisection reply lists no ids, and a query no bits
 NO_INDICES = np.zeros(0, dtype=np.int64)
 NO_INDICES.flags.writeable = False
 NO_BITS = np.zeros(0, dtype=np.uint8)

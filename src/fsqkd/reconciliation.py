@@ -11,7 +11,8 @@ pass built so far; blocks that turn odd are bisected in turn
 (backtracking), so each correction propagates through earlier passes.
 Every bisection level is one query covering all open ranges of all
 passes, so round trips grow with passes, levels and backtracking rounds,
-never with the error count.
+never with the error count.  Alice makes every flip she has pinned down
+before she asks: a flip can settle a range the query would have split.
 
 Each party keeps all built passes in one flat table, so a round trip
 costs a fixed handful of array operations however many passes are open.
@@ -21,8 +22,8 @@ in that pass's order and the prefix parities Bob disclosed; Bob lays his
 prefix parities at p * n + i, which is the id a bisection query carries
 on the wire.  A round reads only what it changed: a segment split at a
 new midpoint keeps whichever half disagrees, which reading its first
-half settles, and only the blocks holding a flipped bit are scanned
-whole.
+half settles, and only after a flip are blocks scanned whole: those of
+the open segments and of the flipped bit.
 
 A seeded Toeplitz hash of the corrected key closes the exchange: the
 universal family privacy amplification also uses, drawn as n + 127 bits
@@ -53,7 +54,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bitpack import pack_bits
+from .bitpack import NO_BITS, NO_INDICES, pack_bits
 from .messages import (
     ExtraPass,
     Kind,
@@ -71,9 +72,6 @@ BLOCK_SIZE_MIN = 8
 BLOCK_SIZE_MAX = 4096
 BLOCK_SIZE_FACTOR = 0.73
 HASH_BITS = 128
-# a bisection reply lists no ids, and a query no bits
-_NO_IDS = np.zeros(0, dtype=np.int64)
-_NO_BITS = np.zeros(0, dtype=np.uint8)
 
 
 @dataclass
@@ -318,9 +316,7 @@ class _AliceCorrector:
     def _block_starts(self, g: np.ndarray) -> np.ndarray:
         """The distinct blocks holding positions g, in ascending order."""
         p, i = np.divmod(g, self.stride)
-        i %= self.block_sizes[p]
-        g = g - i
-        return _sorted_unique(g)
+        return _sorted_unique(g - i % self.block_sizes[p])
 
     def _odd_segments(self, blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Segments ``[lo, hi)`` of the given blocks whose parity differs from Bob's."""
@@ -359,7 +355,7 @@ class _AliceCorrector:
         half >>= 1
         mid = lo + half
         self.endpoint.send(Syndrome(pass_no=self.built, blocks=mid - mid // self.stride,
-                                    bits=_NO_BITS))
+                                    bits=NO_BITS))
         reply = self.endpoint.expect(Kind.SYNDROME).payload
         if reply.pass_no != self.built or len(reply.blocks) or len(reply.bits) != len(mid):
             self.endpoint.fail(f"bisection reply of {len(reply.bits)} bits and "
@@ -399,32 +395,34 @@ class _AliceCorrector:
     def _round(self, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """One bisection round over the odd segments ``[lo, hi)``, ascending.
 
-        Asks Bob for the midpoint of every segment longer than one bit and
-        flips the bits that single-bit segments pin down.  Returns the odd
-        segments of every block the round touched, in ascending order: the
-        odd half of each segment it split, and when it flipped a bit, its
-        blocks and those of the flips scanned whole.
+        First flips every bit a single-bit segment pins down and rescans
+        the blocks of the segments and of the flips whole, in every built
+        pass, until no single-bit segment is left; then asks Bob for the
+        midpoint of every remaining segment, in one query, unless none
+        remains.  Returns the odd segments of every block the round
+        touched, in ascending order: the odd half of each segment it split.
+        A flip before the query can settle a segment the query would have
+        split, so the round asks only for what its flips left open.
         """
-        wide = hi - lo > 1
-        # about half the rounds pin down no single bit
-        if np.count_nonzero(wide) == len(lo):
-            return self._ask(lo, hi)
-        single = lo[~wide]
-        lo, hi = lo[wide], hi[wide]
-        if len(lo):
-            self._ask(lo, hi)
-        flipped = self._flip(single)
-        return self._odd_segments(self._block_starts(np.concatenate((lo, flipped))))
+        while True:
+            single = hi - lo == 1
+            if not np.count_nonzero(single):
+                break
+            flipped = self._flip(lo[single])
+            lo, hi = self._odd_segments(self._block_starts(np.concatenate((lo, flipped))))
+        if not len(lo):
+            return lo, hi
+        return self._ask(lo, hi)
 
     def drain(self, odd_blocks: np.ndarray) -> None:
         """Bisect until no segment of any built pass disagrees.
 
-        Each round (``_round``) bisects every disagreeing segment of every
-        pass at once; the next round looks again only at the halves it
-        split and the blocks its flips touched.  The flip budget also
-        bounds the rounds: without a flip the disagreeing segments only
-        narrow, so at most log2(largest block) + 1 rounds pass between two
-        flips.
+        Each round (``_round``) makes the flips its single-bit segments pin
+        down, then bisects every other disagreeing segment of every pass at
+        once; the next round starts from the halves it kept.  The flip
+        budget also bounds the rounds: without a flip the disagreeing
+        segments only narrow, so at most log2(largest block) + 1 rounds
+        pass between two flips.
         """
         n = len(self.bits)
         # From the second pass on, half the disagreeing blocks wait until the
@@ -513,7 +511,7 @@ def _reconcile_alice(key: np.ndarray, endpoint: Endpoint, passes: int, est: floa
                                        announce.parities[at : at + count]))
             at += count
         # correction ends with a query that lists no ids
-        endpoint.send(Syndrome(pass_no=last, blocks=_NO_IDS, bits=_NO_BITS))
+        endpoint.send(Syndrome(pass_no=last, blocks=NO_INDICES, bits=NO_BITS))
 
     def hash_round() -> bool:
         theirs = endpoint.expect(Kind.VERIFY_HASH).payload
@@ -581,7 +579,7 @@ def _serve_queries(endpoint: Endpoint, prefixes: np.ndarray, n: int,
         if np.count_nonzero(entries > 1):
             endpoint.fail("bisection query repeats an answered position")
         prefixes[ids] = entries | 2
-        endpoint.send(Syndrome(pass_no=current, blocks=_NO_IDS, bits=entries))
+        endpoint.send(Syndrome(pass_no=current, blocks=NO_INDICES, bits=entries))
 
 
 def _reconcile_bob(key: np.ndarray, endpoint: Endpoint, passes: int, est: float,

@@ -637,15 +637,17 @@ class TestPinnedTranscripts:
     """Alice's whole correction transcript, her corrected key and the
     bisection exchange (each query's pass and ids and Bob's answers, apart
     from any wire layout), each pinned by sha256, on paths the session
-    goldens do not reach; a faster corrector must replay them byte for byte."""
+    goldens do not reach.  A faster corrector replays them byte for byte;
+    a change to the schedule of flips and queries re-records them on
+    purpose, as flipping before asking did."""
 
     CASES = {
         # two scheduled passes leave an error: hash mismatch, extra pass,
         # second hash round
         "extra-pass": (lambda: planted_keys(2, 2000, 0.05), 100, 2000, 2, 2, (3, 2), {
-            "transcript": "c8ba747323c8f9ff76fedcf57b112110205e947e8add29c645ad59f909ef980a",
+            "transcript": "3cf540a919ab1e565790c465669d40250381352b3c494719983608fce11b55c9",
             "key": "182148fe13a55f3dc81417fe46be2c449436a820e6a028323b384aa1effbcdf7",
-            "bisection": "0eee15207045992b9c94e150177ba86c7a4f8b198dce80dfbe445f49202f15e4"}),
+            "bisection": "be1578907352691c2b545d5c737b4506e9db3be5dbf18f02472ace976528ce15"}),
         "key-shorter-than-block": (short_key_pair, 1, 6, PASSES, 9, (4, 1), {
             "transcript": "c1f55372a8337271a34cbc803fe7316a04d48a84b13bbbe152275710c7942d8f",
             "key": "4b68ab3847feda7d6c62c1fbcbeebfa35eab7351ed5e78f4ddadea5df64b8015",
@@ -653,22 +655,22 @@ class TestPinnedTranscripts:
         # pass 2's held half of odd blocks is still odd once the first
         # half and its backtracking have settled, so it is bisected too
         "held-half-drained": (lambda: planted_keys(1, 300, 0.05), 15, 300, PASSES, 1, (4, 1), {
-            "transcript": "1afcbaacebfde1d8126c58ea0b204a78dca6f2b2fe03c4bdbfe0387857c565a2",
+            "transcript": "8acc3517641f3b988b8ec94f33410b75e0f4afbd3d0a465e26ba94e99c3e77a0",
             "key": "e0c457b7cf6f0c6f1176b6dfcf7c58f43c965ba3c2578f1ae613b341d2527b93",
-            "bisection": "f8e027bc12011cb5ded0e5517ba479a7f793d0553ad6496f28131022e36e6628"}),
-        # blocks of 8 bits at 12% errors: 314 frames of bisection and
+            "bisection": "7c2c87924ddefdb71eb2a94d69cab4922007e59998b6be275390f591f5a50f29"}),
+        # blocks of 8 bits at 12% errors: 254 frames of bisection and
         # backtracking
         "heavy-backtracking": (lambda: planted_keys(3, 20_000, 0.12), 2400, 20_000, PASSES,
                                3, (4, 1), {
-            "transcript": "4271eb19ce116a82b5fd01167595087b9c1f1fdb233637ea22402380d7b05423",
+            "transcript": "2103f505371796274b7e375d96fa1bfa965f8886048b9b42f3940f7dbd04dc65",
             "key": "380372df9bd289c3d1f3bf88390c54ec2150f9dbfeecf62d6510514cfe40b005",
-            "bisection": "ef9e3b67300aa949bb311991baacb0a0a90c9cd87eefefb07dc59f6958992b55"}),
+            "bisection": "4bd91ce6f9ed8f67517f249841170e68179bc32c5b73911aa319822f5331c509"}),
         # blocks of 15 bits and a last block of 11
         "short-last-block": (lambda: planted_keys(5, 1_001, 0.05), 50, 1_001, PASSES,
                              5, (4, 1), {
-            "transcript": "8bb0f0014f10ebfbeb5acf99f43d3b7bf1bcea5666e9bcf71a1f662ac7a9dc31",
+            "transcript": "fbb9f34b58e65a840f0cbf552bb7f14699ffc1f5a5e413deb1df97d8e981640e",
             "key": "46254e49b676578f94bbc2b3e7ed095481daebc2f30dac5832244247c1191114",
-            "bisection": "fda9961652970bc2dbcb5b9dd5aa2f1452c8963833d3b69e918a203b86c70a7c"}),
+            "bisection": "db9bac89312ccb236258878b7cc829e10e0d8f3dcf60e263e387cf066f8e5236"}),
         # every pass is one 1-bit block, odd in pass 1 only: its flip needs
         # no query
         "one-bit-key": (one_bit_key_pair, 1, 1, PASSES, 1, (4, 1), {
@@ -716,15 +718,16 @@ class TestAliceCorrector:
     }
 
     def test_round_finds_what_a_full_rescan_finds(self, monkeypatch):
-        # A round rescans only the blocks holding a flipped bit and keeps
-        # the odd half of every other segment it splits.  Its result must
-        # equal the odd segments of every block the round touched, the
-        # blocks of its segments and of its flips, scanned whole; and each
-        # built pass's row of Alice's key must follow her flips.  Run
-        # against an honest reference and one that inverts a third of the
-        # answers from pass 2 on.
+        # A round first flips the bits that single-bit segments pin down
+        # and rescans, until no single-bit segment is left; then it asks
+        # for the midpoint of every remaining segment and keeps the odd
+        # half of each.  Its result must equal the odd segments of every
+        # block the round touched, the blocks of its segments and of its
+        # flips, scanned whole; and each built pass's row of Alice's key
+        # must follow her flips.  Run against an honest reference and one
+        # that inverts a third of the answers from pass 2 on.
         whole_round = _AliceCorrector._round
-        seen = {"rounds": 0, "merged": 0, "wrong": []}
+        seen = {"rounds": 0, "shared": 0, "wrong": []}
 
         def checked(corr, lo, hi):
             # every round starts from all odd segments of their blocks,
@@ -741,10 +744,10 @@ class TestAliceCorrector:
             if not (np.array_equal(lo_next, full_lo) and np.array_equal(hi_next, full_hi)
                     and np.array_equal(corr.shuffled[g], corr.bits[corr.perm[g]])):
                 seen["wrong"].append(("found", corr.built, len(lo)))
-            # a flip in a block that also holds an asked segment: that block's
-            # rescan is merged with the halves of the others
-            asked = corr._block_starts(lo[hi - lo > 1])
-            seen["merged"] += bool(np.isin(asked, corr._block_starts(flipped)).any())
+            # a flip in a block that also holds a wider segment: the rescan
+            # settles that segment before the round asks about it
+            wide = corr._block_starts(lo[hi - lo > 1])
+            seen["shared"] += bool(np.isin(wide, corr._block_starts(flipped)).any())
             seen["rounds"] += 1
             return lo_next, hi_next
 
@@ -761,7 +764,7 @@ class TestAliceCorrector:
                 if not lying:
                     assert ra.verified and np.array_equal(ra.corrected_key, b)
         assert seen["wrong"] == []
-        assert seen["merged"] > 0 and seen["rounds"] > 100
+        assert seen["shared"] > 0 and seen["rounds"] > 100
         # the lies end some exchanges early
         assert "SessionAborted" in outcomes
 
