@@ -80,7 +80,8 @@ class ProtocolParams:
         return dataclasses.replace(self, **changes)
 
     def as_dict(self) -> dict:
-        return dataclasses.asdict(self)
+        # every field is a number: ``dataclasses.asdict`` would deep-copy each
+        return dict(vars(self))
 
     def digest(self) -> bytes:
         """16-byte fingerprint used to cross-check peer configuration."""

@@ -90,6 +90,24 @@ def toeplitz_seed_bits(seed: int, input_length: int, output_length: int) -> np.n
     return toeplitz_diagonal(stream(seed, "pa-toeplitz"), input_length + output_length - 1)
 
 
+def _transform_size(length: int) -> int:
+    """The smallest 2^a 3^b 5^c of at least ``length`` points.
+
+    pocketfft transforms such sizes about as fast per point as powers of
+    two: an 11,339-bit convolution (a default session's key and secret)
+    takes 11,520 points in place of 16,384, about 40% less time.
+    """
+    best = 1 << (length - 1).bit_length()
+    odd = 1
+    while odd < best:
+        factor = odd
+        while factor < best:
+            best = min(best, factor << (-(-length // factor) - 1).bit_length())
+            factor *= 3
+        odd *= 5
+    return best
+
+
 def _toeplitz_product(diagonal: np.ndarray, key: np.ndarray, m: int) -> np.ndarray:
     """Entries n - 1 .. n + m - 2 of the convolution of a diagonal with a
     key of n bits, mod 2: the m x n Toeplitz product.
@@ -100,7 +118,7 @@ def _toeplitz_product(diagonal: np.ndarray, key: np.ndarray, m: int) -> np.ndarr
     points.
     """
     n = len(key)
-    size = 1 << (n + m - 2).bit_length()
+    size = _transform_size(n + m - 1)
     spectrum = np.fft.rfft(diagonal, size)
     spectrum *= np.fft.rfft(key, size)
     product = np.fft.irfft(spectrum, size)[n - 1 : n - 1 + m]

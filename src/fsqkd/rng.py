@@ -23,10 +23,18 @@ _MASK64 = 0xFFFFFFFFFFFFFFFF
 
 
 def stream(seed: int, label: str) -> np.random.Generator:
-    """Return the PCG64 generator identified by ``(seed, label)``."""
-    digest = hashlib.blake2s(label.encode("utf-8"), digest_size=16).digest()
-    words = [int.from_bytes(digest[i : i + 4], "big") for i in range(0, 16, 4)]
-    ss = np.random.SeedSequence([seed & _MASK64, *words])
+    """Return the PCG64 generator identified by ``(seed, label)``.
+
+    The entropy is the seed's 32-bit words, low first (one word below
+    2**32), then the label's 16-byte BLAKE2s digest as four big-endian
+    words: ``SeedSequence([seed, *words])`` would split the integers into
+    the same words, one Python call per integer.
+    """
+    seed &= _MASK64
+    head = np.array([seed & 0xFFFFFFFF, seed >> 32] if seed >> 32 else [seed], dtype=np.uint32)
+    words = np.frombuffer(hashlib.blake2s(label.encode("utf-8"), digest_size=16).digest(),
+                          dtype=">u4")
+    ss = np.random.SeedSequence(np.concatenate((head, words)))
     return np.random.Generator(np.random.PCG64(ss))
 
 

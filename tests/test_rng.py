@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,17 @@ class TestSeededStreams:
         a = stream(42, "alice-bits").integers(0, 2, 64)
         b = stream(43, "alice-bits").integers(0, 2, 64)
         assert not np.array_equal(a, b)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**63 + 5, 2**64 - 1, 2**64 + 3])
+    @pytest.mark.parametrize("label", ["", "recon-perm-1", "verify-hash"])
+    def test_entropy_is_seed_then_label_words(self, seed, label):
+        # the stream's definition: the seed mod 2**64, then the label's
+        # digest as four big-endian 32-bit integers
+        digest = hashlib.blake2s(label.encode("utf-8"), digest_size=16).digest()
+        words = [int.from_bytes(digest[i : i + 4], "big") for i in range(0, 16, 4)]
+        entropy = np.random.SeedSequence([seed % 2**64, *words])
+        expected = np.random.Generator(np.random.PCG64(entropy))
+        assert stream(seed, label).bit_generator.state == expected.bit_generator.state
 
 
 class TestToeplitzDiagonal:
