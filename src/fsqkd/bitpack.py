@@ -173,31 +173,34 @@ def decode_index_list(data: bytes, offset: int) -> tuple[np.ndarray, int]:
     if count <= _SCALAR_MAX:
         # decode_varint inlined: the same checks in the same order.  No
         # varint runs past _MAX_VARINT_BYTES without failing "too long",
-        # so the list lies within that many bytes per index
-        values, value, delta, shift = [], 0, 0, 0
+        # so the list lies within that many bytes per index.  Each id
+        # takes one last byte and ``more`` continuation bytes in all
+        values, value, low, shift, more = [], 0, 0, 0, 0
         for byte in data[offset : offset + _MAX_VARINT_BYTES * count]:
-            offset += 1
-            delta |= (byte & 0x7F) << shift
             if byte > 0x7F:
+                low |= (byte & 0x7F) << shift
                 shift += 7
+                more += 1
                 if shift > 70:
                     raise ValueError("varint too long")
                 continue
-            # a zero last group after the first spells a shorter varint
-            if shift and not byte:
-                raise ValueError("overlong varint")
-            if values and not delta:
+            if shift:
+                # a zero last group after the first spells a shorter varint
+                if not byte:
+                    raise ValueError("overlong varint")
+                byte = low | byte << shift
+                low = shift = 0
+            elif not byte and values:
                 raise ValueError("decoded indices are not strictly increasing")
-            value += delta
+            value += byte
             values.append(value)
             if len(values) == count:
                 break
-            delta = shift = 0
         else:
             raise ValueError("truncated varint")
         if value >= 2**63:
             raise ValueError("index beyond 2**63")
-        return np.array(values, dtype=np.int64), offset
+        return np.array(values, dtype=np.int64), offset + count + more
     values = np.empty(count, dtype=np.int64)
     # each chunk decodes the varints that end within its bytes; one cut
     # off at its end starts the next chunk, and every remaining id has at
